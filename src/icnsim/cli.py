@@ -175,11 +175,23 @@ def scenario_params_from(config: dict, seed: int) -> ScenarioParams:
     ).validate()
 
 
-def _write_atomic(path, content: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(content)
-    os.replace(tmp, path)
+def _write_atomic(*outputs) -> None:
+    """Write (path, content) pairs as one set: every content goes to a temp
+    file first and the renames follow only once all writes succeeded, so a
+    failed write leaves the previous outputs as they were."""
+    written = []
+    try:
+        for path, content in outputs:
+            tmp = f"{path}.tmp"
+            with open(tmp, "w", encoding="utf-8") as fh:
+                written.append(tmp)
+                fh.write(content)
+    except BaseException:
+        for tmp in written:
+            os.remove(tmp)
+        raise
+    for path, _ in outputs:
+        os.replace(f"{path}.tmp", path)
 
 
 def _sweep_point_value(config) -> float:
@@ -201,7 +213,7 @@ def cmd_gen_topo(args) -> int:
     graph = generate_topology(params, seed)
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "topology.txt")
-    _write_atomic(out_path, graph_to_text(graph))
+    _write_atomic((out_path, graph_to_text(graph)))
     print(f"wrote {out_path} ({graph.n} nodes, {graph.m} edges)")
     return 0
 
@@ -219,7 +231,7 @@ def cmd_containerize(args) -> int:
     hierarchy = containerize(graph, targets)
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "hierarchy.txt")
-    _write_atomic(out_path, hierarchy_to_text(hierarchy))
+    _write_atomic((out_path, hierarchy_to_text(hierarchy)))
     counts = ",".join(str(len(level)) for level in hierarchy.levels)
     print(f"wrote {out_path} (containers per level: {counts})")
     return 0
@@ -254,9 +266,10 @@ def cmd_train(args) -> int:
     loss_csv = "epoch,loss\n" + "\n".join(
         f"{i},{loss!r}" for i, loss in enumerate(result.loss_history)
     ) + "\n"
-    congruity.save_model(result.theta_star, h, model_path + ".tmp")
-    os.replace(model_path + ".tmp", model_path)
-    _write_atomic(loss_path, loss_csv)
+    _write_atomic(
+        (model_path, congruity.model_to_text(result.theta_star, h)),
+        (loss_path, loss_csv),
+    )
     print(
         f"wrote {model_path} and {loss_path} "
         f"(E {result.e_initial!r} -> {result.e_star!r}, pruned {result.pruned_count})"
@@ -271,7 +284,7 @@ def cmd_run(args) -> int:
     reports = evaluation.run_sweep(params, seeds)
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "report.csv")
-    _write_atomic(out_path, evaluation.reports_to_csv(reports))
+    _write_atomic((out_path, evaluation.reports_to_csv(reports)))
     print(f"wrote {out_path} ({len(reports)} sweep points)")
     return 0
 
@@ -316,8 +329,7 @@ def cmd_report(args) -> int:
     for ln in summary.splitlines()[1:]:
         parts = ln.split(",")
         plot_lines.append(f"{parts[0]},{parts[2]},{parts[4]}")
-    _write_atomic(summary_path, summary)
-    _write_atomic(plot_path, "\n".join(plot_lines) + "\n")
+    _write_atomic((summary_path, summary), (plot_path, "\n".join(plot_lines) + "\n"))
     print(summary, end="")
     print(f"wrote {summary_path} and {plot_path}")
     return 0

@@ -72,6 +72,13 @@ class Sample:
 
 @dataclass
 class Dataset:
+    """A personal or general sample set.
+
+    The feature matrix, the label arrays and the top-k filters are computed on
+    first use and memoised, so `samples` must not be mutated after the dataset
+    has been used; build a new Dataset (or a `slice`) instead.
+    """
+
     kind: str
     samples: list
 
@@ -79,6 +86,8 @@ class Dataset:
         if self.kind not in ("personal", "general"):
             raise InvalidParams(f"dataset kind must be personal or general, got {self.kind!r}")
         self._matrix = None
+        self._labels = {}
+        self._filters = {}
 
     def __len__(self):
         return len(self.samples)
@@ -89,13 +98,29 @@ class Dataset:
         return self._matrix
 
     def label_arrays(self, kind: str = DEFAULT_LABEL_KIND):
-        vals = np.zeros(len(self.samples))
-        mask = np.zeros(len(self.samples))
-        for i, s in enumerate(self.samples):
-            if kind in s.labels:
-                vals[i] = s.labels[kind]
-                mask[i] = 1.0
-        return vals, mask
+        """(values, mask) of one label kind; unlabeled samples read 0 in both."""
+        if kind not in self._labels:
+            vals = np.zeros(len(self.samples))
+            mask = np.zeros(len(self.samples))
+            for i, s in enumerate(self.samples):
+                if kind in s.labels:
+                    vals[i] = s.labels[kind]
+                    mask[i] = 1.0
+            vals.flags.writeable = False
+            mask.flags.writeable = False
+            self._labels[kind] = (vals, mask)
+        return self._labels[kind]
+
+    def topk_filters(self, centroid, k: int) -> np.ndarray:
+        """`filter_topk` of every sample against the centroid."""
+        centroid = np.asarray(centroid, dtype=np.float64)
+        key = (k, centroid.tobytes())
+        if key not in self._filters:
+            X = self.feature_matrix()
+            filters = np.array([filter_topk(X[i], centroid, k) for i in range(len(self))])
+            filters.flags.writeable = False
+            self._filters[key] = filters
+        return self._filters[key]
 
     def centroid(self) -> np.ndarray:
         if not self.samples:
@@ -350,11 +375,6 @@ def _loss_parts(ps, X, vals, mask):
     return pred_sum, recon_sq
 
 
-def _personal_filters(ds: Dataset, centroid, k: int) -> np.ndarray:
-    X = ds.feature_matrix()
-    return np.array([filter_topk(X[i], centroid, k) for i in range(len(ds))])
-
-
 def general_error(ps: ParameterSet, dg: Dataset, h: Hyperparams,
                   label_kind: str = DEFAULT_LABEL_KIND) -> float:
     """Prediction loss on labeled general samples plus the q-norm-scaled
@@ -382,7 +402,7 @@ def personal_error(ps: ParameterSet, dp: Dataset, h: Hyperparams,
         centroid = dp.centroid()
     vals, mask = dp.label_arrays(label_kind)
     pred_sum, recon_sq = _loss_parts(ps, dp.feature_matrix(), vals, mask)
-    filters = _personal_filters(dp, centroid, h.k)
+    filters = dp.topk_filters(centroid, h.k)
     return h.lambda_p * pred_sum + h.lambda_k * float((filters * recon_sq).sum())
 
 
@@ -403,7 +423,8 @@ def _zero_grads(ps):
 
 
 def _backprop(ps, X, vals, mask, pred_w, recon_coeff):
-    """Gradient of pred_w * sum_labeled (y - t)^2 + sum_n c_n * ||x_n - X_n||^2.
+    """Gradient of pred_w * sum_labeled (y - t)^2 + sum_n c_n * ||x_n - X_n||^2,
+    plus the per-sample squared reconstruction errors ||x_n - X_n||^2.
 
     The reconstruction chain reuses the forward connections transposed, so
     each weight (and each hidden bias) collects gradient from both passes.
@@ -414,7 +435,9 @@ def _backprop(ps, X, vals, mask, pred_w, recon_coeff):
     L = ps.L
 
     # negative (reconstruction) chain
-    gr = 2.0 * recon_coeff[:, None] * (recs[0] - X)
+    diff = recs[0] - X
+    recon_sq = (diff ** 2).sum(axis=1)
+    gr = 2.0 * recon_coeff[:, None] * diff
     for l in range(L - 1):
         gs = gr * recs[l] * (1.0 - recs[l])
         dW[l] += recs[l + 1].T @ gs
@@ -430,7 +453,7 @@ def _backprop(ps, X, vals, mask, pred_w, recon_coeff):
         dW[l - 1] += gz.T @ acts[l - 1]
         db[l] += gz.sum(axis=0)
         ga = gz @ ps.weights[l - 1]
-    return dW, db
+    return dW, db, recon_sq
 
 
 def _regularizer_grads(ps, q):
@@ -459,10 +482,9 @@ def grad_general(ps: ParameterSet, dg: Dataset, h: Hyperparams,
     vals, mask = dg.label_arrays(label_kind)
     rW, rb, r = _regularizer_grads(ps, h.q)
     coeff = np.full(len(dg), h.lambda_q * r)
-    dW, db = _backprop(ps, X, vals, mask, h.lambda_g, coeff)
+    dW, db, recon_sq = _backprop(ps, X, vals, mask, h.lambda_g, coeff)
     # the q-norm multiplies the summed reconstruction loss, so its own
     # gradient enters scaled by that sum
-    _, recon_sq = _loss_parts(ps, X, vals, mask)
     s = h.lambda_q * float(recon_sq.sum())
     for l in range(len(dW)):
         dW[l] += s * rW[l]
@@ -480,8 +502,9 @@ def grad_personal(ps: ParameterSet, dp: Dataset, h: Hyperparams,
         centroid = dp.centroid()
     X = dp.feature_matrix()
     vals, mask = dp.label_arrays(label_kind)
-    filters = _personal_filters(dp, centroid, h.k)
-    return _backprop(ps, X, vals, mask, h.lambda_p, h.lambda_k * filters)
+    filters = dp.topk_filters(centroid, h.k)
+    dW, db, _ = _backprop(ps, X, vals, mask, h.lambda_p, h.lambda_k * filters)
+    return dW, db
 
 
 def grad_congruity(ps: ParameterSet, dp: Dataset, dg: Dataset, h: Hyperparams,
@@ -509,15 +532,11 @@ class TrainResult:
 
 
 def _batches(dp, dg, batch_size):
-    nbp = max(1, -(-len(dp) // batch_size))
-    nbg = max(1, -(-len(dg) // batch_size))
-    nb = max(nbp, nbg)
-    pairs = []
-    for i in range(nb):
-        bp = (i % nbp) * batch_size
-        bg = (i % nbg) * batch_size
-        pairs.append((dp.slice(bp, bp + batch_size), dg.slice(bg, bg + batch_size)))
-    return pairs
+    """(personal, general) batch pairs; the shorter side wraps around and
+    reuses its batch objects, so each batch's memos are filled once."""
+    bps = [dp.slice(lo, lo + batch_size) for lo in range(0, len(dp), batch_size)]
+    bgs = [dg.slice(lo, lo + batch_size) for lo in range(0, len(dg), batch_size)]
+    return [(bps[i % len(bps)], bgs[i % len(bgs)]) for i in range(max(len(bps), len(bgs)))]
 
 
 def _apply_step(ps, dW, db, lr):
@@ -527,37 +546,47 @@ def _apply_step(ps, dW, db, lr):
         ps.biases[l] -= lr * np.where(ps.b_frozen[l], 0.0, db[l])
 
 
-def _prune_phase(ps, dp, dg, h, centroid, rng, label_kind):
+def _prune_phase(ps, pairs, h, centroid, rng, label_kind):
     """Layer-wise pruning sweep.
 
     Per layer: take per-parameter response-gradient steps; a parameter whose
     step moves the personal error less than alpha times the general error is
     zeroed (and frozen) with the configured probability. The layer is left as
     soon as its live parameter count drops under d_max.
+
+    A kept step leaves the parameters where the next coordinate starts, so
+    the errors after it are the next coordinate's errors before its step on
+    the same batch; only a prune (zeroing, freezing, maybe killing a neuron)
+    or a batch change forces a fresh evaluation.
     """
     pruned = 0
-    pairs = _batches(dp, dg, h.batch_size)
+    known = None  # (batch index, personal error, general error) at the current parameters
     for layer in range(ps.L):
         d = ps.live_count(layer)
         if d < ps.d_max:
             continue
         advance = False
-        for bp, bg in pairs:
+        for b, (bp, bg) in enumerate(pairs):
             for coord in ps.layer_coords(layer):
                 if ps.is_frozen(coord):
                     continue
                 gW, gb = grad_personal(ps, bp, h, label_kind, centroid)
                 kind, a, bidx, cidx = coord
                 g = gW[a][bidx, cidx] if kind == "w" else gb[a][bidx]
-                ev_p = personal_error(ps, bp, h, label_kind, centroid)
-                ev_g = general_error(ps, bg, h, label_kind)
+                if known is not None and known[0] == b:
+                    _, ev_p, ev_g = known
+                else:
+                    ev_p = personal_error(ps, bp, h, label_kind, centroid)
+                    ev_g = general_error(ps, bg, h, label_kind)
                 ps.set_param(coord, ps.get_param(coord) - h.learning_rate * g)
                 en_p = personal_error(ps, bp, h, label_kind, centroid)
                 en_g = general_error(ps, bg, h, label_kind)
+                known = (b, en_p, en_g)
                 if abs(en_p - ev_p) < h.alpha * abs(en_g - ev_g):
                     if rng.random() < h.prune_probability:
                         ps.set_param(coord, 0.0)
                         ps.freeze(coord)
+                        known = None
                         d -= 1
                         pruned += 1
                     if d < ps.d_max:
@@ -587,9 +616,9 @@ def train(dp: Dataset, dg: Dataset, h: Hyperparams, arch,
     centroid = dp.centroid()
 
     e_initial = congruity_objective(ps, dp, dg, h, label_kind, centroid)
-    pruned = _prune_phase(ps, dp, dg, h, centroid, rng, label_kind)
-
     pairs = _batches(dp, dg, h.batch_size)
+    pruned = _prune_phase(ps, pairs, h, centroid, rng, label_kind)
+
     e_prev = congruity_objective(ps, dp, dg, h, label_kind, centroid)
     history = [e_prev]
     trajectory = []
@@ -714,7 +743,7 @@ def synthesize_dataset(spec: DatasetSpec, seed: int):
 # -- model and dataset files ---------------------------------------------------------
 
 
-def save_model(ps: ParameterSet, h: Hyperparams, path) -> None:
+def model_to_text(ps: ParameterSet, h: Hyperparams) -> str:
     lines = [
         "widths " + " ".join(str(w) for w in ps.widths),
         f"dmax {ps.d_max}",
@@ -738,11 +767,22 @@ def save_model(ps: ParameterSet, h: Hyperparams, path) -> None:
             ]
             parts.extend(repr(float(c)) for c in conn)
             lines.append(" ".join(parts))
+    return "\n".join(lines) + "\n"
+
+
+def save_model(ps: ParameterSet, h: Hyperparams, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(model_to_text(ps, h))
 
 
 def load_model(path):
+    """Read a model written by `save_model`.
+
+    The file keeps weights, biases and alive flags but not the frozen
+    (pruned) masks, so the loaded model is for inference: every parameter
+    comes back unfrozen, and training it further would let pruned
+    parameters move again.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln for ln in fh.read().splitlines() if ln.strip()]
     widths = None

@@ -334,6 +334,12 @@ def _run_point(params: ScenarioParams, var: str, value, point_index: int):
         pool = np.concatenate([
             g.nodes_of_kind(NodeKind.PC), g.nodes_of_kind(NodeKind.MOBILE_DEVICE)
         ])
+    # a requester is redrawn until it differs from the object's publisher,
+    # which never happens when that publisher is the pool's only node
+    if len(pool) == 1 and any(obj.publisher == pool[0] for obj in catalog):
+        raise InvalidParams(
+            f"node {int(pool[0])} is the only possible requester and also a publisher"
+        )
     wrng = np.random.default_rng(np.random.SeedSequence([workload_seed, 0x3E0]))
     obj_draws = wrng.choice(params.catalog_size, size=params.request_count, p=fp)
     records = []

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+import icnsim
 from icnsim.cli import main, parse_config
 from icnsim.congruity import load_model
 from icnsim.containment import Target, containerize, hierarchy_to_text
@@ -24,6 +25,17 @@ max_epochs = 15
 n_personal = 40
 n_general = 60
 """
+
+
+def run_module(*args):
+    """`python -m icnsim.cli <args>` in a child that imports this icnsim."""
+    src = os.path.dirname(os.path.dirname(icnsim.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "icnsim.cli", *args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
 
 
 @pytest.fixture
@@ -144,6 +156,17 @@ class TestTrainCmd:
         cfg.write_text(BASE_CONFIG + "alpha = 1.5\n")
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path)]) == 1
 
+    def test_failed_second_write_leaves_both_outputs_unchanged(self, config_path, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "model.txt").write_text("old model\n")
+        (out / "loss.csv").write_text("old loss\n")
+        (out / "loss.csv.tmp").mkdir()  # the loss file cannot be written
+        assert main(["train", "--config", config_path, "--out", str(out)]) == 2
+        assert (out / "model.txt").read_text() == "old model\n"
+        assert (out / "loss.csv").read_text() == "old loss\n"
+        assert not (out / "model.txt.tmp").exists()
+
 
 class TestRunCmd:
     def test_zero_cache_config_gives_all_zero_ito(self, tmp_path):
@@ -169,6 +192,15 @@ class TestRunCmd:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
         assert not out.exists() or not any(out.iterdir())
 
+    def test_lone_mmtc_device_exits_one(self, tmp_path):
+        # one device is both the only publisher and the only requester
+        cfg = tmp_path / "lone.cfg"
+        cfg.write_text("scenario = mmtc\narea_km2 = 0.001\nsweep_values = 1\nseeds = 1\n")
+        proc = run_module("run", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert proc.returncode == 1, proc.stderr
+        assert "requester" in proc.stderr
+        assert not (tmp_path / "o").exists()
+
 
 class TestReportCmd:
     def test_three_seed_summary_with_variance(self, tmp_path):
@@ -185,6 +217,17 @@ class TestReportCmd:
         assert plot[0] == "scenario,sweep_value,mean_ito"
         assert len(plot) == 2
 
+    def test_failed_second_write_leaves_both_outputs_unchanged(self, config_path, tmp_path):
+        out = tmp_path / "out"
+        assert main(["run", "--config", config_path, "--out", str(out)]) == 0
+        (out / "summary.csv").write_text("old summary\n")
+        (out / "plotdata.csv").write_text("old plot\n")
+        (out / "plotdata.csv.tmp").mkdir()  # the plot file cannot be written
+        assert main(["report", str(out / "report.csv"), "--out", str(out)]) == 2
+        assert (out / "summary.csv").read_text() == "old summary\n"
+        assert (out / "plotdata.csv").read_text() == "old plot\n"
+        assert not (out / "summary.csv.tmp").exists()
+
     def test_missing_report_file_exits_two(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "ghost.csv"), "--out", str(tmp_path)]) == 2
         assert "ghost.csv" in capsys.readouterr().err
@@ -197,11 +240,7 @@ class TestEntryPoints:
     def test_module_invocation(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("scenario = embb\nn_devices = 32\nrequest_count = 10\ncatalog_size = 4\nsweep_values = 8\n")
-        proc = subprocess.run(
-            [sys.executable, "-m", "icnsim.cli", "run",
-             "--config", str(cfg), "--out", str(tmp_path / "o")],
-            capture_output=True, text=True,
-        )
+        proc = run_module("run", "--config", str(cfg), "--out", str(tmp_path / "o"))
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "o" / "report.csv").exists()
 

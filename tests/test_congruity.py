@@ -1,9 +1,12 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import icnsim.congruity as congruity
+from icnsim.cli import main
 from icnsim.congruity import (
     Dataset,
     DatasetSpec,
@@ -17,6 +20,7 @@ from icnsim.congruity import (
     forward_positive,
     general_error,
     grad_congruity,
+    grad_personal,
     init_parameters,
     load_dataset,
     load_model,
@@ -450,6 +454,65 @@ class TestTrain:
             Hyperparams(learning_rate=0.0).validate()
         with pytest.raises(InvalidParams):
             Hyperparams(q=0).validate()
+
+
+class TestLoopInvariantWork:
+    """Training computes the labels and top-k filters once per dataset and
+    reuses known errors; none of that may change a single output bit."""
+
+    GOLDEN_CONFIG = (
+        "seeds = 3\nmax_epochs = 15\nn_personal = 40\nn_general = 60\n"
+        "lambda_q = 0.3\nlambda_k = 0.7\n"
+    )
+    # produced by the implementation that recomputed everything on every call
+    GOLDEN_SHA256 = {
+        "model.txt": "d8fe69ad50ddbd34e18c8a5406ccf585277ac782603a93055f08062f0e754c40",
+        "loss.csv": "a348a7ee4e46523a6f39ac3532449173a5a8a60c9e3f8c7d81b89e95edc68294",
+    }
+
+    def test_train_outputs_match_golden_hashes(self, tmp_path):
+        cfg = tmp_path / "golden.cfg"
+        cfg.write_text(self.GOLDEN_CONFIG)
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        for name, digest in self.GOLDEN_SHA256.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+    @pytest.mark.parametrize("max_epochs", [1, 8])
+    def test_filter_runs_twice_per_personal_sample(self, monkeypatch, max_epochs):
+        calls = []
+        original = congruity.filter_topk
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(congruity, "filter_topk", counting)
+        dp, dg = synthesize_dataset(DatasetSpec(n_personal=40, n_general=60), 5)
+        h = Hyperparams(lambda_k=0.5, max_epochs=max_epochs, tolerance=1e-15,
+                        batch_size=16, rng_seed=2)
+        train(dp, dg, h, (N_FEATURES, 4, 1))
+        # once for the whole personal set, once for its batches
+        assert len(calls) == 2 * len(dp)
+
+    def test_used_dataset_gives_what_a_fresh_one_gives(self):
+        dp, _ = synthesize_dataset(DatasetSpec(n_personal=12, n_general=1), 8)
+        ps = init_parameters((N_FEATURES, 5, 1), rng=3)
+        centroid = dp.centroid()
+        # fill the memos under another centroid, k and label kind first
+        warm = Hyperparams(lambda_k=0.6, k=2)
+        personal_error(ps, dp, warm, centroid=np.full(N_FEATURES, 0.3))
+        grad_personal(ps, dp, warm, "classification")
+        for k in (2, 4):
+            h = Hyperparams(lambda_k=0.6, k=k)
+            for label_kind in ("distance", "classification"):
+                fresh = lambda: Dataset("personal", list(dp.samples))
+                assert (personal_error(ps, dp, h, label_kind, centroid)
+                        == personal_error(ps, fresh(), h, label_kind, centroid))
+                used = grad_personal(ps, dp, h, label_kind, centroid)
+                new = grad_personal(ps, fresh(), h, label_kind, centroid)
+                for a, b in zip(used[0] + used[1], new[0] + new[1]):
+                    assert np.array_equal(a, b)
 
 
 class TestPredictDistance:

@@ -152,6 +152,12 @@ class TestRunScenario:
         assert [r.seed for r in reports] == [1, 2]
         assert reports[0].ito != reports[1].ito  # different workloads
 
+    def test_lone_publishing_requester_rejected(self):
+        # 1k devices/km^2 on 0.001 km^2: one device publishes every object
+        params = small_params(scenario="mmtc", sweep_values=(1,), area_km2=0.001)
+        with pytest.raises(InvalidParams, match="only possible requester"):
+            run_scenario(params)
+
     def test_validation(self):
         with pytest.raises(InvalidParams):
             run_scenario(small_params(scenario="6g"))
