@@ -6,7 +6,7 @@ from icnsim import (
     build_ilm_tree, containerize, generate_topology, node_centrality,
     prefetch_plan, zipf_popularity,
 )
-from icnsim.ilm import GlobalId, register
+from icnsim.ilm import register
 from icnsim.topology import NodeKind
 from icnsim.userplane import (
     address_of, apply_prefetch, build_network, deliver_data, handle_request,
@@ -29,7 +29,7 @@ for j in range(4):
 device = int(g.nodes_of_kind(NodeKind.PC)[0])
 
 def ask(obj, origin):
-    trace = handle_request(net, RequestMsg(obj.id, GlobalId(origin), origin))
+    trace = handle_request(net, RequestMsg(obj.id, origin))
     deliver_data(net, trace)
     return trace
 

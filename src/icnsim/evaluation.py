@@ -132,8 +132,6 @@ class ScenarioParams:
 
 def baseline_hops(g: WeightedGraph, requester: int, publisher: int) -> int:
     """Fewest-hops route length to the original source on the raw topology."""
-    if not (0 <= requester < g.n) or not (0 <= publisher < g.n):
-        raise InvalidParams("nodes outside graph")
     return hop_distance(g, requester, publisher)
 
 
@@ -298,25 +296,20 @@ def _run_point(params: ScenarioParams, var: str, value, point_index: int):
         params.catalog_size, params.zipf_exponent, params.zipf_shift
     )
 
+    fwd = np.concatenate([
+        g.nodes_of_kind(NodeKind.ACCESS_POINT),
+        g.nodes_of_kind(NodeKind.SWITCH),
+        g.nodes_of_kind(NodeKind.GATEWAY),
+    ])
     if params.preplace_everywhere:
         total_volume = sum(obj.volume for obj in catalog)
         net.media_capacity = max(net.media_capacity, total_volume)
         net.caches.clear()
-        fwd = np.concatenate([
-            g.nodes_of_kind(NodeKind.ACCESS_POINT),
-            g.nodes_of_kind(NodeKind.SWITCH),
-            g.nodes_of_kind(NodeKind.GATEWAY),
-        ])
         for node in fwd.tolist():
             store = net.cache_of(node)
             for obj in catalog:
                 store.insert(obj.id, obj.volume, net.tick())
     elif params.prefetch_budget >= 1 and capacity > 0:
-        fwd = np.concatenate([
-            g.nodes_of_kind(NodeKind.ACCESS_POINT),
-            g.nodes_of_kind(NodeKind.SWITCH),
-            g.nodes_of_kind(NodeKind.GATEWAY),
-        ])
         degs = np.array([g.degree(i) for i in fwd.tolist()])
         order = np.lexsort((fwd, -degs))
         candidates = fwd[order][: params.prefetch_candidates].tolist()
@@ -349,12 +342,7 @@ def _run_point(params: ScenarioParams, var: str, value, point_index: int):
         requester = int(pool[int(wrng.integers(0, len(pool)))])
         while requester == obj.publisher:
             requester = int(pool[int(wrng.integers(0, len(pool)))])
-        req = userplane.RequestMsg(
-            requested=obj.id,
-            requester=tree.naming.assign_id(f"urn:user:{requester}"),
-            origin_node=requester,
-            priority=obj.popularity_rank,
-        )
+        req = userplane.RequestMsg(requested=obj.id, origin_node=requester)
         hc = baseline_hops(g, requester, obj.publisher)
         trace = userplane.handle_request(net, req)
         userplane.deliver_data(net, trace)

@@ -1,10 +1,12 @@
 """Hierarchical identifier-locator mapping aligned with the container tree.
 
 A nonlocal root resolver carries the naming service; one resolver per
-container mirrors the hierarchy. Registrations propagate from a leaf up to
-the root, so resolution succeeds from any position by walking the parent
-chain. Records may bind an identifier indirectly to another identifier
-(data id -> device id); resolution chases such bindings with loop detection.
+container mirrors the hierarchy. Registrations store the one record of an
+identifier at every resolver from a leaf up to the root, so the root's table
+holds every record and a lookup from any position reads it there; the tables
+along the chain serve table dumps. Records may bind an identifier indirectly
+to another identifier (data id -> device id); resolution chases such
+bindings with loop detection.
 Constrained local domains run an 8-bit short-name space behind a gateway.
 """
 
@@ -105,19 +107,15 @@ class NamingService:
 
 
 class IlmNode:
-    """One resolver; serves the container named by container_ref."""
+    """One resolver; serves the container named by container_ref. `root` is
+    the top of its parent chain, fixed at construction."""
 
     def __init__(self, container_ref=None, parent: "IlmNode" = None, naming: NamingService = None):
         self.container_ref = container_ref
         self.parent = parent
         self.naming = naming
         self.table = {}
-
-    def root(self) -> "IlmNode":
-        node = self
-        while node.parent is not None:
-            node = node.parent
-        return node
+        self.root = self if parent is None else parent.root
 
     def chain(self):
         node = self
@@ -126,16 +124,10 @@ class IlmNode:
             node = node.parent
 
 
-def assign_id(ns: NamingService, hrn: str) -> GlobalId:
-    return ns.assign_id(hrn)
-
-
 def _lookup(ilm: IlmNode, gid: GlobalId):
-    for node in ilm.chain():
-        rec = node.table.get(gid)
-        if rec is not None:
-            return rec
-    return None
+    # _store_up puts a record at every resolver up to the root and a delete
+    # removes it from all of them, so the root answers for the whole chain.
+    return ilm.root.table.get(gid)
 
 
 def _store_up(ilm: IlmNode, rec: NameRecord) -> None:
@@ -148,7 +140,7 @@ def _store_up(ilm: IlmNode, rec: NameRecord) -> None:
 def register(ilm: IlmNode, hrn: str, na: NetworkAddress, service_meta: int = 0) -> GlobalId:
     """Create or extend a name record at a leaf resolver and propagate it up
     the parent chain to the nonlocal root."""
-    naming = ilm.root().naming
+    naming = ilm.root.naming
     if naming is None:
         raise InvalidParams("resolver tree has no naming service at the root")
     gid = naming.assign_id(hrn)
@@ -168,7 +160,7 @@ def register(ilm: IlmNode, hrn: str, na: NetworkAddress, service_meta: int = 0) 
 
 def register_indirect(ilm: IlmNode, hrn: str, target: GlobalId, service_meta: int = 0) -> GlobalId:
     """Bind an identifier to another identifier (data id -> device id)."""
-    naming = ilm.root().naming
+    naming = ilm.root.naming
     if naming is None:
         raise InvalidParams("resolver tree has no naming service at the root")
     gid = naming.assign_id(hrn)
@@ -181,8 +173,9 @@ def register_indirect(ilm: IlmNode, hrn: str, target: GlobalId, service_meta: in
 
 
 def resolve(ilm: IlmNode, gid: GlobalId) -> frozenset:
-    """Locators for an identifier, found locally or up the parent chain;
-    indirect bindings are chased with cycle detection."""
+    """Locators for an identifier, as any resolver of the chain would answer
+    (read from the root's table); indirect bindings are chased with cycle
+    detection."""
     rec = _lookup(ilm, gid)
     if rec is None:
         raise NotFound(f"identifier {gid.hex[:12]}.. is not registered")
@@ -302,11 +295,7 @@ def translate_back(gw: Gateway, gid: GlobalId) -> int:
 class IlmTree:
     root: IlmNode
     levels: list                      # levels[i]: one resolver per container
-    by_ref: dict                      # (level, index) -> IlmNode
     naming: NamingService
-
-    def leaf_for_container(self, index_position: int) -> IlmNode:
-        return self.levels[0][index_position]
 
 
 def build_ilm_tree(hierarchy) -> IlmTree:
@@ -339,8 +328,7 @@ def build_ilm_tree(hierarchy) -> IlmTree:
                     )
             nodes.append(IlmNode(container_ref=(c.level, c.index), parent=upper[parent_pos]))
         levels[li] = nodes
-    by_ref = {node.container_ref: node for row in levels for node in row}
-    return IlmTree(root=root, levels=levels, by_ref=by_ref, naming=naming)
+    return IlmTree(root=root, levels=levels, naming=naming)
 
 
 # -- table dump ------------------------------------------------------------------

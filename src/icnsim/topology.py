@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, dijkstra
+from scipy.sparse.csgraph import breadth_first_order
 
 from .errors import (
     DanglingEndpoint,
@@ -52,6 +52,7 @@ END_DEVICE_KINDS = frozenset(
 
 _KIND_ORDER = list(NodeKind)
 _KIND_INDEX = {k: i for i, k in enumerate(_KIND_ORDER)}
+_FORWARDING_INDICES = sorted(_KIND_INDEX[k] for k in FORWARDING_KINDS)
 
 # 80% of memory is reserved for audio-visual media on full-size elements;
 # constrained machine-type devices keep no media partition.
@@ -154,7 +155,6 @@ class WeightedGraph:
         self.unit = unit
         self._csr = None
         self._tree = None
-        self._component_labels = None
 
     # -- construction ------------------------------------------------------
 
@@ -242,51 +242,54 @@ class WeightedGraph:
         data = wts if weights is None else weights
         return csr_matrix((data, dst, indptr), shape=(self.n, self.n))
 
-    def component_labels(self) -> np.ndarray:
-        if self._component_labels is None:
-            if self.n == 0:
-                self._component_labels = np.zeros(0, dtype=np.int64)
-            else:
-                adj = self.sparse_adjacency(np.ones(2 * self.m, dtype=np.int8))
-                _, labels = connected_components(adj, directed=False)
-                self._component_labels = labels
-        return self._component_labels
+    def forwarding_mask(self) -> bytes:
+        """One byte per node: 1 where the node's kind forwards and caches
+        traffic (FORWARDING_KINDS), else 0."""
+        return np.isin(self.kinds, _FORWARDING_INDICES).tobytes()
 
     # -- tree navigation (fast path for generated topologies) --------------
 
     def _tree_info(self):
-        """(parents, depths) when the graph is a tree rooted at node 0, else None."""
+        """(True, parents, depths) when the graph is a tree rooted at node 0,
+        else (False, None, None). parents and depths are Python lists, which
+        the per-hop walks index much faster than numpy arrays."""
         if self._tree is None:
-            is_tree = (
-                self.n >= 1
-                and self.m == self.n - 1
-                and connected_components(
-                    self.sparse_adjacency(np.ones(2 * self.m, dtype=np.int8)),
-                    directed=False,
-                    return_labels=False,
+            self._tree = (False, None, None)
+            if self.n >= 1 and self.m == self.n - 1:
+                adj = self.sparse_adjacency(np.ones(2 * self.m, dtype=np.int8))
+                order, parents = breadth_first_order(
+                    adj, 0, directed=False, return_predecessors=True
                 )
-                == 1
-            ) if self.n > 1 else self.n == 1
-            if not is_tree:
-                self._tree = (False, None, None)
-            else:
-                adj = self.sparse_adjacency(np.ones(2 * self.m, dtype=np.int8) if self.m else None)
-                if self.m == 0:
-                    depths = np.zeros(1, dtype=np.int64)
-                    parents = np.full(1, -1, dtype=np.int64)
-                else:
-                    depths, parents = dijkstra(
-                        adj, directed=False, indices=0,
-                        unweighted=True, return_predecessors=True,
-                    )
-                    depths = depths.astype(np.int64)
+                if len(order) == self.n:  # connected with n - 1 edges
                     parents = parents.astype(np.int64)
                     parents[0] = -1
-                self._tree = (True, parents, depths)
+                    depths = _bfs_depths(order, parents)
+                    self._tree = (True, parents.tolist(), depths.tolist())
         return self._tree
 
     def is_tree(self) -> bool:
         return self._tree_info()[0]
+
+
+def _bfs_depths(order, parents) -> np.ndarray:
+    """Depth of every node of a tree from its BFS order and parent array.
+
+    BFS lists the nodes level by level, and the children of one level in the
+    order of their parents, so the parents' positions rise along the order
+    and one searchsorted per level finds where the next level ends.
+    """
+    n = len(order)
+    position = np.empty(n, dtype=np.int64)
+    position[order] = np.arange(n)
+    parent_position = position[parents[order[1:]]]
+    depths = np.zeros(n, dtype=np.int64)
+    start, depth = 1, 0
+    while start < n:
+        end = 1 + int(np.searchsorted(parent_position, start))
+        depth += 1
+        depths[order[start:end]] = depth
+        start = end
+    return depths
 
 
 def build_graph(nodes, edges, unit) -> WeightedGraph:
@@ -420,7 +423,11 @@ def node_centrality(g: WeightedGraph, v: int) -> float:
 
 
 def hop_distance(g: WeightedGraph, a: int, b: int) -> int:
-    """Fewest-edges distance, ignoring weights."""
+    """Fewest-edges distance, ignoring weights; ids outside [0, n) raise
+    InvalidParams."""
+    n = g.n
+    if not (0 <= a < n and 0 <= b < n):
+        raise InvalidParams(f"nodes ({a},{b}) outside graph")
     if a == b:
         return 0
     is_tree, parents, depths = g._tree_info()
@@ -433,18 +440,17 @@ def hop_distance(g: WeightedGraph, a: int, b: int) -> int:
 
 
 def _tree_hops(parents, depths, a, b):
-    da, db = int(depths[a]), int(depths[b])
-    u, v = a, b
+    da, db = depths[a], depths[b]
+    hops = abs(da - db)
     while da > db:
-        u = parents[u]
+        a = parents[a]
         da -= 1
     while db > da:
-        v = parents[v]
+        b = parents[b]
         db -= 1
-    hops = abs(int(depths[a]) - int(depths[b]))
-    while u != v:
-        u = parents[u]
-        v = parents[v]
+    while a != b:
+        a = parents[a]
+        b = parents[b]
         hops += 2
     return hops
 
@@ -466,18 +472,24 @@ def _bfs_dists(g, src):
 
 
 def next_hop_toward(g: WeightedGraph, u: int, target: int) -> int:
-    """First node after u on a fewest-hops path to target (ties: lowest id)."""
+    """First node after u on a fewest-hops path to target (ties: lowest id);
+    ids outside [0, n) raise InvalidParams."""
+    n = g.n
+    if not (0 <= u < n and 0 <= target < n):
+        raise InvalidParams(f"nodes ({u},{target}) outside graph")
     if u == target:
         return u
     is_tree, parents, depths = g._tree_info()
     if is_tree:
-        if depths[target] > depths[u]:
+        below = depths[u] + 1
+        if depths[target] >= below:
             w = target
-            while depths[w] > depths[u] + 1:
+            while depths[w] > below:
                 w = parents[w]
             if parents[w] == u:
-                return int(w)
-        return int(parents[u]) if parents[u] >= 0 else _no_route(u, target)
+                return w
+        up = parents[u]
+        return up if up >= 0 else _no_route(u, target)
     dist = _bfs_dists(g, target)
     if dist[u] < 0:
         _no_route(u, target)

@@ -27,12 +27,7 @@ from .errors import (
     Unresolvable,
 )
 from .ilm import GlobalId, IlmTree, NetworkAddress, resolve, update_binding
-from .topology import (
-    FORWARDING_KINDS,
-    WeightedGraph,
-    hop_distance,
-    next_hop_toward,
-)
+from .topology import WeightedGraph, hop_distance, next_hop_toward
 
 _ADDR_BASE = 0x0A000000  # 10.0.0.0/8; node id maps directly into it
 
@@ -65,11 +60,9 @@ class ContentObject:
 class CacheStore:
     """Byte-budgeted LRU store over the media partition of one element."""
 
-    def __init__(self, owner: int, media_capacity: int, other_capacity: int = 0,
-                 on_evict=None):
+    def __init__(self, owner: int, media_capacity: int, on_evict=None):
         self.owner = owner
         self.media_capacity = int(media_capacity)
-        self.other_capacity = int(other_capacity)
         self.entries = OrderedDict()  # id -> (size, last_use)
         self.used = 0
         self.on_evict = on_evict
@@ -100,11 +93,13 @@ class CacheStore:
 
 @dataclass
 class RequestMsg:
+    """A request for one object: the requested identifier, the node the
+    request starts from, and the hop count that handle_request stamps on it
+    once a copy is found."""
+
     requested: GlobalId
-    requester: GlobalId
     origin_node: int
     hop_count: int = 0
-    priority: int = 0
 
 
 @dataclass
@@ -144,6 +139,7 @@ class NetState:
         self.objects = {}
         self.clock = 0
         self.explicit = set()  # (node, object id) pairs registered with the ILM
+        self.forwarding = graph.forwarding_mask()
         self._leaf_labels = hierarchy.level_labels[0] if hierarchy.level_labels else None
 
     def tick(self) -> int:
@@ -260,10 +256,11 @@ def deliver_data(net: NetState, trace: DeliveryTrace) -> list:
     if obj is None:
         return []
     stored = []
+    forwarding = net.forwarding
     for node in reversed(trace.path):
         if node == trace.serving_node:
             continue
-        if net.graph.kind(node) in FORWARDING_KINDS:
+        if forwarding[node]:
             if net.cache_of(node).insert(obj.id, obj.volume, net.tick()):
                 stored.append(node)
     return stored

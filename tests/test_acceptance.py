@@ -119,7 +119,7 @@ def test_criterion_1_ito_oracle_equivalence():
         for k in range(1, n_requests + 1):
             origin = int(rng.integers(1, n))
             obj = objects[int(rng.integers(0, n_objects))]
-            req = RequestMsg(obj.id, GlobalId(k), origin)
+            req = RequestMsg(obj.id, origin)
             trace = handle_request(net, req)
             deliver_data(net, trace)
             expected_hops, expected_serving = replay.request(origin, obj.id)

@@ -1,3 +1,5 @@
+import glob
+import hashlib
 import os
 import subprocess
 import sys
@@ -5,6 +7,7 @@ import sys
 import pytest
 
 import icnsim
+from icnsim import userplane
 from icnsim.cli import main, parse_config
 from icnsim.congruity import load_model
 from icnsim.containment import Target, containerize, hierarchy_to_text
@@ -27,14 +30,23 @@ n_general = 60
 """
 
 
-def run_module(*args):
-    """`python -m icnsim.cli <args>` in a child that imports this icnsim."""
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DEMOS = sorted(glob.glob(os.path.join(ROOT, "demos", "*.py")))
+
+
+def child_env():
+    """The environment with this icnsim first on PYTHONPATH."""
     src = os.path.dirname(os.path.dirname(icnsim.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
+
+
+def run_module(*args):
+    """`python -m icnsim.cli <args>` in a child that imports this icnsim."""
     return subprocess.run(
         [sys.executable, "-m", "icnsim.cli", *args],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=child_env(), capture_output=True, text=True, timeout=120,
     )
 
 
@@ -201,6 +213,32 @@ class TestRunCmd:
         assert "requester" in proc.stderr
         assert not (tmp_path / "o").exists()
 
+    # Two rates, two seeds, a cache of a fifth of the catalog: every
+    # prefetched copy (48 placements) gets evicted and deregistered.
+    GOLDEN_CONFIG = (
+        "scenario = embb\nsweep_values = 8, 12\nseeds = 3, 4\nn_devices = 256\n"
+        "request_count = 400\ncatalog_size = 24\ncache_fraction = 0.2\n"
+        "prefetch_budget = 12\n"
+    )
+    GOLDEN_SHA256 = "c293fbd9d479be826aa12c5f965223856a79daa0c0ec38c88f62bb33b349d1a9"
+
+    def test_golden_report(self, tmp_path, monkeypatch):
+        actions = []
+        binding = userplane.update_binding
+
+        def counted(ilm, gid, action, na):
+            actions.append(action)
+            return binding(ilm, gid, action, na)
+
+        monkeypatch.setattr(userplane, "update_binding", counted)
+        cfg = tmp_path / "golden.cfg"
+        cfg.write_text(self.GOLDEN_CONFIG)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        digest = hashlib.sha256((out / "report.csv").read_bytes()).hexdigest()
+        assert digest == self.GOLDEN_SHA256
+        assert actions.count("add") > 0 and actions.count("remove") > 0
+
 
 class TestReportCmd:
     def test_three_seed_summary_with_variance(self, tmp_path):
@@ -249,3 +287,12 @@ class TestEntryPoints:
             main(["--help"])
         out = capsys.readouterr().out
         assert "cache_fraction" in out and "default" in out
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=os.path.basename)
+def test_demo_runs(demo, tmp_path):
+    proc = subprocess.run(
+        [sys.executable, demo],
+        cwd=tmp_path, env=child_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr

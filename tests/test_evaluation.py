@@ -1,11 +1,20 @@
+import signal
+from contextlib import contextmanager
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from icnsim.congruity import Hyperparams
 from icnsim.containment import Target, containerize, validate_hierarchy
-from icnsim.errors import EmptyLog, InvalidParams, Unreachable, ZeroDenominator
+from icnsim.errors import (
+    EmptyLog,
+    InvalidParams,
+    SimError,
+    Unreachable,
+    ZeroDenominator,
+)
 from icnsim.evaluation import (
     DEFAULT_SWEEPS,
     ItoReport,
@@ -224,3 +233,62 @@ class TestSweepReport:
         lines = text.splitlines()
         assert lines[0] == "scenario,sweep_var,sweep_value,seed,N,ito,mean_hops,cache_hit_rate"
         assert lines[1] == "embb,data_rate_mbps,8.0,0,10,0.125,2.0,0.5"
+
+
+# -- config fuzz: every small config finishes or raises a SimError ---------------
+
+FUZZ_SECONDS = 10
+
+
+@contextmanager
+def time_limit(seconds):
+    """Fail the block with TimeoutError when it runs longer than `seconds`
+    (a hang never returns, so a check after the call would not catch it)."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"run exceeded {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@st.composite
+def small_scenarios(draw):
+    scenario = draw(st.sampled_from(["embb", "urllc", "mmtc"]))
+    sweep = {
+        "embb": st.sampled_from([8.0, 64.0]),
+        "urllc": st.sampled_from([1.0, 8.0, 64.0]),
+        "mmtc": st.sampled_from([0.5, 1.0, 3.0, 20.0]),  # k devices per km^2
+    }[scenario]
+    return ScenarioParams(
+        scenario=scenario,
+        sweep_values=(draw(sweep),),
+        seed=draw(st.integers(0, 3)),
+        n_devices=draw(st.integers(1, 40)),
+        devices_per_ap=draw(st.integers(1, 8)),
+        devices_per_gateway=draw(st.integers(1, 8)),
+        area_km2=draw(st.sampled_from([0.001, 0.002, 0.005])),
+        catalog_size=draw(st.integers(1, 12)),
+        request_count=draw(st.integers(1, 30)),
+        cache_fraction=draw(st.sampled_from([0.0, 0.05, 0.5, 2.0])),
+        prefetch_budget=draw(st.integers(0, 8)),
+        prefetch_candidates=draw(st.integers(1, 8)),
+        preplace_everywhere=draw(st.booleans()),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_scenarios())
+def test_small_configs_finish_or_raise_sim_error(params):
+    with time_limit(FUZZ_SECONDS):
+        try:
+            reports = run_scenario(params)
+        except SimError:
+            return
+    assert len(reports) == 1
+    assert reports[0].ito <= 1.0 and 0.0 <= reports[0].cache_hit_rate <= 1.0

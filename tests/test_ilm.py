@@ -1,8 +1,10 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from icnsim.containment import Target, containerize
 from icnsim.errors import (
     CollisionDetected,
+    SimError,
     EmptyHrn,
     IndirectLoop,
     LocatorLimitExceeded,
@@ -24,7 +26,8 @@ from icnsim.ilm import (
     translate_back,
     update_binding,
 )
-from icnsim.topology import Edge, Node, NodeKind, build_graph
+from icnsim.evaluation import ScenarioParams
+from icnsim.topology import Edge, Node, NodeKind, build_graph, generate_topology
 
 
 def na(last: int) -> NetworkAddress:
@@ -245,3 +248,59 @@ class TestDump:
         by_hrn = {ln.split()[2]: ln.split() for ln in lines}
         assert by_hrn["urn:c"][3] == a.hex
         assert by_hrn["urn:a"][4] == "10.0.0.1"
+
+
+# -- resolution does not depend on the asking resolver ------------------------
+
+PROPERTY_HRNS = [f"urn:p:{i}" for i in range(5)]
+PROPERTY_GIDS = [NamingService().assign_id(h) for h in PROPERTY_HRNS]
+UNKNOWN_GID = GlobalId(12345)
+
+
+def _outcome(node, gid):
+    try:
+        return resolve(node, gid)
+    except SimError as exc:
+        return type(exc)
+
+
+_slot = st.integers(0, 10**6)  # resolver position, modulo the resolver count
+_name = st.integers(0, len(PROPERTY_HRNS) - 1)
+_addr = st.integers(0, 5)
+_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("register"), _slot, _name, _addr),
+        st.tuples(st.just("indirect"), _slot, _name, _name),
+        st.tuples(st.sampled_from(["add", "remove"]), _slot, _name, _addr),
+    ),
+    max_size=25,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ops)
+def test_every_resolver_answers_like_the_root(ops):
+    g = generate_topology(ScenarioParams(scenario="embb", n_devices=48), 2)
+    tree = build_ilm_tree(
+        containerize(g, [Target(1, 1_000), Target(2, 150_000), Target(3, 500_000)])
+    )
+    resolvers = [tree.root] + [node for row in tree.levels for node in row]
+    assert len(tree.levels) == 3
+    for action, slot, k, arg in ops:
+        node = resolvers[slot % len(resolvers)]
+        try:
+            if action == "register":
+                register(node, PROPERTY_HRNS[k], na(arg))
+            elif action == "indirect":
+                register_indirect(node, PROPERTY_HRNS[k], PROPERTY_GIDS[arg])
+            else:
+                update_binding(node, PROPERTY_GIDS[k], action, na(arg))
+        except SimError:
+            pass
+    for node in resolvers:
+        assert node.root is tree.root
+        for gid, rec in node.table.items():
+            assert tree.root.table[gid] is rec
+        for gid in PROPERTY_GIDS:
+            assert _outcome(node, gid) == _outcome(tree.root, gid)
+        assert _outcome(node, UNKNOWN_GID) is NotFound

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from icnsim.errors import (
     DanglingEndpoint,
@@ -22,6 +23,7 @@ from icnsim.topology import (
     hop_distance,
     measure_distance,
     mmtc_node,
+    next_hop_toward,
     node_centrality,
 )
 
@@ -254,3 +256,63 @@ class TestHopDistance:
         for _ in range(15):
             a, b = (int(x) for x in rng.integers(0, g.n, size=2))
             assert hop_distance(g, a, b) == bfs_hops(g.n, edges, a, b)
+
+    def test_disconnected_graph_with_n_minus_one_edges_is_not_a_tree(self):
+        g = make(4, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])  # triangle plus node 3
+        assert not g.is_tree()
+        assert hop_distance(g, 0, 2) == 1
+        with pytest.raises(Unreachable):
+            hop_distance(g, 0, 3)
+        with pytest.raises(Unreachable):
+            next_hop_toward(g, 3, 0)
+
+    def test_out_of_range_ids_rejected(self):
+        tree = generate_topology(ScenarioParams(scenario="embb", n_devices=32), 1)
+        assert tree.n == 39 and tree.is_tree()
+        ring = make(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1)])
+        for g in (tree, ring):
+            # a negative id would otherwise index from the end of the arrays
+            for a, b in [(-1, 2), (2, -1), (-1, -1), (0, g.n), (g.n + 3, 0), (g.n, g.n)]:
+                with pytest.raises(InvalidParams):
+                    hop_distance(g, a, b)
+                with pytest.raises(InvalidParams):
+                    next_hop_toward(g, a, b)
+
+
+@st.composite
+def connected_graphs(draw):
+    """A random spanning tree over relabelled nodes, plus up to two extra
+    edges, so both the tree walk and the off-tree BFS get drawn."""
+    n = draw(st.integers(2, 12))
+    label = draw(st.permutations(range(n)))
+    edges = [
+        (label[draw(st.integers(0, v - 1))], label[v], draw(st.integers(1, 20)))
+        for v in range(1, n)
+    ]
+    pairs = {frozenset(e[:2]) for e in edges}
+    for _ in range(draw(st.integers(0, 2))):
+        a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if a != b and frozenset((a, b)) not in pairs:
+            pairs.add(frozenset((a, b)))
+            edges.append((a, b, draw(st.integers(1, 20))))
+    return n, edges
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_graphs())
+def test_hop_queries_match_brute_force(case):
+    n, edges = case
+    g = make(n, edges)
+    nbrs = {i: set() for i in range(n)}
+    for a, b, _ in edges:
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    for u in range(n):
+        for t in range(n):
+            d = bfs_hops(n, edges, u, t)
+            assert hop_distance(g, u, t) == d
+            # lowest-id neighbour one hop closer to t
+            want = u if u == t else min(
+                v for v in nbrs[u] if bfs_hops(n, edges, v, t) == d - 1
+            )
+            assert next_hop_toward(g, u, t) == want

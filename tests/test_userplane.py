@@ -53,7 +53,7 @@ def publish(net, tree, hrn="urn:movie", publisher=1, volume=1000):
 
 
 def request(net, obj, origin):
-    req = RequestMsg(requested=obj.id, requester=GlobalId(origin + 1), origin_node=origin)
+    req = RequestMsg(requested=obj.id, origin_node=origin)
     return handle_request(net, req)
 
 
@@ -207,7 +207,7 @@ class TestHandleRequest:
     def test_hop_count_stamped_on_message(self):
         g, net, tree = make_net(capacity=0)
         obj = publish(net, tree)
-        req = RequestMsg(requested=obj.id, requester=GlobalId(5), origin_node=5)
+        req = RequestMsg(requested=obj.id, origin_node=5)
         trace = handle_request(net, req)
         assert req.hop_count == trace.hops == 4
 
