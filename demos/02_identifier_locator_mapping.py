@@ -1,12 +1,12 @@
-# Walk the identifier-locator mapping control plane: naming, registration
-# propagation, resolution from anywhere, mobility updates, indirect
-# bindings, and the 8-bit local short names of a constrained domain.
+# Walk the identifier-locator mapping control plane: naming, registration,
+# resolution from anywhere, mobility updates, indirect bindings, and the
+# 8-bit local short names of a constrained domain.
 from icnsim import (
     Gateway, NamingService, NetworkAddress, ScenarioParams, Target,
     build_ilm_tree, containerize, generate_topology,
     register, register_indirect, resolve, update_binding,
 )
-from icnsim.ilm import dump_table, register_local, translate, translate_back
+from icnsim.ilm import dump_table
 
 params = ScenarioParams(scenario="embb", n_devices=32)
 g = generate_topology(params, seed=1)
@@ -14,8 +14,9 @@ h = containerize(g, [Target(1, 1_000), Target(2, 150_000), Target(3, 500_000)])
 tree = build_ilm_tree(h)
 print("resolver tree levels:", [len(row) for row in tree.levels], "+ nonlocal root")
 
-# Register a camera stream at a leaf resolver; the record propagates to the
-# root, so any resolver in the tree can answer for it.
+# Register a camera stream at a leaf resolver; the record lands in the
+# root's table, which every resolver in the tree reads, so any of them can
+# answer for it.
 leaf = tree.levels[0][0]
 na1 = NetworkAddress.parse("10.0.0.9")
 cam = register(leaf, "urn:stream:cam-7", na1)
@@ -35,9 +36,9 @@ print("indirect chase:", [str(a) for a in resolve(tree.root, reading)])
 
 # A machine-type local domain keeps 8-bit short names behind its gateway.
 gw = Gateway(NamingService())
-lid = register_local(gw, "urn:device:sensor-4")
-print("local short name:", lid, "->", translate(gw, lid).hex[:12], "..")
-print("round trip:", translate_back(gw, translate(gw, lid)) == lid)
+lid = gw.register_local("urn:device:sensor-4")
+print("local short name:", lid, "->", gw.translate(lid).hex[:12], "..")
+print("round trip:", gw.translate_back(gw.translate(lid)) == lid)
 
 print("\nroot table dump:")
 print(dump_table(tree.root))

@@ -58,6 +58,14 @@ class ContainerHierarchy:
     source_graph: WeightedGraph
     level_labels: list = field(default_factory=list)  # per level: node -> container position
 
+    def labels(self) -> list:
+        """`level_labels`, which the resolver tree and the user plane need.
+        Only `containerize` records them; a hierarchy read back from its dump
+        has none and raises InvalidParams."""
+        if not self.level_labels:
+            raise InvalidParams("hierarchy has no level labels; build it with containerize")
+        return self.level_labels
+
 
 @dataclass
 class ValidationReport:
@@ -309,7 +317,8 @@ def hierarchy_to_text(h: ContainerHierarchy) -> str:
 
 def hierarchy_from_text(text: str, graph: WeightedGraph = None) -> ContainerHierarchy:
     """Rebuild a hierarchy from its dump; children links are re-derived from
-    membership (a container's children are the level-below containers it covers)."""
+    membership (a container's children are the level-below containers it covers).
+    The dump carries no level labels, so the result cannot back a resolver tree."""
     by_level = {}
     for ln in text.splitlines():
         if not ln.strip():
@@ -332,13 +341,3 @@ def hierarchy_from_text(text: str, graph: WeightedGraph = None) -> ContainerHier
         levels.append(row)
         prev = row
     return ContainerHierarchy(levels=levels, targets=[], source_graph=graph)
-
-
-def save_hierarchy(h: ContainerHierarchy, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(hierarchy_to_text(h))
-
-
-def load_hierarchy(path, graph: WeightedGraph = None) -> ContainerHierarchy:
-    with open(path, "r", encoding="utf-8") as fh:
-        return hierarchy_from_text(fh.read(), graph)

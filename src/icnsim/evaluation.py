@@ -269,7 +269,6 @@ def _run_point(params: ScenarioParams, var: str, value, point_index: int):
     else:
         servers = g.nodes_of_kind(NodeKind.SERVER)
         publishers_pool = servers[servers != 0] if len(servers) > 1 else servers
-    gateways = {}
     catalog = []
     for j in range(params.catalog_size):
         publisher = int(publishers_pool[int(crng.integers(0, len(publishers_pool)))])
@@ -280,10 +279,6 @@ def _run_point(params: ScenarioParams, var: str, value, point_index: int):
             dev_hrn = f"urn:dev:{publisher}"
             dev_gid = ilm.register(leaf, dev_hrn, userplane.address_of(publisher))
             gid = ilm.register_indirect(leaf, hrn, dev_gid, service_meta=j)
-            gw_node = int(g.neighbors(publisher)[0][0])
-            gw = gateways.setdefault(gw_node, ilm.Gateway(tree.naming, gw_node))
-            gw.register_local(dev_hrn)
-            gw.register_local(hrn)
         else:
             gid = ilm.register(
                 leaf, hrn, userplane.address_of(publisher), service_meta=j
@@ -308,7 +303,7 @@ def _run_point(params: ScenarioParams, var: str, value, point_index: int):
         for node in fwd.tolist():
             store = net.cache_of(node)
             for obj in catalog:
-                store.insert(obj.id, obj.volume, net.tick())
+                store.insert(obj.id, obj.volume)
     elif params.prefetch_budget >= 1 and capacity > 0:
         degs = np.array([g.degree(i) for i in fwd.tolist()])
         order = np.lexsort((fwd, -degs))

@@ -1,10 +1,9 @@
 """Hierarchical identifier-locator mapping aligned with the container tree.
 
 A nonlocal root resolver carries the naming service; one resolver per
-container mirrors the hierarchy. Registrations store the one record of an
-identifier at every resolver from a leaf up to the root, so the root's table
-holds every record and a lookup from any position reads it there; the tables
-along the chain serve table dumps. Records may bind an identifier indirectly
+container mirrors the hierarchy. The root owns the tree's only record table
+and every resolver reads and writes it, so a record registered at any
+resolver answers at all of them. Records may bind an identifier indirectly
 to another identifier (data id -> device id); resolution chases such
 bindings with loop detection.
 Constrained local domains run an 8-bit short-name space behind a gateway.
@@ -82,7 +81,6 @@ class NameRecord:
     locators: set = field(default_factory=set)
     indirect_target: GlobalId = None
     service_meta: int = 0
-    holders: list = field(default_factory=list)  # resolvers carrying this record
 
     def __post_init__(self):
         if not (0 <= self.service_meta < 1 << SERVICE_META_BITS):
@@ -107,54 +105,31 @@ class NamingService:
 
 
 class IlmNode:
-    """One resolver; serves the container named by container_ref. `root` is
-    the top of its parent chain, fixed at construction."""
+    """One resolver. `root` is the top of its parent chain and `table` is the
+    root's record table, both fixed at construction."""
 
-    def __init__(self, container_ref=None, parent: "IlmNode" = None, naming: NamingService = None):
-        self.container_ref = container_ref
+    def __init__(self, parent: "IlmNode" = None, naming: NamingService = None):
         self.parent = parent
         self.naming = naming
-        self.table = {}
         self.root = self if parent is None else parent.root
-
-    def chain(self):
-        node = self
-        while node is not None:
-            yield node
-            node = node.parent
-
-
-def _lookup(ilm: IlmNode, gid: GlobalId):
-    # _store_up puts a record at every resolver up to the root and a delete
-    # removes it from all of them, so the root answers for the whole chain.
-    return ilm.root.table.get(gid)
-
-
-def _store_up(ilm: IlmNode, rec: NameRecord) -> None:
-    for node in ilm.chain():
-        if node.table.get(rec.id) is not rec:
-            node.table[rec.id] = rec
-            rec.holders.append(node)
+        self.table = {} if parent is None else self.root.table
 
 
 def register(ilm: IlmNode, hrn: str, na: NetworkAddress, service_meta: int = 0) -> GlobalId:
-    """Create or extend a name record at a leaf resolver and propagate it up
-    the parent chain to the nonlocal root."""
+    """Create or extend a name record through any resolver of the tree; it
+    lands in the root's table."""
     naming = ilm.root.naming
     if naming is None:
         raise InvalidParams("resolver tree has no naming service at the root")
     gid = naming.assign_id(hrn)
-    rec = _lookup(ilm, gid)
+    rec = ilm.table.get(gid)
     if rec is None:
-        rec = NameRecord(hrn=hrn, id=gid, service_meta=service_meta)
-        rec.locators.add(na)
-    else:
-        if na not in rec.locators and len(rec.locators) >= LOCATOR_LIMIT:
-            raise LocatorLimitExceeded(
-                f"{hrn!r} already binds {LOCATOR_LIMIT} addresses"
-            )
-        rec.locators.add(na)
-    _store_up(ilm, rec)
+        rec = ilm.table[gid] = NameRecord(hrn=hrn, id=gid, service_meta=service_meta)
+    elif na not in rec.locators and len(rec.locators) >= LOCATOR_LIMIT:
+        raise LocatorLimitExceeded(
+            f"{hrn!r} already binds {LOCATOR_LIMIT} addresses"
+        )
+    rec.locators.add(na)
     return gid
 
 
@@ -164,19 +139,19 @@ def register_indirect(ilm: IlmNode, hrn: str, target: GlobalId, service_meta: in
     if naming is None:
         raise InvalidParams("resolver tree has no naming service at the root")
     gid = naming.assign_id(hrn)
-    rec = _lookup(ilm, gid)
+    rec = ilm.table.get(gid)
     if rec is None:
-        rec = NameRecord(hrn=hrn, id=gid, service_meta=service_meta)
+        rec = ilm.table[gid] = NameRecord(hrn=hrn, id=gid, service_meta=service_meta)
     rec.indirect_target = target
-    _store_up(ilm, rec)
     return gid
 
 
 def resolve(ilm: IlmNode, gid: GlobalId) -> frozenset:
-    """Locators for an identifier, as any resolver of the chain would answer
-    (read from the root's table); indirect bindings are chased with cycle
+    """Locators for an identifier, read from the tree's one record table, so
+    every resolver answers alike; indirect bindings are chased with cycle
     detection."""
-    rec = _lookup(ilm, gid)
+    table = ilm.table
+    rec = table.get(gid)
     if rec is None:
         raise NotFound(f"identifier {gid.hex[:12]}.. is not registered")
     result = set()
@@ -190,7 +165,7 @@ def resolve(ilm: IlmNode, gid: GlobalId) -> frozenset:
         if target in visited:
             raise IndirectLoop(f"indirect cycle at {target.hex[:12]}..")
         visited.add(target)
-        current = _lookup(ilm, target)
+        current = table.get(target)
         if current is None:
             raise NotFound(f"indirect target {target.hex[:12]}.. is not registered")
     if not result:
@@ -200,8 +175,8 @@ def resolve(ilm: IlmNode, gid: GlobalId) -> frozenset:
 
 def update_binding(ilm: IlmNode, gid: GlobalId, action: str, na: NetworkAddress) -> frozenset:
     """Add or remove one locator; removing the last locator of a record with
-    no indirect binding deletes the record everywhere."""
-    rec = _lookup(ilm, gid)
+    no indirect binding deletes the record."""
+    rec = ilm.table.get(gid)
     if rec is None:
         raise NotFound(f"identifier {gid.hex[:12]}.. is not registered")
     if action == "add":
@@ -213,9 +188,7 @@ def update_binding(ilm: IlmNode, gid: GlobalId, action: str, na: NetworkAddress)
     elif action == "remove":
         rec.locators.discard(na)
         if not rec.locators and rec.indirect_target is None:
-            for holder in rec.holders:
-                holder.table.pop(gid, None)
-            rec.holders.clear()
+            del ilm.table[gid]
     else:
         raise InvalidParams(f"unknown binding action {action!r}")
     return frozenset(rec.locators)
@@ -227,16 +200,12 @@ def update_binding(ilm: IlmNode, gid: GlobalId, action: str, na: NetworkAddress)
 class Gateway:
     """One mMTC local domain: an 8-bit short-name space mapped to global ids."""
 
-    def __init__(self, naming: NamingService, node_id: int = -1):
+    def __init__(self, naming: NamingService):
         self.naming = naming
-        self.node_id = node_id
         self._lid_to_gid = {}
         self._gid_to_lid = {}
         self._freed = []
         self._next = 0
-
-    def live_count(self) -> int:
-        return len(self._lid_to_gid)
 
     def register_local(self, hrn: str) -> int:
         gid = self.naming.assign_id(hrn)
@@ -276,18 +245,6 @@ class Gateway:
         return lid
 
 
-def register_local(gw: Gateway, hrn: str) -> int:
-    return gw.register_local(hrn)
-
-
-def translate(gw: Gateway, lid: int) -> GlobalId:
-    return gw.translate(lid)
-
-
-def translate_back(gw: Gateway, gid: GlobalId) -> int:
-    return gw.translate_back(gid)
-
-
 # -- resolver tree construction -------------------------------------------------
 
 
@@ -299,35 +256,21 @@ class IlmTree:
 
 
 def build_ilm_tree(hierarchy) -> IlmTree:
-    """One resolver per container, parented by containment, plus the nonlocal
-    root with the naming service above the top level."""
+    """One resolver per container, parented by containment as the hierarchy's
+    level labels record it, plus the nonlocal root with the naming service
+    above the top level."""
+    labels = hierarchy.labels()
     naming = NamingService()
-    root = IlmNode(container_ref=None, naming=naming)
+    root = IlmNode(naming=naming)
     n_levels = len(hierarchy.levels)
-    labels = getattr(hierarchy, "level_labels", None)
     levels = [None] * n_levels
-    levels[-1] = [
-        IlmNode(container_ref=(c.level, c.index), parent=root)
-        for c in hierarchy.levels[-1]
-    ]
+    levels[-1] = [IlmNode(root) for _ in hierarchy.levels[-1]]
     for li in range(n_levels - 2, -1, -1):
         upper = levels[li + 1]
-        nodes = []
-        for c in hierarchy.levels[li]:
-            if labels:
-                parent_pos = int(labels[li + 1][next(iter(c.members))])
-            else:
-                parent_pos = None
-                for up_pos, up_c in enumerate(hierarchy.levels[li + 1]):
-                    if c.members <= up_c.members:
-                        parent_pos = up_pos
-                        break
-                if parent_pos is None:
-                    raise InvalidParams(
-                        f"container {c.level}/{c.index} has no covering parent"
-                    )
-            nodes.append(IlmNode(container_ref=(c.level, c.index), parent=upper[parent_pos]))
-        levels[li] = nodes
+        levels[li] = [
+            IlmNode(upper[int(labels[li + 1][next(iter(c.members))])])
+            for c in hierarchy.levels[li]
+        ]
     return IlmTree(root=root, levels=levels, naming=naming)
 
 
@@ -335,6 +278,8 @@ def build_ilm_tree(hierarchy) -> IlmTree:
 
 
 def dump_table(ilm: IlmNode) -> str:
+    """The tree's record table, one line per identifier in id order; every
+    resolver of a tree gives the same dump."""
     lines = []
     for gid in sorted(ilm.table):
         rec = ilm.table[gid]

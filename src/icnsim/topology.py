@@ -691,11 +691,6 @@ def graph_from_text(text: str) -> WeightedGraph:
     return build_graph(nodes, edges, unit)
 
 
-def save_graph(g: WeightedGraph, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(graph_to_text(g))
-
-
 def load_graph(path) -> WeightedGraph:
     with open(path, "r", encoding="utf-8") as fh:
         return graph_from_text(fh.read())

@@ -5,9 +5,12 @@ prefetch placement.
 Requests walk the topology one forwarding element at a time. Each element
 serves from its own cache when it can, otherwise it asks its local resolver
 for the locators of the requested identifier and forwards one hop toward the
-closest copy (fewest hops, ties to the lowest address). Data transits the
-reverse path and is cached implicitly at forwarding elements; implicit copies
-never update the resolvers, explicit (prefetch) copies do.
+closest copy (fewest hops, ties to the lowest address). An element's local
+resolver is the leaf resolver of its leaf container, read from the
+hierarchy's leaf labels. Data transits the reverse path and is cached
+implicitly at forwarding elements; implicit copies never update the
+resolvers, explicit (prefetch) copies do. Each cache evicts in least-recently
+used order, which its insertion order records.
 """
 
 from __future__ import annotations
@@ -63,30 +66,28 @@ class CacheStore:
     def __init__(self, owner: int, media_capacity: int, on_evict=None):
         self.owner = owner
         self.media_capacity = int(media_capacity)
-        self.entries = OrderedDict()  # id -> (size, last_use)
+        self.entries = OrderedDict()  # id -> size, least recently used first
         self.used = 0
         self.on_evict = on_evict
 
     def __contains__(self, oid) -> bool:
         return oid in self.entries
 
-    def touch(self, oid, now: int) -> None:
-        size, _ = self.entries[oid]
-        self.entries[oid] = (size, now)
+    def touch(self, oid) -> None:
         self.entries.move_to_end(oid)
 
-    def insert(self, oid, size: int, now: int) -> bool:
+    def insert(self, oid, size: int) -> bool:
         """Insert with LRU eviction; oversized objects are simply skipped."""
         if size > self.media_capacity:
             return False
         if oid in self.entries:
-            self.used -= self.entries.pop(oid)[0]
+            self.used -= self.entries.pop(oid)
         while self.used + size > self.media_capacity:
-            evicted_id, (evicted, _) = self.entries.popitem(last=False)
+            evicted_id, evicted = self.entries.popitem(last=False)
             self.used -= evicted
             if self.on_evict is not None:
                 self.on_evict(evicted_id)
-        self.entries[oid] = (size, now)
+        self.entries[oid] = size
         self.used += size
         return True
 
@@ -126,33 +127,26 @@ class PrefetchPlan:
 
 class NetState:
     """Everything one simulation run owns: topology, resolver tree, caches,
-    the publisher stores, and a logical clock for cache recency."""
+    the publisher stores, the explicitly registered copies, and the
+    hierarchy's leaf labels (node -> leaf container position), which map a
+    node to its local resolver."""
 
     def __init__(self, graph: WeightedGraph, hierarchy, tree: IlmTree,
                  media_capacity: int):
         self.graph = graph
-        self.hierarchy = hierarchy
         self.tree = tree
         self.media_capacity = int(media_capacity)
         self.caches = {}
         self.permanent = {}
         self.objects = {}
-        self.clock = 0
         self.explicit = set()  # (node, object id) pairs registered with the ILM
         self.forwarding = graph.forwarding_mask()
-        self._leaf_labels = hierarchy.level_labels[0] if hierarchy.level_labels else None
-
-    def tick(self) -> int:
-        self.clock += 1
-        return self.clock
+        self._leaf_labels = hierarchy.labels()[0]
 
     def local_ilm(self, node: int):
-        if self._leaf_labels is not None:
-            return self.tree.levels[0][int(self._leaf_labels[node])]
-        for pos, c in enumerate(self.hierarchy.levels[0]):
-            if node in c.members:
-                return self.tree.levels[0][pos]
-        raise InvalidParams(f"node {node} is outside the hierarchy")
+        if not 0 <= node < len(self._leaf_labels):
+            raise InvalidParams(f"node {node} is outside the hierarchy")
+        return self.tree.levels[0][int(self._leaf_labels[node])]
 
     def cache_of(self, node: int) -> CacheStore:
         store = self.caches.get(node)
@@ -213,7 +207,7 @@ def handle_request(net: NetState, req: RequestMsg) -> DeliveryTrace:
         held = net.holds(current, oid)
         if held:
             if held == "cache":
-                net.cache_of(current).touch(oid, net.tick())
+                net.cache_of(current).touch(oid)
             req.hop_count = hops
             return DeliveryTrace(
                 request=req,
@@ -261,7 +255,7 @@ def deliver_data(net: NetState, trace: DeliveryTrace) -> list:
         if node == trace.serving_node:
             continue
         if forwarding[node]:
-            if net.cache_of(node).insert(obj.id, obj.volume, net.tick()):
+            if net.cache_of(node).insert(obj.id, obj.volume):
                 stored.append(node)
     return stored
 
@@ -306,8 +300,8 @@ def prefetch_plan(hierarchy, nc: dict, fp: dict, budget: int, seed: int) -> Pref
         raise InvalidParams("placement budget must be >= 1")
     if not nc or not fp:
         raise DegenerateDistribution("need candidate nodes and objects")
-    if hierarchy is not None and hierarchy.level_labels:
-        n_covered = len(hierarchy.level_labels[0])
+    if hierarchy is not None:
+        n_covered = len(hierarchy.labels()[0])
         for node in nc:
             if not (0 <= node < n_covered):
                 raise InvalidParams(f"candidate {node} is outside the hierarchy")
@@ -344,7 +338,7 @@ def apply_prefetch(net: NetState, plan: PrefetchPlan) -> list:
         obj = net.objects.get(oid)
         if obj is None:
             raise NotFound(f"object {oid.hex[:12]}.. is not in the catalog")
-        if not net.cache_of(node).insert(obj.id, obj.volume, net.tick()):
+        if not net.cache_of(node).insert(obj.id, obj.volume):
             continue
         try:
             update_binding(net.local_ilm(node), oid, "add", address_of(node))

@@ -38,7 +38,6 @@ from icnsim.ilm import (
     build_ilm_tree,
     register,
     register_indirect,
-    register_local,
     resolve,
     update_binding,
 )
@@ -448,9 +447,9 @@ def test_criterion_7_ilm_protocol_suite():
     # the 8-bit local namespace errors exactly at the 257th registration
     gw = Gateway(NamingService())
     for i in range(256):
-        assert register_local(gw, f"urn:acc:l{i}") == i
+        assert gw.register_local(f"urn:acc:l{i}") == i
     with pytest.raises(NamespaceExhausted):
-        register_local(gw, "urn:acc:l256")
+        gw.register_local("urn:acc:l256")
 
     # 10^3 identifiers x 100 binding updates with coherent reads afterwards
     gids = [

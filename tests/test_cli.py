@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import icnsim
-from icnsim import userplane
+from icnsim import ilm, userplane
 from icnsim.cli import main, parse_config
 from icnsim.congruity import load_model
 from icnsim.containment import Target, containerize, hierarchy_to_text
@@ -238,6 +238,41 @@ class TestRunCmd:
         digest = hashlib.sha256((out / "report.csv").read_bytes()).hexdigest()
         assert digest == self.GOLDEN_SHA256
         assert actions.count("add") > 0 and actions.count("remove") > 0
+
+    # Indirect (data id -> device id) registrations for every object, and a
+    # cache of a fifth of the catalog: 47 of the 48 prefetched copies are
+    # evicted and deregistered.
+    GOLDEN_MMTC_CONFIG = (
+        "scenario = mmtc\nsweep_values = 1, 2\nseeds = 3, 4\narea_km2 = 0.5\n"
+        "request_count = 400\ncatalog_size = 24\ncache_fraction = 0.2\n"
+        "prefetch_budget = 12\n"
+    )
+    GOLDEN_MMTC_SHA256 = "85b242a79ed44dba7d4e0cd1bc00be33c79d0f84d3eb7d0e37766b111fc79a94"
+
+    def test_golden_mmtc_report(self, tmp_path, monkeypatch):
+        actions = []
+        binding = userplane.update_binding
+        indirect = []
+        register_indirect = ilm.register_indirect
+
+        def counted(ilm_node, gid, action, na):
+            actions.append(action)
+            return binding(ilm_node, gid, action, na)
+
+        def counted_indirect(*args, **kwargs):
+            indirect.append(args[1])
+            return register_indirect(*args, **kwargs)
+
+        monkeypatch.setattr(userplane, "update_binding", counted)
+        monkeypatch.setattr(ilm, "register_indirect", counted_indirect)
+        cfg = tmp_path / "golden_mmtc.cfg"
+        cfg.write_text(self.GOLDEN_MMTC_CONFIG)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        digest = hashlib.sha256((out / "report.csv").read_bytes()).hexdigest()
+        assert digest == self.GOLDEN_MMTC_SHA256
+        assert len(indirect) == 4 * 24
+        assert actions.count("add") == 48 and actions.count("remove") == 47
 
 
 class TestReportCmd:

@@ -167,6 +167,16 @@ class TestRunScenario:
         with pytest.raises(InvalidParams, match="only possible requester"):
             run_scenario(params)
 
+    def test_many_names_behind_one_gateway_run(self):
+        # 200 devices behind one gateway and 200 objects: more identifiers
+        # than one 8-bit local domain holds, which the mMTC pipeline accepts
+        params = small_params(
+            scenario="mmtc", sweep_values=(1,), area_km2=0.2,
+            catalog_size=200, request_count=64,
+        )
+        (report,) = run_scenario(params)
+        assert report.request_count == 64
+
     def test_validation(self):
         with pytest.raises(InvalidParams):
             run_scenario(small_params(scenario="6g"))

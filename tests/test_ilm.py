@@ -1,12 +1,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from icnsim.containment import Target, containerize
+from icnsim.containment import Target, containerize, hierarchy_from_text, hierarchy_to_text
 from icnsim.errors import (
     CollisionDetected,
     SimError,
     EmptyHrn,
     IndirectLoop,
+    InvalidParams,
     LocatorLimitExceeded,
     NamespaceExhausted,
     NotFound,
@@ -20,10 +21,7 @@ from icnsim.ilm import (
     dump_table,
     register,
     register_indirect,
-    register_local,
     resolve,
-    translate,
-    translate_back,
     update_binding,
 )
 from icnsim.evaluation import ScenarioParams
@@ -195,40 +193,40 @@ class TestUpdateBinding:
 class TestLocalDomain:
     def test_first_registration_gets_zero(self):
         gw = Gateway(NamingService())
-        assert register_local(gw, "urn:t0") == 0
+        assert gw.register_local("urn:t0") == 0
 
     def test_namespace_exhausts_at_257(self):
         gw = Gateway(NamingService())
         for i in range(256):
-            assert register_local(gw, f"urn:t{i}") == i
+            assert gw.register_local(f"urn:t{i}") == i
         with pytest.raises(NamespaceExhausted):
-            register_local(gw, "urn:t-too-many")
+            gw.register_local("urn:t-too-many")
 
     def test_freed_short_name_is_reused(self):
         gw = Gateway(NamingService())
         for i in range(256):
-            register_local(gw, f"urn:r{i}")
+            gw.register_local(f"urn:r{i}")
         gw.deregister_local(97)
-        assert register_local(gw, "urn:r-new") == 97
+        assert gw.register_local("urn:r-new") == 97
 
     def test_round_trip_bijection(self):
         gw = Gateway(NamingService())
         for i in range(40):
-            lid = register_local(gw, f"urn:x{i}")
-            assert translate_back(gw, translate(gw, lid)) == lid
+            lid = gw.register_local(f"urn:x{i}")
+            assert gw.translate_back(gw.translate(lid)) == lid
 
     def test_unallocated_short_name(self):
         gw = Gateway(NamingService())
         with pytest.raises(NotFound):
-            translate(gw, 9)
+            gw.translate(9)
 
     def test_domains_scope_short_names_independently(self):
         ns = NamingService()
         gw1, gw2 = Gateway(ns), Gateway(ns)
-        lid1 = register_local(gw1, "urn:d1")
-        lid2 = register_local(gw2, "urn:d2")
+        lid1 = gw1.register_local("urn:d1")
+        lid2 = gw2.register_local("urn:d2")
         assert lid1 == lid2 == 0
-        assert translate(gw1, 0) != translate(gw2, 0)
+        assert gw1.translate(0) != gw2.translate(0)
 
 
 class TestDump:
@@ -248,6 +246,25 @@ class TestDump:
         by_hrn = {ln.split()[2]: ln.split() for ln in lines}
         assert by_hrn["urn:c"][3] == a.hex
         assert by_hrn["urn:a"][4] == "10.0.0.1"
+
+
+class TestBuildTree:
+    def test_one_resolver_per_container_under_one_root(self):
+        _, h, tree = chain_tree()
+        assert [len(row) for row in tree.levels] == [len(row) for row in h.levels]
+        for row in tree.levels:
+            for node in row:
+                assert node.root is tree.root and node.table is tree.root.table
+        for li in range(len(h.levels) - 1):
+            upper = tree.levels[li + 1]
+            for c, node in zip(h.levels[li], tree.levels[li]):
+                assert c.members <= h.levels[li + 1][upper.index(node.parent)].members
+        assert all(node.parent is tree.root for node in tree.levels[-1])
+
+    def test_hierarchy_without_level_labels_is_rejected(self):
+        _, h, _ = chain_tree()
+        with pytest.raises(InvalidParams):
+            build_ilm_tree(hierarchy_from_text(hierarchy_to_text(h)))
 
 
 # -- resolution does not depend on the asking resolver ------------------------
@@ -304,3 +321,4 @@ def test_every_resolver_answers_like_the_root(ops):
         for gid in PROPERTY_GIDS:
             assert _outcome(node, gid) == _outcome(tree.root, gid)
         assert _outcome(node, UNKNOWN_GID) is NotFound
+        assert dump_table(node) == dump_table(tree.root)

@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from icnsim.containment import Target, containerize
+from icnsim.containment import Target, containerize, hierarchy_from_text, hierarchy_to_text
 from icnsim.errors import (
     DegenerateDistribution,
     InvalidParams,
     Unresolvable,
 )
+from icnsim.evaluation import ScenarioParams
 from icnsim.ilm import GlobalId, build_ilm_tree, register, resolve
-from icnsim.topology import Edge, Node, NodeKind, build_graph
+from icnsim.topology import Edge, Node, NodeKind, build_graph, generate_topology
 from icnsim.userplane import (
     CacheStore,
     ContentObject,
@@ -60,7 +61,7 @@ def request(net, obj, origin):
 class TestCacheStore:
     def test_oversized_object_skipped(self):
         store = CacheStore(0, media_capacity=100)
-        assert not store.insert("big", 200, 1)
+        assert not store.insert("big", 200)
         assert store.used == 0
 
     def test_eviction_order_matches_reference(self):
@@ -70,14 +71,12 @@ class TestCacheStore:
             ("insert", "a", 100), ("insert", "b", 100), ("touch", "a", None),
             ("insert", "c", 100), ("insert", "d", 200), ("insert", "e", 100),
         ]
-        now = 0
         for op, key, size in script:
-            now += 1
             if op == "insert":
-                assert store.insert(key, size, now) == ref.insert(key, size)
+                assert store.insert(key, size) == ref.insert(key, size)
             else:
                 if key in store:
-                    store.touch(key, now)
+                    store.touch(key)
                 ref.lookup(key)
             assert list(store.entries) == ref.contents()
 
@@ -90,15 +89,13 @@ class TestCacheStore:
     def test_never_exceeds_capacity_and_matches_reference(self, ops):
         store = CacheStore(0, media_capacity=100)
         ref = ListLru(100)
-        now = 0
         for key, size, is_touch in ops:
-            now += 1
             if is_touch:
                 if key in store:
-                    store.touch(key, now)
+                    store.touch(key)
                 ref.lookup(key)
             else:
-                store.insert(key, size, now)
+                store.insert(key, size)
                 ref.insert(key, size)
             assert store.used <= 100
             assert list(store.entries) == ref.contents()
@@ -165,6 +162,14 @@ class TestPrefetchPlan:
         b = prefetch_plan(None, nc, fp, 6, 11)
         assert a.placements == b.placements
 
+    def test_hierarchy_without_level_labels_is_rejected(self):
+        g, net, tree = make_net()
+        bare = hierarchy_from_text(hierarchy_to_text(containerize(g, [Target(1, 1_000)])), g)
+        with pytest.raises(InvalidParams):
+            prefetch_plan(bare, {3: 1.0}, {GlobalId(1): 1.0}, 1, 0)
+        with pytest.raises(InvalidParams):
+            build_network(g, bare, tree, 10**6)
+
     def test_degenerate_mass(self):
         with pytest.raises(DegenerateDistribution):
             prefetch_plan(None, {0: 0.0}, {GlobalId(1): 0.0}, 1, 0)
@@ -186,7 +191,7 @@ class TestHandleRequest:
     def test_access_point_copy_served_in_one_hop(self):
         g, net, tree = make_net()
         obj = publish(net, tree)
-        net.cache_of(3).insert(obj.id, obj.volume, net.tick())
+        net.cache_of(3).insert(obj.id, obj.volume)
         trace = request(net, obj, origin=4)
         assert trace.hops == 1
         assert trace.cache_hit and trace.serving_node == 3
@@ -210,6 +215,20 @@ class TestHandleRequest:
         req = RequestMsg(requested=obj.id, origin_node=5)
         trace = handle_request(net, req)
         assert req.hop_count == trace.hops == 4
+
+    def test_origin_outside_the_graph_is_invalid(self):
+        g = generate_topology(ScenarioParams(scenario="embb", n_devices=48), 2)
+        h = containerize(g, [Target(1, 1_000), Target(2, 150_000), Target(3, 500_000)])
+        tree = build_ilm_tree(h)
+        net = build_network(g, h, tree, 10**6)
+        obj = publish(net, tree, publisher=1)
+        with pytest.raises(InvalidParams):
+            request(net, obj, origin=g.n + 5)
+        for node in (-1, g.n):
+            with pytest.raises(InvalidParams):
+                net.local_ilm(node)
+        assert net.local_ilm(0) in tree.levels[0]
+        assert net.local_ilm(g.n - 1) in tree.levels[0]
 
 
 class TestDeliverData:
@@ -276,7 +295,7 @@ class TestApplyPrefetch:
         plan = prefetch_plan(None, {3: 1.0}, {obj.id: 1.0}, budget=1, seed=0)
         apply_prefetch(net, plan)
         assert address_of(3) in resolve(tree.root, obj.id)
-        net.cache_of(3).insert(other.id, other.volume, net.tick())  # evicts obj
+        net.cache_of(3).insert(other.id, other.volume)  # evicts obj
         assert address_of(3) not in resolve(tree.root, obj.id)
 
 
