@@ -15,6 +15,7 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -43,16 +44,43 @@ class Target:
             raise InvalidParams("target value must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Container:
+    """One container of a hierarchy level.
+
+    `nodes` holds the member node ids in ascending order as a read-only int64
+    array; `containerize` stores a slice of the level's sorted node array
+    there. Any other iterable of ids (a frozenset, a list) is sorted into one
+    at construction; an int64 array is taken as given. `members`, the same
+    ids as a frozenset, is built on first read and then kept. Containers
+    compare by identity: two containers with equal fields are still two
+    containers.
+    """
+
     level: int
     index: int
-    members: frozenset
+    nodes: np.ndarray
     children: tuple = ()
+
+    def __post_init__(self):
+        nodes = self.nodes
+        if not (isinstance(nodes, np.ndarray) and nodes.dtype == np.int64):
+            nodes = np.array(sorted(set(nodes)), dtype=np.int64)
+        nodes = nodes.view()
+        nodes.flags.writeable = False
+        object.__setattr__(self, "nodes", nodes)
+
+    @cached_property
+    def members(self) -> frozenset:
+        return frozenset(self.nodes.tolist())
 
 
 @dataclass
 class ContainerHierarchy:
+    """Containers per level, lowest target first; each container's
+    membership is an ascending node-id array (`Container.nodes`), and its
+    `members` frozenset is only built when read."""
+
     levels: list          # levels[i] is the list of containers for targets[i]
     targets: list
     source_graph: WeightedGraph
@@ -147,14 +175,19 @@ def _exact_hit_groups(g: WeightedGraph, t: Target, order) -> list:
     return groups
 
 
-def _level_groups(g: WeightedGraph, t: Target, order):
-    """Node groups for one level, in container order (first seed wins)."""
+def _level_groups(g: WeightedGraph, t: Target, order: np.ndarray) -> list:
+    """Node groups for one level, in container order (the group holding the
+    earliest node of `order`, an int64 permutation of the node ids, comes
+    first); each group is an ascending int64 id array."""
     if t.mode == TargetMode.EXACT_HIT:
-        return [np.asarray(grp, dtype=np.int64) for grp in _exact_hit_groups(g, t, order)]
+        return [
+            np.asarray(grp, dtype=np.int64)
+            for grp in _exact_hit_groups(g, t, order.tolist())
+        ]
     labels = _grouping_labels(g, t)
     n = g.n
     position = np.empty(n, dtype=np.int64)
-    position[np.asarray(order, dtype=np.int64)] = np.arange(n)
+    position[order] = np.arange(n)
     k = int(labels.max()) + 1
     first = np.full(k, n, dtype=np.int64)
     np.minimum.at(first, labels, position)
@@ -174,13 +207,13 @@ def containerize_level(g: WeightedGraph, t: Target, seed_order=None) -> list:
     if g.n == 0:
         raise InvalidParams("cannot containerize an empty graph")
     _check_unit(g, t)
-    order = list(seed_order) if seed_order is not None else list(range(g.n))
-    if sorted(order) != list(range(g.n)):
+    order = np.arange(g.n) if seed_order is None else np.asarray(list(seed_order))
+    if order.shape != (g.n,) or not np.array_equal(np.sort(order), np.arange(g.n)):
         raise InvalidParams("seed_order must enumerate every node exactly once")
-    groups = _level_groups(g, t, order)
+    groups = _level_groups(g, t, order.astype(np.int64, copy=False))
     return [
-        Container(level=t.level, index=k + 1, members=frozenset(members.tolist()))
-        for k, members in enumerate(groups)
+        Container(level=t.level, index=k + 1, nodes=nodes)
+        for k, nodes in enumerate(groups)
     ]
 
 
@@ -224,10 +257,9 @@ def containerize(g: WeightedGraph, targets) -> ContainerHierarchy:
     if len({t.mode for t in targets}) > 1:
         raise InvalidParams("targets in one sequence must share a distance mode")
 
-    order = list(range(g.n))
-    base_groups = _level_groups(g, targets[0], order)
+    base_groups = _level_groups(g, targets[0], np.arange(g.n))
     base = [
-        Container(level=targets[0].level, index=k + 1, members=frozenset(grp.tolist()))
+        Container(level=targets[0].level, index=k + 1, nodes=grp)
         for k, grp in enumerate(base_groups)
     ]
     levels = [base]
@@ -241,7 +273,7 @@ def containerize(g: WeightedGraph, targets) -> ContainerHierarchy:
     for t in targets[1:]:
         k = len(levels[-1])
         quotient = _quotient(current, q_labels, k, t.mode)
-        super_groups = _level_groups(quotient, t, list(range(k)))
+        super_groups = _level_groups(quotient, t, np.arange(k))
         prev = levels[-1]
         built = []
         new_q = np.empty(k, dtype=np.int64)
@@ -253,13 +285,10 @@ def containerize(g: WeightedGraph, targets) -> ContainerHierarchy:
         counts = np.bincount(labels, minlength=len(super_groups))
         member_splits = np.split(by_node, np.cumsum(counts)[:-1])
         for pos, grp in enumerate(super_groups):
-            children = tuple(prev[i] for i in sorted(grp.tolist()))
+            children = tuple(prev[i] for i in grp.tolist())
             built.append(
                 Container(
-                    level=t.level,
-                    index=pos + 1,
-                    members=frozenset(member_splits[pos].tolist()),
-                    children=children,
+                    level=t.level, index=pos + 1, nodes=member_splits[pos], children=children
                 )
             )
         levels.append(built)
@@ -310,7 +339,7 @@ def hierarchy_to_text(h: ContainerHierarchy) -> str:
     lines = []
     for containers in h.levels:
         for c in sorted(containers, key=lambda c: c.index):
-            ids = ",".join(str(i) for i in sorted(c.members))
+            ids = ",".join(map(str, c.nodes.tolist()))
             lines.append(f"container {c.level} {c.index} {ids}")
     return "\n".join(lines) + "\n"
 
@@ -336,7 +365,7 @@ def hierarchy_from_text(text: str, graph: WeightedGraph = None) -> ContainerHier
         for index, members in sorted(by_level[level]):
             children = tuple(c for c in prev if c.members <= members) if prev else ()
             row.append(
-                Container(level=level, index=index, members=members, children=children)
+                Container(level=level, index=index, nodes=members, children=children)
             )
         levels.append(row)
         prev = row

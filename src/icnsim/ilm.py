@@ -268,7 +268,7 @@ def build_ilm_tree(hierarchy) -> IlmTree:
     for li in range(n_levels - 2, -1, -1):
         upper = levels[li + 1]
         levels[li] = [
-            IlmNode(upper[int(labels[li + 1][next(iter(c.members))])])
+            IlmNode(upper[int(labels[li + 1][c.nodes[0]])])
             for c in hierarchy.levels[li]
         ]
     return IlmTree(root=root, levels=levels, naming=naming)

@@ -217,14 +217,16 @@ class WeightedGraph:
 
     def _ensure_csr(self):
         if self._csr is None:
-            src = np.concatenate([self.ea, self.eb])
-            dst = np.concatenate([self.eb, self.ea])
-            wts = np.concatenate([self.ew, self.ew])
-            order = np.lexsort((dst, src))
-            src, dst, wts = src[order], dst[order], wts[order]
+            # Edges are sorted with a < b, so the entries of row v are its
+            # lower neighbours (from eb == v) ascending, then its higher ones
+            # (from ea == v) ascending: a stable sort by row alone leaves
+            # every row in ascending neighbour order.
+            src = np.concatenate([self.eb, self.ea])
+            order = np.argsort(src, kind="stable")
+            dst = np.concatenate([self.ea, self.eb])[order]
+            wts = np.concatenate([self.ew, self.ew])[order]
             indptr = np.zeros(self.n + 1, dtype=np.int64)
-            np.add.at(indptr, src + 1, 1)
-            np.cumsum(indptr, out=indptr)
+            np.cumsum(np.bincount(src, minlength=self.n), out=indptr[1:])
             self._csr = (indptr, dst, wts)
         return self._csr
 

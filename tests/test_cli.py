@@ -134,6 +134,22 @@ class TestContainerizeCmd:
         }
         assert levels == {1}
 
+    # A 557-node eMBB topology: 45, 11 and 1 containers per level.
+    GOLDEN_CONFIG = "scenario = embb\nsweep_values = 8\nseeds = 5\nn_devices = 512\n"
+    GOLDEN_SHA256 = "9c06d552c402e957c5fb4c2728bb1671caefbeafea9e25c4549fcd12f60f79ad"
+
+    def test_golden_dump(self, tmp_path):
+        cfg = tmp_path / "golden.cfg"
+        cfg.write_text(self.GOLDEN_CONFIG)
+        out = tmp_path / "out"
+        assert main(["gen-topo", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main([
+            "containerize", "--config", str(cfg),
+            "--topo", str(out / "topology.txt"), "--out", str(out),
+        ]) == 0
+        digest = hashlib.sha256((out / "hierarchy.txt").read_bytes()).hexdigest()
+        assert digest == self.GOLDEN_SHA256
+
     def test_missing_topo_exits_two(self, config_path, tmp_path, capsys):
         code = main([
             "containerize", "--config", config_path,

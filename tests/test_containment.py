@@ -180,6 +180,44 @@ class TestContainerize:
             assert counts == sorted(counts, reverse=True)
 
 
+class TestContainer:
+    def test_nodes_ascending_from_any_iterable(self):
+        c = Container(1, 1, frozenset({2, 0}))
+        assert c.nodes.dtype == np.int64
+        assert c.nodes.tolist() == [0, 2]
+        assert Container(1, 1, [5, 3, 5]).nodes.tolist() == [3, 5]
+        assert Container(1, 1, frozenset()).nodes.tolist() == []
+
+    def test_nodes_are_read_only(self):
+        c = Container(1, 1, np.array([0, 2], dtype=np.int64))
+        with pytest.raises(ValueError):
+            c.nodes[0] = 1
+
+    def test_members_built_on_first_read(self):
+        c = Container(1, 1, [3, 1])
+        assert "members" not in vars(c)
+        members = c.members
+        assert members == frozenset({1, 3})
+        assert c.members is members
+
+    def test_equality_is_identity(self):
+        a = Container(1, 1, frozenset({0, 1}))
+        b = Container(1, 1, frozenset({0, 1}))
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+
+    def test_containerize_slices_one_array_per_level(self):
+        g = make(6, [(0, 1, 1), (1, 2, 10), (2, 3, 1), (3, 4, 30), (4, 5, 1)])
+        h = containerize(g, [Target(1, 5), Target(2, 20)])
+        for level in h.levels:
+            nodes = [c.nodes for c in level]
+            assert all(np.all(np.diff(ids) > 0) for ids in nodes)
+            assert np.array_equal(np.sort(np.concatenate(nodes)), np.arange(6))
+            # zero-copy slices of the level's sorted node array
+            assert len({id(ids.base) for ids in nodes}) == 1
+        assert not any("members" in vars(c) for level in h.levels for c in level)
+
+
 class TestValidateHierarchy:
     def test_constructed_hierarchies_are_valid(self):
         rng = np.random.default_rng(31)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from icnsim import evaluation
 from icnsim.congruity import Hyperparams
 from icnsim.containment import Target, containerize, validate_hierarchy
 from icnsim.errors import (
@@ -176,6 +177,21 @@ class TestRunScenario:
         )
         (report,) = run_scenario(params)
         assert report.request_count == 64
+
+    def test_mmtc_run_builds_no_member_sets(self, monkeypatch):
+        # the run path reads container counts and id arrays, never the
+        # frozenset a container builds on first read of `members`
+        built = []
+
+        def recording(g, targets):
+            built.append(containerize(g, targets))
+            return built[-1]
+
+        monkeypatch.setattr(evaluation, "containerize", recording)
+        run_scenario(small_params(scenario="mmtc", sweep_values=(1, 2), area_km2=0.5))
+        containers = [c for h in built for level in h.levels for c in level]
+        assert len(built) == 2 and len(containers) > 2
+        assert not any("members" in vars(c) for c in containers)
 
     def test_validation(self):
         with pytest.raises(InvalidParams):

@@ -316,3 +316,41 @@ def test_hop_queries_match_brute_force(case):
                 v for v in nbrs[u] if bfs_hops(n, edges, v, t) == d - 1
             )
             assert next_hop_toward(g, u, t) == want
+
+
+@st.composite
+def sparse_graphs(draw):
+    """A random simple graph that may have isolated nodes; when drawn, the
+    last node has no edges, which leaves the final CSR row empty."""
+    n = draw(st.integers(1, 12))
+    span = n - 1 if draw(st.booleans()) else n
+    pairs = draw(st.lists(
+        st.tuples(st.integers(0, max(span - 1, 0)), st.integers(0, max(span - 1, 0))),
+        max_size=20,
+    ))
+    edges, seen = [], set()
+    for a, b in pairs:
+        if a != b and frozenset((a, b)) not in seen:
+            seen.add(frozenset((a, b)))
+            edges.append((a, b, draw(st.integers(1, 50))))
+    return n, edges
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_graphs())
+def test_csr_rows_match_the_edge_list(case):
+    n, edges = case
+    g = make(n, edges)
+    adj = {i: [] for i in range(n)}
+    for a, b, w in edges:
+        adj[a].append((b, w))
+        adj[b].append((a, w))
+    sparse = g.sparse_adjacency()
+    for i in range(n):
+        want = sorted(adj[i])
+        nbrs, wts = g.neighbors(i)
+        assert list(zip(nbrs.tolist(), wts.tolist())) == want
+        assert g.degree(i) == len(want)
+        row = sparse[i]
+        assert list(zip(row.indices.tolist(), row.data.tolist())) == want
+    assert sparse.indptr.tolist() == np.cumsum([0] + [len(adj[i]) for i in range(n)]).tolist()
