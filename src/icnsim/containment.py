@@ -18,8 +18,6 @@ from enum import Enum
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import InvalidParams, UnitMismatch
 from .topology import WeightedGraph, WeightUnit
@@ -126,16 +124,26 @@ def _grouping_labels(g: WeightedGraph, t: Target) -> np.ndarray:
         mask = g.ew >= t.value
     else:
         mask = g.ew < t.value
-    n = g.n
     ea, eb = g.ea[mask], g.eb[mask]
-    if len(ea) == 0:
-        return np.arange(n, dtype=np.int64)
-    data = np.ones(2 * len(ea), dtype=np.int8)
-    adj = csr_matrix(
-        (data, (np.concatenate([ea, eb]), np.concatenate([eb, ea]))), shape=(n, n)
-    )
-    _, labels = connected_components(adj, directed=False)
-    return labels.astype(np.int64)
+    # Every node points at a smaller or equal id of its component; a root
+    # points at itself. Each round hooks the larger root of every kept edge
+    # whose ends still differ onto the smaller, then jumps pointers until
+    # every node points at a root. At the end a component's root is its
+    # lowest id.
+    f = np.arange(g.n)
+    while True:
+        fa, fb = f[ea], f[eb]
+        split = fa != fb
+        if not split.any():
+            break
+        np.minimum.at(f, np.maximum(fa, fb)[split], np.minimum(fa, fb)[split])
+        while True:
+            ff = f[f]
+            if np.array_equal(ff, f):
+                break
+            f = ff
+    is_root = f == np.arange(g.n)
+    return (np.cumsum(is_root) - 1)[f]
 
 
 def _exact_hit_groups(g: WeightedGraph, t: Target, order) -> list:
@@ -301,35 +309,70 @@ def containerize(g: WeightedGraph, targets) -> ContainerHierarchy:
 
 
 def validate_hierarchy(h: ContainerHierarchy) -> ValidationReport:
-    """Checks disjointness and coverage per level plus nesting between levels."""
+    """Checks disjointness and coverage per level plus nesting between levels.
+
+    Works on the concatenated `nodes` arrays of each level: a node that
+    already sits in an earlier container of its level is an overlap, a node
+    in none is uncovered, and a child is nested when all its nodes sit in
+    one container of the level above (where that level overlaps, a node
+    counts as sitting in the earliest container holding it). Ids outside the
+    graph are reported and then ignored.
+    """
     report = ValidationReport()
     n = h.source_graph.n
-    all_nodes = frozenset(range(n))
+    below = None  # the level below: (its containers, concatenated nodes, owners)
     for li, containers in enumerate(h.levels):
-        seen = set()
-        for c in containers:
-            overlap = seen & c.members
-            if overlap:
-                report.violations.append(
-                    f"level {c.level}: container {c.index} overlaps siblings "
-                    f"on {sorted(overlap)[:5]}"
-                )
-            seen |= c.members
-        missing = all_nodes - seen
-        if missing:
-            level_no = containers[0].level if containers else li + 1
+        level_no = containers[0].level if containers else li + 1
+        sizes = [len(c.nodes) for c in containers]
+        cat = np.concatenate([c.nodes for c in containers] + [np.empty(0, np.int64)])
+        owner = np.repeat(np.arange(len(containers)), sizes)
+        outside = (cat < 0) | (cat >= n)
+        for c, ids in _by_container(containers, owner, cat, outside):
             report.violations.append(
-                f"level {level_no}: nodes {sorted(missing)[:5]} uncovered"
+                f"level {c.level}: container {c.index} has nodes "
+                f"{ids[:5].tolist()} outside the graph"
             )
-        if li > 0:
-            for child in h.levels[li - 1]:
-                owners = [c for c in containers if child.members <= c.members]
-                if len(owners) != 1:
-                    report.violations.append(
-                        f"level {child.level} container {child.index} is not nested "
-                        f"in exactly one parent ({len(owners)} candidates)"
-                    )
+        cat, owner = cat[~outside], owner[~outside]
+        first = np.full(n, len(cat))
+        np.minimum.at(first, cat, np.arange(len(cat)))
+        repeated = first[cat] != np.arange(len(cat))
+        for c, ids in _by_container(containers, owner, cat, repeated):
+            report.violations.append(
+                f"level {c.level}: container {c.index} overlaps siblings "
+                f"on {np.unique(ids)[:5].tolist()}"
+            )
+        missing = np.flatnonzero(first == len(cat))
+        if len(missing):
+            report.violations.append(
+                f"level {level_no}: nodes {missing[:5].tolist()} uncovered"
+            )
+        if below is not None:
+            # each node's container position at this level, -1 if uncovered
+            label = np.full(n, -1)
+            label[cat[~repeated]] = owner[~repeated]
+            children, child_cat, child_owner = below
+            up = label[child_cat]
+            k = len(children)
+            lo = np.full(k, len(containers))
+            hi = np.full(k, -1)
+            np.minimum.at(lo, child_owner, up)
+            np.maximum.at(hi, child_owner, up)
+            for pos in np.flatnonzero((lo != hi) | (lo < 0)).tolist():
+                child = children[pos]
+                report.violations.append(
+                    f"level {child.level} container {child.index} is not nested "
+                    f"in exactly one parent"
+                )
+        below = (containers, cat, owner)
     return report
+
+
+def _by_container(containers, owner, cat, flagged):
+    """(container, its flagged ids) for each container with a flagged id;
+    `owner` is ascending, as the level's `nodes` are concatenated in order."""
+    hit = np.unique(owner[flagged], return_index=True)
+    for pos, ids in zip(hit[0].tolist(), np.split(cat[flagged], hit[1][1:])):
+        yield containers[pos], ids
 
 
 # -- hierarchy dump format -----------------------------------------------------

@@ -200,7 +200,7 @@ def _learned_graph(g: WeightedGraph, params, seed: int) -> WeightedGraph:
 
 
 def _edge_samples(g: WeightedGraph, max_w: float) -> list:
-    degs = np.array([g.degree(i) for i in range(g.n)], dtype=np.float64)
+    degs = g.degrees().astype(np.float64)
     max_deg = max(1.0, degs.max())
     scale = {
         "mem": max(1.0, float(g.mems.max())),
@@ -305,7 +305,7 @@ def _run_point(params: ScenarioParams, var: str, value, point_index: int):
             for obj in catalog:
                 store.insert(obj.id, obj.volume)
     elif params.prefetch_budget >= 1 and capacity > 0:
-        degs = np.array([g.degree(i) for i in fwd.tolist()])
+        degs = g.degrees()[fwd]
         order = np.lexsort((fwd, -degs))
         candidates = fwd[order][: params.prefetch_candidates].tolist()
         nc = {int(i): node_centrality(g, int(i)) for i in candidates}

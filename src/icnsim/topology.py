@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order
 
 from .errors import (
     DanglingEndpoint,
@@ -239,10 +237,9 @@ class WeightedGraph:
         indptr, _, _ = self._ensure_csr()
         return int(indptr[i + 1] - indptr[i])
 
-    def sparse_adjacency(self, weights=None) -> csr_matrix:
-        indptr, dst, wts = self._ensure_csr()
-        data = wts if weights is None else weights
-        return csr_matrix((data, dst, indptr), shape=(self.n, self.n))
+    def degrees(self) -> np.ndarray:
+        """Degree of every node, as an int64 array indexed by node id."""
+        return np.diff(self._ensure_csr()[0])
 
     def forwarding_mask(self) -> bytes:
         """One byte per node: 1 where the node's kind forwards and caches
@@ -258,14 +255,9 @@ class WeightedGraph:
         if self._tree is None:
             self._tree = (False, None, None)
             if self.n >= 1 and self.m == self.n - 1:
-                adj = self.sparse_adjacency(np.ones(2 * self.m, dtype=np.int8))
-                order, parents = breadth_first_order(
-                    adj, 0, directed=False, return_predecessors=True
-                )
-                if len(order) == self.n:  # connected with n - 1 edges
-                    parents = parents.astype(np.int64)
-                    parents[0] = -1
-                    depths = _bfs_depths(order, parents)
+                indptr, dst, _ = self._ensure_csr()
+                depths, parents = _bfs(indptr, dst, 0)
+                if depths.min() >= 0:  # connected with n - 1 edges
                     self._tree = (True, parents.tolist(), depths.tolist())
         return self._tree
 
@@ -273,25 +265,54 @@ class WeightedGraph:
         return self._tree_info()[0]
 
 
-def _bfs_depths(order, parents) -> np.ndarray:
-    """Depth of every node of a tree from its BFS order and parent array.
+# Frontiers up to this size are expanded row by row (see _bfs).
+_NARROW_FRONTIER = 4
 
-    BFS lists the nodes level by level, and the children of one level in the
-    order of their parents, so the parents' positions rise along the order
-    and one searchsorted per level finds where the next level ends.
+
+def _bfs(indptr, dst, src):
+    """Level-synchronous BFS from src over CSR rows (indptr, dst).
+
+    Returns (dist, parents): the hop count of every node from src and the
+    node it was first reached from, both -1 where src cannot reach (parents
+    is also -1 at src). Each step expands the whole frontier at once, so the
+    cost is a few numpy calls per BFS level. On deep, narrow graphs such as
+    long paths and rings that step costs more than it saves, so a frontier
+    of a few nodes is expanded one row slice at a time.
     """
-    n = len(order)
-    position = np.empty(n, dtype=np.int64)
-    position[order] = np.arange(n)
-    parent_position = position[parents[order[1:]]]
-    depths = np.zeros(n, dtype=np.int64)
-    start, depth = 1, 0
-    while start < n:
-        end = 1 + int(np.searchsorted(parent_position, start))
+    n = len(indptr) - 1
+    dist = np.full(n, -1, dtype=np.int64)
+    parents = np.full(n, -1, dtype=np.int64)
+    dist[src] = 0
+    frontier = np.array([src], dtype=np.int64)
+    depth = 0
+    while len(frontier):
         depth += 1
-        depths[order[start:end]] = depth
-        start = end
-    return depths
+        if len(frontier) <= _NARROW_FRONTIER:
+            reached = []
+            for u in frontier.tolist():
+                nb = dst[indptr[u]:indptr[u + 1]]
+                nb = nb[dist[nb] < 0]
+                parents[nb] = u
+                dist[nb] = depth
+                reached.append(nb)
+            frontier = reached[0] if len(reached) == 1 else np.concatenate(reached)
+            continue
+        starts = indptr[frontier]
+        counts = indptr[frontier + 1] - starts
+        ends = np.cumsum(counts)
+        par = np.repeat(frontier, counts)
+        nb = dst[np.arange(ends[-1]) + np.repeat(starts - ends + counts, counts)]
+        fresh = dist[nb] < 0
+        nb, par = nb[fresh], par[fresh]
+        parents[nb] = par
+        dist[nb] = depth
+        # A node reached from several frontier nodes got one of them as its
+        # parent; keeping the entries whose parent is that one leaves each
+        # new node once. This relies on the graph having no repeated edges
+        # (build_graph rejects them and the generators make none), so no
+        # (node, parent) pair occurs twice.
+        frontier = nb[parents[nb] == par]
+    return dist, parents
 
 
 def build_graph(nodes, edges, unit) -> WeightedGraph:
@@ -458,19 +479,8 @@ def _tree_hops(parents, depths, a, b):
 
 
 def _bfs_dists(g, src):
-    dist = np.full(g.n, -1, dtype=np.int64)
-    dist[src] = 0
-    frontier = [src]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            nbrs, _ = g.neighbors(u)
-            for v in nbrs.tolist():
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    nxt.append(v)
-        frontier = sorted(nxt)
-    return dist
+    indptr, dst, _ = g._ensure_csr()
+    return _bfs(indptr, dst, src)[0]
 
 
 def next_hop_toward(g: WeightedGraph, u: int, target: int) -> int:
@@ -496,13 +506,7 @@ def next_hop_toward(g: WeightedGraph, u: int, target: int) -> int:
     if dist[u] < 0:
         _no_route(u, target)
     nbrs, _ = g.neighbors(u)
-    best = None
-    for v in sorted(nbrs.tolist()):
-        if dist[v] == dist[u] - 1 and best is None:
-            best = v
-    if best is None:
-        _no_route(u, target)
-    return best
+    return int(nbrs[dist[nbrs] == dist[u] - 1][0])  # rows are ascending
 
 
 def _no_route(u, target):

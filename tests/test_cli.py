@@ -347,3 +347,13 @@ def test_demo_runs(demo, tmp_path):
         cwd=tmp_path, env=child_env(), capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_importing_the_cli_loads_no_scipy():
+    code = "import sys, icnsim.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=child_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from icnsim.containment import (
     Container,
     ContainerHierarchy,
     Target,
     TargetMode,
+    _grouping_labels,
     containerize,
     containerize_level,
     hierarchy_from_text,
@@ -13,7 +15,8 @@ from icnsim.containment import (
     validate_hierarchy,
 )
 from icnsim.errors import InvalidParams, UnitMismatch
-from icnsim.topology import Edge, Node, NodeKind, build_graph
+from icnsim.evaluation import ScenarioParams
+from icnsim.topology import Edge, Node, NodeKind, build_graph, generate_topology
 
 from oracles import oracle_hierarchy, oracle_level_groups
 
@@ -260,6 +263,134 @@ class TestValidateHierarchy:
             targets=[], source_graph=g,
         )
         assert any("nested" in v for v in validate_hierarchy(h).violations)
+
+    def test_nodes_outside_the_graph(self):
+        g = make(2, [(0, 1, 1)])
+        h = ContainerHierarchy(
+            levels=[[Container(1, 1, frozenset({0, 1, 7}))]],
+            targets=[], source_graph=g,
+        )
+        report = validate_hierarchy(h)
+        assert report.violations == ["level 1: container 1 has nodes [7] outside the graph"]
+
+    def test_generated_mmtc_hierarchy_of_53k_nodes(self):
+        """A generated mMTC hierarchy of about 53k nodes validates, and each
+        kind of damage to it is reported."""
+        params = ScenarioParams(scenario="mmtc", density_k_per_km2=50.0)
+        g = generate_topology(params, 2)
+        assert g.n >= 50_000
+        h = containerize(g, [Target(1, 1_000), Target(2, 150_000), Target(3, 500_000)])
+        assert validate_hierarchy(h).ok
+
+        def damaged(level, pos, nodes=None):
+            """Violations with a container replaced by one holding `nodes`,
+            or removed when `nodes` is None."""
+            levels = [list(row) for row in h.levels]
+            old = levels[level].pop(pos)
+            if nodes is not None:
+                levels[level].insert(pos, Container(old.level, old.index, nodes))
+            report = validate_hierarchy(
+                ContainerHierarchy(levels=levels, targets=h.targets, source_graph=g)
+            )
+            return report.violations
+
+        low = h.levels[0]
+        pos = next(i for i, c in enumerate(low) if len(c.nodes) > 1)
+        nodes, index = low[pos].nodes, low[pos].index
+        # a node dropped from its container is uncovered
+        assert damaged(0, pos, nodes[1:]) == [f"level 1: nodes [{nodes[0]}] uncovered"]
+        # a node of the same parent copied in overlaps its own container
+        parent = h.labels()[1]
+        near = next(c for c in low[pos + 1:] if parent[c.nodes[0]] == parent[nodes[0]])
+        stray = int(near.nodes[0])
+        assert damaged(0, pos, np.union1d(nodes, [stray])) == [
+            f"level 1: container {near.index} overlaps siblings on [{stray}]"
+        ]
+        # a node from under another parent also breaks the nesting
+        far = next(c for c in low[pos + 1:] if parent[c.nodes[0]] != parent[nodes[0]])
+        moved = int(far.nodes[0])
+        got = damaged(0, pos, np.union1d(nodes, [moved]))
+        assert got[0] == f"level 1: container {far.index} overlaps siblings on [{moved}]"
+        assert got[1:] == [f"level 1 container {index} is not nested in exactly one parent"]
+        # a parent removed leaves its nodes uncovered and its children unnested
+        gone = h.levels[1][0]
+        kids = [c.index for c in low if parent[c.nodes[0]] == 0]
+        assert damaged(1, 0) == [f"level 2: nodes {gone.nodes[:5].tolist()} uncovered"] + [
+            f"level 1 container {i} is not nested in exactly one parent" for i in kids
+        ]
+
+
+@st.composite
+def grouping_cases(draw):
+    """A random simple graph over shuffled ids with isolated nodes, or a
+    path, plus a target that keeps some of its edges."""
+    n = draw(st.integers(1, 40))
+    label = draw(st.permutations(range(n)))
+    if draw(st.booleans()):
+        pairs = [(label[v - 1], label[v]) for v in range(1, n)]
+    else:
+        span = draw(st.integers(1, n))  # nodes from span on have no edges
+        pairs = draw(st.lists(
+            st.tuples(st.integers(0, span - 1), st.integers(0, span - 1)), max_size=50,
+        ))
+        pairs = [(label[a], label[b]) for a, b in pairs]
+    edges, seen = [], set()
+    for a, b in pairs:
+        if a != b and frozenset((a, b)) not in seen:
+            seen.add(frozenset((a, b)))
+            edges.append((a, b, draw(st.integers(1, 30))))
+    mode = draw(st.sampled_from([TargetMode.ADDITIVE, TargetMode.BOTTLENECK]))
+    return n, edges, Target(1, draw(st.integers(1, 31)), mode)
+
+
+def scipy_components(n, edges):
+    """Component labels by scipy's connected_components (a test-only oracle)."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    rows = [a for a, _, _ in edges]
+    cols = [b for _, b, _ in edges]
+    adj = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    return connected_components(adj, directed=False)[1]
+
+
+def assert_same_partition(labels, want):
+    assert labels.dtype == np.int64
+    # dense labels, as _level_groups sizes its tables by labels.max() + 1
+    assert sorted(set(labels.tolist())) == list(range(len(set(labels.tolist()))))
+    pairs = set(zip(labels.tolist(), want.tolist()))
+    assert len(pairs) == len(set(labels.tolist())) == len(set(want.tolist()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(grouping_cases())
+def test_grouping_labels_partition_matches_scipy(case):
+    n, edges, t = case
+    unit = "bandwidth_bps" if t.mode == TargetMode.BOTTLENECK else "latency_us"
+    g = make(n, edges, unit)
+    if t.mode == TargetMode.BOTTLENECK:
+        kept = [e for e in edges if e[2] >= t.value]
+    else:
+        kept = [e for e in edges if e[2] < t.value]
+    assert_same_partition(_grouping_labels(g, t), scipy_components(n, kept))
+
+
+def test_grouping_labels_on_long_shuffled_paths_and_forests():
+    rng = np.random.default_rng(9)
+    n = 20_000
+    label = rng.permutation(n)
+    path = [(int(label[v - 1]), int(label[v]), 1) for v in range(1, n)]
+    tree = [
+        (int(label[int(rng.integers(0, v))]), int(label[v]), int(rng.integers(1, 30)))
+        for v in range(1, n)
+    ]
+    for edges in (path, tree):  # below a target, the tree's kept edges form a forest
+        g = make(n, edges)
+        for value in (2, 15, 31):
+            kept = [e for e in edges if e[2] < value]
+            assert_same_partition(
+                _grouping_labels(g, Target(1, value)), scipy_components(n, kept)
+            )
 
 
 class TestHierarchyDump:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from icnsim.errors import (
     DanglingEndpoint,
@@ -25,6 +25,7 @@ from icnsim.topology import (
     mmtc_node,
     next_hop_toward,
     node_centrality,
+    _bfs_dists,
 )
 
 from oracles import brute_additive, brute_bottleneck, bfs_hops
@@ -345,12 +346,114 @@ def test_csr_rows_match_the_edge_list(case):
     for a, b, w in edges:
         adj[a].append((b, w))
         adj[b].append((a, w))
-    sparse = g.sparse_adjacency()
+    indptr, dst, wts_all = g._ensure_csr()
     for i in range(n):
         want = sorted(adj[i])
         nbrs, wts = g.neighbors(i)
         assert list(zip(nbrs.tolist(), wts.tolist())) == want
         assert g.degree(i) == len(want)
-        row = sparse[i]
-        assert list(zip(row.indices.tolist(), row.data.tolist())) == want
-    assert sparse.indptr.tolist() == np.cumsum([0] + [len(adj[i]) for i in range(n)]).tolist()
+        lo, hi = indptr[i], indptr[i + 1]
+        assert list(zip(dst[lo:hi].tolist(), wts_all[lo:hi].tolist())) == want
+    assert indptr.tolist() == np.cumsum([0] + [len(adj[i]) for i in range(n)]).tolist()
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_graphs())
+def test_degrees_match_the_edge_list(case):
+    n, edges = case
+    g = make(n, edges)
+    want = [0] * n
+    for a, b, _ in edges:
+        want[a] += 1
+        want[b] += 1
+    assert g.degrees().tolist() == want
+
+
+def scipy_tree_parents(n, edges):
+    """BFS parents from node 0 by scipy's breadth_first_order (a test-only
+    oracle); -1 at the root and at unreachable nodes."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import breadth_first_order
+
+    rows = [a for a, _, _ in edges] + [b for _, b, _ in edges]
+    cols = [b for _, b, _ in edges] + [a for a, _, _ in edges]
+    adj = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    _, parents = breadth_first_order(adj, 0, directed=False, return_predecessors=True)
+    return np.where(parents < 0, -1, parents).tolist()
+
+
+@st.composite
+def relabelled_trees(draw, min_n=1):
+    """A random tree over shuffled ids; when drawn, a path (each node hangs
+    off the one before it), the deepest tree of its size."""
+    n = draw(st.integers(min_n, 40))
+    label = draw(st.permutations(range(n)))
+    chain = draw(st.booleans())
+    edges = [
+        (label[v - 1 if chain else draw(st.integers(0, v - 1))], label[v],
+         draw(st.integers(1, 20)))
+        for v in range(1, n)
+    ]
+    return n, edges
+
+
+@settings(max_examples=80, deadline=None)
+@given(relabelled_trees())
+def test_tree_info_matches_scipy_and_the_bfs_oracle(case):
+    n, edges = case
+    g = make(n, edges)
+    is_tree, parents, depths = g._tree_info()
+    assert is_tree
+    assert parents == scipy_tree_parents(n, edges)
+    assert depths == [bfs_hops(n, edges, 0, v) for v in range(n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(relabelled_trees(min_n=3), relabelled_trees(), st.data())
+def test_n_minus_one_edges_with_a_cycle_is_not_a_tree(cyclic, rest, data):
+    # A tree plus one edge has as many edges as nodes; beside a second,
+    # separate tree the whole graph has n - 1 edges but is no tree.
+    na, a_edges = cyclic
+    pairs = {frozenset(e[:2]) for e in a_edges}
+    extra = [(u, v) for u in range(na) for v in range(u + 1, na)
+             if frozenset((u, v)) not in pairs]
+    u, v = data.draw(st.sampled_from(extra))
+    nb, b_edges = rest
+    n = na + nb
+    label = data.draw(st.permutations(range(n)))
+    edges = [(label[x], label[y], w) for x, y, w in a_edges + [(u, v, 1)]]
+    edges += [(label[na + x], label[na + y], w) for x, y, w in b_edges]
+    g = make(n, edges)
+    assert g.m == n - 1
+    assert not g.is_tree()
+    assert g._tree_info() == (False, None, None)
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_graphs())
+def test_bfs_dists_match_the_oracle_off_the_tree(case):
+    n, edges = case
+    g = make(n, edges)
+    assume(not g.is_tree())
+    for src in range(n):
+        want = [bfs_hops(n, edges, src, v) for v in range(n)]
+        assert _bfs_dists(g, src).tolist() == [-1 if d is None else d for d in want]
+
+
+def test_deep_graphs():
+    """A long path and a long ring over shuffled ids: hundreds of BFS
+    levels, with one- and two-node frontiers."""
+    n = 1_500
+    order = np.random.default_rng(4).permutation(n)  # the nodes along the path
+    at = np.argsort(order)  # each node's position on the path
+    path = [(int(order[k - 1]), int(order[k]), 1) for k in range(1, n)]
+    g = make(n, path)
+    is_tree, parents, depths = g._tree_info()
+    assert is_tree
+    assert depths == np.abs(at - at[0]).tolist()
+    assert parents == scipy_tree_parents(n, path)
+    ring = make(n, path + [(int(order[-1]), int(order[0]), 1)])
+    assert not ring.is_tree()
+    for src in (0, int(order[0]), int(order[n // 2])):
+        gap = np.abs(at - at[src])
+        assert _bfs_dists(ring, src).tolist() == np.minimum(gap, n - gap).tolist()
