@@ -2,8 +2,8 @@
 # copies shorten later requests, and centrality-weighted prefetch pushes
 # popular objects toward well-connected elements up front.
 from icnsim import (
-    ContentObject, RequestMsg, ScenarioParams, Target,
-    build_ilm_tree, containerize, generate_topology, node_centrality,
+    ContentObject, RequestMsg, Resolver, ScenarioParams, Target,
+    containerize, generate_topology, node_centrality,
     prefetch_plan, zipf_popularity,
 )
 from icnsim.ilm import register
@@ -16,12 +16,12 @@ from icnsim.userplane import (
 params = ScenarioParams(scenario="embb", n_devices=48)
 g = generate_topology(params, seed=2)
 hierarchy = containerize(g, [Target(1, 1_000), Target(2, 150_000), Target(3, 500_000)])
-net = build_network(g, hierarchy, build_ilm_tree(hierarchy), media_capacity=5_000_000)
+net = build_network(g, hierarchy, Resolver(), media_capacity=5_000_000)
 
 publisher = int(g.nodes_of_kind(NodeKind.SERVER)[1])
 catalog = []
 for j in range(4):
-    gid = register(net.local_ilm(publisher), f"urn:obj:{j}", address_of(publisher))
+    gid = register(net.resolver, f"urn:obj:{j}", address_of(publisher))
     obj = ContentObject(gid, volume=1_000_000, publisher=publisher, popularity_rank=j + 1)
     net.add_object(obj)
     catalog.append(obj)

@@ -42,12 +42,10 @@ from .evaluation import (
 from .ilm import (
     Gateway,
     GlobalId,
-    IlmNode,
-    IlmTree,
     NameRecord,
     NamingService,
     NetworkAddress,
-    build_ilm_tree,
+    Resolver,
     register,
     register_indirect,
     resolve,

@@ -298,22 +298,27 @@ def _reports_from_csv(path) -> list:
     if not lines or lines[0] != evaluation.REPORT_COLUMNS:
         raise SimError(f"{path} is not a report CSV")
     reports = []
-    for ln in lines[1:]:
+    for lineno, ln in enumerate(lines[1:], start=2):
         if not ln.strip():
             continue
         parts = ln.split(",")
-        reports.append(
-            evaluation.ItoReport(
-                scenario=parts[0],
-                sweep_variable=parts[1],
-                sweep_value=float(parts[2]),
-                seed=int(parts[3]),
-                request_count=int(parts[4]),
-                ito=float(parts[5]),
-                mean_hops=float(parts[6]),
-                cache_hit_rate=float(parts[7]),
+        try:
+            reports.append(
+                evaluation.ItoReport(
+                    scenario=parts[0],
+                    sweep_variable=parts[1],
+                    sweep_value=float(parts[2]),
+                    seed=int(parts[3]),
+                    request_count=int(parts[4]),
+                    ito=float(parts[5]),
+                    mean_hops=float(parts[6]),
+                    cache_hit_rate=float(parts[7]),
+                )
             )
-        )
+        except IndexError:
+            raise InvalidParams(f"{path}, line {lineno}: too few columns") from None
+        except ValueError as exc:
+            raise InvalidParams(f"{path}, line {lineno}: {exc}") from None
     return reports
 
 

@@ -844,19 +844,23 @@ def save_dataset(ds: Dataset, path) -> None:
 
 
 def load_dataset(path, kind: str) -> Dataset:
+    """Read a dataset CSV; a missing header or a malformed row raises
+    InvalidParams naming the file and line."""
+    expected = list(FEATURE_NAMES) + [f"label_{k}" for k in LABEL_KINDS]
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        expected = list(FEATURE_NAMES) + [f"label_{k}" for k in LABEL_KINDS]
-        if header != expected:
-            raise InvalidParams("unexpected dataset columns")
+        if next(reader, None) != expected:
+            raise InvalidParams(f"{path}, line 1: unexpected dataset columns")
         samples = []
         for row in reader:
-            feats = np.array([float(v) for v in row[:N_FEATURES]])
-            labels = {
-                kind_name: float(cell)
-                for kind_name, cell in zip(LABEL_KINDS, row[N_FEATURES:])
-                if cell != ""
-            }
-            samples.append(Sample(feats, labels))
+            try:
+                feats = np.array([float(v) for v in row[:N_FEATURES]])
+                labels = {
+                    kind_name: float(cell)
+                    for kind_name, cell in zip(LABEL_KINDS, row[N_FEATURES:])
+                    if cell != ""
+                }
+                samples.append(Sample(feats, labels))
+            except (ValueError, DimensionMismatch, InvalidParams) as exc:
+                raise InvalidParams(f"{path}, line {reader.line_num}: {exc}") from None
     return Dataset(kind, samples)

@@ -6,7 +6,8 @@ zero cost and nodes are grouped while their accumulated contracted distance
 stays under the target; for bottleneck targets (bandwidth) edges under the
 target are removed and nodes are grouped along the surviving links. Levels
 nest: each level above the first is built on the quotient graph of the level
-below, which guarantees that a container is the exact union of its children.
+below, which guarantees that a container is the exact union of the
+containers below it that it covers.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
@@ -49,16 +49,13 @@ class Container:
     `nodes` holds the member node ids in ascending order as a read-only int64
     array; `containerize` stores a slice of the level's sorted node array
     there. Any other iterable of ids (a frozenset, a list) is sorted into one
-    at construction; an int64 array is taken as given. `members`, the same
-    ids as a frozenset, is built on first read and then kept. Containers
-    compare by identity: two containers with equal fields are still two
-    containers.
+    at construction; an int64 array is taken as given. Containers compare by
+    identity: two containers with equal fields are still two containers.
     """
 
     level: int
     index: int
     nodes: np.ndarray
-    children: tuple = ()
 
     def __post_init__(self):
         nodes = self.nodes
@@ -68,16 +65,11 @@ class Container:
         nodes.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
 
-    @cached_property
-    def members(self) -> frozenset:
-        return frozenset(self.nodes.tolist())
-
 
 @dataclass
 class ContainerHierarchy:
     """Containers per level, lowest target first; each container's
-    membership is an ascending node-id array (`Container.nodes`), and its
-    `members` frozenset is only built when read."""
+    membership is an ascending node-id array (`Container.nodes`)."""
 
     levels: list          # levels[i] is the list of containers for targets[i]
     targets: list
@@ -85,9 +77,9 @@ class ContainerHierarchy:
     level_labels: list = field(default_factory=list)  # per level: node -> container position
 
     def labels(self) -> list:
-        """`level_labels`, which the resolver tree and the user plane need.
-        Only `containerize` records them; a hierarchy read back from its dump
-        has none and raises InvalidParams."""
+        """`level_labels`, which the prefetch plan's range check reads. Only
+        `containerize` records them; a hierarchy read back from its dump has
+        none and raises InvalidParams."""
         if not self.level_labels:
             raise InvalidParams("hierarchy has no level labels; build it with containerize")
         return self.level_labels
@@ -282,8 +274,6 @@ def containerize(g: WeightedGraph, targets) -> ContainerHierarchy:
         k = len(levels[-1])
         quotient = _quotient(current, q_labels, k, t.mode)
         super_groups = _level_groups(quotient, t, np.arange(k))
-        prev = levels[-1]
-        built = []
         new_q = np.empty(k, dtype=np.int64)
         for pos, grp in enumerate(super_groups):
             new_q[grp] = pos
@@ -292,14 +282,10 @@ def containerize(g: WeightedGraph, targets) -> ContainerHierarchy:
         by_node = np.argsort(labels, kind="stable")
         counts = np.bincount(labels, minlength=len(super_groups))
         member_splits = np.split(by_node, np.cumsum(counts)[:-1])
-        for pos, grp in enumerate(super_groups):
-            children = tuple(prev[i] for i in grp.tolist())
-            built.append(
-                Container(
-                    level=t.level, index=pos + 1, nodes=member_splits[pos], children=children
-                )
-            )
-        levels.append(built)
+        levels.append([
+            Container(level=t.level, index=pos + 1, nodes=nodes)
+            for pos, nodes in enumerate(member_splits)
+        ])
         level_labels.append(labels.copy())
         current = quotient
         q_labels = new_q
@@ -388,9 +374,8 @@ def hierarchy_to_text(h: ContainerHierarchy) -> str:
 
 
 def hierarchy_from_text(text: str, graph: WeightedGraph = None) -> ContainerHierarchy:
-    """Rebuild a hierarchy from its dump; children links are re-derived from
-    membership (a container's children are the level-below containers it covers).
-    The dump carries no level labels, so the result cannot back a resolver tree."""
+    """Rebuild a hierarchy from its dump. The dump carries no level labels,
+    so `labels()` of the result raises InvalidParams."""
     by_level = {}
     for ln in text.splitlines():
         if not ln.strip():
@@ -399,17 +384,11 @@ def hierarchy_from_text(text: str, graph: WeightedGraph = None) -> ContainerHier
         if parts[0] != "container":
             raise InvalidParams(f"unknown line {parts[0]!r}")
         level, index = int(parts[1]), int(parts[2])
-        members = frozenset(int(x) for x in parts[3].split(","))
-        by_level.setdefault(level, []).append((index, members))
-    levels = []
-    prev = None
-    for level in sorted(by_level):
-        row = []
-        for index, members in sorted(by_level[level]):
-            children = tuple(c for c in prev if c.members <= members) if prev else ()
-            row.append(
-                Container(level=level, index=index, nodes=members, children=children)
-            )
-        levels.append(row)
-        prev = row
+        nodes = frozenset(int(x) for x in parts[3].split(","))
+        by_level.setdefault(level, []).append((index, nodes))
+    levels = [
+        [Container(level=level, index=index, nodes=nodes)
+         for index, nodes in sorted(by_level[level], key=lambda row: row[0])]
+        for level in sorted(by_level)
+    ]
     return ContainerHierarchy(levels=levels, targets=[], source_graph=graph)

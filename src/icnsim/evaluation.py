@@ -8,9 +8,9 @@ log:
     ITO = sum_n (J_n * Hc_n - sum_j H_nj) * V_n / sum_n J_n * Hc_n * V_n
 
 Each sweep point runs the full pipeline: generate a topology, build the
-container hierarchy (optionally over learner-predicted distances), mirror it
-with a resolver tree, place prefetched copies, then replay a seeded
-Zipf-popularity request workload and aggregate the records.
+container hierarchy (optionally over learner-predicted distances), register
+the catalog with the run's resolver, place prefetched copies, then replay a
+seeded Zipf-popularity request workload and aggregate the records.
 """
 
 from __future__ import annotations
@@ -255,13 +255,12 @@ def _run_point(params: ScenarioParams, var: str, value, point_index: int):
         for i, v in enumerate(params.targets_us)
     ]
     hierarchy = containerize(g, targets)
-    tree = ilm.build_ilm_tree(hierarchy)
 
     first_value = (params.sweep_values or DEFAULT_SWEEPS[params.scenario])[0]
     capacity = int(round(
         params.cache_fraction * params.catalog_size * _nominal_volume(params, first_value)
     ))
-    net = userplane.build_network(g, hierarchy, tree, capacity)
+    net = userplane.build_network(g, hierarchy, ilm.build_ilm_tree(hierarchy), capacity)
 
     crng = np.random.default_rng(np.random.SeedSequence([catalog_seed, 0xCA7]))
     if params.scenario == "mmtc":
@@ -274,14 +273,13 @@ def _run_point(params: ScenarioParams, var: str, value, point_index: int):
         publisher = int(publishers_pool[int(crng.integers(0, len(publishers_pool)))])
         volume = _object_volume(params, crng)
         hrn = f"urn:obj:{j}"
-        leaf = net.local_ilm(publisher)
         if params.scenario == "mmtc":
             dev_hrn = f"urn:dev:{publisher}"
-            dev_gid = ilm.register(leaf, dev_hrn, userplane.address_of(publisher))
-            gid = ilm.register_indirect(leaf, hrn, dev_gid, service_meta=j)
+            dev_gid = ilm.register(net.resolver, dev_hrn, userplane.address_of(publisher))
+            gid = ilm.register_indirect(net.resolver, hrn, dev_gid, service_meta=j)
         else:
             gid = ilm.register(
-                leaf, hrn, userplane.address_of(publisher), service_meta=j
+                net.resolver, hrn, userplane.address_of(publisher), service_meta=j
             )
         obj = userplane.ContentObject(gid, volume, publisher, popularity_rank=j + 1)
         net.add_object(obj)

@@ -1,11 +1,10 @@
-"""Hierarchical identifier-locator mapping aligned with the container tree.
+"""Identifier-locator mapping: one resolver per run.
 
-A nonlocal root resolver carries the naming service; one resolver per
-container mirrors the hierarchy. The root owns the tree's only record table
-and every resolver reads and writes it, so a record registered at any
-resolver answers at all of them. Records may bind an identifier indirectly
-to another identifier (data id -> device id); resolution chases such
-bindings with loop detection.
+The resolver holds the naming service (HRN -> 160-bit identifier) and the
+run's only record table (identifier -> name record), so a record registered
+for any node answers for every node. Records may bind an identifier
+indirectly to another identifier (data id -> device id); resolution chases
+such bindings with loop detection.
 Constrained local domains run an 8-bit short-name space behind a gateway.
 """
 
@@ -104,27 +103,20 @@ class NamingService:
         return gid
 
 
-class IlmNode:
-    """One resolver. `root` is the top of its parent chain and `table` is the
-    root's record table, both fixed at construction."""
+@dataclass(eq=False)
+class Resolver:
+    """The naming service and the one record table (identifier -> NameRecord)."""
 
-    def __init__(self, parent: "IlmNode" = None, naming: NamingService = None):
-        self.parent = parent
-        self.naming = naming
-        self.root = self if parent is None else parent.root
-        self.table = {} if parent is None else self.root.table
+    naming: NamingService = field(default_factory=NamingService)
+    table: dict = field(default_factory=dict)
 
 
-def register(ilm: IlmNode, hrn: str, na: NetworkAddress, service_meta: int = 0) -> GlobalId:
-    """Create or extend a name record through any resolver of the tree; it
-    lands in the root's table."""
-    naming = ilm.root.naming
-    if naming is None:
-        raise InvalidParams("resolver tree has no naming service at the root")
-    gid = naming.assign_id(hrn)
-    rec = ilm.table.get(gid)
+def register(res: Resolver, hrn: str, na: NetworkAddress, service_meta: int = 0) -> GlobalId:
+    """Create or extend a name record."""
+    gid = res.naming.assign_id(hrn)
+    rec = res.table.get(gid)
     if rec is None:
-        rec = ilm.table[gid] = NameRecord(hrn=hrn, id=gid, service_meta=service_meta)
+        rec = res.table[gid] = NameRecord(hrn=hrn, id=gid, service_meta=service_meta)
     elif na not in rec.locators and len(rec.locators) >= LOCATOR_LIMIT:
         raise LocatorLimitExceeded(
             f"{hrn!r} already binds {LOCATOR_LIMIT} addresses"
@@ -133,24 +125,20 @@ def register(ilm: IlmNode, hrn: str, na: NetworkAddress, service_meta: int = 0) 
     return gid
 
 
-def register_indirect(ilm: IlmNode, hrn: str, target: GlobalId, service_meta: int = 0) -> GlobalId:
+def register_indirect(res: Resolver, hrn: str, target: GlobalId, service_meta: int = 0) -> GlobalId:
     """Bind an identifier to another identifier (data id -> device id)."""
-    naming = ilm.root.naming
-    if naming is None:
-        raise InvalidParams("resolver tree has no naming service at the root")
-    gid = naming.assign_id(hrn)
-    rec = ilm.table.get(gid)
+    gid = res.naming.assign_id(hrn)
+    rec = res.table.get(gid)
     if rec is None:
-        rec = ilm.table[gid] = NameRecord(hrn=hrn, id=gid, service_meta=service_meta)
+        rec = res.table[gid] = NameRecord(hrn=hrn, id=gid, service_meta=service_meta)
     rec.indirect_target = target
     return gid
 
 
-def resolve(ilm: IlmNode, gid: GlobalId) -> frozenset:
-    """Locators for an identifier, read from the tree's one record table, so
-    every resolver answers alike; indirect bindings are chased with cycle
+def resolve(res: Resolver, gid: GlobalId) -> frozenset:
+    """Locators for an identifier; indirect bindings are chased with cycle
     detection."""
-    table = ilm.table
+    table = res.table
     rec = table.get(gid)
     if rec is None:
         raise NotFound(f"identifier {gid.hex[:12]}.. is not registered")
@@ -173,10 +161,10 @@ def resolve(ilm: IlmNode, gid: GlobalId) -> frozenset:
     return frozenset(result)
 
 
-def update_binding(ilm: IlmNode, gid: GlobalId, action: str, na: NetworkAddress) -> frozenset:
+def update_binding(res: Resolver, gid: GlobalId, action: str, na: NetworkAddress) -> frozenset:
     """Add or remove one locator; removing the last locator of a record with
     no indirect binding deletes the record."""
-    rec = ilm.table.get(gid)
+    rec = res.table.get(gid)
     if rec is None:
         raise NotFound(f"identifier {gid.hex[:12]}.. is not registered")
     if action == "add":
@@ -188,7 +176,7 @@ def update_binding(ilm: IlmNode, gid: GlobalId, action: str, na: NetworkAddress)
     elif action == "remove":
         rec.locators.discard(na)
         if not rec.locators and rec.indirect_target is None:
-            del ilm.table[gid]
+            del res.table[gid]
     else:
         raise InvalidParams(f"unknown binding action {action!r}")
     return frozenset(rec.locators)
@@ -245,44 +233,19 @@ class Gateway:
         return lid
 
 
-# -- resolver tree construction -------------------------------------------------
-
-
-@dataclass
-class IlmTree:
-    root: IlmNode
-    levels: list                      # levels[i]: one resolver per container
-    naming: NamingService
-
-
-def build_ilm_tree(hierarchy) -> IlmTree:
-    """One resolver per container, parented by containment as the hierarchy's
-    level labels record it, plus the nonlocal root with the naming service
-    above the top level."""
-    labels = hierarchy.labels()
-    naming = NamingService()
-    root = IlmNode(naming=naming)
-    n_levels = len(hierarchy.levels)
-    levels = [None] * n_levels
-    levels[-1] = [IlmNode(root) for _ in hierarchy.levels[-1]]
-    for li in range(n_levels - 2, -1, -1):
-        upper = levels[li + 1]
-        levels[li] = [
-            IlmNode(upper[int(labels[li + 1][c.nodes[0]])])
-            for c in hierarchy.levels[li]
-        ]
-    return IlmTree(root=root, levels=levels, naming=naming)
+def build_ilm_tree(hierarchy) -> Resolver:
+    # kept for perfbench: mesh.py calls it and its tracer times it as ilm.build_tree
+    return Resolver()
 
 
 # -- table dump ------------------------------------------------------------------
 
 
-def dump_table(ilm: IlmNode) -> str:
-    """The tree's record table, one line per identifier in id order; every
-    resolver of a tree gives the same dump."""
+def dump_table(res: Resolver) -> str:
+    """The record table, one line per identifier in id order."""
     lines = []
-    for gid in sorted(ilm.table):
-        rec = ilm.table[gid]
+    for gid in sorted(res.table):
+        rec = res.table[gid]
         indirect = rec.indirect_target.hex if rec.indirect_target else "-"
         nas = ",".join(str(na) for na in sorted(rec.locators)) if rec.locators else "-"
         lines.append(f"rec {gid.hex} {rec.hrn} {indirect} {nas}")

@@ -668,35 +668,48 @@ def graph_to_text(g: WeightedGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def graph_from_text(text: str) -> WeightedGraph:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("graph "):
-        raise InvalidParams("missing graph header")
-    _, unit, count = lines[0].split()
-    nodes, edges = [], []
-    for ln in lines[1:]:
+def graph_from_text(text: str, source: str = "graph text") -> WeightedGraph:
+    """Parse `graph_to_text` output; a malformed line raises InvalidParams
+    naming `source` and the line number."""
+    header, nodes, edges = None, [], []
+    for lineno, ln in enumerate(text.splitlines(), start=1):
         parts = ln.split()
-        if parts[0] == "node":
-            nodes.append(
-                Node(
-                    int(parts[1]),
-                    NodeKind(parts[2]),
-                    memory_total=int(parts[3]),
-                    storage=int(parts[4]),
-                    downlink_bw=int(parts[5]),
-                    uplink_bw=int(parts[6]),
-                    compute=int(parts[7]),
+        if not parts:
+            continue
+        where = f"{source}, line {lineno}"
+        try:
+            if header is None:
+                if parts[0] != "graph":
+                    raise InvalidParams(f"{where}: missing graph header")
+                _, unit, count = parts
+                header = (WeightUnit(unit), int(count))
+            elif parts[0] == "node":
+                nodes.append(
+                    Node(
+                        int(parts[1]),
+                        NodeKind(parts[2]),
+                        memory_total=int(parts[3]),
+                        storage=int(parts[4]),
+                        downlink_bw=int(parts[5]),
+                        uplink_bw=int(parts[6]),
+                        compute=int(parts[7]),
+                    )
                 )
-            )
-        elif parts[0] == "edge":
-            edges.append(Edge(int(parts[1]), int(parts[2]), int(parts[3])))
-        else:
-            raise InvalidParams(f"unknown line {parts[0]!r}")
-    if len(nodes) != int(count):
-        raise InvalidParams("node count mismatch with header")
-    return build_graph(nodes, edges, unit)
+            elif parts[0] == "edge":
+                edges.append(Edge(int(parts[1]), int(parts[2]), int(parts[3])))
+            else:
+                raise InvalidParams(f"{where}: unknown line {parts[0]!r}")
+        except IndexError:
+            raise InvalidParams(f"{where}: too few fields in {parts[0]!r} line") from None
+        except ValueError as exc:
+            raise InvalidParams(f"{where}: {exc}") from None
+    if header is None:
+        raise InvalidParams(f"{source}: missing graph header")
+    if len(nodes) != header[1]:
+        raise InvalidParams(f"{source}: node count mismatch with header")
+    return build_graph(nodes, edges, header[0])
 
 
 def load_graph(path) -> WeightedGraph:
     with open(path, "r", encoding="utf-8") as fh:
-        return graph_from_text(fh.read())
+        return graph_from_text(fh.read(), str(path))

@@ -3,14 +3,13 @@ replacement in the media partition, and probabilistic high-centrality
 prefetch placement.
 
 Requests walk the topology one forwarding element at a time. Each element
-serves from its own cache when it can, otherwise it asks its local resolver
-for the locators of the requested identifier and forwards one hop toward the
-closest copy (fewest hops, ties to the lowest address). An element's local
-resolver is the leaf resolver of its leaf container, read from the
-hierarchy's leaf labels. Data transits the reverse path and is cached
-implicitly at forwarding elements; implicit copies never update the
-resolvers, explicit (prefetch) copies do. Each cache evicts in least-recently
-used order, which its insertion order records.
+serves from its own cache when it can, otherwise it forwards one hop toward
+the closest copy (fewest hops, ties to the lowest address) among the
+locators the run's resolver lists for the requested identifier. Data
+transits the reverse path and is cached implicitly at forwarding elements;
+implicit copies never update the resolver, explicit (prefetch) copies do.
+Each cache evicts in least-recently used order, which its insertion order
+records.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from .errors import (
     Unreachable,
     Unresolvable,
 )
-from .ilm import GlobalId, IlmTree, NetworkAddress, resolve, update_binding
+from .ilm import GlobalId, NetworkAddress, Resolver, resolve, update_binding
 from .topology import WeightedGraph, hop_distance, next_hop_toward
 
 _ADDR_BASE = 0x0A000000  # 10.0.0.0/8; node id maps directly into it
@@ -126,27 +125,24 @@ class PrefetchPlan:
 
 
 class NetState:
-    """Everything one simulation run owns: topology, resolver tree, caches,
-    the publisher stores, the explicitly registered copies, and the
-    hierarchy's leaf labels (node -> leaf container position), which map a
-    node to its local resolver."""
+    """Everything one simulation run owns: topology, resolver, caches, the
+    publisher stores and the explicitly registered copies."""
 
-    def __init__(self, graph: WeightedGraph, hierarchy, tree: IlmTree,
-                 media_capacity: int):
+    def __init__(self, graph: WeightedGraph, resolver: Resolver, media_capacity: int):
         self.graph = graph
-        self.tree = tree
+        self.resolver = resolver
         self.media_capacity = int(media_capacity)
         self.caches = {}
         self.permanent = {}
         self.objects = {}
         self.explicit = set()  # (node, object id) pairs registered with the ILM
         self.forwarding = graph.forwarding_mask()
-        self._leaf_labels = hierarchy.labels()[0]
 
-    def local_ilm(self, node: int):
-        if not 0 <= node < len(self._leaf_labels):
-            raise InvalidParams(f"node {node} is outside the hierarchy")
-        return self.tree.levels[0][int(self._leaf_labels[node])]
+    def local_ilm(self, node: int) -> Resolver:
+        # kept for perfbench/mesh.py, which registers its catalog through it
+        if not 0 <= node < self.graph.n:
+            raise InvalidParams(f"node {node} is outside the graph")
+        return self.resolver
 
     def cache_of(self, node: int) -> CacheStore:
         store = self.caches.get(node)
@@ -164,7 +160,7 @@ class NetState:
         if (node, oid) in self.explicit:
             self.explicit.discard((node, oid))
             try:
-                update_binding(self.local_ilm(node), oid, "remove", address_of(node))
+                update_binding(self.resolver, oid, "remove", address_of(node))
             except NotFound:
                 pass
 
@@ -183,9 +179,10 @@ class NetState:
         return ""
 
 
-def build_network(graph: WeightedGraph, hierarchy, tree: IlmTree,
+def build_network(graph: WeightedGraph, hierarchy, resolver: Resolver,
                   media_capacity: int) -> NetState:
-    return NetState(graph, hierarchy, tree, media_capacity)
+    # `hierarchy` is unread; perfbench/mesh.py passes it
+    return NetState(graph, resolver, media_capacity)
 
 
 # -- request handling -----------------------------------------------------------
@@ -194,15 +191,18 @@ def build_network(graph: WeightedGraph, hierarchy, tree: IlmTree,
 def handle_request(net: NetState, req: RequestMsg) -> DeliveryTrace:
     """Walk the request hop by hop until a copy is found.
 
-    Every element first checks its own store, then re-resolves the identifier
-    at its local resolver and forwards one hop toward the copy whose host is
-    the fewest forwarding hops away (ties broken by the lowest address).
+    Every element first checks its own store, then forwards one hop toward
+    the listed copy whose host is the fewest forwarding hops away (ties
+    broken by the lowest address). The identifier is resolved once, at the
+    first element that misses: nothing writes the record table while a
+    request is forwarded.
     """
     oid = req.requested
     obj = net.objects.get(oid)
     current = req.origin_node
     path = [current]
     hops = 0
+    hosts = None  # listed hosts in address order, once resolved
     for _ in range(net.graph.n + 1):
         held = net.holds(current, oid)
         if held:
@@ -217,15 +217,16 @@ def handle_request(net: NetState, req: RequestMsg) -> DeliveryTrace:
                 cache_hit=(held == "cache"),
                 volume=obj.volume if obj else 0,
             )
-        try:
-            locators = resolve(net.local_ilm(current), oid)
-        except NotFound:
-            raise Unresolvable(
-                f"identifier {oid.hex[:12]}.. is unknown and uncached on the path"
-            )
+        if hosts is None:
+            try:
+                locators = resolve(net.resolver, oid)
+            except NotFound:
+                raise Unresolvable(
+                    f"identifier {oid.hex[:12]}.. is unknown and uncached on the path"
+                )
+            hosts = [node_of_address(na) for na in sorted(locators)]
         best = None
-        for na in sorted(locators):
-            host = node_of_address(na)
+        for host in hosts:
             if host == current:
                 continue  # already checked above; a listed copy here is stale
             try:
@@ -233,10 +234,10 @@ def handle_request(net: NetState, req: RequestMsg) -> DeliveryTrace:
             except Unreachable:
                 continue
             if best is None or d < best[0]:
-                best = (d, na, host)
+                best = (d, host)
         if best is None:
             raise NoRoute(f"no reachable host for {oid.hex[:12]}..")
-        current = next_hop_toward(net.graph, current, best[2])
+        current = next_hop_toward(net.graph, current, best[1])
         hops += 1
         path.append(current)
     raise NoRoute("forwarding did not converge")
@@ -332,16 +333,18 @@ def prefetch_plan(hierarchy, nc: dict, fp: dict, budget: int, seed: int) -> Pref
 def apply_prefetch(net: NetState, plan: PrefetchPlan) -> list:
     """Execute a plan: push each object along the minimum-distance path from
     its publisher into the target's media store, and register the explicit
-    copy with the target's local resolver (until the locator cap)."""
+    copy with the resolver (until the locator cap)."""
     placed = []
     for oid, node, _p in plan.placements:
         obj = net.objects.get(oid)
         if obj is None:
             raise NotFound(f"object {oid.hex[:12]}.. is not in the catalog")
+        if not 0 <= node < net.graph.n:
+            raise InvalidParams(f"placement node {node} is outside the graph")
         if not net.cache_of(node).insert(obj.id, obj.volume):
             continue
         try:
-            update_binding(net.local_ilm(node), oid, "add", address_of(node))
+            update_binding(net.resolver, oid, "add", address_of(node))
             net.explicit.add((node, oid))
         except LocatorLimitExceeded:
             pass  # cached copy stays useful on-path even when unregistered

@@ -209,6 +209,86 @@ class ListLru:
         return [k for k, _ in self.items]
 
 
+# -- identifier-locator mapping oracle --------------------------------------------------
+
+
+class IlmModel:
+    """Reference record table as plain dicts of sets.
+
+    Identifiers are ints (the 160-bit value) and locators are IPv4 addresses
+    as ints. A failed operation returns an error name instead of raising:
+    "not_found", "limit" (a fifth locator) or "loop" (an indirect cycle).
+    """
+
+    LIMIT = 4
+
+    def __init__(self):
+        self.hrn = {}       # id -> human-readable name
+        self.locators = {}  # id -> set of addresses
+        self.target = {}    # id -> the id it is indirectly bound to
+
+    def _record(self, gid, hrn):
+        if gid not in self.hrn:
+            self.hrn[gid] = hrn
+            self.locators[gid] = set()
+        return self.locators[gid]
+
+    def _add(self, locs, addr):
+        if addr not in locs and len(locs) >= self.LIMIT:
+            return "limit"
+        locs.add(addr)
+        return None
+
+    def register(self, gid, hrn, addr):
+        return self._add(self._record(gid, hrn), addr)
+
+    def register_indirect(self, gid, hrn, target):
+        self._record(gid, hrn)
+        self.target[gid] = target
+
+    def update(self, gid, action, addr):
+        if gid not in self.hrn:
+            return "not_found"
+        locs = self.locators[gid]
+        if action == "add":
+            return self._add(locs, addr)
+        locs.discard(addr)
+        if not locs and gid not in self.target:
+            del self.hrn[gid], self.locators[gid]
+        return None
+
+    def resolve(self, gid):
+        """The union of locators along the indirect chain from `gid`."""
+        if gid not in self.hrn:
+            return "not_found"
+        chain, found = [gid], set()
+        while True:
+            found |= self.locators[chain[-1]]
+            nxt = self.target.get(chain[-1])
+            if nxt is None:
+                break
+            if nxt in chain:
+                return "loop"
+            if nxt not in self.hrn:
+                return "not_found"
+            chain.append(nxt)
+        return found or "not_found"
+
+    def dump(self):
+        """One `rec <id> <hrn> <target|-> <addr,addr|->` line per id, in id
+        order, addresses ascending in dotted quads."""
+        def quad(addr):
+            return ".".join(str(addr >> shift & 255) for shift in (24, 16, 8, 0))
+
+        lines = []
+        for gid in sorted(self.hrn):
+            target = self.target.get(gid)
+            shown = "-" if target is None else format(target, "040x")
+            locs = ",".join(quad(a) for a in sorted(self.locators[gid])) or "-"
+            lines.append(f"rec {gid:040x} {self.hrn[gid]} {shown} {locs}\n")
+        return "".join(lines)
+
+
 # -- metric oracle ------------------------------------------------------------------
 
 

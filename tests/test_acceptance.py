@@ -35,7 +35,7 @@ from icnsim.ilm import (
     Gateway,
     NamingService,
     NetworkAddress,
-    build_ilm_tree,
+    Resolver,
     register,
     register_indirect,
     resolve,
@@ -92,14 +92,13 @@ def test_criterion_1_ito_oracle_equivalence():
             nodes.append(Node(i, kinds[int(rng.integers(0, len(kinds)))]))
         g = build_graph(nodes, [Edge(*e) for e in edges], "latency_us")
         hier = containerize(g, [Target(1, int(rng.integers(2, 30)))])
-        tree = build_ilm_tree(hier)
         capacity = int(rng.integers(0, 9))
-        net = build_network(g, hier, tree, capacity)
+        net = build_network(g, hier, Resolver(), capacity)
 
         n_objects = int(rng.integers(1, 4))
         publisher_of, volume_of, objects = {}, {}, []
         for j in range(n_objects):
-            gid = register(net.local_ilm(0), f"urn:i{instance}:o{j}", address_of(0))
+            gid = register(net.resolver, f"urn:i{instance}:o{j}", address_of(0))
             vol = int(rng.integers(1, 6))
             obj = ContentObject(gid, vol, 0)
             net.add_object(obj)
@@ -212,16 +211,11 @@ def test_criterion_3_containerization_soundness():
         cur_n, cur_edges = n, edges
         for li, (level_containers, t) in enumerate(zip(h.levels, targets)):
             if li == 0:
-                groups = [sorted(c.members) for c in level_containers]
+                groups = [c.nodes.tolist() for c in level_containers]
             else:
-                index_of = {
-                    frozenset(prev.members): i
-                    for i, prev in enumerate(h.levels[li - 1])
-                }
-                groups = [
-                    sorted(index_of[frozenset(ch.members)] for ch in c.children)
-                    for c in level_containers
-                ]
+                # a container's children: the level-below positions of its nodes
+                below = h.labels()[li - 1]
+                groups = [np.unique(below[c.nodes]).tolist() for c in level_containers]
             assert _pairwise_ok(cur_n, cur_edges, groups, t.value, mode)
             assert groups == oracle_level_groups(cur_n, cur_edges, t.value, mode)
             labels = {}
@@ -419,30 +413,29 @@ def test_criterion_7_ilm_protocol_suite():
     params = ScenarioParams(scenario="embb", n_devices=64)
     g = generate_topology(params, 77)
     hier = containerize(g, [Target(1, 1_000), Target(2, 150_000), Target(3, 500_000)])
-    tree = build_ilm_tree(hier)
-    leaves = tree.levels[0]
+    net = build_network(g, hier, Resolver(), 10**6)
+    res = net.resolver
 
     def na(i):
         return NetworkAddress("v4", (10 << 24) + i)
 
-    # register -> resolve round trips from every tree position
-    gid = register(leaves[0], "urn:acc:obj", na(1))
-    for row in tree.levels + [[tree.root]]:
-        for node in row:
-            assert resolve(node, gid) == frozenset({na(1)})
+    # register -> resolve round trips through every node's resolver
+    gid = register(net.local_ilm(0), "urn:acc:obj", na(1))
+    for node in range(g.n):
+        assert resolve(net.local_ilm(node), gid) == frozenset({na(1)})
 
     # locator cap at four
     for i in range(2, 5):
-        update_binding(leaves[0], gid, "add", na(i))
+        update_binding(res, gid, "add", na(i))
     with pytest.raises(Exception) as exc:
-        update_binding(leaves[0], gid, "add", na(99))
+        update_binding(res, gid, "add", na(99))
     assert "binds" in str(exc.value)
-    assert len(resolve(tree.root, gid)) == 4
+    assert len(resolve(res, gid)) == 4
 
     # indirect data -> device chase
-    dev = register(leaves[1], "urn:acc:dev", na(50))
-    data = register_indirect(leaves[1], "urn:acc:data", dev)
-    assert resolve(tree.root, data) == frozenset({na(50)})
+    dev = register(res, "urn:acc:dev", na(50))
+    data = register_indirect(res, "urn:acc:data", dev)
+    assert resolve(res, data) == frozenset({na(50)})
 
     # the 8-bit local namespace errors exactly at the 257th registration
     gw = Gateway(NamingService())
@@ -452,19 +445,14 @@ def test_criterion_7_ilm_protocol_suite():
         gw.register_local("urn:acc:l256")
 
     # 10^3 identifiers x 100 binding updates with coherent reads afterwards
-    gids = [
-        register(leaves[i % len(leaves)], f"urn:acc:w{i}", na(i % 100))
-        for i in range(1000)
-    ]
+    gids = [register(res, f"urn:acc:w{i}", na(i % 100)) for i in range(1000)]
     for round_no in range(100):
         for i, g_id in enumerate(gids):
-            leaf = leaves[i % len(leaves)]
-            update_binding(leaf, g_id, "add", na((i + round_no + 1) % 250 + 1))
-            update_binding(leaf, g_id, "remove", na((i + round_no) % 250 + 1))
-    for i, g_id in enumerate(gids):
-        locs = resolve(tree.root, g_id)
+            update_binding(res, g_id, "add", na((i + round_no + 1) % 250 + 1))
+            update_binding(res, g_id, "remove", na((i + round_no) % 250 + 1))
+    for g_id in gids:
+        locs = resolve(res, g_id)
         assert 1 <= len(locs) <= 4
-        assert locs == resolve(leaves[i % len(leaves)], g_id)
     elapsed = time.monotonic() - start
     assert elapsed < 30.0
     print(f"ACCEPTANCE 7 (ILM protocol suite, {elapsed:.1f}s): PASS")
@@ -570,6 +558,6 @@ def test_criterion_10_scenario_sweep_shape():
             if w < 1_000:
                 uf.union(a, b)
         for container in hier.levels[0]:
-            roots = {uf.find(m) for m in container.members}
+            roots = {uf.find(m) for m in container.nodes.tolist()}
             assert len(roots) == 1
     print("ACCEPTANCE 10 (scenario sweep shape, three full axes): PASS")

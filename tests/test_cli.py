@@ -9,7 +9,7 @@ import pytest
 import icnsim
 from icnsim import ilm, userplane
 from icnsim.cli import main, parse_config
-from icnsim.congruity import load_model
+from icnsim.congruity import FEATURE_NAMES, LABEL_KINDS, load_model
 from icnsim.containment import Target, containerize, hierarchy_to_text
 from icnsim.errors import ConfigError
 from icnsim.topology import load_graph
@@ -320,6 +320,40 @@ class TestReportCmd:
     def test_missing_report_file_exits_two(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "ghost.csv"), "--out", str(tmp_path)]) == 2
         assert "ghost.csv" in capsys.readouterr().err
+
+
+TOPOLOGY = "graph latency_us 2\nnode 0 switch 1 1 3 1 1\nnode 1 switch 1 1 3 1 1\nedge 0 1 5\n"
+REPORT = "scenario,sweep_var,sweep_value,seed,N,ito,mean_hops,cache_hit_rate\n"
+DATASET = ",".join([*FEATURE_NAMES, *(f"label_{k}" for k in LABEL_KINDS)]) + "\n"
+MALFORMED_INPUTS = {
+    "topology-short-node-line": ("containerize", TOPOLOGY.replace("node 1 switch 1 1 3 1 1", "node 1 switch")),
+    "topology-unknown-kind": ("containerize", TOPOLOGY.replace("node 1 switch", "node 1 router")),
+    "topology-unknown-unit": ("containerize", TOPOLOGY.replace("latency_us", "furlongs")),
+    "topology-non-integer-count": ("containerize", TOPOLOGY.replace("latency_us 2", "latency_us two")),
+    "topology-non-integer-weight": ("containerize", TOPOLOGY.replace("edge 0 1 5", "edge 0 1 5.5")),
+    "report-short-row": ("report", REPORT + "embb,data_rate_mbps,8.0,1\n"),
+    "report-non-numeric-row": ("report", REPORT + "embb,data_rate_mbps,8.0,1,40,high,1.5,0.25\n"),
+    "dataset-empty": ("train", ""),
+    "dataset-non-numeric-cell": (
+        "train", DATASET + ",".join(["0.5"] * (len(FEATURE_NAMES) - 1) + ["x"] + [""] * len(LABEL_KINDS)) + "\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("command,content", MALFORMED_INPUTS.values(), ids=MALFORMED_INPUTS)
+def test_malformed_input_file_exits_one_with_its_line(command, content, config_path, tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(content)
+    argv = {
+        "containerize": ["containerize", "--config", config_path, "--topo", str(bad)],
+        "report": ["report", str(bad)],
+        "train": ["train", "--config", config_path, "--personal", str(bad), "--general", str(bad)],
+    }[command]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert f"{bad}, line " in err
+    assert not (tmp_path / "out").exists()
 
 
 class TestEntryPoints:

@@ -27,7 +27,7 @@ def make(n, edges, unit="latency_us"):
 
 
 def members(containers):
-    return [sorted(c.members) for c in containers]
+    return [c.nodes.tolist() for c in containers]
 
 
 def random_graph(rng, n, max_extra=4):
@@ -131,7 +131,7 @@ class TestContainerize:
             h = containerize(g, [Target(1, 4), Target(2, 12), Target(3, 40)])
             for low, high in zip(h.levels, h.levels[1:]):
                 for child in low:
-                    owners = [c for c in high if child.members <= c.members]
+                    owners = [c for c in high if np.isin(child.nodes, c.nodes).all()]
                     assert len(owners) == 1
 
     def test_matches_multilevel_oracle(self):
@@ -196,13 +196,6 @@ class TestContainer:
         with pytest.raises(ValueError):
             c.nodes[0] = 1
 
-    def test_members_built_on_first_read(self):
-        c = Container(1, 1, [3, 1])
-        assert "members" not in vars(c)
-        members = c.members
-        assert members == frozenset({1, 3})
-        assert c.members is members
-
     def test_equality_is_identity(self):
         a = Container(1, 1, frozenset({0, 1}))
         b = Container(1, 1, frozenset({0, 1}))
@@ -218,7 +211,6 @@ class TestContainer:
             assert np.array_equal(np.sort(np.concatenate(nodes)), np.arange(6))
             # zero-copy slices of the level's sorted node array
             assert len({id(ids.base) for ids in nodes}) == 1
-        assert not any("members" in vars(c) for level in h.levels for c in level)
 
 
 class TestValidateHierarchy:
@@ -403,10 +395,3 @@ class TestHierarchyDump:
         assert [members(level) for level in again.levels] == [
             members(level) for level in h.levels
         ]
-
-    def test_children_rebuilt_from_membership(self):
-        g = make(4, [(0, 1, 1), (1, 2, 10), (2, 3, 1)])
-        h = containerize(g, [Target(1, 5), Target(2, 50)])
-        again = hierarchy_from_text(hierarchy_to_text(h))
-        top = again.levels[1][0]
-        assert sorted(sorted(c.members) for c in top.children) == [[0, 1], [2, 3]]

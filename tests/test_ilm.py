@@ -1,13 +1,11 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from icnsim.containment import Target, containerize, hierarchy_from_text, hierarchy_to_text
 from icnsim.errors import (
     CollisionDetected,
-    SimError,
     EmptyHrn,
     IndirectLoop,
-    InvalidParams,
     LocatorLimitExceeded,
     NamespaceExhausted,
     NotFound,
@@ -17,6 +15,7 @@ from icnsim.ilm import (
     GlobalId,
     NamingService,
     NetworkAddress,
+    Resolver,
     build_ilm_tree,
     dump_table,
     register,
@@ -24,15 +23,17 @@ from icnsim.ilm import (
     resolve,
     update_binding,
 )
-from icnsim.evaluation import ScenarioParams
-from icnsim.topology import Edge, Node, NodeKind, build_graph, generate_topology
+from icnsim.topology import Edge, Node, NodeKind, build_graph
+from icnsim.userplane import build_network
+
+from oracles import IlmModel
 
 
 def na(last: int) -> NetworkAddress:
     return NetworkAddress("v4", (10 << 24) + last)
 
 
-def chain_tree(n_leaf_pairs=3):
+def chain_hierarchy(n_leaf_pairs=3):
     """Line graph with tight pairs so the hierarchy has two genuine levels."""
     n = 2 * n_leaf_pairs
     nodes = [Node(i, NodeKind.SWITCH) for i in range(n)]
@@ -42,8 +43,7 @@ def chain_tree(n_leaf_pairs=3):
         if p:
             edges.append(Edge(2 * p - 1, 2 * p, 10))
     g = build_graph(nodes, edges, "latency_us")
-    h = containerize(g, [Target(1, 5), Target(2, 50)])
-    return g, h, build_ilm_tree(h)
+    return g, containerize(g, [Target(1, 5), Target(2, 50)])
 
 
 class TestNaming:
@@ -74,119 +74,104 @@ class TestNaming:
 
 class TestRegisterResolve:
     def test_leaf_registration_resolves_at_root(self):
-        _, h, tree = chain_tree()
-        leaf = tree.levels[0][0]
-        gid = register(leaf, "urn:cam", na(1))
-        assert resolve(tree.root, gid) == frozenset({na(1)})
+        res = Resolver()
+        gid = register(res, "urn:cam", na(1))
+        assert resolve(res, gid) == frozenset({na(1)})
+        assert res.table[gid].locators == {na(1)}
 
     def test_resolves_from_every_tree_position(self):
-        _, h, tree = chain_tree()
-        gid = register(tree.levels[0][2], "urn:obj", na(9))
-        for row in tree.levels:
-            for node in row:
-                assert resolve(node, gid) == frozenset({na(9)})
+        # every node's local resolver is the run's one resolver
+        g, h = chain_hierarchy()
+        net = build_network(g, h, build_ilm_tree(h), 10**6)
+        gid = register(net.local_ilm(4), "urn:obj", na(9))
+        for node in range(g.n):
+            assert net.local_ilm(node) is net.resolver
+            assert resolve(net.local_ilm(node), gid) == frozenset({na(9)})
 
     def test_fifth_locator_rejected(self):
-        _, _, tree = chain_tree()
-        leaf = tree.levels[0][0]
+        res = Resolver()
         for i in range(4):
-            register(leaf, "urn:multi", na(i))
+            register(res, "urn:multi", na(i))
         with pytest.raises(LocatorLimitExceeded):
-            register(leaf, "urn:multi", na(99))
+            register(res, "urn:multi", na(99))
 
     def test_idempotent_registration(self):
-        _, _, tree = chain_tree()
-        leaf = tree.levels[0][1]
-        gid = register(leaf, "urn:same", na(7))
-        register(leaf, "urn:same", na(7))
-        assert resolve(leaf, gid) == frozenset({na(7)})
+        res = Resolver()
+        gid = register(res, "urn:same", na(7))
+        register(res, "urn:same", na(7))
+        assert resolve(res, gid) == frozenset({na(7)})
 
     def test_unknown_id_not_found(self):
-        _, _, tree = chain_tree()
         with pytest.raises(NotFound):
-            resolve(tree.root, GlobalId(12345))
+            resolve(Resolver(), GlobalId(12345))
 
 
 class TestIndirect:
     def test_data_id_chases_device_id(self):
-        _, _, tree = chain_tree()
-        leaf = tree.levels[0][0]
-        device = register(leaf, "urn:device", na(3))
-        data = register_indirect(leaf, "urn:data", device)
-        assert resolve(tree.root, data) == frozenset({na(3)})
+        res = Resolver()
+        device = register(res, "urn:device", na(3))
+        data = register_indirect(res, "urn:data", device)
+        assert resolve(res, data) == frozenset({na(3)})
 
     def test_own_and_chased_locators_combine(self):
-        _, _, tree = chain_tree()
-        leaf = tree.levels[0][0]
-        device = register(leaf, "urn:dev2", na(4))
-        data = register_indirect(leaf, "urn:data2", device)
-        update_binding(leaf, data, "add", na(8))  # cached copy alongside
-        assert resolve(tree.root, data) == frozenset({na(4), na(8)})
+        res = Resolver()
+        device = register(res, "urn:dev2", na(4))
+        data = register_indirect(res, "urn:data2", device)
+        update_binding(res, data, "add", na(8))  # cached copy alongside
+        assert resolve(res, data) == frozenset({na(4), na(8)})
 
     def test_self_cycle_detected(self):
-        _, _, tree = chain_tree()
-        leaf = tree.levels[0][0]
-        device = register(leaf, "urn:loop-dev", na(5))
-        data = register_indirect(leaf, "urn:loop-data", device)
-        register_indirect(leaf, "urn:loop-dev", device)  # device -> itself
+        res = Resolver()
+        device = register(res, "urn:loop-dev", na(5))
+        data = register_indirect(res, "urn:loop-data", device)
+        register_indirect(res, "urn:loop-dev", device)  # device -> itself
         with pytest.raises(IndirectLoop):
-            resolve(tree.root, data)
+            resolve(res, data)
 
     def test_unresolved_target_not_found(self):
-        _, _, tree = chain_tree()
-        leaf = tree.levels[0][0]
-        data = register_indirect(leaf, "urn:dangling", GlobalId(777))
+        res = Resolver()
+        data = register_indirect(res, "urn:dangling", GlobalId(777))
         with pytest.raises(NotFound):
-            resolve(tree.root, data)
+            resolve(res, data)
 
 
 class TestUpdateBinding:
     def test_add_then_resolve(self):
-        _, _, tree = chain_tree()
-        leaf = tree.levels[0][0]
-        gid = register(leaf, "urn:mv", na(1))
-        update_binding(leaf, gid, "add", na(2))
-        assert resolve(tree.root, gid) == frozenset({na(1), na(2)})
+        res = Resolver()
+        gid = register(res, "urn:mv", na(1))
+        update_binding(res, gid, "add", na(2))
+        assert resolve(res, gid) == frozenset({na(1), na(2)})
 
     def test_remove_reflected_everywhere(self):
-        _, _, tree = chain_tree()
-        leaf = tree.levels[0][0]
-        gid = register(leaf, "urn:mv2", na(1))
-        update_binding(leaf, gid, "add", na(2))
-        update_binding(tree.root, gid, "remove", na(1))
-        for row in tree.levels:
-            for node in row:
-                assert na(1) not in resolve(node, gid)
+        res = Resolver()
+        gid = register(res, "urn:mv2", na(1))
+        update_binding(res, gid, "add", na(2))
+        assert update_binding(res, gid, "remove", na(1)) == frozenset({na(2)})
+        assert resolve(res, gid) == frozenset({na(2)})
+        assert dump_table(res).split()[-1] == "10.0.0.2"
 
     def test_removing_last_locator_deletes_record(self):
-        _, _, tree = chain_tree()
-        leaf = tree.levels[0][0]
-        gid = register(leaf, "urn:gone", na(1))
-        update_binding(leaf, gid, "remove", na(1))
+        res = Resolver()
+        gid = register(res, "urn:gone", na(1))
+        update_binding(res, gid, "remove", na(1))
         with pytest.raises(NotFound):
-            resolve(tree.root, gid)
-        assert gid not in leaf.table and gid not in tree.root.table
+            resolve(res, gid)
+        assert gid not in res.table
 
     def test_update_unknown_id(self):
-        _, _, tree = chain_tree()
         with pytest.raises(NotFound):
-            update_binding(tree.root, GlobalId(1), "add", na(1))
+            update_binding(Resolver(), GlobalId(1), "add", na(1))
 
     def test_sustained_update_workload(self):
         # 1000 identifiers each updated 100 times, coherent afterwards
-        _, _, tree = chain_tree()
-        leaves = tree.levels[0]
-        gids = [
-            register(leaves[i % len(leaves)], f"urn:w:{i}", na(i % 200))
-            for i in range(1000)
-        ]
+        res = Resolver()
+        gids = [register(res, f"urn:w:{i}", na(i % 200)) for i in range(1000)]
         for day_update in range(100):
             for i, gid in enumerate(gids):
-                leaf = leaves[i % len(leaves)]
-                update_binding(leaf, gid, "add", na((i + day_update + 1) % 250 + 1))
-                update_binding(leaf, gid, "remove", na((i + day_update) % 250 + 1))
-        for i, gid in enumerate(gids):
-            locs = resolve(tree.root, gid)
+                update_binding(res, gid, "add", na((i + day_update + 1) % 250 + 1))
+                update_binding(res, gid, "remove", na((i + day_update) % 250 + 1))
+        for gid in gids:
+            locs = resolve(res, gid)
             assert 1 <= len(locs) <= 4
 
 
@@ -231,12 +216,11 @@ class TestLocalDomain:
 
 class TestDump:
     def test_dump_format_and_ordering(self):
-        _, _, tree = chain_tree()
-        leaf = tree.levels[0][0]
-        a = register(leaf, "urn:a", na(1))
-        b = register(leaf, "urn:b", na(2))
-        register_indirect(leaf, "urn:c", a)
-        lines = dump_table(tree.root).splitlines()
+        res = Resolver()
+        a = register(res, "urn:a", na(1))
+        register(res, "urn:b", na(2))
+        register_indirect(res, "urn:c", a)
+        lines = dump_table(res).splitlines()
         assert len(lines) == 3
         assert [ln.split()[1] for ln in lines] == sorted(ln.split()[1] for ln in lines)
         for ln in lines:
@@ -249,76 +233,78 @@ class TestDump:
 
 
 class TestBuildTree:
-    def test_one_resolver_per_container_under_one_root(self):
-        _, h, tree = chain_tree()
-        assert [len(row) for row in tree.levels] == [len(row) for row in h.levels]
-        for row in tree.levels:
-            for node in row:
-                assert node.root is tree.root and node.table is tree.root.table
-        for li in range(len(h.levels) - 1):
-            upper = tree.levels[li + 1]
-            for c, node in zip(h.levels[li], tree.levels[li]):
-                assert c.members <= h.levels[li + 1][upper.index(node.parent)].members
-        assert all(node.parent is tree.root for node in tree.levels[-1])
+    def test_one_fresh_resolver_per_build(self):
+        _, h = chain_hierarchy()
+        first, second = build_ilm_tree(h), build_ilm_tree(h)
+        assert isinstance(first, Resolver) and isinstance(second, Resolver)
+        assert first.table == {} and first.table is not second.table
+        assert first.naming is not second.naming
 
-    def test_hierarchy_without_level_labels_is_rejected(self):
-        _, h, _ = chain_tree()
-        with pytest.raises(InvalidParams):
-            build_ilm_tree(hierarchy_from_text(hierarchy_to_text(h)))
+    def test_hierarchy_without_level_labels_is_accepted(self):
+        g, h = chain_hierarchy()
+        dumped = hierarchy_from_text(hierarchy_to_text(h), g)  # no level labels
+        res = build_ilm_tree(dumped)
+        assert isinstance(res, Resolver) and res.table == {}
+        net = build_network(g, dumped, res, 10**6)
+        gid = register(net.resolver, "urn:a", na(1))
+        assert {a.value for a in resolve(net.resolver, gid)} == {na(1).value}
 
 
-# -- resolution does not depend on the asking resolver ------------------------
+# -- the resolver against the reference record model ---------------------------
 
-PROPERTY_HRNS = [f"urn:p:{i}" for i in range(5)]
+PROPERTY_HRNS = [f"urn:p:{i}" for i in range(3)]
 PROPERTY_GIDS = [NamingService().assign_id(h) for h in PROPERTY_HRNS]
-UNKNOWN_GID = GlobalId(12345)
+UNKNOWN_GID = NamingService().assign_id("urn:p:never-registered")
+TARGETS = PROPERTY_GIDS + [UNKNOWN_GID]
+
+_ERROR_NAMES = {NotFound: "not_found", LocatorLimitExceeded: "limit", IndirectLoop: "loop"}
 
 
-def _outcome(node, gid):
+def _outcome(call, *args):
+    """The call's result, or the model's name for the error it raised."""
     try:
-        return resolve(node, gid)
-    except SimError as exc:
-        return type(exc)
+        return call(*args)
+    except (NotFound, LocatorLimitExceeded, IndirectLoop) as exc:
+        return _ERROR_NAMES[type(exc)]
 
 
-_slot = st.integers(0, 10**6)  # resolver position, modulo the resolver count
+def _resolved(res, gid):
+    found = _outcome(resolve, res, gid)
+    return found if isinstance(found, str) else {a.value for a in found}
+
+
 _name = st.integers(0, len(PROPERTY_HRNS) - 1)
-_addr = st.integers(0, 5)
+_addr = st.integers(0, 5)  # six addresses, so one record can pass the limit
 _ops = st.lists(
     st.one_of(
-        st.tuples(st.just("register"), _slot, _name, _addr),
-        st.tuples(st.just("indirect"), _slot, _name, _name),
-        st.tuples(st.sampled_from(["add", "remove"]), _slot, _name, _addr),
+        st.tuples(st.just("register"), _name, _addr),
+        st.tuples(st.just("indirect"), _name, st.integers(0, len(TARGETS) - 1)),
+        st.tuples(st.sampled_from(["add", "remove"]), _name, _addr),
     ),
-    max_size=25,
+    max_size=40,
 )
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(_ops)
-def test_every_resolver_answers_like_the_root(ops):
-    g = generate_topology(ScenarioParams(scenario="embb", n_devices=48), 2)
-    tree = build_ilm_tree(
-        containerize(g, [Target(1, 1_000), Target(2, 150_000), Target(3, 500_000)])
-    )
-    resolvers = [tree.root] + [node for row in tree.levels for node in row]
-    assert len(tree.levels) == 3
-    for action, slot, k, arg in ops:
-        node = resolvers[slot % len(resolvers)]
-        try:
-            if action == "register":
-                register(node, PROPERTY_HRNS[k], na(arg))
-            elif action == "indirect":
-                register_indirect(node, PROPERTY_HRNS[k], PROPERTY_GIDS[arg])
-            else:
-                update_binding(node, PROPERTY_GIDS[k], action, na(arg))
-        except SimError:
-            pass
-    for node in resolvers:
-        assert node.root is tree.root
-        for gid, rec in node.table.items():
-            assert tree.root.table[gid] is rec
-        for gid in PROPERTY_GIDS:
-            assert _outcome(node, gid) == _outcome(tree.root, gid)
-        assert _outcome(node, UNKNOWN_GID) is NotFound
-        assert dump_table(node) == dump_table(tree.root)
+@example([("register", 0, a) for a in range(5)])  # a fifth locator by register
+@example([("register", 1, 0)] + [("add", 1, a) for a in range(1, 5)])  # ... by add
+@example([("indirect", 0, 1), ("indirect", 1, 0), ("register", 1, 2)])  # a two-cycle
+@example([("register", 2, 0), ("indirect", 2, 3), ("remove", 2, 0)])  # kept, dangling
+def test_resolver_matches_the_record_model(ops):
+    res, model = Resolver(), IlmModel()
+    for action, k, arg in ops:
+        gid, hrn = PROPERTY_GIDS[k], PROPERTY_HRNS[k]
+        if action == "register":
+            got = _outcome(register, res, hrn, na(arg))
+            assert (None if got == gid else got) == model.register(gid.value, hrn, na(arg).value)
+        elif action == "indirect":
+            assert register_indirect(res, hrn, TARGETS[arg]) == gid
+            model.register_indirect(gid.value, hrn, TARGETS[arg].value)
+        else:
+            got = _outcome(update_binding, res, gid, action, na(arg))
+            want = model.update(gid.value, action, na(arg).value)
+            assert (got if isinstance(got, str) else None) == want
+        for other in TARGETS:
+            assert _resolved(res, other) == model.resolve(other.value)
+        assert dump_table(res) == model.dump()

@@ -9,7 +9,8 @@ from icnsim.errors import (
     Unresolvable,
 )
 from icnsim.evaluation import ScenarioParams
-from icnsim.ilm import GlobalId, build_ilm_tree, register, resolve
+from icnsim import userplane
+from icnsim.ilm import GlobalId, Resolver, register, resolve
 from icnsim.topology import Edge, Node, NodeKind, build_graph, generate_topology
 from icnsim.userplane import (
     CacheStore,
@@ -41,13 +42,12 @@ def make_net(capacity=10**6):
     ]
     g = build_graph(nodes, edges, "latency_us")
     h = containerize(g, [Target(1, 1_000), Target(2, 150_000), Target(3, 500_000)])
-    tree = build_ilm_tree(h)
-    net = build_network(g, h, tree, capacity)
-    return g, net, tree
+    net = build_network(g, h, Resolver(), capacity)
+    return g, net, net.resolver
 
 
-def publish(net, tree, hrn="urn:movie", publisher=1, volume=1000):
-    gid = register(net.local_ilm(publisher), hrn, address_of(publisher))
+def publish(net, res, hrn="urn:movie", publisher=1, volume=1000):
+    gid = register(res, hrn, address_of(publisher))
     obj = ContentObject(gid, volume, publisher)
     net.add_object(obj)
     return obj
@@ -163,12 +163,10 @@ class TestPrefetchPlan:
         assert a.placements == b.placements
 
     def test_hierarchy_without_level_labels_is_rejected(self):
-        g, net, tree = make_net()
+        g, net, res = make_net()
         bare = hierarchy_from_text(hierarchy_to_text(containerize(g, [Target(1, 1_000)])), g)
         with pytest.raises(InvalidParams):
             prefetch_plan(bare, {3: 1.0}, {GlobalId(1): 1.0}, 1, 0)
-        with pytest.raises(InvalidParams):
-            build_network(g, bare, tree, 10**6)
 
     def test_degenerate_mass(self):
         with pytest.raises(DegenerateDistribution):
@@ -179,8 +177,8 @@ class TestPrefetchPlan:
 
 class TestHandleRequest:
     def test_no_cache_walks_to_publisher(self):
-        g, net, tree = make_net(capacity=0)
-        obj = publish(net, tree)
+        g, net, res = make_net(capacity=0)
+        obj = publish(net, res)
         trace = request(net, obj, origin=4)
         edges = [(a, b, w) for a, b, w in zip(g.ea.tolist(), g.eb.tolist(), g.ew.tolist())]
         assert trace.hops == bfs_hops(g.n, edges, 4, 1) == 4
@@ -189,29 +187,29 @@ class TestHandleRequest:
         assert trace.path[0] == 4 and trace.path[-1] == 1
 
     def test_access_point_copy_served_in_one_hop(self):
-        g, net, tree = make_net()
-        obj = publish(net, tree)
+        g, net, res = make_net()
+        obj = publish(net, res)
         net.cache_of(3).insert(obj.id, obj.volume)
         trace = request(net, obj, origin=4)
         assert trace.hops == 1
         assert trace.cache_hit and trace.serving_node == 3
 
     def test_origin_copy_is_zero_hops(self):
-        g, net, tree = make_net()
-        obj = publish(net, tree)
+        g, net, res = make_net()
+        obj = publish(net, res)
         trace = request(net, obj, origin=1)
         assert trace.hops == 0 and trace.serving_node == 1
 
     def test_unregistered_and_uncached_is_unresolvable(self):
-        g, net, tree = make_net()
+        g, net, res = make_net()
         obj = ContentObject(GlobalId(999), 10, 1)
         net.objects[obj.id] = obj  # present in catalog but never registered
         with pytest.raises(Unresolvable):
             request(net, obj, origin=4)
 
     def test_hop_count_stamped_on_message(self):
-        g, net, tree = make_net(capacity=0)
-        obj = publish(net, tree)
+        g, net, res = make_net(capacity=0)
+        obj = publish(net, res)
         req = RequestMsg(requested=obj.id, origin_node=5)
         trace = handle_request(net, req)
         assert req.hop_count == trace.hops == 4
@@ -219,22 +217,54 @@ class TestHandleRequest:
     def test_origin_outside_the_graph_is_invalid(self):
         g = generate_topology(ScenarioParams(scenario="embb", n_devices=48), 2)
         h = containerize(g, [Target(1, 1_000), Target(2, 150_000), Target(3, 500_000)])
-        tree = build_ilm_tree(h)
-        net = build_network(g, h, tree, 10**6)
-        obj = publish(net, tree, publisher=1)
-        with pytest.raises(InvalidParams):
-            request(net, obj, origin=g.n + 5)
+        net = build_network(g, h, Resolver(), 10**6)
+        obj = publish(net, net.resolver, publisher=1)
+        for origin in (-1, g.n, g.n + 5):
+            with pytest.raises(InvalidParams):
+                request(net, obj, origin=origin)
         for node in (-1, g.n):
             with pytest.raises(InvalidParams):
                 net.local_ilm(node)
-        assert net.local_ilm(0) in tree.levels[0]
-        assert net.local_ilm(g.n - 1) in tree.levels[0]
+        assert net.local_ilm(0) is net.resolver
+        assert net.local_ilm(g.n - 1) is net.resolver
+
+    def test_origin_cache_copy_is_served_without_a_lookup(self, monkeypatch):
+        g, net, res = make_net()
+        obj = ContentObject(GlobalId(999), 10, 1)
+        net.objects[obj.id] = obj  # in the catalog, never registered
+        net.cache_of(3).insert(obj.id, obj.volume)
+        lookups = []
+        monkeypatch.setattr(userplane, "resolve", lambda *args: lookups.append(args))
+        trace = request(net, obj, origin=3)
+        assert (trace.hops, trace.serving_node, trace.cache_hit) == (0, 3, True)
+        assert lookups == []
+
+    def test_one_lookup_per_request(self, monkeypatch):
+        g, net, res = make_net(capacity=0)
+        obj = publish(net, res)
+        lookups = []
+
+        def counted(*args):
+            lookups.append(args)
+            return resolve(*args)
+
+        monkeypatch.setattr(userplane, "resolve", counted)
+        assert request(net, obj, origin=4).hops == 4
+        assert lookups == [(res, obj.id)]
+
+    def test_dumped_hierarchy_drives_a_network(self):
+        g, _, _ = make_net(capacity=0)
+        h = containerize(g, [Target(1, 1_000), Target(2, 150_000)])
+        bare = hierarchy_from_text(hierarchy_to_text(h), g)
+        net = build_network(g, bare, Resolver(), 0)
+        obj = publish(net, net.resolver)
+        assert request(net, obj, origin=5).hops == 4
 
 
 class TestDeliverData:
     def test_second_request_takes_strictly_fewer_hops(self):
-        g, net, tree = make_net()
-        obj = publish(net, tree)
+        g, net, res = make_net()
+        obj = publish(net, res)
         first = request(net, obj, origin=4)
         deliver_data(net, first)
         second = request(net, obj, origin=4)
@@ -242,8 +272,8 @@ class TestDeliverData:
         assert second.cache_hit
 
     def test_oversized_object_caches_nowhere_but_delivers(self):
-        g, net, tree = make_net(capacity=10)
-        obj = publish(net, tree, volume=50_000)
+        g, net, res = make_net(capacity=10)
+        obj = publish(net, res, volume=50_000)
         trace = request(net, obj, origin=4)
         stored = deliver_data(net, trace)
         assert stored == []
@@ -251,8 +281,8 @@ class TestDeliverData:
         assert again.hops == trace.hops == 4
 
     def test_only_forwarding_elements_cache(self):
-        g, net, tree = make_net()
-        obj = publish(net, tree)
+        g, net, res = make_net()
+        obj = publish(net, res)
         trace = request(net, obj, origin=4)
         stored = deliver_data(net, trace)
         kinds = {g.kind(node) for node in stored}
@@ -263,14 +293,14 @@ class TestDeliverData:
         rng = np.random.default_rng(6)
         origins = [int(rng.choice([4, 5])) for _ in range(20)]
         bare_hops = []
-        g, net, tree = make_net(capacity=0)
-        obj = publish(net, tree)
+        g, net, res = make_net(capacity=0)
+        obj = publish(net, res)
         for origin in origins:
             tr = request(net, obj, origin)
             deliver_data(net, tr)
             bare_hops.append(tr.hops)
-        g, net, tree = make_net(capacity=10**6)
-        obj = publish(net, tree)
+        g, net, res = make_net(capacity=10**6)
+        obj = publish(net, res)
         for origin, bare in zip(origins, bare_hops):
             tr = request(net, obj, origin)
             deliver_data(net, tr)
@@ -279,30 +309,39 @@ class TestDeliverData:
 
 class TestApplyPrefetch:
     def test_placement_registers_and_serves(self):
-        g, net, tree = make_net()
-        obj = publish(net, tree)
+        g, net, res = make_net()
+        obj = publish(net, res)
         plan = prefetch_plan(None, {3: 1.0}, {obj.id: 1.0}, budget=1, seed=0)
         placed = apply_prefetch(net, plan)
         assert [(oid, node) for oid, node, _ in placed] == [(obj.id, 3)]
-        assert address_of(3) in resolve(tree.root, obj.id)
+        assert address_of(3) in resolve(res, obj.id)
         trace = request(net, obj, origin=5)
         assert trace.hops == 1 and trace.cache_hit
 
+    def test_placement_outside_the_graph_changes_nothing(self):
+        g, net, res = make_net()
+        obj = publish(net, res)
+        plan = prefetch_plan(None, {g.n: 1.0}, {obj.id: 1.0}, budget=1, seed=0)
+        with pytest.raises(InvalidParams):
+            apply_prefetch(net, plan)
+        assert resolve(res, obj.id) == frozenset({address_of(1)})
+        assert net.caches == {} and net.explicit == set()
+
     def test_eviction_deregisters_explicit_copy(self):
-        g, net, tree = make_net(capacity=1000)
-        obj = publish(net, tree, volume=1000)
-        other = publish(net, tree, hrn="urn:other", volume=1000)
+        g, net, res = make_net(capacity=1000)
+        obj = publish(net, res, volume=1000)
+        other = publish(net, res, hrn="urn:other", volume=1000)
         plan = prefetch_plan(None, {3: 1.0}, {obj.id: 1.0}, budget=1, seed=0)
         apply_prefetch(net, plan)
-        assert address_of(3) in resolve(tree.root, obj.id)
+        assert address_of(3) in resolve(res, obj.id)
         net.cache_of(3).insert(other.id, other.volume)  # evicts obj
-        assert address_of(3) not in resolve(tree.root, obj.id)
+        assert address_of(3) not in resolve(res, obj.id)
 
 
 class TestTraceCsv:
     def test_columns_and_rows(self):
-        g, net, tree = make_net(capacity=0)
-        obj = publish(net, tree)
+        g, net, res = make_net(capacity=0)
+        obj = publish(net, res)
         traces = [request(net, obj, origin=4), request(net, obj, origin=5)]
         text = traces_to_csv(traces)
         lines = text.splitlines()
