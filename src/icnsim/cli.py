@@ -296,7 +296,7 @@ def _reports_from_csv(path) -> list:
     except FileNotFoundError:
         raise SimError(f"report file not found: {path}")
     if not lines or lines[0] != evaluation.REPORT_COLUMNS:
-        raise SimError(f"{path} is not a report CSV")
+        raise InvalidParams(f"{path}, line 1: not a report CSV header")
     reports = []
     for lineno, ln in enumerate(lines[1:], start=2):
         if not ln.strip():

@@ -279,7 +279,15 @@ def init_parameters(widths, d_max=None, rng=None) -> ParameterSet:
 
 
 def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -500.0, 500.0)))
+    """Logistic function of a fresh pre-activation array, computed in place:
+    the same operations, in the same order, as
+    1 / (1 + exp(-clip(z, -500, 500)))."""
+    np.maximum(z, -500.0, out=z)
+    np.minimum(z, 500.0, out=z)
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    z += 1.0
+    return np.divide(1.0, z, out=z)
 
 
 def _forward_batch(ps: ParameterSet, X: np.ndarray):
@@ -366,10 +374,14 @@ def _check_output_width(ps):
         raise DimensionMismatch("error functions require a single output neuron")
 
 
-def _loss_parts(ps, X, vals, mask):
+def _loss_parts(ps, X, vals, mask, reconstruct=True):
+    """Summed prediction loss and per-sample squared reconstruction errors;
+    the reconstruction is None when `reconstruct` is false."""
     acts = _forward_batch(ps, X)
     y = acts[-1][:, 0]
     pred_sum = float((((y - vals) ** 2) * mask).sum())
+    if not reconstruct:
+        return pred_sum, None
     recs = _reconstruct_batch(ps, acts[-1])
     recon_sq = ((recs[0] - X) ** 2).sum(axis=1)
     return pred_sum, recon_sq
@@ -385,7 +397,11 @@ def general_error(ps: ParameterSet, dg: Dataset, h: Hyperparams,
         raise EmptyDataset("general dataset is empty")
     _check_output_width(ps)
     vals, mask = dg.label_arrays(label_kind)
-    pred_sum, recon_sq = _loss_parts(ps, dg.feature_matrix(), vals, mask)
+    # a zero-weighted reconstruction term is not computed (see _backprop)
+    pred_sum, recon_sq = _loss_parts(ps, dg.feature_matrix(), vals, mask,
+                                     reconstruct=h.lambda_q != 0.0)
+    if recon_sq is None:
+        return h.lambda_g * pred_sum
     return h.lambda_g * pred_sum + h.lambda_q * regularizer(ps, h.q) * float(recon_sq.sum())
 
 
@@ -398,10 +414,13 @@ def personal_error(ps: ParameterSet, dp: Dataset, h: Hyperparams,
     if len(dp) == 0:
         raise EmptyDataset("personal dataset is empty")
     _check_output_width(ps)
+    vals, mask = dp.label_arrays(label_kind)
+    pred_sum, recon_sq = _loss_parts(ps, dp.feature_matrix(), vals, mask,
+                                     reconstruct=h.lambda_k != 0.0)
+    if recon_sq is None:
+        return h.lambda_p * pred_sum
     if centroid is None:
         centroid = dp.centroid()
-    vals, mask = dp.label_arrays(label_kind)
-    pred_sum, recon_sq = _loss_parts(ps, dp.feature_matrix(), vals, mask)
     filters = dp.topk_filters(centroid, h.k)
     return h.lambda_p * pred_sum + h.lambda_k * float((filters * recon_sq).sum())
 
@@ -418,8 +437,8 @@ def congruity_objective(ps: ParameterSet, dp: Dataset, dg: Dataset, h: Hyperpara
 
 
 def _zero_grads(ps):
-    return ([np.zeros_like(w) for w in ps.weights],
-            [np.zeros_like(b) for b in ps.biases])
+    return ([np.zeros(w.shape) for w in ps.weights],
+            [np.zeros(b.shape) for b in ps.biases])
 
 
 def _backprop(ps, X, vals, mask, pred_w, recon_coeff):
@@ -428,22 +447,38 @@ def _backprop(ps, X, vals, mask, pred_w, recon_coeff):
 
     The reconstruction chain reuses the forward connections transposed, so
     each weight (and each hidden bias) collects gradient from both passes.
+
+    `recon_coeff` None means a zero-weighted reconstruction term: the
+    negative chain is skipped and the errors come back as None. The result
+    is the one the chain would give with all-zero coefficients, bit for bit
+    up to the sign of exact zeros. With finite parameters the skipped terms
+    are finite (sigmoid outputs and features lie in [0, 1], filters in
+    [-1, 1]), so 0.0 times each is +-0.0, and adding +-0.0 to a sum can
+    change only the sign of an exact zero. That sign never reaches a
+    parameter: no weight or bias is ever -0.0 (uniform(-0.5, 0.5) cannot
+    return it, pruning writes +0.0, and w - d is -0.0 only when w is), so
+    every loss, parameter and prediction is unchanged. Where a skipped term
+    is not finite, the full formula made 0.0 * inf = nan of it instead.
     """
     dW, db = _zero_grads(ps)
     acts = _forward_batch(ps, X)
-    recs = _reconstruct_batch(ps, acts[-1])
     L = ps.L
 
-    # negative (reconstruction) chain
-    diff = recs[0] - X
-    recon_sq = (diff ** 2).sum(axis=1)
-    gr = 2.0 * recon_coeff[:, None] * diff
-    for l in range(L - 1):
-        gs = gr * recs[l] * (1.0 - recs[l])
-        dW[l] += recs[l + 1].T @ gs
-        db[l] += gs.sum(axis=0)
-        gr = gs @ ps.weights[l].T
-    ga = gr * ps.alive[L - 1]
+    if recon_coeff is None:
+        recon_sq = None
+        ga = np.zeros(acts[-1].shape)
+    else:
+        # negative (reconstruction) chain
+        recs = _reconstruct_batch(ps, acts[-1])
+        diff = recs[0] - X
+        recon_sq = (diff ** 2).sum(axis=1)
+        gr = 2.0 * recon_coeff[:, None] * diff
+        for l in range(L - 1):
+            gs = gr * recs[l] * (1.0 - recs[l])
+            dW[l] += recs[l + 1].T @ gs
+            db[l] += gs.sum(axis=0)
+            gr = gs @ ps.weights[l].T
+        ga = gr * ps.alive[L - 1]
 
     # positive chain, seeded by the reconstruction flow plus prediction error
     y = acts[-1][:, 0]
@@ -462,7 +497,10 @@ def _regularizer_grads(ps, q):
     dW, db = _zero_grads(ps)
     if r == 0.0:
         return dW, db, r
-    scale = r ** (1.0 - q)
+    try:
+        scale = r ** (1.0 - q)
+    except OverflowError:
+        raise NonFiniteLoss(f"q-norm gradient overflows: {r!r} ** {1 - q}") from None
     for l in range(ps.L):
         m = ps.alive[l]
         b = ps.biases[l]
@@ -480,6 +518,9 @@ def grad_general(ps: ParameterSet, dg: Dataset, h: Hyperparams,
     _check_output_width(ps)
     X = dg.feature_matrix()
     vals, mask = dg.label_arrays(label_kind)
+    if h.lambda_q == 0.0:
+        dW, db, _ = _backprop(ps, X, vals, mask, h.lambda_g, None)
+        return dW, db
     rW, rb, r = _regularizer_grads(ps, h.q)
     coeff = np.full(len(dg), h.lambda_q * r)
     dW, db, recon_sq = _backprop(ps, X, vals, mask, h.lambda_g, coeff)
@@ -498,12 +539,15 @@ def grad_personal(ps: ParameterSet, dp: Dataset, h: Hyperparams,
     if len(dp) == 0:
         raise EmptyDataset("personal dataset is empty")
     _check_output_width(ps)
-    if centroid is None:
-        centroid = dp.centroid()
     X = dp.feature_matrix()
     vals, mask = dp.label_arrays(label_kind)
-    filters = dp.topk_filters(centroid, h.k)
-    dW, db, _ = _backprop(ps, X, vals, mask, h.lambda_p, h.lambda_k * filters)
+    if h.lambda_k == 0.0:
+        coeff = None
+    else:
+        if centroid is None:
+            centroid = dp.centroid()
+        coeff = h.lambda_k * dp.topk_filters(centroid, h.k)
+    dW, db, _ = _backprop(ps, X, vals, mask, h.lambda_p, coeff)
     return dW, db
 
 

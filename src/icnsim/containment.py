@@ -375,16 +375,23 @@ def hierarchy_to_text(h: ContainerHierarchy) -> str:
 
 def hierarchy_from_text(text: str, graph: WeightedGraph = None) -> ContainerHierarchy:
     """Rebuild a hierarchy from its dump. The dump carries no level labels,
-    so `labels()` of the result raises InvalidParams."""
+    so `labels()` of the result raises InvalidParams. A malformed line
+    raises InvalidParams naming the line number."""
     by_level = {}
-    for ln in text.splitlines():
-        if not ln.strip():
-            continue
+    for lineno, ln in enumerate(text.splitlines(), start=1):
         parts = ln.split()
+        if not parts:
+            continue
+        where = f"hierarchy text, line {lineno}"
         if parts[0] != "container":
-            raise InvalidParams(f"unknown line {parts[0]!r}")
-        level, index = int(parts[1]), int(parts[2])
-        nodes = frozenset(int(x) for x in parts[3].split(","))
+            raise InvalidParams(f"{where}: unknown line {parts[0]!r}")
+        try:
+            level, index = int(parts[1]), int(parts[2])
+            nodes = frozenset(int(x) for x in parts[3].split(","))
+        except IndexError:
+            raise InvalidParams(f"{where}: too few fields in container line") from None
+        except ValueError as exc:
+            raise InvalidParams(f"{where}: {exc}") from None
         by_level.setdefault(level, []).append((index, nodes))
     levels = [
         [Container(level=level, index=index, nodes=nodes)

@@ -331,6 +331,7 @@ MALFORMED_INPUTS = {
     "topology-unknown-unit": ("containerize", TOPOLOGY.replace("latency_us", "furlongs")),
     "topology-non-integer-count": ("containerize", TOPOLOGY.replace("latency_us 2", "latency_us two")),
     "topology-non-integer-weight": ("containerize", TOPOLOGY.replace("edge 0 1 5", "edge 0 1 5.5")),
+    "report-wrong-header": ("report", REPORT.replace("seed", "run")),
     "report-short-row": ("report", REPORT + "embb,data_rate_mbps,8.0,1\n"),
     "report-non-numeric-row": ("report", REPORT + "embb,data_rate_mbps,8.0,1,40,high,1.5,0.25\n"),
     "dataset-empty": ("train", ""),

@@ -515,6 +515,165 @@ class TestLoopInvariantWork:
                     assert np.array_equal(a, b)
 
 
+class TestZeroWeightTerms:
+    """A reconstruction term whose weight is zero is not computed; skipping
+    it must give what the full formula gives."""
+
+    # the default lambda_q = lambda_k = 0; recorded with the full formula
+    GOLDEN_CONFIG = "seeds = 3\nmax_epochs = 15\nn_personal = 40\nn_general = 60\n"
+    GOLDEN_SHA256 = {
+        "model.txt": "cc9fe7545f3265a8be6904979afe9512f97074f3ab8e9027cf6e708c1bb059f2",
+        "loss.csv": "262ada416bc7720ef70c45c07ce983f256790106e9b73054fa23cfefba2f782c",
+    }
+
+    def test_default_lambda_train_matches_golden_hashes(self, tmp_path):
+        cfg = tmp_path / "golden.cfg"
+        cfg.write_text(self.GOLDEN_CONFIG)
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        for name, digest in self.GOLDEN_SHA256.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+    # The embb report does not depend on the learned weights, so the trained
+    # model and its loss history are pinned as well.
+    RUN_CONFIG = (
+        "scenario = embb\nsweep_values = 8\nseeds = 2\nn_devices = 128\n"
+        "request_count = 128\nuse_learner = true\nmax_epochs = 20\n"
+    )
+    RUN_SHA256 = {
+        "report.csv": "30f733cde5d614446a955ccd253fcbdb56d553c03b147d3baa639ea2a0cc8e49",
+        "model": "6cedb16b0254c2a2591a56a4c5452a7b99bd649c872cfbf304da65cffd7b6949",
+        "loss_history": "9645202d492ecdc8a6ef2720c77c9024fd9afe423f6b19573d433ac6ed67fc1f",
+    }
+
+    def test_learner_run_matches_golden_hashes(self, tmp_path, monkeypatch):
+        trained = []
+        original = congruity.train
+
+        def recording(dp, dg, h, arch, *args, **kwargs):
+            result = original(dp, dg, h, arch, *args, **kwargs)
+            trained.append((result, h))
+            return result
+
+        monkeypatch.setattr(congruity, "train", recording)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(self.RUN_CONFIG)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        [(result, h)] = trained
+        digests = {
+            "report.csv": hashlib.sha256((out / "report.csv").read_bytes()).hexdigest(),
+            "model": hashlib.sha256(
+                congruity.model_to_text(result.theta_star, h).encode()
+            ).hexdigest(),
+            "loss_history": hashlib.sha256(repr(result.loss_history).encode()).hexdigest(),
+        }
+        assert digests == self.RUN_SHA256
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        hidden=st.lists(st.integers(1, 5), max_size=2),
+        n=st.integers(1, 6),
+        seed=st.integers(0, 2**16),
+        frozen_share=st.sampled_from([0.0, 0.3, 1.0]),
+        dead_share=st.sampled_from([0.0, 0.5]),
+        lambda_g=st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+        lambda_p=st.sampled_from([0.0, 0.25, 2.0]),
+        lambda_q=st.sampled_from([0.0, 0.3]),
+        lambda_k=st.sampled_from([0.0, 0.3]),
+        q=st.sampled_from([1, 2, 7]),
+    )
+    def test_skipped_terms_equal_the_full_formula(
+        self, hidden, n, seed, frozen_share, dead_share, lambda_g, lambda_p,
+        lambda_q, lambda_k, q,
+    ):
+        rng = np.random.default_rng(seed)
+        ps = init_parameters((N_FEATURES, *hidden, 1), rng=rng)
+        # prune a share of the coordinates, and every coordinate of a share
+        # of the neurons, so that some neurons die
+        for layer in range(ps.L):
+            dead = {j for j in range(ps.widths[layer]) if rng.random() < dead_share}
+            for coord in ps.layer_coords(layer):
+                if coord[2] in dead or rng.random() < frozen_share:
+                    ps.set_param(coord, 0.0)
+                    ps.freeze(coord)
+        X = rng.random((n, N_FEATURES))
+        vals = rng.random(n)
+        mask = (rng.random(n) < 0.7).astype(np.float64)
+
+        full = {}
+        for w in (lambda_g, lambda_p):
+            skipped = congruity._backprop(ps, X, vals, mask, w, None)
+            full[w] = congruity._backprop(ps, X, vals, mask, w, np.zeros(n))
+            assert skipped[2] is None
+            for a, b in zip(skipped[0] + skipped[1], full[w][0] + full[w][1]):
+                assert np.array_equal(a, b)
+
+        rows = [(X[i], {"distance": vals[i]} if mask[i] else {}) for i in range(n)]
+        dg, dp = dataset("general", rows), dataset("personal", rows)
+        h = Hyperparams(lambda_g=lambda_g, lambda_p=lambda_p, lambda_q=lambda_q,
+                        lambda_k=lambda_k, q=q, k=3)
+        pred_sum, recon_sq = congruity._loss_parts(ps, X, vals, mask)
+        reg = regularizer(ps, q)
+        assert general_error(ps, dg, h) == (
+            lambda_g * pred_sum + lambda_q * reg * float(recon_sq.sum())
+        )
+        filters = dp.topk_filters(dp.centroid(), h.k)
+        assert personal_error(ps, dp, h) == (
+            lambda_p * pred_sum + lambda_k * float((filters * recon_sq).sum())
+        )
+
+        if lambda_q == 0.0:
+            rW, rb, _ = congruity._regularizer_grads(ps, q)
+            gW, gb = congruity.grad_general(ps, dg, h)
+            for g, f, r in zip(gW + gb, full[lambda_g][0] + full[lambda_g][1], rW + rb):
+                assert np.array_equal(g, f + 0.0 * r)
+        if lambda_k == 0.0:
+            pW, pb = grad_personal(ps, dp, h)
+            for p, f in zip(pW + pb, full[lambda_p][0] + full[lambda_p][1]):
+                assert np.array_equal(p, f)
+
+    @given(st.lists(
+        st.one_of(
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.sampled_from([0.0, -0.0, 500.0, -500.0, 745.2, -745.2, 1e-320]),
+        ),
+        min_size=1, max_size=12,
+    ))
+    def test_in_place_sigmoid_is_the_clipped_formula(self, values):
+        z = np.array(values)
+        want = 1.0 / (1.0 + np.exp(-np.clip(z, -500.0, 500.0)))
+        got = congruity._sigmoid(z.copy())
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_q_norm_gradient_overflow_raises_non_finite_loss(self):
+        ps = zero_net((N_FEATURES, 3, 1))
+        ps.weights[0][1, 2] = 0.7  # the norm is about 0.7, and 0.7 ** -1999 overflows
+        with pytest.raises(NonFiniteLoss, match="q-norm gradient"):
+            congruity._regularizer_grads(ps, 2000)
+
+    @pytest.mark.parametrize("q_norm", [300, 2000])
+    def test_large_q_norm_exits_with_a_sim_error(self, q_norm, tmp_path, capsys):
+        cfg = tmp_path / "q.cfg"
+        cfg.write_text(f"seeds = 3\nmax_epochs = 50\nlambda_q = 0.3\nq_norm = {q_norm}\n")
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "q-norm gradient overflows" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    # Both used to fail although the term at fault had weight zero: the q-norm
+    # gradient overflowed, and 0.0 * inf made the objective nan.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("extra", ["q_norm = 2000", "learning_rate = 1e300"])
+    def test_zero_weighted_overflow_does_not_stop_training(self, extra, tmp_path):
+        cfg = tmp_path / "z.cfg"
+        cfg.write_text(f"seeds = 3\nmax_epochs = 50\n{extra}\n")
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        losses = [float(ln.split(",")[1]) for ln in (out / "loss.csv").read_text().splitlines()[1:]]
+        assert all(math.isfinite(x) for x in losses)
+
+
 class TestPredictDistance:
     def test_untrained_zero_net_is_half(self):
         ps = zero_net((N_FEATURES, 1))

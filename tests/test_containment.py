@@ -395,3 +395,11 @@ class TestHierarchyDump:
         assert [members(level) for level in again.levels] == [
             members(level) for level in h.levels
         ]
+
+    @pytest.mark.parametrize(
+        "line", ["container 1", "container x 1 0", "container 1 1 0,a"]
+    )
+    def test_malformed_line_raises_invalid_params_with_its_line(self, line):
+        text = "container 1 0 0,1\n\n" + line + "\n"
+        with pytest.raises(InvalidParams, match="line 3"):
+            hierarchy_from_text(text)

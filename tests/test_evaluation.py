@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from icnsim import evaluation
+from icnsim import cli, congruity, evaluation
 from icnsim.congruity import Hyperparams
 from icnsim.containment import Target, containerize, validate_hierarchy
 from icnsim.errors import (
@@ -318,3 +318,35 @@ def test_small_configs_finish_or_raise_sim_error(params):
             return
     assert len(reports) == 1
     assert reports[0].ito <= 1.0 and 0.0 <= reports[0].cache_hit_rate <= 1.0
+
+
+@st.composite
+def small_train_configs(draw):
+    return (
+        f"seeds = {draw(st.integers(0, 5))}\n"
+        f"q_norm = {draw(st.sampled_from([1, 2, 64, 300, 2000]))}\n"
+        f"lambda_q = {draw(st.sampled_from([0, 0.3]))}\n"
+        f"lambda_k = {draw(st.sampled_from([0, 0.3]))}\n"
+        f"learning_rate = {draw(st.sampled_from([0.1, 1e3, 1e300]))}\n"
+        f"max_epochs = {draw(st.integers(1, 4))}\n"
+        f"alpha = {draw(st.sampled_from([0.0, 0.5, 1.0]))}\n"
+        f"hidden_widths = {draw(st.sampled_from(['3', '4, 2']))}\n"
+        "n_personal = 12\nn_general = 20\nbatch_size = 8\n"
+    )
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=40, deadline=None)
+@given(small_train_configs())
+def test_small_train_configs_finish_or_raise_sim_error(text):
+    config = cli.parse_config(text)
+    h = cli.hyperparams_from(config, config["seeds"][0])
+    spec = congruity.DatasetSpec(n_personal=config["n_personal"], n_general=config["n_general"])
+    dp, dg = congruity.synthesize_dataset(spec, config["seeds"][0])
+    arch = (congruity.N_FEATURES, *config["hidden_widths"], 1)
+    with time_limit(FUZZ_SECONDS):
+        try:
+            result = congruity.train(dp, dg, h, arch)
+        except SimError:
+            return
+    assert all(np.isfinite(result.loss_history))
