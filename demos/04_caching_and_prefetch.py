@@ -44,7 +44,7 @@ fp = zipf_popularity(len(catalog), s=0.8, shift=10.0)
 candidates = [int(i) for i in g.nodes_of_kind(NodeKind.ACCESS_POINT)]
 nc = {i: node_centrality(g, i) for i in candidates}
 plan = prefetch_plan(
-    hierarchy, nc, {obj.id: float(fp[obj.popularity_rank - 1]) for obj in catalog},
+    nc, {obj.id: float(fp[obj.popularity_rank - 1]) for obj in catalog},
     budget=3, seed=1,
 )
 print("\nplacement probabilities sum to", round(plan.total_probability, 12))

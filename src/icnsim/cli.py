@@ -9,6 +9,7 @@ failed run leaves no partial files.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -28,12 +29,27 @@ from .topology import generate_topology, graph_to_text, load_graph
 _VALIDATION_ERRORS = (ConfigError, InvalidParams, InvalidSpec, UnitMismatch)
 
 
-def _parse_int_list(text):
-    return tuple(int(x) for x in text.replace(",", " ").split())
+def _list_of(parse):
+    """A parser for a comma- or space-separated list of `parse` values."""
+    return lambda text: tuple(parse(x) for x in text.replace(",", " ").split())
 
 
-def _parse_float_list(text):
-    return tuple(float(x) for x in text.replace(",", " ").split())
+def _parse_seed(text):
+    """A non-negative integer; argparse shows an ArgumentTypeError as is."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
+    return seed
+
+
+def _parse_float(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
 
 
 def _parse_bool(text):
@@ -48,51 +64,51 @@ def _parse_bool(text):
 # key -> (parser, default, help)
 CONFIG_KEYS = {
     "scenario": (str, "embb", "embb | urllc | mmtc"),
-    "sweep_values": (_parse_float_list, (), "sweep axis values (empty = scenario default)"),
-    "seeds": (_parse_int_list, (0,), "seeds to run"),
+    "sweep_values": (_list_of(_parse_float), (), "sweep axis values (empty = scenario default)"),
+    "seeds": (_list_of(_parse_seed), (0,), "seeds to run"),
     "n_devices": (int, 512, "end devices (embb/urllc)"),
     "devices_per_ap": (int, 16, "devices per access point"),
     "aps_per_switch": (int, 4, "access points per switch"),
     "switches_per_zone": (int, 4, "switches per zone switch"),
     "n_servers": (int, 2, "content servers at the core"),
     "devices_per_gateway": (int, 200, "mMTC devices per local domain"),
-    "area_km2": (float, 1.0, "mMTC coverage area"),
-    "density_k_per_km2": (float, 63.0, "mMTC device density (thousands per km^2)"),
-    "latency_ms": (float, 8.0, "URLLC access latency"),
-    "data_rate_mbps": (float, 8.0, "eMBB data rate"),
-    "service_seconds": (float, 1.0, "nominal service duration per object"),
-    "targets_us": (_parse_int_list, (1_000, 150_000, 500_000), "containerization targets"),
-    "target_mode": (str, "additive", "additive | bottleneck | exact_hit"),
+    "area_km2": (_parse_float, 1.0, "mMTC coverage area"),
+    "density_k_per_km2": (_parse_float, 63.0, "mMTC device density (thousands per km^2)"),
+    "latency_ms": (_parse_float, 8.0, "URLLC access latency"),
+    "data_rate_mbps": (_parse_float, 8.0, "eMBB data rate"),
+    "service_seconds": (_parse_float, 1.0, "nominal service duration per object"),
+    "targets_us": (_list_of(int), (1_000, 150_000, 500_000), "containerization targets"),
+    "target_mode": (str, "additive", "additive | bottleneck | exact_hit (containerize only)"),
     "request_count": (int, 256, "requests per sweep point"),
     "catalog_size": (int, 64, "content objects"),
-    "cache_fraction": (float, 0.5, "media cache budget as a catalog-volume fraction"),
+    "cache_fraction": (_parse_float, 0.5, "media cache budget as a catalog-volume fraction"),
     "prefetch_budget": (int, 32, "prefetch placements (0 disables)"),
     "prefetch_candidates": (int, 32, "candidate nodes for prefetch"),
     "prefetch_top_j": (int, 16, "top-popularity objects eligible for prefetch"),
-    "zipf_exponent": (float, 0.8, "popularity skew"),
-    "zipf_shift": (float, 10.0, "popularity plateau shift"),
+    "zipf_exponent": (_parse_float, 0.8, "popularity skew"),
+    "zipf_shift": (_parse_float, 10.0, "popularity plateau shift"),
     "use_learner": (_parse_bool, False, "substitute learned distances"),
-    "learned_fraction": (float, 0.1, "fraction of edge weights replaced"),
-    "hidden_widths": (_parse_int_list, (8,), "hidden layer widths"),
-    "alpha": (float, 0.5, "blend between general and personal errors"),
-    "lambda_g": (float, 1.0, "general prediction weight"),
-    "lambda_q": (float, 0.0, "general reconstruction weight"),
-    "lambda_p": (float, 1.0, "personal prediction weight"),
-    "lambda_k": (float, 0.0, "personal reconstruction weight"),
+    "learned_fraction": (_parse_float, 0.1, "fraction of edge weights replaced"),
+    "hidden_widths": (_list_of(int), (8,), "hidden layer widths"),
+    "alpha": (_parse_float, 0.5, "blend between general and personal errors"),
+    "lambda_g": (_parse_float, 1.0, "general prediction weight"),
+    "lambda_q": (_parse_float, 0.0, "general reconstruction weight"),
+    "lambda_p": (_parse_float, 1.0, "personal prediction weight"),
+    "lambda_k": (_parse_float, 0.0, "personal reconstruction weight"),
     "q_norm": (int, 2, "regularizer norm order"),
     "top_k": (int, 5, "filter top-k coordinates"),
-    "learning_rate": (float, 0.1, "gradient step size"),
-    "prune_probability": (float, 0.5, "chance of zeroing a prunable parameter"),
+    "learning_rate": (_parse_float, 0.1, "gradient step size"),
+    "prune_probability": (_parse_float, 0.5, "chance of zeroing a prunable parameter"),
     "batch_size": (int, 32, "training batch size"),
     "max_epochs": (int, 200, "training epoch cap"),
-    "tolerance": (float, 1e-9, "relative improvement stop threshold"),
-    "d_max": (int, 0, "layer advance threshold for pruning (0 = auto)"),
+    "tolerance": (_parse_float, 1e-9, "relative improvement stop threshold"),
+    "d_max": (int, 0, "layer advance threshold for pruning, 0 = auto (train only)"),
     "n_personal": (int, 200, "synthesized personal samples"),
     "n_general": (int, 400, "synthesized general samples"),
-    "label_coverage": (float, 1.0, "labeled fraction of general samples"),
-    "conflict_fraction": (float, 0.0, "conflicting duplicate fraction"),
-    "noise_std": (float, 0.02, "distance label noise"),
-    "class_proportions": (_parse_float_list, (0.947, 0.0343, 0.0183), "class mix"),
+    "label_coverage": (_parse_float, 1.0, "labeled fraction of general samples"),
+    "conflict_fraction": (_parse_float, 0.0, "conflicting duplicate fraction"),
+    "noise_std": (_parse_float, 0.02, "distance label noise"),
+    "class_proportions": (_list_of(_parse_float), (0.947, 0.0343, 0.0183), "class mix"),
 }
 
 
@@ -112,7 +128,7 @@ def parse_config(text: str) -> dict:
         parser = CONFIG_KEYS[key][0]
         try:
             config[key] = parser(value)
-        except ValueError as exc:
+        except (ValueError, argparse.ArgumentTypeError) as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from exc
     return config
 
@@ -368,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, needs_config=True):
         if needs_config:
             p.add_argument("--config", required=True, help="key = value config file")
-        p.add_argument("--seed", type=int, default=None, help="override the config seeds")
+        p.add_argument("--seed", type=_parse_seed, default=None, help="override the config seeds")
         p.add_argument("--out", default=".", help="output directory")
 
     p = sub.add_parser("gen-topo", help="generate a scenario topology file")

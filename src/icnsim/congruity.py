@@ -787,6 +787,15 @@ def synthesize_dataset(spec: DatasetSpec, seed: int):
 # -- model and dataset files ---------------------------------------------------------
 
 
+# The hyperparameters a model file records, and which of them are integers.
+_HYPER_NAMES = (
+    "alpha", "lambda_g", "lambda_q", "lambda_p", "lambda_k",
+    "q", "k", "learning_rate", "prune_probability",
+    "batch_size", "max_epochs", "tolerance",
+)
+_INT_HYPERS = {"q", "k", "batch_size", "max_epochs"}
+
+
 def model_to_text(ps: ParameterSet, h: Hyperparams) -> str:
     lines = [
         "widths " + " ".join(str(w) for w in ps.widths),
@@ -795,11 +804,7 @@ def model_to_text(ps: ParameterSet, h: Hyperparams) -> str:
         "hyper "
         + " ".join(
             f"{name}={getattr(h, name)!r}"
-            for name in (
-                "alpha", "lambda_g", "lambda_q", "lambda_p", "lambda_k",
-                "q", "k", "learning_rate", "prune_probability",
-                "batch_size", "max_epochs", "tolerance",
-            )
+            for name in _HYPER_NAMES
         ),
     ]
     for l in range(ps.L):
@@ -828,51 +833,57 @@ def load_model(path):
     parameters move again.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+        lines = fh.read().splitlines()
     widths = None
     d_max = None
     seed = 0
     hyper = {}
-    rows = []
-    for ln in lines:
+    for lineno, ln in enumerate(lines, start=1):
         parts = ln.split()
-        if parts[0] == "widths":
-            widths = tuple(int(x) for x in parts[1:])
-        elif parts[0] == "dmax":
-            d_max = int(parts[1])
-        elif parts[0] == "seed":
-            seed = int(parts[1])
-        elif parts[0] == "hyper":
-            for kv in parts[1:]:
-                key, val = kv.split("=", 1)
-                hyper[key] = val
-        elif parts[0] == "w":
-            rows.append(parts[1:])
-        else:
-            raise InvalidParams(f"unknown model line {parts[0]!r}")
+        if not parts:
+            continue
+        where = f"{path}, line {lineno}"
+        try:
+            if parts[0] == "widths":
+                widths = tuple(int(x) for x in parts[1:])
+                if len(widths) < 2 or min(widths) < 1:
+                    raise ValueError(f"need two or more positive widths, got {widths}")
+                weights = [np.zeros((widths[l + 1], widths[l])) for l in range(len(widths) - 1)]
+                biases = [np.zeros(w) for w in widths]
+                alive = [np.ones(w) for w in widths]
+            elif parts[0] == "dmax":
+                d_max = int(parts[1])
+            elif parts[0] == "seed":
+                seed = int(parts[1])
+            elif parts[0] == "hyper":
+                for kv in parts[1:]:
+                    key, val = kv.split("=", 1)
+                    if key not in _HYPER_NAMES:
+                        raise ValueError(f"unknown hyperparameter {key!r}")
+                    hyper[key] = int(val) if key in _INT_HYPERS else float(val)
+            elif parts[0] == "w":
+                l, j = int(parts[1]), int(parts[2])
+                if widths is None or not (0 <= l < len(widths) and 0 <= j < widths[l]):
+                    raise ValueError(f"neuron {l}/{j} is outside widths {widths}")
+                alive[l][j] = float(int(parts[3]))
+                biases[l][j] = float(parts[4])
+                conn = [float(x) for x in parts[5:]]
+                if l >= 1:
+                    if len(conn) != widths[l - 1]:
+                        raise ValueError(f"neuron {l}/{j} has {len(conn)} connections")
+                    weights[l - 1][j, :] = conn
+            else:
+                raise ValueError(f"unknown model line {parts[0]!r}")
+        except IndexError:
+            raise InvalidParams(f"{where}: too few fields in {parts[0]} line") from None
+        except ValueError as exc:
+            raise InvalidParams(f"{where}: {exc}") from None
     if widths is None or d_max is None:
-        raise InvalidParams("model file missing widths/dmax header")
-    weights = [np.zeros((widths[l + 1], widths[l])) for l in range(len(widths) - 1)]
-    biases = [np.zeros(w) for w in widths]
-    alive = [np.ones(w) for w in widths]
-    for row in rows:
-        l, j = int(row[0]), int(row[1])
-        alive[l][j] = float(int(row[2]))
-        biases[l][j] = float(row[3])
-        conn = [float(x) for x in row[4:]]
-        if l >= 1:
-            if len(conn) != widths[l - 1]:
-                raise DimensionMismatch(f"neuron {l}/{j} has {len(conn)} connections")
-            weights[l - 1][j, :] = conn
+        raise InvalidParams(f"{path}: model file missing widths/dmax header")
     ps = ParameterSet(widths, weights, biases, alive, d_max)
     ps.w_frozen = [np.zeros(w.shape, dtype=bool) for w in ps.weights]
     ps.b_frozen = [np.zeros(len(b), dtype=bool) for b in ps.biases]
-    ints = {"q", "k", "batch_size", "max_epochs"}
-    kwargs = {
-        key: (int(val) if key in ints else float(val)) for key, val in hyper.items()
-    }
-    h = Hyperparams(rng_seed=seed, **kwargs)
-    return ps, h
+    return ps, Hyperparams(rng_seed=seed, **hyper)
 
 
 def save_dataset(ds: Dataset, path) -> None:

@@ -68,21 +68,17 @@ class Container:
 
 @dataclass
 class ContainerHierarchy:
-    """Containers per level, lowest target first; each container's
-    membership is an ascending node-id array (`Container.nodes`)."""
+    """Containers per level, lowest target first, over the graph they
+    partition; a container's members are an ascending id array (`nodes`)."""
 
-    levels: list          # levels[i] is the list of containers for targets[i]
-    targets: list
+    levels: list          # levels[i]: the containers of the i-th lowest level
     source_graph: WeightedGraph
-    level_labels: list = field(default_factory=list)  # per level: node -> container position
 
     def labels(self) -> list:
-        """`level_labels`, which the prefetch plan's range check reads. Only
-        `containerize` records them; a hierarchy read back from its dump has
-        none and raises InvalidParams."""
-        if not self.level_labels:
-            raise InvalidParams("hierarchy has no level labels; build it with containerize")
-        return self.level_labels
+        """Per level, each node's container position (int64, one entry per
+        graph node); a node that no container covers gets -1."""
+        n = self.source_graph.n
+        return [_positions([c.nodes for c in level], n) for level in self.levels]
 
 
 @dataclass
@@ -175,6 +171,22 @@ def _exact_hit_groups(g: WeightedGraph, t: Target, order) -> list:
     return groups
 
 
+def _positions(groups, n: int) -> np.ndarray:
+    """Each id in 0..n-1's position among the id arrays `groups`, else -1."""
+    out = np.full(n, -1, dtype=np.int64)
+    for pos, grp in enumerate(groups):
+        out[grp] = pos
+    return out
+
+
+def _group_members(labels: np.ndarray, k: int) -> list:
+    """The members of each of `k` groups, from a group label per node: one
+    ascending int64 id array per label, in label order."""
+    by_node = np.argsort(labels, kind="stable")  # grouped by label, ascending id
+    counts = np.bincount(labels, minlength=k)
+    return np.split(by_node, np.cumsum(counts)[:-1])
+
+
 def _level_groups(g: WeightedGraph, t: Target, order: np.ndarray) -> list:
     """Node groups for one level, in container order (the group holding the
     earliest node of `order`, an int64 permutation of the node ids, comes
@@ -191,11 +203,8 @@ def _level_groups(g: WeightedGraph, t: Target, order: np.ndarray) -> list:
     k = int(labels.max()) + 1
     first = np.full(k, n, dtype=np.int64)
     np.minimum.at(first, labels, position)
-    label_rank = np.argsort(first, kind="stable")
-    by_node = np.argsort(labels, kind="stable")  # grouped by label, ascending id
-    counts = np.bincount(labels, minlength=k)
-    splits = np.split(by_node, np.cumsum(counts)[:-1])
-    return [splits[lab] for lab in label_rank]
+    members = _group_members(labels, k)
+    return [members[lab] for lab in np.argsort(first, kind="stable")]
 
 
 def containerize_level(g: WeightedGraph, t: Target, seed_order=None) -> list:
@@ -207,9 +216,11 @@ def containerize_level(g: WeightedGraph, t: Target, seed_order=None) -> list:
     if g.n == 0:
         raise InvalidParams("cannot containerize an empty graph")
     _check_unit(g, t)
-    order = np.arange(g.n) if seed_order is None else np.asarray(list(seed_order))
-    if order.shape != (g.n,) or not np.array_equal(np.sort(order), np.arange(g.n)):
-        raise InvalidParams("seed_order must enumerate every node exactly once")
+    order = np.arange(g.n)
+    if seed_order is not None:
+        order = np.asarray(list(seed_order))
+        if order.shape != (g.n,) or not np.array_equal(np.sort(order), np.arange(g.n)):
+            raise InvalidParams("seed_order must enumerate every node exactly once")
     groups = _level_groups(g, t, order.astype(np.int64, copy=False))
     return [
         Container(level=t.level, index=k + 1, nodes=nodes)
@@ -257,41 +268,22 @@ def containerize(g: WeightedGraph, targets) -> ContainerHierarchy:
     if len({t.mode for t in targets}) > 1:
         raise InvalidParams("targets in one sequence must share a distance mode")
 
-    base_groups = _level_groups(g, targets[0], np.arange(g.n))
-    base = [
-        Container(level=targets[0].level, index=k + 1, nodes=grp)
-        for k, grp in enumerate(base_groups)
-    ]
-    levels = [base]
-    labels = np.empty(g.n, dtype=np.int64)
-    for pos, grp in enumerate(base_groups):
-        labels[grp] = pos
-    level_labels = [labels.copy()]
-
+    levels = [containerize_level(g, targets[0])]
+    labels = _positions([c.nodes for c in levels[0]], g.n)  # node -> newest-level position
     current = g          # graph the newest level was built on
     q_labels = labels    # current-graph node -> newest-level container position
     for t in targets[1:]:
         k = len(levels[-1])
         quotient = _quotient(current, q_labels, k, t.mode)
         super_groups = _level_groups(quotient, t, np.arange(k))
-        new_q = np.empty(k, dtype=np.int64)
-        for pos, grp in enumerate(super_groups):
-            new_q[grp] = pos
-        labels = new_q[labels]
-        # original-node membership per super container, computed in one pass
-        by_node = np.argsort(labels, kind="stable")
-        counts = np.bincount(labels, minlength=len(super_groups))
-        member_splits = np.split(by_node, np.cumsum(counts)[:-1])
+        q_labels = _positions(super_groups, k)
+        labels = q_labels[labels]
         levels.append([
             Container(level=t.level, index=pos + 1, nodes=nodes)
-            for pos, nodes in enumerate(member_splits)
+            for pos, nodes in enumerate(_group_members(labels, len(super_groups)))
         ])
-        level_labels.append(labels.copy())
         current = quotient
-        q_labels = new_q
-    return ContainerHierarchy(
-        levels=levels, targets=list(targets), source_graph=g, level_labels=level_labels
-    )
+    return ContainerHierarchy(levels=levels, source_graph=g)
 
 
 def validate_hierarchy(h: ContainerHierarchy) -> ValidationReport:
@@ -373,10 +365,10 @@ def hierarchy_to_text(h: ContainerHierarchy) -> str:
     return "\n".join(lines) + "\n"
 
 
-def hierarchy_from_text(text: str, graph: WeightedGraph = None) -> ContainerHierarchy:
-    """Rebuild a hierarchy from its dump. The dump carries no level labels,
-    so `labels()` of the result raises InvalidParams. A malformed line
-    raises InvalidParams naming the line number."""
+def hierarchy_from_text(text: str, graph: WeightedGraph) -> ContainerHierarchy:
+    """Rebuild a hierarchy from its dump over the graph it partitions. A
+    malformed line, or one naming a node outside the graph, raises
+    InvalidParams naming the line number."""
     by_level = {}
     for lineno, ln in enumerate(text.splitlines(), start=1):
         parts = ln.split()
@@ -392,10 +384,12 @@ def hierarchy_from_text(text: str, graph: WeightedGraph = None) -> ContainerHier
             raise InvalidParams(f"{where}: too few fields in container line") from None
         except ValueError as exc:
             raise InvalidParams(f"{where}: {exc}") from None
+        if min(nodes) < 0 or max(nodes) >= graph.n:
+            raise InvalidParams(f"{where}: node ids outside the {graph.n}-node graph")
         by_level.setdefault(level, []).append((index, nodes))
     levels = [
         [Container(level=level, index=index, nodes=nodes)
          for index, nodes in sorted(by_level[level], key=lambda row: row[0])]
         for level in sorted(by_level)
     ]
-    return ContainerHierarchy(levels=levels, targets=[], source_graph=graph)
+    return ContainerHierarchy(levels=levels, source_graph=graph)

@@ -309,9 +309,7 @@ def _run_point(params: ScenarioParams, var: str, value, point_index: int):
         nc = {int(i): node_centrality(g, int(i)) for i in candidates}
         top_j = catalog[: min(params.prefetch_top_j, len(catalog))]
         fp_by_id = {obj.id: float(fp[obj.popularity_rank - 1]) for obj in top_j}
-        plan = userplane.prefetch_plan(
-            hierarchy, nc, fp_by_id, params.prefetch_budget, prefetch_seed
-        )
+        plan = userplane.prefetch_plan(nc, fp_by_id, params.prefetch_budget, prefetch_seed)
         userplane.apply_prefetch(net, plan)
 
     if params.scenario == "mmtc":

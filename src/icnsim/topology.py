@@ -188,26 +188,6 @@ class WeightedGraph:
     def kind(self, i: int) -> NodeKind:
         return _KIND_ORDER[self.kinds[i]]
 
-    def node(self, i: int) -> Node:
-        return Node(
-            int(i),
-            self.kind(i),
-            memory_total=int(self.mems[i]),
-            storage=int(self.storages[i]),
-            downlink_bw=int(self.downs[i]),
-            uplink_bw=int(self.ups[i]),
-            compute=int(self.computes[i]),
-        )
-
-    def nodes(self):
-        return (self.node(i) for i in range(self.n))
-
-    def edges(self):
-        return (
-            Edge(int(a), int(b), int(w))
-            for a, b, w in zip(self.ea, self.eb, self.ew)
-        )
-
     def nodes_of_kind(self, kind: NodeKind) -> np.ndarray:
         return np.flatnonzero(self.kinds == _KIND_INDEX[kind])
 

@@ -290,7 +290,7 @@ def _draw_without_replacement(probs: np.ndarray, budget: int, rng) -> list:
     return picks
 
 
-def prefetch_plan(hierarchy, nc: dict, fp: dict, budget: int, seed: int) -> PrefetchPlan:
+def prefetch_plan(nc: dict, fp: dict, budget: int, seed: int) -> PrefetchPlan:
     """Placement plan drawn from the centrality-times-popularity distribution.
 
     The full probability matrix over (candidate node, object) cells is
@@ -301,11 +301,6 @@ def prefetch_plan(hierarchy, nc: dict, fp: dict, budget: int, seed: int) -> Pref
         raise InvalidParams("placement budget must be >= 1")
     if not nc or not fp:
         raise DegenerateDistribution("need candidate nodes and objects")
-    if hierarchy is not None:
-        n_covered = len(hierarchy.labels()[0])
-        for node in nc:
-            if not (0 <= node < n_covered):
-                raise InvalidParams(f"candidate {node} is outside the hierarchy")
     nodes = sorted(nc)
     objects = sorted(fp, key=lambda oid: (-fp[oid], oid))
     nc_vec = np.array([nc[i] for i in nodes], dtype=np.float64)

@@ -150,6 +150,22 @@ class TestContainerizeCmd:
         digest = hashlib.sha256((out / "hierarchy.txt").read_bytes()).hexdigest()
         assert digest == self.GOLDEN_SHA256
 
+    def test_bottleneck_target_on_latency_topology_exits_one(self, tmp_path, capsys):
+        cfg = tmp_path / "bottleneck.cfg"
+        cfg.write_text(
+            "scenario = embb\nsweep_values = 8\nn_devices = 256\ntarget_mode = bottleneck\n"
+        )
+        out = tmp_path / "out"
+        assert main(["gen-topo", "--config", str(cfg), "--seed", "1", "--out", str(out)]) == 0
+        capsys.readouterr()
+        code = main([
+            "containerize", "--config", str(cfg),
+            "--topo", str(out / "topology.txt"), "--out", str(out),
+        ])
+        assert code == 1
+        assert "bottleneck target on latency_us graph" in capsys.readouterr().err
+        assert not (out / "hierarchy.txt").exists()
+
     def test_missing_topo_exits_two(self, config_path, tmp_path, capsys):
         code = main([
             "containerize", "--config", config_path,
@@ -355,6 +371,38 @@ def test_malformed_input_file_exits_one_with_its_line(command, content, config_p
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert f"{bad}, line " in err
     assert not (tmp_path / "out").exists()
+
+
+MALFORMED_VALUES = {
+    "negative-seeds-run": ("run", "seeds = -1", [], "seeds"),
+    "negative-seeds-gen-topo": ("gen-topo", "seeds = 1, -1", [], "seeds"),
+    "negative-seeds-train": ("train", "seeds = -1", [], "seeds"),
+    "negative-seed-flag-run": ("run", "", ["--seed", "-1"], "--seed"),
+    "negative-seed-flag-gen-topo": ("gen-topo", "", ["--seed", "-1"], "--seed"),
+    "negative-seed-flag-train": ("train", "", ["--seed", "-1"], "--seed"),
+    "infinite-cache-fraction": ("run", "cache_fraction = inf", [], "cache_fraction"),
+    "infinite-area": ("run", "scenario = mmtc\narea_km2 = inf", [], "area_km2"),
+    "infinite-sweep-value": ("run", "sweep_values = 8, inf", [], "sweep_values"),
+    "nan-zipf-exponent": ("run", "zipf_exponent = nan", [], "zipf_exponent"),
+    "nan-sweep-value": ("run", "sweep_values = nan", [], "sweep_values"),
+    "nan-service-seconds": ("run", "service_seconds = nan", [], "service_seconds"),
+}
+
+
+@pytest.mark.parametrize(
+    "command,line,flags,key", MALFORMED_VALUES.values(), ids=MALFORMED_VALUES
+)
+def test_malformed_config_value_exits_one_naming_its_key(
+    command, line, flags, key, tmp_path, capsys
+):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(BASE_CONFIG + line + "\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), *flags, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert key in err and "Traceback" not in err
+    assert not out.exists()
 
 
 class TestEntryPoints:

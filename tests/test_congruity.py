@@ -24,6 +24,7 @@ from icnsim.congruity import (
     init_parameters,
     load_dataset,
     load_model,
+    model_to_text,
     personal_error,
     predict_distance,
     regularizer,
@@ -766,6 +767,28 @@ class TestModelAndDatasetFiles:
             assert np.array_equal(a, b)
         save_model(ps2, h2, tmp_path / "again.txt")
         assert (tmp_path / "again.txt").read_text() == path.read_text()
+
+    @pytest.mark.parametrize("bad,message", [
+        ("dmax", "line 2: too few fields in dmax line"),
+        ("widths 17 x", "line 1: invalid literal"),
+        ("hyper bogus=1", "line 4: unknown hyperparameter 'bogus'"),
+        ("w 1 0 1 x", "line 5: could not convert"),
+        ("w 9 0 1 0.0", "line 5: neuron 9/0 is outside widths"),
+        ("w 1 0 1 0.0 1.0", "line 5: neuron 1/0 has 1 connections"),
+    ])
+    def test_malformed_model_raises_invalid_params_with_its_line(self, bad, message, tmp_path):
+        ps = init_parameters((N_FEATURES, 1), rng=np.random.default_rng(3))
+        lines = model_to_text(ps, Hyperparams()).splitlines()
+        head = bad.split()[0]
+        if head == "w":
+            lines.insert(4, bad)
+        else:
+            lines = [bad if ln.split()[0] == head else ln for ln in lines]
+        path = tmp_path / "model.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InvalidParams) as exc:
+            load_model(path)
+        assert str(exc.value).startswith(f"{path}, {message}")
 
     def test_dataset_round_trip(self, tmp_path):
         spec = DatasetSpec(n_personal=20, n_general=30, label_coverage=0.5)

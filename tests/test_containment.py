@@ -97,6 +97,12 @@ class TestContainerizeLevel:
         assert members(fwd) == [[0, 1], [2, 3]]
         assert members(rev) == [[2, 3], [0, 1]]
 
+    @pytest.mark.parametrize("order", [[0, 1, 2], [0, 1, 1, 2], [3, 2, 1, 0, 4]])
+    def test_seed_order_must_be_a_permutation(self, order):
+        g = make(4, [(0, 1, 1), (2, 3, 1)])
+        with pytest.raises(InvalidParams, match="seed_order"):
+            containerize_level(g, Target(1, 5), seed_order=order)
+
     def test_matches_oracle_on_random_graphs(self):
         rng = np.random.default_rng(100)
         for _ in range(40):
@@ -115,6 +121,17 @@ class TestContainerize:
         g = make(3, [(0, 1, 2), (1, 2, 9)])
         h = containerize(g, [Target(1, 5)])
         assert members(h.levels[0]) == members(containerize_level(g, Target(1, 5)))
+
+    def test_unit_mismatch(self):
+        # the first level checks the unit for every level: modes are shared
+        g = make(2, [(0, 1, 3)])
+        with pytest.raises(UnitMismatch):
+            containerize(g, [Target(level, value, TargetMode.BOTTLENECK) for level, value in ((1, 5), (2, 2))])
+
+    def test_labels_give_each_nodes_container_position(self):
+        g = make(4, [(0, 1, 1), (1, 2, 10), (2, 3, 1)])
+        h = containerize(g, [Target(1, 5), Target(2, 50)])
+        assert [lab.tolist() for lab in h.labels()] == [[0, 0, 1, 1], [0, 0, 0, 0]]
 
     def test_four_node_chain_two_levels(self):
         # brute-force oracle on the 4-node instance
@@ -229,7 +246,7 @@ class TestValidateHierarchy:
                 Container(1, 1, frozenset({0, 1})),
                 Container(1, 2, frozenset({1, 2})),
             ]],
-            targets=[], source_graph=g,
+            source_graph=g,
         )
         report = validate_hierarchy(h)
         assert not report.ok
@@ -239,7 +256,7 @@ class TestValidateHierarchy:
         g = make(3, [(0, 1, 1)])
         h = ContainerHierarchy(
             levels=[[Container(1, 1, frozenset({0, 1}))]],
-            targets=[], source_graph=g,
+            source_graph=g,
         )
         report = validate_hierarchy(h)
         assert not report.ok
@@ -252,7 +269,7 @@ class TestValidateHierarchy:
                 [Container(1, 1, frozenset({0, 1}))],
                 [Container(2, 1, frozenset({0}))],
             ],
-            targets=[], source_graph=g,
+            source_graph=g,
         )
         assert any("nested" in v for v in validate_hierarchy(h).violations)
 
@@ -260,7 +277,7 @@ class TestValidateHierarchy:
         g = make(2, [(0, 1, 1)])
         h = ContainerHierarchy(
             levels=[[Container(1, 1, frozenset({0, 1, 7}))]],
-            targets=[], source_graph=g,
+            source_graph=g,
         )
         report = validate_hierarchy(h)
         assert report.violations == ["level 1: container 1 has nodes [7] outside the graph"]
@@ -282,7 +299,7 @@ class TestValidateHierarchy:
             if nodes is not None:
                 levels[level].insert(pos, Container(old.level, old.index, nodes))
             report = validate_hierarchy(
-                ContainerHierarchy(levels=levels, targets=h.targets, source_graph=g)
+                ContainerHierarchy(levels=levels, source_graph=g)
             )
             return report.violations
 
@@ -396,10 +413,29 @@ class TestHierarchyDump:
             members(level) for level in h.levels
         ]
 
-    @pytest.mark.parametrize(
-        "line", ["container 1", "container x 1 0", "container 1 1 0,a"]
-    )
+    @pytest.mark.parametrize("line", [
+        "container 1", "container x 1 0", "container 1 1 0,a",
+        "container 2 1 0,2", "container 2 1 -1,0",  # ids outside the 2-node graph
+    ])
     def test_malformed_line_raises_invalid_params_with_its_line(self, line):
         text = "container 1 0 0,1\n\n" + line + "\n"
         with pytest.raises(InvalidParams, match="line 3"):
-            hierarchy_from_text(text)
+            hierarchy_from_text(text, make(2, [(0, 1, 1)]))
+
+    def test_read_back_labels_equal_the_built_ones(self):
+        """A dump read back with its graph is a full hierarchy: its labels
+        are those of the hierarchy it was written from."""
+        rng = np.random.default_rng(12)
+        for _ in range(10):
+            n = int(rng.integers(2, 12))
+            g = make(n, random_graph(rng, n))
+            h = containerize(g, [Target(1, 4), Target(2, 12), Target(3, 40)])
+            again = hierarchy_from_text(hierarchy_to_text(h), g)
+            assert again.source_graph is g
+            for built, read in zip(h.labels(), again.labels(), strict=True):
+                assert np.array_equal(built, read)
+
+    def test_uncovered_node_is_labelled_minus_one(self):
+        g = make(3, [(0, 1, 1)])
+        again = hierarchy_from_text("container 1 1 0,2\n", g)
+        assert again.labels()[0].tolist() == [0, -1, 0]

@@ -242,7 +242,7 @@ class TestBuildTree:
 
     def test_hierarchy_without_level_labels_is_accepted(self):
         g, h = chain_hierarchy()
-        dumped = hierarchy_from_text(hierarchy_to_text(h), g)  # no level labels
+        dumped = hierarchy_from_text(hierarchy_to_text(h), g)
         res = build_ilm_tree(dumped)
         assert isinstance(res, Resolver) and res.table == {}
         net = build_network(g, dumped, res, 10**6)

@@ -122,13 +122,13 @@ class TestZipf:
 
 class TestPrefetchPlan:
     def test_singleton_is_forced(self):
-        plan = prefetch_plan(None, {7: 1.0}, {GlobalId(1): 1.0}, budget=1, seed=0)
+        plan = prefetch_plan({7: 1.0}, {GlobalId(1): 1.0}, budget=1, seed=0)
         assert plan.placements == [(GlobalId(1), 7, 1.0)]
 
     def test_matrix_matches_direct_evaluation(self):
         # nc=(1,3), fp=(2,1): products (2,1,6,3)/12 in (node, object) order
         oa, ob = GlobalId(10), GlobalId(20)
-        plan = prefetch_plan(None, {0: 1.0, 1: 3.0}, {oa: 2.0, ob: 1.0}, 1, 0)
+        plan = prefetch_plan({0: 1.0, 1: 3.0}, {oa: 2.0, ob: 1.0}, 1, 0)
         assert plan.nodes == [0, 1]
         assert plan.objects == [oa, ob]
         assert plan.probabilities.ravel().tolist() == pytest.approx(
@@ -138,41 +138,35 @@ class TestPrefetchPlan:
     def test_uniform_inputs_give_uniform_cells(self):
         nc = {i: 2.0 for i in range(3)}
         fp = {GlobalId(i): 5.0 for i in range(4)}
-        plan = prefetch_plan(None, nc, fp, 2, 1)
+        plan = prefetch_plan(nc, fp, 2, 1)
         assert np.allclose(plan.probabilities, 1.0 / 12.0)
 
     def test_normalization_within_tolerance(self):
         rng = np.random.default_rng(2)
         nc = {i: float(rng.uniform(0.1, 5)) for i in range(6)}
         fp = {GlobalId(i): float(rng.uniform(0.1, 5)) for i in range(7)}
-        plan = prefetch_plan(None, nc, fp, 10, 3)
+        plan = prefetch_plan(nc, fp, 10, 3)
         assert abs(plan.total_probability - 1.0) <= 1e-9
 
     def test_draws_without_replacement(self):
         nc = {i: 1.0 for i in range(3)}
         fp = {GlobalId(i): 1.0 for i in range(3)}
-        plan = prefetch_plan(None, nc, fp, budget=9, seed=5)
+        plan = prefetch_plan(nc, fp, budget=9, seed=5)
         cells = {(node, oid) for oid, node, _ in plan.placements}
         assert len(cells) == 9
 
     def test_deterministic_for_seed(self):
         nc = {i: float(i + 1) for i in range(4)}
         fp = {GlobalId(i): float(5 - i) for i in range(4)}
-        a = prefetch_plan(None, nc, fp, 6, 11)
-        b = prefetch_plan(None, nc, fp, 6, 11)
+        a = prefetch_plan(nc, fp, 6, 11)
+        b = prefetch_plan(nc, fp, 6, 11)
         assert a.placements == b.placements
-
-    def test_hierarchy_without_level_labels_is_rejected(self):
-        g, net, res = make_net()
-        bare = hierarchy_from_text(hierarchy_to_text(containerize(g, [Target(1, 1_000)])), g)
-        with pytest.raises(InvalidParams):
-            prefetch_plan(bare, {3: 1.0}, {GlobalId(1): 1.0}, 1, 0)
 
     def test_degenerate_mass(self):
         with pytest.raises(DegenerateDistribution):
-            prefetch_plan(None, {0: 0.0}, {GlobalId(1): 0.0}, 1, 0)
+            prefetch_plan({0: 0.0}, {GlobalId(1): 0.0}, 1, 0)
         with pytest.raises(DegenerateDistribution):
-            prefetch_plan(None, {}, {}, 1, 0)
+            prefetch_plan({}, {}, 1, 0)
 
 
 class TestHandleRequest:
@@ -311,7 +305,7 @@ class TestApplyPrefetch:
     def test_placement_registers_and_serves(self):
         g, net, res = make_net()
         obj = publish(net, res)
-        plan = prefetch_plan(None, {3: 1.0}, {obj.id: 1.0}, budget=1, seed=0)
+        plan = prefetch_plan({3: 1.0}, {obj.id: 1.0}, budget=1, seed=0)
         placed = apply_prefetch(net, plan)
         assert [(oid, node) for oid, node, _ in placed] == [(obj.id, 3)]
         assert address_of(3) in resolve(res, obj.id)
@@ -321,7 +315,7 @@ class TestApplyPrefetch:
     def test_placement_outside_the_graph_changes_nothing(self):
         g, net, res = make_net()
         obj = publish(net, res)
-        plan = prefetch_plan(None, {g.n: 1.0}, {obj.id: 1.0}, budget=1, seed=0)
+        plan = prefetch_plan({g.n: 1.0}, {obj.id: 1.0}, budget=1, seed=0)
         with pytest.raises(InvalidParams):
             apply_prefetch(net, plan)
         assert resolve(res, obj.id) == frozenset({address_of(1)})
@@ -331,7 +325,7 @@ class TestApplyPrefetch:
         g, net, res = make_net(capacity=1000)
         obj = publish(net, res, volume=1000)
         other = publish(net, res, hrn="urn:other", volume=1000)
-        plan = prefetch_plan(None, {3: 1.0}, {obj.id: 1.0}, budget=1, seed=0)
+        plan = prefetch_plan({3: 1.0}, {obj.id: 1.0}, budget=1, seed=0)
         apply_prefetch(net, plan)
         assert address_of(3) in resolve(res, obj.id)
         net.cache_of(3).insert(other.id, other.volume)  # evicts obj
