@@ -56,7 +56,7 @@ class RequestRecord:
     def __post_init__(self):
         if len(self.paths) < 1:
             raise InvalidParams("each request needs at least one path")
-        if any(h < 0 for h in self.paths):
+        if min(self.paths) < 0:
             raise InvalidParams("hop counts must be non-negative")
         if self.baseline_hops < 1:
             raise InvalidParams("baseline hop count must be >= 1")
@@ -243,6 +243,15 @@ def point_seeds(seed: int, point_index: int):
     return tuple(int(s) for s in ss.generate_state(4, dtype=np.uint64))
 
 
+def _requesters(pool: np.ndarray, wrng, chunk: int):
+    """Requesters drawn uniformly from `pool`, `chunk` draws per generator
+    call. A batch of bounded integer draws yields the same stream as one
+    scalar `integers` call per draw, so consuming them one at a time, with
+    redraws, gives the same requesters as scalar draws would."""
+    while True:
+        yield from pool[wrng.integers(0, len(pool), size=chunk)].tolist()
+
+
 def _run_point(params: ScenarioParams, var: str, value, point_index: int):
     topo_seed, catalog_seed, workload_seed, prefetch_seed = point_seeds(
         params.seed, point_index
@@ -326,13 +335,14 @@ def _run_point(params: ScenarioParams, var: str, value, point_index: int):
         )
     wrng = np.random.default_rng(np.random.SeedSequence([workload_seed, 0x3E0]))
     obj_draws = wrng.choice(params.catalog_size, size=params.request_count, p=fp)
+    requesters = _requesters(pool, wrng, params.request_count)
     records = []
     traces = []
     for n in range(1, params.request_count + 1):
         obj = catalog[int(obj_draws[n - 1])]
-        requester = int(pool[int(wrng.integers(0, len(pool)))])
+        requester = next(requesters)
         while requester == obj.publisher:
-            requester = int(pool[int(wrng.integers(0, len(pool)))])
+            requester = next(requesters)
         req = userplane.RequestMsg(requested=obj.id, origin_node=requester)
         hc = baseline_hops(g, requester, obj.publisher)
         trace = userplane.handle_request(net, req)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import ipaddress
+import operator
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -31,17 +32,28 @@ LOCAL_NAMESPACE = 256      # 8-bit short names
 SERVICE_META_BITS = 32
 
 
-@dataclass(frozen=True, order=True)
-class GlobalId:
-    value: int
+class GlobalId(int):
+    """A 160-bit identifier. It is an int, so the dicts and sets keyed by
+    identifiers hash in C, and ids order as their values do."""
 
-    def __post_init__(self):
-        if not (0 <= self.value < 1 << GLOBAL_ID_BITS):
+    __slots__ = ()
+
+    def __new__(cls, value):
+        try:
+            value = operator.index(value)
+        except TypeError:
+            raise InvalidParams(f"identifier must be an integer, not {value!r}") from None
+        if not (0 <= value < 1 << GLOBAL_ID_BITS):
             raise InvalidParams("identifier must fit in 160 bits")
+        return super().__new__(cls, value)
+
+    @property
+    def value(self) -> int:
+        return int(self)
 
     @property
     def hex(self) -> str:
-        return format(self.value, "040x")
+        return format(self, "040x")
 
     def __repr__(self):
         return f"GlobalId({self.hex[:8]}..)"
@@ -246,7 +258,7 @@ def dump_table(res: Resolver) -> str:
     lines = []
     for gid in sorted(res.table):
         rec = res.table[gid]
-        indirect = rec.indirect_target.hex if rec.indirect_target else "-"
+        indirect = rec.indirect_target.hex if rec.indirect_target is not None else "-"
         nas = ",".join(str(na) for na in sorted(rec.locators)) if rec.locators else "-"
         lines.append(f"rec {gid.hex} {rec.hrn} {indirect} {nas}")
     return "\n".join(lines) + ("\n" if lines else "")

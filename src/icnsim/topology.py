@@ -464,33 +464,50 @@ def _bfs_dists(g, src):
 
 
 def next_hop_toward(g: WeightedGraph, u: int, target: int) -> int:
-    """First node after u on a fewest-hops path to target (ties: lowest id);
-    ids outside [0, n) raise InvalidParams."""
+    """First node after u on a fewest-hops path to target (ties: lowest id),
+    u itself when u == target; ids outside [0, n) raise InvalidParams."""
+    path = hop_path(g, u, target)
+    return path[0] if path else u
+
+
+def hop_path(g: WeightedGraph, u: int, target: int) -> list:
+    """The nodes after u on the fewest-hops path to target, ending at target;
+    each is the lowest-id neighbour one hop closer to target than the node
+    before it, and there are hop_distance(g, u, target) of them. ids outside
+    [0, n) raise InvalidParams."""
     n = g.n
     if not (0 <= u < n and 0 <= target < n):
         raise InvalidParams(f"nodes ({u},{target}) outside graph")
     if u == target:
-        return u
+        return []
     is_tree, parents, depths = g._tree_info()
     if is_tree:
-        below = depths[u] + 1
-        if depths[target] >= below:
-            w = target
-            while depths[w] > below:
-                w = parents[w]
-            if parents[w] == u:
-                return w
-        up = parents[u]
-        return up if up >= 0 else _no_route(u, target)
-    dist = _bfs_dists(g, target)
+        # up from u to the common ancestor, then down to target
+        up, down = [], []
+        a, b = u, target
+        while depths[a] > depths[b]:
+            a = parents[a]
+            up.append(a)
+        while depths[b] > depths[a]:
+            down.append(b)
+            b = parents[b]
+        while a != b:
+            a = parents[a]
+            up.append(a)
+            down.append(b)
+            b = parents[b]
+        down.reverse()
+        return up + down
+    indptr, dst, _ = g._ensure_csr()
+    dist = _bfs(indptr, dst, target)[0]
     if dist[u] < 0:
-        _no_route(u, target)
-    nbrs, _ = g.neighbors(u)
-    return int(nbrs[dist[nbrs] == dist[u] - 1][0])  # rows are ascending
-
-
-def _no_route(u, target):
-    raise Unreachable(f"no route {u} -> {target}")
+        raise Unreachable(f"no route {u} -> {target}")
+    path = []
+    while u != target:
+        nbrs = dst[indptr[u]:indptr[u + 1]]
+        u = int(nbrs[dist[nbrs] == dist[u] - 1][0])  # rows are ascending
+        path.append(u)
+    return path
 
 
 # -- scenario topology generation --------------------------------------------
@@ -504,6 +521,12 @@ _MID_LAT = (5_000, 120_000)     # access tier links, between T1 and T2
 _CORE_LAT = (160_000, 450_000)  # core tier links, between T2 and T3
 
 _URLLC_BASE_LATENCY_MS = 8.0
+
+# Most end devices one generated topology may hold, and the largest
+# structure parameter. A topology costs about 0.27 KiB per device (the
+# largest default mMTC sweep point, 1.05M devices, peaks near 280 MiB), so
+# the cap is about 1 GiB.
+MAX_DEVICES = 4_000_000
 
 
 def generate_topology(params, seed: int) -> WeightedGraph:
@@ -523,15 +546,24 @@ def generate_topology(params, seed: int) -> WeightedGraph:
     aps_per_switch = int(getattr(params, "aps_per_switch", 4))
     switches_per_zone = int(getattr(params, "switches_per_zone", 4))
     n_servers = int(getattr(params, "n_servers", 2))
-    if min(devices_per_ap, aps_per_switch, switches_per_zone, n_servers) < 1:
+    structure = (devices_per_ap, aps_per_switch, switches_per_zone, n_servers)
+    if min(structure) < 1:
         raise InvalidParams("structure parameters must be >= 1")
+    if max(structure) > MAX_DEVICES:
+        raise InvalidParams(f"structure parameters must be at most {MAX_DEVICES}")
 
     if scenario == "mmtc":
         density = float(getattr(params, "density_k_per_km2", 0.0)) * 1000.0
         area = float(getattr(params, "area_km2", 1.0))
         if density <= 0 or area <= 0:
             raise InvalidParams("mMTC needs positive density and area")
-        n_devices = int(round(density * area))
+        expected = density * area
+        if not expected <= MAX_DEVICES:  # also catches an overflow to inf
+            raise InvalidParams(
+                f"density times area gives {expected:.6g} devices, "
+                f"more than {MAX_DEVICES}"
+            )
+        n_devices = int(round(expected))
         devices_per_gw = int(getattr(params, "devices_per_gateway", 200))
         if not (1 <= devices_per_gw <= 256):
             raise InvalidParams("devices_per_gateway must be in [1, 256]")
@@ -540,15 +572,17 @@ def generate_topology(params, seed: int) -> WeightedGraph:
         devices_per_gw = 0
     if n_devices < 1:
         raise InvalidParams("need at least one end device")
+    if n_devices > MAX_DEVICES:
+        raise InvalidParams(f"n_devices must be at most {MAX_DEVICES}")
 
     if scenario == "urllc":
         latency_ms = float(getattr(params, "latency_ms", _URLLC_BASE_LATENCY_MS))
         if latency_ms <= 0:
             raise InvalidParams("latency_ms must be positive")
-        # Tighter latency budgets shrink the service area of one access point.
-        devices_per_ap = max(
-            1, int(round(devices_per_ap * latency_ms / _URLLC_BASE_LATENCY_MS))
-        )
+        # Tighter latency budgets shrink the service area of one access point;
+        # an area beyond every device (or an overflow to inf) serves them all.
+        scaled = devices_per_ap * latency_ms / _URLLC_BASE_LATENCY_MS
+        devices_per_ap = max(1, int(round(min(scaled, n_devices))))
 
     if scenario == "mmtc":
         n_gateways = -(-n_devices // devices_per_gw)
@@ -612,7 +646,7 @@ def generate_topology(params, seed: int) -> WeightedGraph:
     if scenario == "urllc":
         base = max(1000.0, latency_ms * 1000.0)
         raw = base * rng.uniform(0.8, 1.2, size=n_aps)
-        ap_w = np.clip(raw.astype(np.int64), 1000, 149_999)
+        ap_w = np.clip(raw, 1000, 149_999).astype(np.int64)  # clip before the cast: raw may pass int64
         ea_parts.append(aps)
         eb_parts.append(switches[np.arange(n_aps) // aps_per_switch])
         ew_parts.append(ap_w)

@@ -29,7 +29,7 @@ from .errors import (
     Unresolvable,
 )
 from .ilm import GlobalId, NetworkAddress, Resolver, resolve, update_binding
-from .topology import WeightedGraph, hop_distance, next_hop_toward
+from .topology import WeightedGraph, hop_distance, hop_path
 
 _ADDR_BASE = 0x0A000000  # 10.0.0.0/8; node id maps directly into it
 
@@ -191,32 +191,22 @@ def build_network(graph: WeightedGraph, hierarchy, resolver: Resolver,
 def handle_request(net: NetState, req: RequestMsg) -> DeliveryTrace:
     """Walk the request hop by hop until a copy is found.
 
-    Every element first checks its own store, then forwards one hop toward
-    the listed copy whose host is the fewest forwarding hops away (ties
-    broken by the lowest address). The identifier is resolved once, at the
-    first element that misses: nothing writes the record table while a
-    request is forwarded.
+    Every element on the way checks its own store. The identifier is resolved
+    once, at the first element that misses, and the request heads for the
+    listed copy whose host is the fewest forwarding hops away (ties broken by
+    the lowest address). Along a fewest-hops path every step brings that host
+    one hop closer and no other host more than one, so it stays the closest
+    all the way and is picked once. A listed host found without the object is
+    dropped for the rest of the request and the closest remaining host is
+    picked from there.
     """
     oid = req.requested
-    obj = net.objects.get(oid)
+    g = net.graph
     current = req.origin_node
     path = [current]
-    hops = 0
+    held = net.holds(current, oid)
     hosts = None  # listed hosts in address order, once resolved
-    for _ in range(net.graph.n + 1):
-        held = net.holds(current, oid)
-        if held:
-            if held == "cache":
-                net.cache_of(current).touch(oid)
-            req.hop_count = hops
-            return DeliveryTrace(
-                request=req,
-                path=path,
-                hops=hops,
-                serving_node=current,
-                cache_hit=(held == "cache"),
-                volume=obj.volume if obj else 0,
-            )
+    while not held:
         if hosts is None:
             try:
                 locators = resolve(net.resolver, oid)
@@ -225,22 +215,36 @@ def handle_request(net: NetState, req: RequestMsg) -> DeliveryTrace:
                     f"identifier {oid.hex[:12]}.. is unknown and uncached on the path"
                 )
             hosts = [node_of_address(na) for na in sorted(locators)]
+        if current in hosts:
+            hosts.remove(current)  # it was checked above: the listing is stale
         best = None
         for host in hosts:
-            if host == current:
-                continue  # already checked above; a listed copy here is stale
             try:
-                d = hop_distance(net.graph, current, host)
+                d = hop_distance(g, current, host)
             except Unreachable:
                 continue
             if best is None or d < best[0]:
                 best = (d, host)
         if best is None:
             raise NoRoute(f"no reachable host for {oid.hex[:12]}..")
-        current = next_hop_toward(net.graph, current, best[1])
-        hops += 1
-        path.append(current)
-    raise NoRoute("forwarding did not converge")
+        for current in hop_path(g, current, best[1]):
+            path.append(current)
+            held = net.holds(current, oid)
+            if held:
+                break
+    if held == "cache":
+        net.cache_of(current).touch(oid)
+    hops = len(path) - 1
+    req.hop_count = hops
+    obj = net.objects.get(oid)
+    return DeliveryTrace(
+        request=req,
+        path=path,
+        hops=hops,
+        serving_node=current,
+        cache_hit=(held == "cache"),
+        volume=obj.volume if obj else 0,
+    )
 
 
 def deliver_data(net: NetState, trace: DeliveryTrace) -> list:
@@ -269,8 +273,13 @@ def zipf_popularity(j: int, s: float, shift: float = 0.0) -> np.ndarray:
     if j < 1 or s <= 0 or shift < 0:
         raise InvalidParams("need catalog size >= 1, exponent > 0, shift >= 0")
     ranks = np.arange(1, j + 1, dtype=np.float64)
-    fp = 1.0 / (ranks + shift) ** s
-    return fp / fp.sum()
+    with np.errstate(over="ignore"):
+        fp = 1.0 / (ranks + shift) ** s
+    total = fp.sum()
+    if not (np.isfinite(total) and total > 0):
+        # a large exponent sends every power to inf, so every weight to zero
+        raise InvalidParams(f"popularity weights for exponent {s!r} sum to {float(total)!r}")
+    return fp / total
 
 
 def _draw_without_replacement(probs: np.ndarray, budget: int, rng) -> list:

@@ -114,6 +114,43 @@ def small_params(**overrides):
     return ScenarioParams(**base)
 
 
+def scalar_requesters(pool, wrng, drawn):
+    """One scalar `integers` call per requester, as each draw used to be."""
+    while True:
+        drawn.append(int(pool[int(wrng.integers(0, len(pool)))]))
+        yield drawn[-1]
+
+
+class TestRequesterDraws:
+    @pytest.mark.parametrize("bound", [1, 7, 3_840, 4_096, 1_000_003])
+    def test_chunked_draws_equal_scalar_draws(self, bound):
+        pool = np.arange(bound, dtype=np.int64) * 3
+        chunked = evaluation._requesters(pool, np.random.default_rng(5), chunk=7)
+        scalar = scalar_requesters(pool, np.random.default_rng(5), [])
+        for _ in range(40):  # several refills
+            assert next(chunked) == next(scalar)
+
+    def test_runs_with_redraws_match_scalar_draws(self, monkeypatch):
+        # two devices, each publishing some of the catalog: a requester drawn
+        # equal to the object's publisher is redrawn, so the run takes more
+        # draws than requests and refills its chunk
+        params = ScenarioParams(
+            scenario="mmtc", sweep_values=(1.0,), area_km2=0.002, seed=3,
+            devices_per_gateway=2, catalog_size=6, request_count=40,
+        )
+        reports, details = run_scenario(params, with_details=True)
+        drawn = []
+        monkeypatch.setattr(
+            evaluation, "_requesters",
+            lambda pool, wrng, chunk: scalar_requesters(pool, wrng, drawn),
+        )
+        want_reports, want_details = run_scenario(params, with_details=True)
+        assert len(set(drawn)) == 2 and len(drawn) > params.request_count
+        origins = [[t.request.origin_node for t in d[0][1]] for d in (details, want_details)]
+        assert origins[0] == origins[1]
+        assert reports_to_csv(reports) == reports_to_csv(want_reports)
+
+
 class TestRunScenario:
     def test_one_report_per_sweep_point(self):
         reports = run_scenario(small_params())
@@ -298,9 +335,10 @@ def small_scenarios(draw):
         n_devices=draw(st.integers(1, 40)),
         devices_per_ap=draw(st.integers(1, 8)),
         devices_per_gateway=draw(st.integers(1, 8)),
-        area_km2=draw(st.sampled_from([0.001, 0.002, 0.005])),
+        area_km2=draw(st.sampled_from([0.001, 0.002, 0.005, 1e12, 1e300])),
         catalog_size=draw(st.integers(1, 12)),
         request_count=draw(st.integers(1, 30)),
+        zipf_exponent=draw(st.sampled_from([0.8, 400.0, 1e300])),
         cache_fraction=draw(st.sampled_from([0.0, 0.05, 0.5, 2.0])),
         prefetch_budget=draw(st.integers(0, 8)),
         prefetch_candidates=draw(st.integers(1, 8)),

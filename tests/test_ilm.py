@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -6,6 +8,7 @@ from icnsim.errors import (
     CollisionDetected,
     EmptyHrn,
     IndirectLoop,
+    InvalidParams,
     LocatorLimitExceeded,
     NamespaceExhausted,
     NotFound,
@@ -70,6 +73,28 @@ class TestNaming:
         gid = NamingService().assign_id("urn:wide")
         assert 0 <= gid.value < 1 << 160
         assert len(gid.hex) == 40
+
+
+class TestGlobalId:
+    @pytest.mark.parametrize("bad", [1.5, -1, 1 << 160, "7", None])
+    def test_non_integers_and_out_of_range_values_raise(self, bad):
+        with pytest.raises(InvalidParams):
+            GlobalId(bad)
+
+    def test_value_is_a_plain_int(self):
+        gid = GlobalId((1 << 160) - 1)
+        assert type(gid.value) is int and gid.value == (1 << 160) - 1
+        assert gid.hex == "f" * 40 and repr(gid) == "GlobalId(ffffffff..)"
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trips(self, protocol):
+        gid = NamingService().assign_id("urn:pickled")
+        back = pickle.loads(pickle.dumps(gid, protocol))
+        assert type(back) is GlobalId and back == gid and back.hex == gid.hex
+
+    def test_hashes_and_orders_in_c(self):
+        # no Python-level __hash__ or __lt__ runs on a dict or sort by id
+        assert GlobalId.__hash__ is int.__hash__ and GlobalId.__lt__ is int.__lt__
 
 
 class TestRegisterResolve:
@@ -230,6 +255,11 @@ class TestDump:
         by_hrn = {ln.split()[2]: ln.split() for ln in lines}
         assert by_hrn["urn:c"][3] == a.hex
         assert by_hrn["urn:a"][4] == "10.0.0.1"
+
+    def test_indirect_target_zero_is_dumped(self):
+        res = Resolver()
+        register_indirect(res, "urn:z", GlobalId(0))
+        assert dump_table(res).split()[3] == "0" * 40
 
 
 class TestBuildTree:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +12,9 @@ from icnsim.errors import (
     NegativeWeight,
     Unreachable,
 )
-from icnsim.evaluation import ScenarioParams
+from icnsim.evaluation import DEFAULT_SWEEPS, ScenarioParams
 from icnsim.topology import (
+    MAX_DEVICES,
     Edge,
     Node,
     NodeKind,
@@ -21,6 +23,7 @@ from icnsim.topology import (
     graph_from_text,
     graph_to_text,
     hop_distance,
+    hop_path,
     measure_distance,
     mmtc_node,
     next_hop_toward,
@@ -221,6 +224,39 @@ class TestGenerateTopology:
                 assert w < 1_000
 
 
+    @pytest.mark.parametrize("case", [
+        dict(scenario="mmtc", area_km2=1e300),  # density * area overflows
+        dict(scenario="mmtc", area_km2=1e12),
+        dict(scenario="mmtc", density_k_per_km2=1e3, area_km2=MAX_DEVICES / 1e6 + 1),
+        dict(scenario="embb", n_devices=MAX_DEVICES + 1),
+        dict(scenario="urllc", n_devices=10**30),
+        dict(scenario="embb", n_devices=16, n_servers=MAX_DEVICES + 1),
+        dict(scenario="urllc", n_devices=16, devices_per_ap=10**400),
+        dict(scenario="mmtc", aps_per_switch=MAX_DEVICES + 1),
+    ])
+    def test_sizes_over_the_cap_raise_before_allocating(self, case):
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidParams):
+                generate_topology(ScenarioParams(**case), 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_cap_admits_the_million_device_sweep_point(self):
+        # the largest default mMTC point: 1049 k devices per km^2 over 1 km^2
+        assert DEFAULT_SWEEPS["mmtc"][-1] * 1000 * ScenarioParams().area_km2 <= MAX_DEVICES
+
+    def test_huge_latency_budget_gives_one_access_point(self):
+        g = generate_topology(ScenarioParams(scenario="urllc", n_devices=40, latency_ms=1e300), 3)
+        aps = g.nodes_of_kind(NodeKind.ACCESS_POINT)
+        assert len(aps) == 1
+        # the access link weight is clipped just under the 150 ms tier target
+        # (its switch has the lower id, so that link is the one ending at it)
+        assert g.ew[g.eb == aps[0]].tolist() == [149_999]
+
+
 class TestGraphFile:
     def test_round_trip_bit_exact(self):
         params = ScenarioParams(scenario="mmtc", density_k_per_km2=0.5)
@@ -274,10 +310,9 @@ class TestHopDistance:
         for g in (tree, ring):
             # a negative id would otherwise index from the end of the arrays
             for a, b in [(-1, 2), (2, -1), (-1, -1), (0, g.n), (g.n + 3, 0), (g.n, g.n)]:
-                with pytest.raises(InvalidParams):
-                    hop_distance(g, a, b)
-                with pytest.raises(InvalidParams):
-                    next_hop_toward(g, a, b)
+                for query in (hop_distance, next_hop_toward, hop_path):
+                    with pytest.raises(InvalidParams):
+                        query(g, a, b)
 
 
 @st.composite
@@ -299,24 +334,35 @@ def connected_graphs(draw):
     return n, edges
 
 
-@settings(max_examples=60, deadline=None)
-@given(connected_graphs())
-def test_hop_queries_match_brute_force(case):
-    n, edges = case
+def check_hop_paths(n, edges):
+    """hop_path against a brute-force walk: from each node, the lowest-id
+    neighbour one BFS hop closer to the target."""
     g = make(n, edges)
     nbrs = {i: set() for i in range(n)}
     for a, b, _ in edges:
         nbrs[a].add(b)
         nbrs[b].add(a)
+    hops = [[bfs_hops(n, edges, a, b) for b in range(n)] for a in range(n)]
     for u in range(n):
         for t in range(n):
-            d = bfs_hops(n, edges, u, t)
-            assert hop_distance(g, u, t) == d
-            # lowest-id neighbour one hop closer to t
-            want = u if u == t else min(
-                v for v in nbrs[u] if bfs_hops(n, edges, v, t) == d - 1
-            )
-            assert next_hop_toward(g, u, t) == want
+            if hops[u][t] is None:
+                for query in (hop_path, hop_distance, next_hop_toward):
+                    with pytest.raises(Unreachable):
+                        query(g, u, t)
+                continue
+            want, v = [], u
+            while v != t:
+                v = min(w for w in nbrs[v] if hops[w][t] == hops[v][t] - 1)
+                want.append(v)
+            assert hop_path(g, u, t) == want
+            assert len(want) == hop_distance(g, u, t)
+            assert next_hop_toward(g, u, t) == (want[0] if want else u)
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_graphs())
+def test_hop_queries_match_brute_force(case):
+    check_hop_paths(*case)
 
 
 @st.composite
@@ -406,6 +452,21 @@ def test_tree_info_matches_scipy_and_the_bfs_oracle(case):
     assert is_tree
     assert parents == scipy_tree_parents(n, edges)
     assert depths == [bfs_hops(n, edges, 0, v) for v in range(n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(relabelled_trees())
+def test_hop_path_on_trees(case):
+    n, edges = case
+    assert make(n, edges).is_tree()
+    check_hop_paths(n, edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_graphs())
+def test_hop_path_on_sparse_graphs(case):
+    # isolated nodes and several components: unreachable pairs raise
+    check_hop_paths(*case)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from icnsim.containment import Target, containerize, hierarchy_from_text, hierarchy_to_text
 from icnsim.errors import (
     DegenerateDistribution,
     InvalidParams,
+    NoRoute,
     Unresolvable,
 )
 from icnsim.evaluation import ScenarioParams
 from icnsim import userplane
-from icnsim.ilm import GlobalId, Resolver, register, resolve
+from icnsim.ilm import LOCATOR_LIMIT, GlobalId, Resolver, register, resolve, update_binding
 from icnsim.topology import Edge, Node, NodeKind, build_graph, generate_topology
 from icnsim.userplane import (
     CacheStore,
@@ -21,12 +22,13 @@ from icnsim.userplane import (
     build_network,
     deliver_data,
     handle_request,
+    node_of_address,
     prefetch_plan,
     traces_to_csv,
     zipf_popularity,
 )
 
-from oracles import ListLru, bfs_hops
+from oracles import ListLru, adjacency, bfs_hops
 
 
 def make_net(capacity=10**6):
@@ -118,6 +120,15 @@ class TestZipf:
         for bad in ((0, 1.0, 0.0), (3, 0.0, 0.0), (3, 1.0, -1.0)):
             with pytest.raises(InvalidParams):
                 zipf_popularity(*bad)
+
+    @pytest.mark.parametrize("s", [400.0, 1e300, float("nan")])
+    def test_weights_that_vanish_or_are_not_finite(self, s):
+        # (1 + 10) ** 400 overflows, so every weight 1 / that is zero
+        with pytest.raises(InvalidParams):
+            zipf_popularity(8, s, 10.0)
+
+    def test_large_exponent_without_shift_puts_all_mass_on_rank_one(self):
+        assert zipf_popularity(3, 1e300, 0.0).tolist() == [1.0, 0.0, 0.0]
 
 
 class TestPrefetchPlan:
@@ -253,6 +264,118 @@ class TestHandleRequest:
         net = build_network(g, bare, Resolver(), 0)
         obj = publish(net, net.resolver)
         assert request(net, obj, origin=5).hops == 4
+
+
+    def test_stale_listings_are_dropped_not_bounced_between(self):
+        # A line 0-1-...-6 with the publisher at 0 and the requester at 5;
+        # nodes 4 and 6 are listed but hold nothing. From 5 both are one hop
+        # away (4 wins on address); from 4 the closest other is 6, and from 6
+        # it is 4, so re-ranking at every hop would bounce between them.
+        nodes = [Node(i, NodeKind.SWITCH) for i in range(7)]
+        g = build_graph(nodes, [Edge(i, i + 1, 1) for i in range(6)], "latency_us")
+        net = build_network(g, None, Resolver(), 10**6)
+        obj = publish(net, net.resolver, publisher=0)
+        for stale in (4, 6):
+            update_binding(net.resolver, obj.id, "add", address_of(stale))
+        trace = request(net, obj, origin=5)
+        assert trace.path == [5, 4, 5, 6, 5, 4, 3, 2, 1, 0]
+        assert (trace.hops, trace.serving_node, trace.cache_hit) == (9, 0, False)
+
+    def test_only_stale_listings_raise_no_route(self):
+        nodes = [Node(i, NodeKind.SWITCH) for i in range(5)]
+        g = build_graph(nodes, [Edge(i, i + 1, 1) for i in range(4)], "latency_us")
+        net = build_network(g, None, Resolver(), 10**6)
+        gid = register(net.resolver, "urn:gone", address_of(0))
+        update_binding(net.resolver, gid, "add", address_of(4))
+        net.objects[gid] = ContentObject(gid, 10, 0)  # listed at 0 and 4, held nowhere
+        with pytest.raises(NoRoute, match="no reachable host"):
+            handle_request(net, RequestMsg(requested=gid, origin_node=2))
+
+
+def reranking_reference(net, oid, origin):
+    """Per-hop forwarding written from scratch: at every element that misses,
+    rank the listed hosts by BFS hops from there (lowest address on ties) and
+    step to the lowest-id neighbour one hop closer to the first. Returns
+    (path, serving node, cache hit), or NoRoute when no host is reachable."""
+    g = net.graph
+    edges = list(zip(g.ea.tolist(), g.eb.tolist(), g.ew.tolist()))
+    adj = adjacency(g.n, edges)
+    hosts = sorted(node_of_address(na) for na in resolve(net.resolver, oid))
+    current, path = origin, [origin]
+    for _ in range(g.n + 1):
+        held = net.holds(current, oid)
+        if held:
+            if held == "cache":
+                net.cache_of(current).touch(oid)
+            return path, current, held == "cache"
+        ranked = sorted(
+            (bfs_hops(g.n, edges, current, h), h) for h in hosts
+            if h != current and bfs_hops(g.n, edges, current, h) is not None
+        )
+        if not ranked:
+            return NoRoute
+        d, target = ranked[0]
+        current = min(v for v, _ in adj[current]
+                      if bfs_hops(g.n, edges, v, target) == d - 1)
+        path.append(current)
+    raise AssertionError("the reference did not converge")
+
+
+@st.composite
+def forwarding_cases(draw):
+    """A random graph (a relabelled tree, or some of its links plus
+    cross-links: cycles, often several components), 1 to LOCATOR_LIMIT
+    listed hosts that hold the object, a few unlisted cached copies, and an
+    origin."""
+    n = draw(st.integers(2, 14))
+    nodes = st.integers(0, n - 1)
+    label = draw(st.permutations(range(n)))
+    pairs = [(label[draw(st.integers(0, v - 1))], label[v]) for v in range(1, n)]
+    if not draw(st.booleans()):
+        # drop some tree links (components), add cross-links (cycles)
+        pairs = draw(st.lists(st.sampled_from(pairs), max_size=len(pairs)))
+        pairs += draw(st.lists(st.tuples(nodes, nodes), min_size=1, max_size=n))
+    edges, seen = [], set()
+    for a, b in pairs:
+        if a != b and frozenset((a, b)) not in seen:
+            seen.add(frozenset((a, b)))
+            edges.append((a, b))
+    hosts = draw(st.lists(nodes, min_size=1, max_size=LOCATOR_LIMIT, unique=True))
+    cached = draw(st.lists(nodes, max_size=3, unique=True))
+    return n, edges, hosts, cached, draw(nodes)
+
+
+def forwarding_net(n, edges, hosts, cached):
+    """The publisher is the first host; the others hold registered cache
+    copies, and `cached` nodes hold unregistered ones."""
+    g = build_graph([Node(i, NodeKind.SWITCH) for i in range(n)],
+                    [Edge(a, b, 1) for a, b in edges], "latency_us")
+    net = build_network(g, None, Resolver(), 10**6)
+    obj = publish(net, net.resolver, publisher=hosts[0])
+    for host in hosts[1:]:
+        net.cache_of(host).insert(obj.id, obj.volume)
+        update_binding(net.resolver, obj.id, "add", address_of(host))
+    for node in cached:
+        net.cache_of(node).insert(obj.id, obj.volume)
+    return net, obj
+
+
+@settings(max_examples=150, deadline=None)
+@given(forwarding_cases())
+@example((4, [(0, 1), (1, 2), (2, 3), (3, 0)], [2], [], 0))  # two ways round a ring
+@example((6, [(0, 1), (1, 2), (3, 4)], [4, 2], [1], 0))  # host 4 is unreachable
+def test_handle_request_matches_per_hop_reranking(case):
+    n, edges, hosts, cached, origin = case
+    net, obj = forwarding_net(n, edges, hosts, cached)
+    want = reranking_reference(net, obj.id, origin)
+    net, obj = forwarding_net(n, edges, hosts, cached)
+    if want is NoRoute:
+        with pytest.raises(NoRoute):
+            request(net, obj, origin)
+        return
+    trace = request(net, obj, origin)
+    assert (trace.path, trace.serving_node, trace.cache_hit) == want
+    assert trace.hops == len(want[0]) - 1
 
 
 class TestDeliverData:
