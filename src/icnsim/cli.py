@@ -12,17 +12,13 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields
 
 from . import congruity, evaluation
-from .containment import Target, TargetMode, containerize, hierarchy_to_text
-from .errors import (
-    ConfigError,
-    InvalidParams,
-    InvalidSpec,
-    SimError,
-    UnitMismatch,
+from .containment import (
+    Target, TargetMode, containerize, hierarchy_to_text, validate_hierarchy,
 )
+from .errors import ConfigError, InvalidParams, InvalidSpec, SimError, UnitMismatch
 from .evaluation import ScenarioParams
 from .topology import generate_topology, graph_to_text, load_graph
 
@@ -61,59 +57,80 @@ def _parse_bool(text):
     raise ValueError(f"not a boolean: {text!r}")
 
 
-# key -> (parser, default, help)
+# key -> (parser, help). A key's default is the default of the field it sets
+# on ScenarioParams, Hyperparams or DatasetSpec, or else in CLI_DEFAULTS.
 CONFIG_KEYS = {
-    "scenario": (str, "embb", "embb | urllc | mmtc"),
-    "sweep_values": (_list_of(_parse_float), (), "sweep axis values (empty = scenario default)"),
-    "seeds": (_list_of(_parse_seed), (0,), "seeds to run"),
-    "n_devices": (int, 512, "end devices (embb/urllc)"),
-    "devices_per_ap": (int, 16, "devices per access point"),
-    "aps_per_switch": (int, 4, "access points per switch"),
-    "switches_per_zone": (int, 4, "switches per zone switch"),
-    "n_servers": (int, 2, "content servers at the core"),
-    "devices_per_gateway": (int, 200, "mMTC devices per local domain"),
-    "area_km2": (_parse_float, 1.0, "mMTC coverage area"),
-    "density_k_per_km2": (_parse_float, 63.0, "mMTC device density (thousands per km^2)"),
-    "latency_ms": (_parse_float, 8.0, "URLLC access latency"),
-    "data_rate_mbps": (_parse_float, 8.0, "eMBB data rate"),
-    "service_seconds": (_parse_float, 1.0, "nominal service duration per object"),
-    "targets_us": (_list_of(int), (1_000, 150_000, 500_000), "containerization targets"),
-    "target_mode": (str, "additive", "additive | bottleneck | exact_hit (containerize only)"),
-    "request_count": (int, 256, "requests per sweep point"),
-    "catalog_size": (int, 64, "content objects"),
-    "cache_fraction": (_parse_float, 0.5, "media cache budget as a catalog-volume fraction"),
-    "prefetch_budget": (int, 32, "prefetch placements (0 disables)"),
-    "prefetch_candidates": (int, 32, "candidate nodes for prefetch"),
-    "prefetch_top_j": (int, 16, "top-popularity objects eligible for prefetch"),
-    "zipf_exponent": (_parse_float, 0.8, "popularity skew"),
-    "zipf_shift": (_parse_float, 10.0, "popularity plateau shift"),
-    "use_learner": (_parse_bool, False, "substitute learned distances"),
-    "learned_fraction": (_parse_float, 0.1, "fraction of edge weights replaced"),
-    "hidden_widths": (_list_of(int), (8,), "hidden layer widths"),
-    "alpha": (_parse_float, 0.5, "blend between general and personal errors"),
-    "lambda_g": (_parse_float, 1.0, "general prediction weight"),
-    "lambda_q": (_parse_float, 0.0, "general reconstruction weight"),
-    "lambda_p": (_parse_float, 1.0, "personal prediction weight"),
-    "lambda_k": (_parse_float, 0.0, "personal reconstruction weight"),
-    "q_norm": (int, 2, "regularizer norm order"),
-    "top_k": (int, 5, "filter top-k coordinates"),
-    "learning_rate": (_parse_float, 0.1, "gradient step size"),
-    "prune_probability": (_parse_float, 0.5, "chance of zeroing a prunable parameter"),
-    "batch_size": (int, 32, "training batch size"),
-    "max_epochs": (int, 200, "training epoch cap"),
-    "tolerance": (_parse_float, 1e-9, "relative improvement stop threshold"),
-    "d_max": (int, 0, "layer advance threshold for pruning, 0 = auto (train only)"),
-    "n_personal": (int, 200, "synthesized personal samples"),
-    "n_general": (int, 400, "synthesized general samples"),
-    "label_coverage": (_parse_float, 1.0, "labeled fraction of general samples"),
-    "conflict_fraction": (_parse_float, 0.0, "conflicting duplicate fraction"),
-    "noise_std": (_parse_float, 0.02, "distance label noise"),
-    "class_proportions": (_list_of(_parse_float), (0.947, 0.0343, 0.0183), "class mix"),
+    "scenario": (str, "embb | urllc | mmtc"),
+    "sweep_values": (_list_of(_parse_float), "sweep axis values (empty = scenario default)"),
+    "seeds": (_list_of(_parse_seed), "seeds to run"),
+    "n_devices": (int, "end devices (embb/urllc)"),
+    "devices_per_ap": (int, "devices per access point"),
+    "aps_per_switch": (int, "access points per switch"),
+    "switches_per_zone": (int, "switches per zone switch"),
+    "n_servers": (int, "content servers at the core"),
+    "devices_per_gateway": (int, "mMTC devices per local domain"),
+    "area_km2": (_parse_float, "mMTC coverage area"),
+    "density_k_per_km2": (_parse_float, "mMTC device density (thousands per km^2)"),
+    "latency_ms": (_parse_float, "URLLC access latency"),
+    "data_rate_mbps": (_parse_float, "eMBB data rate"),
+    "service_seconds": (_parse_float, "nominal service duration per object"),
+    "targets_us": (_list_of(int), "containerization targets"),
+    "target_mode": (str, "additive | bottleneck | exact_hit (containerize only)"),
+    "request_count": (int, "requests per sweep point"),
+    "catalog_size": (int, "content objects"),
+    "cache_fraction": (_parse_float, "media cache budget as a catalog-volume fraction"),
+    "prefetch_budget": (int, "prefetch placements (0 disables)"),
+    "prefetch_candidates": (int, "candidate nodes for prefetch"),
+    "prefetch_top_j": (int, "top-popularity objects eligible for prefetch"),
+    "zipf_exponent": (_parse_float, "popularity skew"),
+    "zipf_shift": (_parse_float, "popularity plateau shift"),
+    "use_learner": (_parse_bool, "substitute learned distances"),
+    "learned_fraction": (_parse_float, "fraction of edge weights replaced"),
+    "hidden_widths": (_list_of(int), "hidden layer widths"),
+    "alpha": (_parse_float, "blend between general and personal errors"),
+    "lambda_g": (_parse_float, "general prediction weight"),
+    "lambda_q": (_parse_float, "general reconstruction weight"),
+    "lambda_p": (_parse_float, "personal prediction weight"),
+    "lambda_k": (_parse_float, "personal reconstruction weight"),
+    "q_norm": (int, "regularizer norm order"),
+    "top_k": (int, "filter top-k coordinates"),
+    "learning_rate": (_parse_float, "gradient step size"),
+    "prune_probability": (_parse_float, "chance of zeroing a prunable parameter"),
+    "batch_size": (int, "training batch size"),
+    "max_epochs": (int, "training epoch cap"),
+    "tolerance": (_parse_float, "relative improvement stop threshold"),
+    "d_max": (int, "layer advance threshold for pruning, 0 = auto (train only)"),
+    "n_personal": (int, "synthesized personal samples"),
+    "n_general": (int, "synthesized general samples"),
+    "label_coverage": (_parse_float, "labeled fraction of general samples"),
+    "conflict_fraction": (_parse_float, "conflicting duplicate fraction"),
+    "noise_std": (_parse_float, "distance label noise"),
+    "class_proportions": (_list_of(_parse_float), "class mix"),
+}
+
+# the keys that set no dataclass field
+CLI_DEFAULTS = {"seeds": (0,), "target_mode": "additive", "d_max": 0}
+
+# keys named otherwise than their field (model.txt writes q= and k=)
+RENAMED = {"q_norm": "q", "top_k": "k"}
+
+_KEY_OF_FIELD = {RENAMED.get(key, key): key for key in CONFIG_KEYS}
+_CONFIG_CLASSES = (ScenarioParams, congruity.Hyperparams, congruity.DatasetSpec)
+
+
+def _keyed_fields(cls) -> list:
+    """(config key, field) for each field of `cls` that a config key sets."""
+    return [(_KEY_OF_FIELD[f.name], f) for f in fields(cls) if f.name in _KEY_OF_FIELD]
+
+
+_DEFAULTS = {
+    **CLI_DEFAULTS,
+    **{key: f.default for cls in _CONFIG_CLASSES for key, f in _keyed_fields(cls)},
 }
 
 
 def parse_config(text: str) -> dict:
-    config = {key: default for key, (_, default, _) in CONFIG_KEYS.items()}
+    config = dict(_DEFAULTS)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -141,54 +158,19 @@ def load_config(path) -> dict:
         raise ConfigError(f"config file not found: {path}")
 
 
+def from_config(cls, config: dict, **given):
+    """A `cls` (ScenarioParams, Hyperparams or DatasetSpec) whose fields take
+    the values of the config keys that name them; `given` sets others."""
+    return cls(**{f.name: config[key] for key, f in _keyed_fields(cls)}, **given)
+
+
 def hyperparams_from(config: dict, seed: int) -> congruity.Hyperparams:
-    return congruity.Hyperparams(
-        alpha=config["alpha"],
-        lambda_g=config["lambda_g"],
-        lambda_q=config["lambda_q"],
-        lambda_p=config["lambda_p"],
-        lambda_k=config["lambda_k"],
-        q=config["q_norm"],
-        k=config["top_k"],
-        learning_rate=config["learning_rate"],
-        prune_probability=config["prune_probability"],
-        batch_size=config["batch_size"],
-        max_epochs=config["max_epochs"],
-        tolerance=config["tolerance"],
-        rng_seed=seed,
-    ).validate()
+    return from_config(congruity.Hyperparams, config, rng_seed=seed).validate()
 
 
 def scenario_params_from(config: dict, seed: int) -> ScenarioParams:
-    return ScenarioParams(
-        scenario=config["scenario"],
-        sweep_values=tuple(config["sweep_values"]),
-        seed=seed,
-        n_devices=config["n_devices"],
-        devices_per_ap=config["devices_per_ap"],
-        aps_per_switch=config["aps_per_switch"],
-        switches_per_zone=config["switches_per_zone"],
-        n_servers=config["n_servers"],
-        devices_per_gateway=config["devices_per_gateway"],
-        area_km2=config["area_km2"],
-        density_k_per_km2=config["density_k_per_km2"],
-        latency_ms=config["latency_ms"],
-        data_rate_mbps=config["data_rate_mbps"],
-        service_seconds=config["service_seconds"],
-        targets_us=tuple(config["targets_us"]),
-        request_count=config["request_count"],
-        catalog_size=config["catalog_size"],
-        cache_fraction=config["cache_fraction"],
-        prefetch_budget=config["prefetch_budget"],
-        prefetch_candidates=config["prefetch_candidates"],
-        prefetch_top_j=config["prefetch_top_j"],
-        zipf_exponent=config["zipf_exponent"],
-        zipf_shift=config["zipf_shift"],
-        use_learner=config["use_learner"],
-        learned_fraction=config["learned_fraction"],
-        hidden_widths=tuple(config["hidden_widths"]),
-        learner=hyperparams_from(config, seed),
-    ).validate()
+    learner = hyperparams_from(config, seed)
+    return from_config(ScenarioParams, config, seed=seed, learner=learner).validate()
 
 
 def _write_atomic(*outputs) -> None:
@@ -210,23 +192,14 @@ def _write_atomic(*outputs) -> None:
         os.replace(f"{path}.tmp", path)
 
 
-def _sweep_point_value(config) -> float:
-    values = config["sweep_values"]
-    if values:
-        return values[0]
-    return evaluation.DEFAULT_SWEEPS[config["scenario"]][0]
-
-
 # -- subcommands ------------------------------------------------------------------
 
 
 def cmd_gen_topo(args) -> int:
     config = load_config(args.config)
     seed = args.seed if args.seed is not None else config["seeds"][0]
-    params = scenario_params_from(config, seed)
-    var = evaluation.SWEEP_VARS[params.scenario]
-    params = replace(params, **{var: _sweep_point_value(config)})
-    graph = generate_topology(params, seed)
+    point = evaluation.sweep_points(scenario_params_from(config, seed))[0]
+    graph = generate_topology(point, seed)
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "topology.txt")
     _write_atomic((out_path, graph_to_text(graph)))
@@ -245,6 +218,9 @@ def cmd_containerize(args) -> int:
         Target(i + 1, int(v), mode) for i, v in enumerate(config["targets_us"])
     ]
     hierarchy = containerize(graph, targets)
+    violations = validate_hierarchy(hierarchy).violations
+    if violations:
+        raise SimError(f"invalid hierarchy: {'; '.join(violations[:3])}")
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "hierarchy.txt")
     _write_atomic((out_path, hierarchy_to_text(hierarchy)))
@@ -264,14 +240,7 @@ def cmd_train(args) -> int:
         except FileNotFoundError as exc:
             raise SimError(f"dataset file not found: {exc.filename}")
     else:
-        spec = congruity.DatasetSpec(
-            n_personal=config["n_personal"],
-            n_general=config["n_general"],
-            label_coverage=config["label_coverage"],
-            class_proportions=tuple(config["class_proportions"]),
-            conflict_fraction=config["conflict_fraction"],
-            noise_std=config["noise_std"],
-        )
+        spec = from_config(congruity.DatasetSpec, config)
         dp, dg = congruity.synthesize_dataset(spec, seed)
     arch = (congruity.N_FEATURES, *config["hidden_widths"], 1)
     d_max = config["d_max"] if config["d_max"] > 0 else None
@@ -366,7 +335,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _config_epilog() -> str:
     lines = ["config keys (key = value per line, # comments):"]
-    for key, (_, default, help_text) in CONFIG_KEYS.items():
+    for key, (_, help_text) in CONFIG_KEYS.items():
+        default = _DEFAULTS[key]
         shown = ",".join(str(v) for v in default) if isinstance(default, tuple) else default
         lines.append(f"  {key:<22} default {shown!r:<28} {help_text}")
     return "\n".join(lines)

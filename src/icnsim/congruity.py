@@ -707,8 +707,8 @@ def predict_distance(ps: ParameterSet, features, scale: float = 1.0) -> float:
 
 @dataclass
 class DatasetSpec:
-    n_personal: int
-    n_general: int
+    n_personal: int = 200
+    n_general: int = 400
     label_coverage: float = 1.0
     class_proportions: tuple = (0.947, 0.0343, 0.0183)
     conflict_fraction: float = 0.0

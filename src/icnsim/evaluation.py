@@ -120,11 +120,28 @@ class ScenarioParams:
             raise InvalidParams("cache_fraction must be non-negative")
         if self.prefetch_budget < 0:
             raise InvalidParams("prefetch_budget must be >= 0")
+        if min(self.prefetch_candidates, self.prefetch_top_j) < 1:
+            raise InvalidParams("prefetch_candidates and prefetch_top_j must be >= 1")
+        if not (self.data_rate_mbps > 0 and self.service_seconds > 0):
+            raise InvalidParams("data_rate_mbps and service_seconds must be positive")
         if not (0.0 <= self.learned_fraction <= 1.0):
             raise InvalidParams("learned_fraction must lie in [0, 1]")
         if len(self.targets_us) < 1:
             raise InvalidParams("need at least one containerization target")
         return self
+
+
+def sweep_points(params: ScenarioParams) -> list:
+    """One validated ScenarioParams per sweep point: the sweep variable set to
+    each of `sweep_values`, or of the scenario's default sweep when that is
+    empty, and `sweep_values` set to the values swept."""
+    params.validate()
+    var = SWEEP_VARS[params.scenario]
+    values = tuple(params.sweep_values) or DEFAULT_SWEEPS[params.scenario]
+    return [
+        replace(params, **{var: value, "sweep_values": values}).validate()
+        for value in values
+    ]
 
 
 # -- the metric -----------------------------------------------------------------
@@ -252,7 +269,9 @@ def _requesters(pool: np.ndarray, wrng, chunk: int):
         yield from pool[wrng.integers(0, len(pool), size=chunk)].tolist()
 
 
-def _run_point(params: ScenarioParams, var: str, value, point_index: int):
+def _run_point(params: ScenarioParams, point_index: int):
+    """One sweep point; `params` is an entry of `sweep_points`."""
+    var = SWEEP_VARS[params.scenario]
     topo_seed, catalog_seed, workload_seed, prefetch_seed = point_seeds(
         params.seed, point_index
     )
@@ -265,9 +284,9 @@ def _run_point(params: ScenarioParams, var: str, value, point_index: int):
     ]
     hierarchy = containerize(g, targets)
 
-    first_value = (params.sweep_values or DEFAULT_SWEEPS[params.scenario])[0]
     capacity = int(round(
-        params.cache_fraction * params.catalog_size * _nominal_volume(params, first_value)
+        params.cache_fraction * params.catalog_size
+        * _nominal_volume(params, params.sweep_values[0])
     ))
     net = userplane.build_network(g, hierarchy, ilm.build_ilm_tree(hierarchy), capacity)
 
@@ -356,7 +375,7 @@ def _run_point(params: ScenarioParams, var: str, value, point_index: int):
     report = ItoReport(
         scenario=params.scenario,
         sweep_variable=var,
-        sweep_value=float(value),
+        sweep_value=float(getattr(params, var)),
         seed=int(params.seed),
         request_count=params.request_count,
         ito=ito,
@@ -368,14 +387,10 @@ def _run_point(params: ScenarioParams, var: str, value, point_index: int):
 
 def run_scenario(params: ScenarioParams, with_details: bool = False):
     """One ItoReport per sweep point (plus records and traces on request)."""
-    params.validate()
-    var = SWEEP_VARS[params.scenario]
-    values = tuple(params.sweep_values) or DEFAULT_SWEEPS[params.scenario]
     reports = []
     details = []
-    for idx, value in enumerate(values):
-        point = replace(params, **{var: value, "sweep_values": values})
-        report, records, traces = _run_point(point, var, value, idx)
+    for idx, point in enumerate(sweep_points(params)):
+        report, records, traces = _run_point(point, idx)
         reports.append(report)
         details.append((records, traces))
     if with_details:

@@ -535,17 +535,18 @@ def generate_topology(params, seed: int) -> WeightedGraph:
     Core layout is root - zone switches - switches - access points; end
     devices hang off the access points. The mMTC scenario inserts gateways
     between access points and constrained devices, one local domain per
-    gateway. Pure function of (params, seed).
+    gateway. Pure function of (params, seed), where `params` is an
+    `evaluation.ScenarioParams`.
     """
-    scenario = getattr(params, "scenario", None)
+    scenario = params.scenario
     if scenario not in SCENARIOS:
         raise InvalidParams(f"unknown scenario {scenario!r}")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xA11CE]))
 
-    devices_per_ap = int(getattr(params, "devices_per_ap", 16))
-    aps_per_switch = int(getattr(params, "aps_per_switch", 4))
-    switches_per_zone = int(getattr(params, "switches_per_zone", 4))
-    n_servers = int(getattr(params, "n_servers", 2))
+    devices_per_ap = int(params.devices_per_ap)
+    aps_per_switch = int(params.aps_per_switch)
+    switches_per_zone = int(params.switches_per_zone)
+    n_servers = int(params.n_servers)
     structure = (devices_per_ap, aps_per_switch, switches_per_zone, n_servers)
     if min(structure) < 1:
         raise InvalidParams("structure parameters must be >= 1")
@@ -553,8 +554,8 @@ def generate_topology(params, seed: int) -> WeightedGraph:
         raise InvalidParams(f"structure parameters must be at most {MAX_DEVICES}")
 
     if scenario == "mmtc":
-        density = float(getattr(params, "density_k_per_km2", 0.0)) * 1000.0
-        area = float(getattr(params, "area_km2", 1.0))
+        density = float(params.density_k_per_km2) * 1000.0
+        area = float(params.area_km2)
         if density <= 0 or area <= 0:
             raise InvalidParams("mMTC needs positive density and area")
         expected = density * area
@@ -564,11 +565,11 @@ def generate_topology(params, seed: int) -> WeightedGraph:
                 f"more than {MAX_DEVICES}"
             )
         n_devices = int(round(expected))
-        devices_per_gw = int(getattr(params, "devices_per_gateway", 200))
+        devices_per_gw = int(params.devices_per_gateway)
         if not (1 <= devices_per_gw <= 256):
             raise InvalidParams("devices_per_gateway must be in [1, 256]")
     else:
-        n_devices = int(getattr(params, "n_devices", 0))
+        n_devices = int(params.n_devices)
         devices_per_gw = 0
     if n_devices < 1:
         raise InvalidParams("need at least one end device")
@@ -576,7 +577,7 @@ def generate_topology(params, seed: int) -> WeightedGraph:
         raise InvalidParams(f"n_devices must be at most {MAX_DEVICES}")
 
     if scenario == "urllc":
-        latency_ms = float(getattr(params, "latency_ms", _URLLC_BASE_LATENCY_MS))
+        latency_ms = float(params.latency_ms)
         if latency_ms <= 0:
             raise InvalidParams("latency_ms must be positive")
         # Tighter latency budgets shrink the service area of one access point;

@@ -1,17 +1,28 @@
 import glob
 import hashlib
 import os
+import re
+import shlex
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
 import icnsim
-from icnsim import ilm, userplane
-from icnsim.cli import main, parse_config
-from icnsim.congruity import FEATURE_NAMES, LABEL_KINDS, load_model
-from icnsim.containment import Target, containerize, hierarchy_to_text
+from icnsim import cli, ilm, userplane
+from icnsim.cli import (
+    CLI_DEFAULTS, CONFIG_KEYS, RENAMED, from_config, hyperparams_from, main,
+    parse_config, scenario_params_from,
+)
+from icnsim.congruity import (
+    FEATURE_NAMES, LABEL_KINDS, DatasetSpec, Hyperparams, load_model,
+)
+from icnsim.containment import (
+    Container, ContainerHierarchy, Target, containerize, hierarchy_to_text,
+)
 from icnsim.errors import ConfigError
+from icnsim.evaluation import ScenarioParams
 from icnsim.topology import load_graph
 
 BASE_CONFIG = """
@@ -79,6 +90,37 @@ class TestConfigParsing:
     def test_missing_equals_rejected(self):
         with pytest.raises(ConfigError):
             parse_config("scenario mmtc\n")
+
+
+CONFIG_CLASSES = (ScenarioParams, Hyperparams, DatasetSpec)
+# fields that a command sets itself, or that only the library reaches
+UNKEYED_FIELDS = {"seed", "rng_seed", "learner", "preplace_everywhere"}
+
+
+class TestSingleDeclaration:
+    def test_each_key_sets_one_field_or_has_a_cli_default(self):
+        assert len(CONFIG_KEYS) == 46
+        for key in CONFIG_KEYS:
+            name = RENAMED.get(key, key)
+            owners = [c for c in CONFIG_CLASSES if name in {f.name for f in fields(c)}]
+            assert len(owners) + (key in CLI_DEFAULTS) == 1, key
+
+    def test_every_field_but_the_unkeyed_ones_has_a_key(self):
+        keyed = {RENAMED.get(key, key) for key in CONFIG_KEYS}
+        for cls in CONFIG_CLASSES:
+            for f in fields(cls):
+                assert (f.name in keyed) != (f.name in UNKEYED_FIELDS), (cls, f.name)
+
+    def test_empty_config_builds_the_dataclass_defaults(self):
+        config = parse_config("")
+        assert scenario_params_from(config, 0) == ScenarioParams(seed=0)
+        assert hyperparams_from(config, 0) == Hyperparams()
+        assert from_config(DatasetSpec, config) == DatasetSpec()
+        assert {key: config[key] for key in CLI_DEFAULTS} == CLI_DEFAULTS
+
+    def test_renamed_keys_set_their_fields(self):
+        h = hyperparams_from(parse_config("q_norm = 3\ntop_k = 7\n"), 4)
+        assert (h.q, h.k, h.rng_seed) == (3, 7, 4)
 
 
 class TestGenTopo:
@@ -164,6 +206,30 @@ class TestContainerizeCmd:
         ])
         assert code == 1
         assert "bottleneck target on latency_us graph" in capsys.readouterr().err
+        assert not (out / "hierarchy.txt").exists()
+
+    def test_invalid_hierarchy_exits_two_writing_nothing(
+        self, config_path, tmp_path, monkeypatch, capsys
+    ):
+        out = tmp_path / "out"
+        assert main(["gen-topo", "--config", config_path, "--out", str(out)]) == 0
+        real = cli.containerize
+
+        def dropping_a_node(graph, targets):
+            h = real(graph, targets)
+            first = h.levels[0][0]
+            short = Container(first.level, first.index, first.nodes[1:])
+            levels = [[short, *h.levels[0][1:]], *h.levels[1:]]
+            return ContainerHierarchy(levels, h.source_graph)
+
+        monkeypatch.setattr(cli, "containerize", dropping_a_node)
+        capsys.readouterr()
+        code = main([
+            "containerize", "--config", config_path,
+            "--topo", str(out / "topology.txt"), "--out", str(out),
+        ])
+        assert code == 2
+        assert "uncovered" in capsys.readouterr().err
         assert not (out / "hierarchy.txt").exists()
 
     def test_missing_topo_exits_two(self, config_path, tmp_path, capsys):
@@ -386,6 +452,17 @@ MALFORMED_VALUES = {
     "nan-zipf-exponent": ("run", "zipf_exponent = nan", [], "zipf_exponent"),
     "nan-sweep-value": ("run", "sweep_values = nan", [], "sweep_values"),
     "nan-service-seconds": ("run", "service_seconds = nan", [], "service_seconds"),
+    "zero-service-seconds": ("run", "service_seconds = 0", [], "service_seconds"),
+    "zero-data-rate": ("run", "data_rate_mbps = 0", [], "data_rate_mbps"),
+    "negative-sweep-point-run": ("run", "sweep_values = -8", [], "data_rate_mbps"),
+    "zero-second-sweep-point-run": ("run", "sweep_values = 8, 0", [], "data_rate_mbps"),
+    "negative-sweep-point-gen-topo": ("gen-topo", "sweep_values = -8", [], "data_rate_mbps"),
+    "zero-sweep-point-gen-topo": ("gen-topo", "sweep_values = 0", [], "data_rate_mbps"),
+    "zero-prefetch-candidates": ("run", "prefetch_candidates = 0", [], "prefetch_candidates"),
+    "zero-prefetch-candidates-no-prefetch": (
+        "run", "prefetch_budget = 0\nprefetch_candidates = 0", [], "prefetch_candidates"
+    ),
+    "negative-prefetch-top-j": ("run", "prefetch_top_j = -2", [], "prefetch_top_j"),
 }
 
 
@@ -421,6 +498,27 @@ class TestEntryPoints:
             main(["--help"])
         out = capsys.readouterr().out
         assert "cache_fraction" in out and "default" in out
+
+
+def test_readme_cli_example_runs(tmp_path, monkeypatch, capsys):
+    """The shell block of README's CLI section: each `icnsim` line exits 0
+    and writes the files its comment lists."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        section = fh.read().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    name, config = re.search(r"cat > (\S+) <<EOF\n(.*?\n)EOF\n", block, re.S).groups()
+    commands = [ln for ln in block.splitlines() if ln.startswith("icnsim ")]
+    assert len(commands) == 5
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).write_text(config)
+    listed = []
+    for line in commands:
+        command, _, comment = line.partition("#")
+        assert main(shlex.split(command)[1:]) == 0, line
+        files = comment.replace(",", " ").split()
+        assert files and all((tmp_path / f).is_file() for f in files), line
+        listed += files
+    assert len(listed) == 7
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=os.path.basename)

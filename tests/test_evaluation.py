@@ -27,6 +27,7 @@ from icnsim.evaluation import (
     reports_to_csv,
     run_scenario,
     run_sweep,
+    sweep_points,
     sweep_report,
 )
 from icnsim.topology import Edge, Node, NodeKind, build_graph, generate_topology
@@ -192,6 +193,20 @@ class TestRunScenario:
         assert [r.sweep_value for r in reports] == [
             float(v) for v in DEFAULT_SWEEPS["embb"]
         ]
+
+    def test_sweep_points_resolve_the_default_sweep(self):
+        points = sweep_points(small_params(scenario="urllc", sweep_values=()))
+        assert [p.latency_ms for p in points] == list(DEFAULT_SWEEPS["urllc"])
+        assert {p.sweep_values for p in points} == {DEFAULT_SWEEPS["urllc"]}
+
+    @pytest.mark.parametrize("values", [(8, -8), (0,)])
+    def test_a_bad_sweep_point_fails_before_any_point_runs(self, values, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("a sweep point ran")
+
+        monkeypatch.setattr(evaluation, "_run_point", unreachable)
+        with pytest.raises(InvalidParams, match="data_rate_mbps"):
+            run_scenario(small_params(sweep_values=values))
 
     def test_run_sweep_concatenates_seeds(self):
         params = small_params(sweep_values=(8,), request_count=30)
@@ -379,7 +394,7 @@ def small_train_configs(draw):
 def test_small_train_configs_finish_or_raise_sim_error(text):
     config = cli.parse_config(text)
     h = cli.hyperparams_from(config, config["seeds"][0])
-    spec = congruity.DatasetSpec(n_personal=config["n_personal"], n_general=config["n_general"])
+    spec = cli.from_config(congruity.DatasetSpec, config)
     dp, dg = congruity.synthesize_dataset(spec, config["seeds"][0])
     arch = (congruity.N_FEATURES, *config["hidden_widths"], 1)
     with time_limit(FUZZ_SECONDS):
