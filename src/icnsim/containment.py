@@ -47,10 +47,11 @@ class Container:
     """One container of a hierarchy level.
 
     `nodes` holds the member node ids in ascending order as a read-only int64
-    array; `containerize` stores a slice of the level's sorted node array
-    there. Any other iterable of ids (a frozenset, a list) is sorted into one
-    at construction; an int64 array is taken as given. Containers compare by
-    identity: two containers with equal fields are still two containers.
+    array; `containerize` stores a slice of the level's read-only sorted node
+    array there. Any other iterable of ids (a frozenset, a list) is sorted
+    into one at construction; an int64 array is taken as given, through a
+    read-only view when it is writeable. Containers compare by identity: two
+    containers with equal fields are still two containers.
     """
 
     level: int
@@ -61,9 +62,10 @@ class Container:
         nodes = self.nodes
         if not (isinstance(nodes, np.ndarray) and nodes.dtype == np.int64):
             nodes = np.array(sorted(set(nodes)), dtype=np.int64)
-        nodes = nodes.view()
-        nodes.flags.writeable = False
-        object.__setattr__(self, "nodes", nodes)
+        if nodes.flags.writeable:
+            nodes = nodes.view()
+            nodes.flags.writeable = False
+            object.__setattr__(self, "nodes", nodes)
 
 
 @dataclass
@@ -90,7 +92,10 @@ class ValidationReport:
         return not self.violations
 
 
-def _check_unit(g: WeightedGraph, t: Target) -> None:
+def _check_graph(g: WeightedGraph, t: Target) -> None:
+    """Reject an empty graph, or one whose unit `t`'s mode cannot read."""
+    if g.n == 0:
+        raise InvalidParams("cannot containerize an empty graph")
     if t.mode == TargetMode.BOTTLENECK:
         if g.unit != WeightUnit.BANDWIDTH_BPS:
             raise UnitMismatch(f"bottleneck target on {g.unit.value} graph")
@@ -181,10 +186,24 @@ def _positions(groups, n: int) -> np.ndarray:
 
 def _group_members(labels: np.ndarray, k: int) -> list:
     """The members of each of `k` groups, from a group label per node: one
-    ascending int64 id array per label, in label order."""
+    ascending read-only int64 id array per label, in label order, each a
+    slice of one sorted array."""
     by_node = np.argsort(labels, kind="stable")  # grouped by label, ascending id
-    counts = np.bincount(labels, minlength=k)
-    return np.split(by_node, np.cumsum(counts)[:-1])
+    by_node.flags.writeable = False
+    bounds = [0]
+    bounds.extend(np.cumsum(np.bincount(labels, minlength=k)).tolist())
+    return [by_node[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def _level_labels(g: WeightedGraph, t: Target) -> tuple:
+    """(labels, k) for one level seeded in ascending id order: each node's
+    container position and the number of containers. _grouping_labels
+    already numbers components by their lowest id, which is that order."""
+    if t.mode == TargetMode.EXACT_HIT:
+        groups = _exact_hit_groups(g, t, range(g.n))
+        return _positions(groups, g.n), len(groups)
+    labels = _grouping_labels(g, t)
+    return labels, int(labels.max()) + 1
 
 
 def _level_groups(g: WeightedGraph, t: Target, order: np.ndarray) -> list:
@@ -207,20 +226,26 @@ def _level_groups(g: WeightedGraph, t: Target, order: np.ndarray) -> list:
     return [members[lab] for lab in np.argsort(first, kind="stable")]
 
 
+def _containers(level: int, labels: np.ndarray, k: int) -> list:
+    """The containers of one level, from each node's container position."""
+    return [
+        Container(level=level, index=pos + 1, nodes=nodes)
+        for pos, nodes in enumerate(_group_members(labels, k))
+    ]
+
+
 def containerize_level(g: WeightedGraph, t: Target, seed_order=None) -> list:
     """One containerization level: a partition of the graph's nodes.
 
     seed_order fixes which unassigned node seeds the next container
     (default: ascending node id). Deterministic.
     """
-    if g.n == 0:
-        raise InvalidParams("cannot containerize an empty graph")
-    _check_unit(g, t)
-    order = np.arange(g.n)
-    if seed_order is not None:
-        order = np.asarray(list(seed_order))
-        if order.shape != (g.n,) or not np.array_equal(np.sort(order), np.arange(g.n)):
-            raise InvalidParams("seed_order must enumerate every node exactly once")
+    _check_graph(g, t)
+    if seed_order is None:
+        return _containers(t.level, *_level_labels(g, t))
+    order = np.asarray(list(seed_order))
+    if order.shape != (g.n,) or not np.array_equal(np.sort(order), np.arange(g.n)):
+        raise InvalidParams("seed_order must enumerate every node exactly once")
     groups = _level_groups(g, t, order.astype(np.int64, copy=False))
     return [
         Container(level=t.level, index=k + 1, nodes=nodes)
@@ -268,21 +293,18 @@ def containerize(g: WeightedGraph, targets) -> ContainerHierarchy:
     if len({t.mode for t in targets}) > 1:
         raise InvalidParams("targets in one sequence must share a distance mode")
 
-    levels = [containerize_level(g, targets[0])]
-    labels = _positions([c.nodes for c in levels[0]], g.n)  # node -> newest-level position
+    _check_graph(g, targets[0])
+    # Each level is seeded in ascending id order of the graph it is built on,
+    # so its labels are its container positions as they come.
+    q_labels, k = _level_labels(g, targets[0])  # current-graph node -> position
+    labels = q_labels                            # node -> newest-level position
+    levels = [_containers(targets[0].level, labels, k)]
     current = g          # graph the newest level was built on
-    q_labels = labels    # current-graph node -> newest-level container position
     for t in targets[1:]:
-        k = len(levels[-1])
-        quotient = _quotient(current, q_labels, k, t.mode)
-        super_groups = _level_groups(quotient, t, np.arange(k))
-        q_labels = _positions(super_groups, k)
+        current = _quotient(current, q_labels, k, t.mode)
+        q_labels, k = _level_labels(current, t)
         labels = q_labels[labels]
-        levels.append([
-            Container(level=t.level, index=pos + 1, nodes=nodes)
-            for pos, nodes in enumerate(_group_members(labels, len(super_groups)))
-        ])
-        current = quotient
+        levels.append(_containers(t.level, labels, k))
     return ContainerHierarchy(levels=levels, source_graph=g)
 
 

@@ -29,6 +29,7 @@ from .topology import (
     generate_topology,
     hop_distance,
     node_centrality,
+    topology_size,
 )
 
 SWEEP_VARS = {
@@ -134,14 +135,19 @@ class ScenarioParams:
 def sweep_points(params: ScenarioParams) -> list:
     """One validated ScenarioParams per sweep point: the sweep variable set to
     each of `sweep_values`, or of the scenario's default sweep when that is
-    empty, and `sweep_values` set to the values swept."""
+    empty, and `sweep_values` set to the values swept. Each point also passes
+    the topology's own checks; the base `params` need not, as no run uses its
+    value of the sweep variable."""
     params.validate()
     var = SWEEP_VARS[params.scenario]
     values = tuple(params.sweep_values) or DEFAULT_SWEEPS[params.scenario]
-    return [
+    points = [
         replace(params, **{var: value, "sweep_values": values}).validate()
         for value in values
     ]
+    for point in points:
+        topology_size(point)
+    return points
 
 
 # -- the metric -----------------------------------------------------------------

@@ -152,6 +152,7 @@ class WeightedGraph:
         self.ew = ew
         self.unit = unit
         self._csr = None
+        self._degrees = None
         self._tree = None
 
     # -- construction ------------------------------------------------------
@@ -204,7 +205,7 @@ class WeightedGraph:
             dst = np.concatenate([self.ea, self.eb])[order]
             wts = np.concatenate([self.ew, self.ew])[order]
             indptr = np.zeros(self.n + 1, dtype=np.int64)
-            np.cumsum(np.bincount(src, minlength=self.n), out=indptr[1:])
+            np.cumsum(self.degrees(), out=indptr[1:])
             self._csr = (indptr, dst, wts)
         return self._csr
 
@@ -214,12 +215,17 @@ class WeightedGraph:
         return dst[lo:hi], wts[lo:hi]
 
     def degree(self, i: int) -> int:
-        indptr, _, _ = self._ensure_csr()
-        return int(indptr[i + 1] - indptr[i])
+        return int(self.degrees()[i])
 
     def degrees(self) -> np.ndarray:
-        """Degree of every node, as an int64 array indexed by node id."""
-        return np.diff(self._ensure_csr()[0])
+        """Degree of every node, as a read-only int64 array indexed by node
+        id. Counted from the edge list, so it builds no adjacency."""
+        if self._degrees is None:
+            degs = np.bincount(self.ea, minlength=self.n)
+            degs += np.bincount(self.eb, minlength=self.n)
+            degs.flags.writeable = False
+            self._degrees = degs
+        return self._degrees
 
     def forwarding_mask(self) -> bytes:
         """One byte per node: 1 where the node's kind forwards and caches
@@ -231,7 +237,9 @@ class WeightedGraph:
     def _tree_info(self):
         """(True, parents, depths) when the graph is a tree rooted at node 0,
         else (False, None, None). parents and depths are Python lists, which
-        the per-hop walks index much faster than numpy arrays."""
+        the per-hop walks index much faster than numpy arrays. A generated
+        topology hands them over at construction; any other graph learns
+        them from one BFS on first use."""
         if self._tree is None:
             self._tree = (False, None, None)
             if self.n >= 1 and self.m == self.n - 1:
@@ -529,39 +537,40 @@ _URLLC_BASE_LATENCY_MS = 8.0
 MAX_DEVICES = 4_000_000
 
 
-def generate_topology(params, seed: int) -> WeightedGraph:
-    """Seeded scenario topology: a latency-weighted access tree.
+def topology_size(params) -> tuple:
+    """(n_devices, devices_per_ap, devices_per_gw) of the topology that
+    `generate_topology` builds for `params`, an `evaluation.ScenarioParams`.
 
-    Core layout is root - zone switches - switches - access points; end
-    devices hang off the access points. The mMTC scenario inserts gateways
-    between access points and constrained devices, one local domain per
-    gateway. Pure function of (params, seed), where `params` is an
-    `evaluation.ScenarioParams`.
+    Every check on the parameters that shape a topology lives here, per
+    scenario, so `evaluation.sweep_points` rejects a bad sweep point before
+    any point runs. Raises InvalidParams. devices_per_ap is the URLLC one
+    after latency scaling; devices_per_gw is 0 outside mMTC.
     """
     scenario = params.scenario
     if scenario not in SCENARIOS:
         raise InvalidParams(f"unknown scenario {scenario!r}")
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xA11CE]))
-
     devices_per_ap = int(params.devices_per_ap)
-    aps_per_switch = int(params.aps_per_switch)
-    switches_per_zone = int(params.switches_per_zone)
-    n_servers = int(params.n_servers)
-    structure = (devices_per_ap, aps_per_switch, switches_per_zone, n_servers)
-    if min(structure) < 1:
-        raise InvalidParams("structure parameters must be >= 1")
-    if max(structure) > MAX_DEVICES:
-        raise InvalidParams(f"structure parameters must be at most {MAX_DEVICES}")
+    structure = (
+        devices_per_ap,
+        int(params.aps_per_switch),
+        int(params.switches_per_zone),
+        int(params.n_servers),
+    )
+    if not 1 <= min(structure) <= max(structure) <= MAX_DEVICES:
+        raise InvalidParams(
+            "devices_per_ap, aps_per_switch, switches_per_zone and n_servers "
+            f"must lie in [1, {MAX_DEVICES}]"
+        )
 
     if scenario == "mmtc":
         density = float(params.density_k_per_km2) * 1000.0
         area = float(params.area_km2)
-        if density <= 0 or area <= 0:
-            raise InvalidParams("mMTC needs positive density and area")
+        if not (density > 0 and area > 0):
+            raise InvalidParams("mMTC needs positive density_k_per_km2 and area_km2")
         expected = density * area
         if not expected <= MAX_DEVICES:  # also catches an overflow to inf
             raise InvalidParams(
-                f"density times area gives {expected:.6g} devices, "
+                f"density_k_per_km2 times area_km2 gives {expected:.6g} devices, "
                 f"more than {MAX_DEVICES}"
             )
         n_devices = int(round(expected))
@@ -578,12 +587,31 @@ def generate_topology(params, seed: int) -> WeightedGraph:
 
     if scenario == "urllc":
         latency_ms = float(params.latency_ms)
-        if latency_ms <= 0:
+        if not latency_ms > 0:
             raise InvalidParams("latency_ms must be positive")
         # Tighter latency budgets shrink the service area of one access point;
         # an area beyond every device (or an overflow to inf) serves them all.
         scaled = devices_per_ap * latency_ms / _URLLC_BASE_LATENCY_MS
         devices_per_ap = max(1, int(round(min(scaled, n_devices))))
+    return n_devices, devices_per_ap, devices_per_gw
+
+
+def generate_topology(params, seed: int) -> WeightedGraph:
+    """Seeded scenario topology: a latency-weighted access tree.
+
+    Core layout is root - zone switches - switches - access points; end
+    devices hang off the access points. The mMTC scenario inserts gateways
+    between access points and constrained devices, one local domain per
+    gateway. Pure function of (params, seed), where `params` is an
+    `evaluation.ScenarioParams`. The graph comes with its tree (parents and
+    depths from root 0) already known.
+    """
+    n_devices, devices_per_ap, devices_per_gw = topology_size(params)
+    scenario = params.scenario
+    aps_per_switch = int(params.aps_per_switch)
+    switches_per_zone = int(params.switches_per_zone)
+    n_servers = int(params.n_servers)
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xA11CE]))
 
     if scenario == "mmtc":
         n_gateways = -(-n_devices // devices_per_gw)
@@ -634,38 +662,52 @@ def generate_topology(params, seed: int) -> WeightedGraph:
         ups[devices] = _MMTC_UPLINK
         computes[devices] = _MMTC_COMPUTE
 
+    # The layers attach in id order, so node i's parent and depth are the
+    # (i + 1)-th entries of these lists. A parent's id is one Python int
+    # shared by all its children's entries.
+    parents, depths = [-1], [0]
     ea_parts, eb_parts, ew_parts = [], [], []
 
-    def attach(children, parents_of, lo, hi):
+    def attach(children, parent_layer, fanout, weights):
+        """Hang `children` below `parent_layer`, the first `fanout` of them
+        below its first node, and so on."""
         ea_parts.append(children)
-        eb_parts.append(parents_of)
-        ew_parts.append(rng.integers(lo, hi, size=len(children), dtype=np.int64))
+        eb_parts.append(parent_layer[np.arange(len(children)) // fanout])
+        ew_parts.append(weights)
+        end = len(parents) + len(children)
+        for p in parent_layer.tolist():
+            parents.extend([p] * min(fanout, end - len(parents)))
+        depths.extend([depths[parent_layer[0]] + 1] * len(children))
 
-    attach(servers, np.full(n_servers, root, dtype=np.int64), *_MID_LAT)
-    attach(zones, np.full(n_zones, root, dtype=np.int64), *_CORE_LAT)
-    attach(switches, zones[np.arange(n_switches) // switches_per_zone], *_CORE_LAT)
+    def draw(lo, hi, size):
+        return rng.integers(lo, hi, size=size, dtype=np.int64)
+
+    top = np.array([root])
+    attach(servers, top, n_servers, draw(*_MID_LAT, n_servers))
+    attach(zones, top, n_zones, draw(*_CORE_LAT, n_zones))
+    attach(switches, zones, switches_per_zone, draw(*_CORE_LAT, n_switches))
     if scenario == "urllc":
-        base = max(1000.0, latency_ms * 1000.0)
+        base = max(1000.0, float(params.latency_ms) * 1000.0)
         raw = base * rng.uniform(0.8, 1.2, size=n_aps)
         ap_w = np.clip(raw, 1000, 149_999).astype(np.int64)  # clip before the cast: raw may pass int64
-        ea_parts.append(aps)
-        eb_parts.append(switches[np.arange(n_aps) // aps_per_switch])
-        ew_parts.append(ap_w)
     else:
-        attach(aps, switches[np.arange(n_aps) // aps_per_switch], *_MID_LAT)
+        ap_w = draw(*_MID_LAT, n_aps)
+    attach(aps, switches, aps_per_switch, ap_w)
     if scenario == "mmtc":
-        attach(gateways, aps[np.arange(n_gateways) // devices_per_ap], *_MID_LAT)
-        attach(devices, gateways[np.arange(n_devices) // devices_per_gw], *_LOCAL_LAT)
+        attach(gateways, aps, devices_per_ap, draw(*_MID_LAT, n_gateways))
+        attach(devices, gateways, devices_per_gw, draw(*_LOCAL_LAT, n_devices))
     else:
-        attach(devices, aps[np.arange(n_devices) // devices_per_ap], *_LOCAL_LAT)
+        attach(devices, aps, devices_per_ap, draw(*_LOCAL_LAT, n_devices))
 
     ea = np.concatenate(ea_parts)
     eb = np.concatenate(eb_parts)
     ew = np.concatenate(ew_parts)
-    return WeightedGraph.from_arrays(
+    g = WeightedGraph.from_arrays(
         kinds, mems, storages, downs, ups, computes, ea, eb, ew,
         WeightUnit.LATENCY_US,
     )
+    g._tree = (True, parents, depths)  # what _tree_info's BFS would find
+    return g
 
 
 # -- graph file format --------------------------------------------------------

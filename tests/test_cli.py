@@ -10,7 +10,7 @@ from dataclasses import fields
 import pytest
 
 import icnsim
-from icnsim import cli, ilm, userplane
+from icnsim import cli, evaluation, ilm, userplane
 from icnsim.cli import (
     CLI_DEFAULTS, CONFIG_KEYS, RENAMED, from_config, hyperparams_from, main,
     parse_config, scenario_params_from,
@@ -301,6 +301,32 @@ class TestRunCmd:
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("lines,key", [
+        ("scenario = urllc\nsweep_values = 8, 0\n", "latency_ms"),
+        ("scenario = mmtc\narea_km2 = 0\n", "area_km2"),
+    ])
+    def test_bad_topology_point_exits_one_before_any_point_runs(
+        self, lines, key, tmp_path, monkeypatch, capsys
+    ):
+        def unreachable(*args):
+            raise AssertionError("a sweep point ran")
+
+        monkeypatch.setattr(evaluation, "_run_point", unreachable)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(BASE_CONFIG + lines)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err, err
+        assert not out.exists()
+
+    def test_an_unused_base_value_of_the_sweep_variable_is_not_checked(self):
+        # 10 and 20 k/km^2 over 100 km^2 are 1M and 2M devices; the default
+        # density of 63 k/km^2, which no point uses, would be 6.3M
+        config = parse_config(BASE_CONFIG + "scenario = mmtc\narea_km2 = 100\nsweep_values = 10, 20\n")
+        points = evaluation.sweep_points(scenario_params_from(config, 1))
+        assert [p.density_k_per_km2 for p in points] == [10, 20]
 
     def test_lone_mmtc_device_exits_one(self, tmp_path):
         # one device is both the only publisher and the only requester

@@ -8,6 +8,7 @@ from icnsim.containment import (
     Target,
     TargetMode,
     _grouping_labels,
+    _quotient,
     containerize,
     containerize_level,
     hierarchy_from_text,
@@ -116,7 +117,54 @@ class TestContainerizeLevel:
             assert members(out) == oracle_level_groups(n, edges, target, mode)
 
 
+def ranked_levels(g, targets):
+    """The members of each level, built through the generic ranked path:
+    containerize_level with an explicit ascending seed_order, each level
+    above the first on the quotient of the level below."""
+    levels, labels, current = [], np.arange(g.n), g
+    for t in targets:
+        if levels:
+            current = _quotient(current, q_labels, len(level), t.mode)
+        level = containerize_level(current, t, seed_order=list(range(current.n)))
+        q_labels = np.empty(current.n, dtype=np.int64)
+        for pos, c in enumerate(level):
+            q_labels[c.nodes] = pos
+        labels = q_labels[labels]
+        levels.append([np.flatnonzero(labels == pos).tolist() for pos in range(len(level))])
+    return levels
+
+
 class TestContainerize:
+    @pytest.mark.parametrize("mode", list(TargetMode))
+    def test_equals_the_ranked_level_by_level_build(self, mode):
+        rng = np.random.default_rng(21)
+        unit = "bandwidth_bps" if mode == TargetMode.BOTTLENECK else "latency_us"
+        for _ in range(25):
+            n = int(rng.integers(1, 40))
+            edges = random_graph(rng, n, max_extra=int(rng.integers(0, 12)))
+            edges = [e for e in edges if rng.random() > 0.15]  # a forest at times
+            g = make(n, edges, unit)
+            values = sorted(rng.choice(np.arange(2, 60), size=3, replace=False).tolist())
+            if mode == TargetMode.BOTTLENECK:
+                values.reverse()  # wider links group first
+            targets = [Target(i + 1, v, mode) for i, v in enumerate(values)]
+            h = containerize(g, targets)
+            assert [members(level) for level in h.levels] == ranked_levels(g, targets)
+            for t, level in zip(targets, h.levels, strict=True):
+                assert [(c.level, c.index) for c in level] == [
+                    (t.level, i + 1) for i in range(len(level))
+                ]
+                assert not any(c.nodes.flags.writeable for c in level)
+
+    def test_read_only_members_are_kept_as_given(self):
+        ids = np.arange(3, dtype=np.int64)
+        ids.flags.writeable = False
+        assert Container(level=1, index=1, nodes=ids).nodes is ids
+        writeable = np.arange(3, dtype=np.int64)
+        c = Container(level=1, index=1, nodes=writeable)
+        assert c.nodes.base is writeable and not c.nodes.flags.writeable
+        assert writeable.flags.writeable
+
     def test_single_target_equals_single_level(self):
         g = make(3, [(0, 1, 2), (1, 2, 9)])
         h = containerize(g, [Target(1, 5)])
@@ -381,7 +429,11 @@ def test_grouping_labels_partition_matches_scipy(case):
         kept = [e for e in edges if e[2] >= t.value]
     else:
         kept = [e for e in edges if e[2] < t.value]
-    assert_same_partition(_grouping_labels(g, t), scipy_components(n, kept))
+    labels = _grouping_labels(g, t)
+    assert_same_partition(labels, scipy_components(n, kept))
+    # numbered by lowest id: label k's first node comes before label k + 1's,
+    # so the labels are the container positions of an ascending-id seeding
+    assert np.all(np.diff(np.unique(labels, return_index=True)[1]) > 0)
 
 
 def test_grouping_labels_on_long_shuffled_paths_and_forests():

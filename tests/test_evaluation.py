@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from icnsim import cli, congruity, evaluation
+from icnsim import cli, congruity, evaluation, topology
 from icnsim.congruity import Hyperparams
 from icnsim.containment import Target, containerize, validate_hierarchy
 from icnsim.errors import (
@@ -199,14 +199,53 @@ class TestRunScenario:
         assert [p.latency_ms for p in points] == list(DEFAULT_SWEEPS["urllc"])
         assert {p.sweep_values for p in points} == {DEFAULT_SWEEPS["urllc"]}
 
-    @pytest.mark.parametrize("values", [(8, -8), (0,)])
-    def test_a_bad_sweep_point_fails_before_any_point_runs(self, values, monkeypatch):
+    @pytest.mark.parametrize("scenario,values,key", [
+        ("embb", (8, -8), "data_rate_mbps"),
+        ("embb", (0,), "data_rate_mbps"),
+        ("urllc", (8, 0), "latency_ms"),
+        ("urllc", (8, float("nan")), "latency_ms"),
+        ("mmtc", (1, -1), "density_k_per_km2"),
+        ("mmtc", (1, 5_000), "density_k_per_km2 times area_km2"),  # 5M devices
+    ])
+    def test_a_bad_sweep_point_fails_before_any_point_runs(
+        self, scenario, values, key, monkeypatch
+    ):
         def unreachable(*args):
             raise AssertionError("a sweep point ran")
 
         monkeypatch.setattr(evaluation, "_run_point", unreachable)
-        with pytest.raises(InvalidParams, match="data_rate_mbps"):
-            run_scenario(small_params(sweep_values=values))
+        with pytest.raises(InvalidParams, match=key):
+            run_scenario(small_params(scenario=scenario, sweep_values=values))
+
+    @pytest.mark.parametrize("base,var,values", [
+        # the default density of 63 k/km^2 over 100 km^2 would be 6.3M devices
+        (dict(scenario="mmtc", area_km2=100.0), "density_k_per_km2", (10, 20)),
+        (dict(scenario="mmtc", density_k_per_km2=0.0), "density_k_per_km2", (1,)),
+        (dict(scenario="urllc", latency_ms=0.0), "latency_ms", (4, 8)),
+    ])
+    def test_only_the_points_pass_the_topology_checks(self, base, var, values):
+        # no run uses the base value of the sweep variable, so it goes unchecked
+        points = sweep_points(small_params(**base, sweep_values=values))
+        assert [getattr(p, var) for p in points] == list(values)
+
+    @pytest.mark.parametrize("scenario,overrides", [
+        ("mmtc", dict(sweep_values=(63,), area_km2=0.01)),
+        ("embb", dict(sweep_values=(8,))),
+    ])
+    def test_generated_runs_need_no_bfs_and_no_adjacency(
+        self, scenario, overrides, monkeypatch
+    ):
+        # A generated topology hands its tree over and counts degrees from
+        # its edge list, so a run learns nothing by BFS and builds no CSR.
+        params = ScenarioParams(scenario=scenario, seed=2, **overrides)
+        want = reports_to_csv(run_scenario(params))
+
+        def forbidden(*args):
+            raise AssertionError("the run built graph structure it was handed")
+
+        monkeypatch.setattr(topology, "_bfs", forbidden)
+        monkeypatch.setattr(topology.WeightedGraph, "_ensure_csr", forbidden)
+        assert reports_to_csv(run_scenario(params)) == want
 
     def test_run_sweep_concatenates_seeds(self):
         params = small_params(sweep_values=(8,), request_count=30)

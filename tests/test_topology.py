@@ -18,6 +18,7 @@ from icnsim.topology import (
     Edge,
     Node,
     NodeKind,
+    WeightedGraph,
     build_graph,
     generate_topology,
     graph_from_text,
@@ -412,7 +413,41 @@ def test_degrees_match_the_edge_list(case):
     for a, b, _ in edges:
         want[a] += 1
         want[b] += 1
-    assert g.degrees().tolist() == want
+    degs = g.degrees()
+    assert degs.tolist() == want
+    assert g._csr is None  # counted from the edge list alone
+    assert degs.dtype == np.int64 and not degs.flags.writeable
+    assert np.array_equal(degs, np.diff(g._ensure_csr()[0]))
+    assert [g.degree(i) for i in range(n)] == want
+
+
+HANDOVER_CASES = [
+    dict(scenario="embb", n_devices=1),
+    dict(scenario="embb", n_devices=48, devices_per_ap=5, aps_per_switch=2),
+    dict(scenario="embb", n_devices=300, switches_per_zone=1, n_servers=3),
+    dict(scenario="urllc", n_devices=1),
+    dict(scenario="urllc", n_devices=64, latency_ms=1.0),
+    dict(scenario="urllc", n_devices=40, latency_ms=1e300),  # one AP serves all
+    dict(scenario="mmtc", density_k_per_km2=1.0, area_km2=0.001),  # one device
+    dict(scenario="mmtc", area_km2=0.005, devices_per_gateway=1),
+    dict(scenario="mmtc", area_km2=0.02, devices_per_gateway=256),
+    dict(scenario="mmtc", area_km2=0.01, devices_per_ap=3, aps_per_switch=1),
+]
+
+
+@pytest.mark.parametrize("case", HANDOVER_CASES)
+@pytest.mark.parametrize("seed", [1, 2, 7])
+def test_handed_over_tree_equals_the_bfs_one(case, seed):
+    g = generate_topology(ScenarioParams(**case), seed)
+    handed = g._tree_info()
+    assert g._csr is None  # no BFS ran
+    rebuilt = WeightedGraph.from_arrays(
+        g.kinds, g.mems, g.storages, g.downs, g.ups, g.computes,
+        g.ea, g.eb, g.ew, g.unit,
+    )
+    assert rebuilt._tree is None
+    assert handed == rebuilt._tree_info()
+    assert handed[0] and len(handed[1]) == len(handed[2]) == g.n
 
 
 def scipy_tree_parents(n, edges):
