@@ -187,18 +187,6 @@ class ParameterSet:
     def L(self) -> int:
         return len(self.widths)
 
-    def copy(self) -> "ParameterSet":
-        ps = ParameterSet(
-            self.widths,
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            [a.copy() for a in self.alive],
-            self.d_max,
-        )
-        ps.w_frozen = [m.copy() for m in self.w_frozen]
-        ps.b_frozen = [m.copy() for m in self.b_frozen]
-        return ps
-
     def layer_coords(self, layer: int):
         """Deterministic coordinate order for one layer: connection weights
         row-major, then biases (layer 0 has biases only)."""
@@ -568,11 +556,9 @@ def grad_congruity(ps: ParameterSet, dp: Dataset, dg: Dataset, h: Hyperparams,
 class TrainResult:
     theta_star: ParameterSet
     e_star: float
-    predictions: np.ndarray
     e_initial: float
     loss_history: list
     pruned_count: int
-    trajectory: list = field(default_factory=list)
 
 
 def _batches(dp, dg, batch_size):
@@ -642,8 +628,7 @@ def _prune_phase(ps, pairs, h, centroid, rng, label_kind):
 
 
 def train(dp: Dataset, dg: Dataset, h: Hyperparams, arch,
-          d_max=None, label_kind: str = DEFAULT_LABEL_KIND,
-          record_trajectory: bool = False) -> TrainResult:
+          d_max=None, label_kind: str = DEFAULT_LABEL_KIND) -> TrainResult:
     """Two-phase optimization: layer-wise pruning, then gradient descent on
     the blended objective until max_epochs or the relative improvement drops
     under the tolerance. Deterministic for a fixed seed."""
@@ -665,9 +650,6 @@ def train(dp: Dataset, dg: Dataset, h: Hyperparams, arch,
 
     e_prev = congruity_objective(ps, dp, dg, h, label_kind, centroid)
     history = [e_prev]
-    trajectory = []
-    if record_trajectory:
-        trajectory.append(ps.copy())
     for _ in range(h.max_epochs):
         for bp, bg in pairs:
             dW, db = grad_congruity(ps, bp, bg, h, label_kind, centroid)
@@ -676,23 +658,17 @@ def train(dp: Dataset, dg: Dataset, h: Hyperparams, arch,
         if not math.isfinite(e_now):
             raise NonFiniteLoss(f"objective diverged to {e_now}")
         history.append(e_now)
-        if record_trajectory:
-            trajectory.append(ps.copy())
         if abs(e_prev - e_now) / max(abs(e_prev), 1e-30) < h.tolerance:
             e_prev = e_now
             break
         e_prev = e_now
 
-    X_all = np.vstack([dp.feature_matrix(), dg.feature_matrix()])
-    predictions = _forward_batch(ps, X_all)[-1][:, 0]
     return TrainResult(
         theta_star=ps,
         e_star=history[-1],
-        predictions=predictions,
         e_initial=e_initial,
         loss_history=history,
         pruned_count=pruned,
-        trajectory=trajectory,
     )
 
 

@@ -139,10 +139,10 @@ def _grouping_labels(g: WeightedGraph, t: Target) -> np.ndarray:
     return (np.cumsum(is_root) - 1)[f]
 
 
-def _exact_hit_groups(g: WeightedGraph, t: Target, order) -> list:
-    """Greedy grouping for the closed-bound mode: from each seed, collect the
-    still-unassigned nodes whose contracted path distance is <= the target,
-    searching only through unassigned nodes."""
+def _exact_hit_groups(g: WeightedGraph, t: Target) -> list:
+    """Greedy grouping for the closed-bound mode: from each seed, in
+    ascending id order, collect the still-unassigned nodes whose contracted
+    path distance is <= the target, searching only through unassigned nodes."""
     contracted = {}
     for a, b, w in zip(g.ea.tolist(), g.eb.tolist(), g.ew.tolist()):
         cw = 0 if w < t.value else w
@@ -150,7 +150,7 @@ def _exact_hit_groups(g: WeightedGraph, t: Target, order) -> list:
         contracted[(b, a)] = cw
     remaining = set(range(g.n))
     groups = []
-    for seed in order:
+    for seed in range(g.n):
         if seed not in remaining:
             continue
         dist = {seed: 0}
@@ -200,30 +200,10 @@ def _level_labels(g: WeightedGraph, t: Target) -> tuple:
     container position and the number of containers. _grouping_labels
     already numbers components by their lowest id, which is that order."""
     if t.mode == TargetMode.EXACT_HIT:
-        groups = _exact_hit_groups(g, t, range(g.n))
+        groups = _exact_hit_groups(g, t)
         return _positions(groups, g.n), len(groups)
     labels = _grouping_labels(g, t)
     return labels, int(labels.max()) + 1
-
-
-def _level_groups(g: WeightedGraph, t: Target, order: np.ndarray) -> list:
-    """Node groups for one level, in container order (the group holding the
-    earliest node of `order`, an int64 permutation of the node ids, comes
-    first); each group is an ascending int64 id array."""
-    if t.mode == TargetMode.EXACT_HIT:
-        return [
-            np.asarray(grp, dtype=np.int64)
-            for grp in _exact_hit_groups(g, t, order.tolist())
-        ]
-    labels = _grouping_labels(g, t)
-    n = g.n
-    position = np.empty(n, dtype=np.int64)
-    position[order] = np.arange(n)
-    k = int(labels.max()) + 1
-    first = np.full(k, n, dtype=np.int64)
-    np.minimum.at(first, labels, position)
-    members = _group_members(labels, k)
-    return [members[lab] for lab in np.argsort(first, kind="stable")]
 
 
 def _containers(level: int, labels: np.ndarray, k: int) -> list:
@@ -234,23 +214,11 @@ def _containers(level: int, labels: np.ndarray, k: int) -> list:
     ]
 
 
-def containerize_level(g: WeightedGraph, t: Target, seed_order=None) -> list:
-    """One containerization level: a partition of the graph's nodes.
-
-    seed_order fixes which unassigned node seeds the next container
-    (default: ascending node id). Deterministic.
-    """
+def containerize_level(g: WeightedGraph, t: Target) -> list:
+    """One containerization level: a partition of the graph's nodes, each
+    container seeded by the lowest still-unassigned node id. Deterministic."""
     _check_graph(g, t)
-    if seed_order is None:
-        return _containers(t.level, *_level_labels(g, t))
-    order = np.asarray(list(seed_order))
-    if order.shape != (g.n,) or not np.array_equal(np.sort(order), np.arange(g.n)):
-        raise InvalidParams("seed_order must enumerate every node exactly once")
-    groups = _level_groups(g, t, order.astype(np.int64, copy=False))
-    return [
-        Container(level=t.level, index=k + 1, nodes=nodes)
-        for k, nodes in enumerate(groups)
-    ]
+    return _containers(t.level, *_level_labels(g, t))
 
 
 def _quotient(g: WeightedGraph, labels: np.ndarray, k: int, mode: TargetMode) -> WeightedGraph:

@@ -15,6 +15,7 @@ seeded Zipf-popularity request workload and aggregate the records.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -45,6 +46,13 @@ DEFAULT_SWEEPS = {
 }
 
 _URLLC_VOLUME = 2_000  # bytes per tactile update
+
+# Workload caps. One replayed request keeps its draw, record and trace, about
+# 0.6 KiB, and one catalog object its entry, resolver listing and name,
+# about 0.9 KiB (tracemalloc over small eMBB and mMTC points), so either cap
+# alone keeps a point under about 1 GiB and 3 minutes (0.12-0.18 ms each).
+MAX_REQUESTS = 1_000_000
+MAX_CATALOG_SIZE = 1_000_000
 
 
 @dataclass
@@ -115,8 +123,10 @@ class ScenarioParams:
     def validate(self):
         if self.scenario not in SWEEP_VARS:
             raise InvalidParams(f"unknown scenario {self.scenario!r}")
-        if self.request_count < 1 or self.catalog_size < 1:
-            raise InvalidParams("request_count and catalog_size must be >= 1")
+        if not 1 <= self.request_count <= MAX_REQUESTS:
+            raise InvalidParams(f"request_count must lie in [1, {MAX_REQUESTS}]")
+        if not 1 <= self.catalog_size <= MAX_CATALOG_SIZE:
+            raise InvalidParams(f"catalog_size must lie in [1, {MAX_CATALOG_SIZE}]")
         if not (0.0 <= self.cache_fraction):
             raise InvalidParams("cache_fraction must be non-negative")
         if self.prefetch_budget < 0:
@@ -136,8 +146,9 @@ def sweep_points(params: ScenarioParams) -> list:
     """One validated ScenarioParams per sweep point: the sweep variable set to
     each of `sweep_values`, or of the scenario's default sweep when that is
     empty, and `sweep_values` set to the values swept. Each point also passes
-    the topology's own checks; the base `params` need not, as no run uses its
-    value of the sweep variable."""
+    the topology's own checks and has finite object volumes and cache
+    capacity; the base `params` need not, as no run uses its value of the
+    sweep variable."""
     params.validate()
     var = SWEEP_VARS[params.scenario]
     values = tuple(params.sweep_values) or DEFAULT_SWEEPS[params.scenario]
@@ -147,6 +158,18 @@ def sweep_points(params: ScenarioParams) -> list:
     ]
     for point in points:
         topology_size(point)
+        largest = 1.5 * _nominal_bytes(point)  # the largest _object_volume draw
+        if not math.isfinite(largest):
+            raise InvalidParams(
+                f"data_rate_mbps = {point.data_rate_mbps!r} and service_seconds = "
+                f"{point.service_seconds!r} give objects of {largest!r} bytes"
+            )
+    capacity = _capacity_bytes(points[0])
+    if not math.isfinite(capacity):
+        raise InvalidParams(
+            f"cache_fraction = {params.cache_fraction!r} and catalog_size = "
+            f"{params.catalog_size} give a cache of {capacity!r} bytes"
+        )
     return points
 
 
@@ -177,13 +200,23 @@ def compute_ito(records) -> float:
 # -- one sweep point --------------------------------------------------------------
 
 
-def _nominal_volume(params, sweep_value=None) -> int:
+def _nominal_bytes(params, sweep_value=None) -> float:
     if params.scenario == "embb":
         rate = params.data_rate_mbps if sweep_value is None else sweep_value
-        return max(1, int(round(rate * 1e6 / 8.0 * params.service_seconds)))
+        return rate * 1e6 / 8.0 * params.service_seconds
     if params.scenario == "urllc":
         return _URLLC_VOLUME
     return 64  # mMTC sensor objects
+
+
+def _nominal_volume(params, sweep_value=None) -> int:
+    return max(1, int(round(_nominal_bytes(params, sweep_value))))
+
+
+def _capacity_bytes(params) -> float:
+    """Each element's cache budget, sized on the first sweep point's volume."""
+    return (params.cache_fraction * params.catalog_size
+            * _nominal_volume(params, params.sweep_values[0]))
 
 
 def _object_volume(params, crng) -> int:
@@ -290,10 +323,7 @@ def _run_point(params: ScenarioParams, point_index: int):
     ]
     hierarchy = containerize(g, targets)
 
-    capacity = int(round(
-        params.cache_fraction * params.catalog_size
-        * _nominal_volume(params, params.sweep_values[0])
-    ))
+    capacity = int(round(_capacity_bytes(params)))
     net = userplane.build_network(g, hierarchy, ilm.build_ilm_tree(hierarchy), capacity)
 
     crng = np.random.default_rng(np.random.SeedSequence([catalog_seed, 0xCA7]))
@@ -331,7 +361,6 @@ def _run_point(params: ScenarioParams, point_index: int):
     if params.preplace_everywhere:
         total_volume = sum(obj.volume for obj in catalog)
         net.media_capacity = max(net.media_capacity, total_volume)
-        net.caches.clear()
         for node in fwd.tolist():
             store = net.cache_of(node)
             for obj in catalog:
@@ -398,7 +427,8 @@ def run_scenario(params: ScenarioParams, with_details: bool = False):
     for idx, point in enumerate(sweep_points(params)):
         report, records, traces = _run_point(point, idx)
         reports.append(report)
-        details.append((records, traces))
+        if with_details:
+            details.append((records, traces))
     if with_details:
         return reports, details
     return reports

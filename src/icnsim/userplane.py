@@ -63,6 +63,7 @@ class CacheStore:
     """Byte-budgeted LRU store over the media partition of one element."""
 
     def __init__(self, owner: int, media_capacity: int, on_evict=None):
+        # on_evict(owner, object id) runs for every evicted entry
         self.owner = owner
         self.media_capacity = int(media_capacity)
         self.entries = OrderedDict()  # id -> size, least recently used first
@@ -85,7 +86,7 @@ class CacheStore:
             evicted_id, evicted = self.entries.popitem(last=False)
             self.used -= evicted
             if self.on_evict is not None:
-                self.on_evict(evicted_id)
+                self.on_evict(self.owner, evicted_id)
         self.entries[oid] = size
         self.used += size
         return True
@@ -93,13 +94,11 @@ class CacheStore:
 
 @dataclass
 class RequestMsg:
-    """A request for one object: the requested identifier, the node the
-    request starts from, and the hop count that handle_request stamps on it
-    once a copy is found."""
+    """A request for one object: the requested identifier and the node the
+    request starts from."""
 
     requested: GlobalId
     origin_node: int
-    hop_count: int = 0
 
 
 @dataclass
@@ -126,14 +125,14 @@ class PrefetchPlan:
 
 class NetState:
     """Everything one simulation run owns: topology, resolver, caches, the
-    publisher stores and the explicitly registered copies."""
+    catalog (each object names its publisher) and the explicitly registered
+    copies."""
 
     def __init__(self, graph: WeightedGraph, resolver: Resolver, media_capacity: int):
         self.graph = graph
         self.resolver = resolver
         self.media_capacity = int(media_capacity)
         self.caches = {}
-        self.permanent = {}
         self.objects = {}
         self.explicit = set()  # (node, object id) pairs registered with the ILM
         self.forwarding = graph.forwarding_mask()
@@ -147,10 +146,7 @@ class NetState:
     def cache_of(self, node: int) -> CacheStore:
         store = self.caches.get(node)
         if store is None:
-            store = CacheStore(
-                node, self.media_capacity,
-                on_evict=lambda oid, node=node: self._deregister_explicit(node, oid),
-            )
+            store = CacheStore(node, self.media_capacity, self._deregister_explicit)
             self.caches[node] = store
         return store
 
@@ -166,12 +162,12 @@ class NetState:
 
     def add_object(self, obj: ContentObject) -> None:
         self.objects[obj.id] = obj
-        self.permanent.setdefault(obj.publisher, set()).add(obj.id)
 
     def holds(self, node: int, oid) -> str:
         """'origin' when the node publishes the object, 'cache' on a cache
         hit, '' otherwise."""
-        if oid in self.permanent.get(node, ()):
+        obj = self.objects.get(oid)
+        if obj is not None and obj.publisher == node:
             return "origin"
         store = self.caches.get(node)
         if store is not None and oid in store:
@@ -234,13 +230,11 @@ def handle_request(net: NetState, req: RequestMsg) -> DeliveryTrace:
                 break
     if held == "cache":
         net.cache_of(current).touch(oid)
-    hops = len(path) - 1
-    req.hop_count = hops
     obj = net.objects.get(oid)
     return DeliveryTrace(
         request=req,
         path=path,
-        hops=hops,
+        hops=len(path) - 1,
         serving_node=current,
         cache_hit=(held == "cache"),
         volume=obj.volume if obj else 0,
@@ -335,9 +329,10 @@ def prefetch_plan(nc: dict, fp: dict, budget: int, seed: int) -> PrefetchPlan:
 
 
 def apply_prefetch(net: NetState, plan: PrefetchPlan) -> list:
-    """Execute a plan: push each object along the minimum-distance path from
-    its publisher into the target's media store, and register the explicit
-    copy with the resolver (until the locator cap)."""
+    """Execute a plan: insert each object into the target's media store,
+    register the explicit copy with the resolver (until the locator cap) and
+    report the publisher-to-target hop distance of each placed copy (-1
+    when unreachable). Returns (object id, node, hops) per placed copy."""
     placed = []
     for oid, node, _p in plan.placements:
         obj = net.objects.get(oid)

@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from icnsim import congruity
 from icnsim.cli import main
 from icnsim.congruity import (
     Dataset,
@@ -351,9 +352,12 @@ def _oracle_plain_mlp(dp, dg, seed, epochs=500, lr=1.0):
     return loss() / first
 
 
-def test_criterion_5_learning_progress():
+def test_criterion_5_learning_progress(monkeypatch):
     """Halved objective on the toy task; alpha boundaries follow the pure
-    single-error descent step for step."""
+    single-error descent step for step. `train` evaluates the objective
+    once before the prune phase, once after it and once per epoch, so the
+    parameters seen by every evaluation after the first are the run's
+    per-epoch trajectory."""
     dp, dg = _toy_datasets()
     assert _oracle_plain_mlp(dp, dg, seed=7) <= 0.5  # bound is attainable at all
 
@@ -368,14 +372,22 @@ def test_criterion_5_learning_progress():
         hb = Hyperparams(alpha=alpha, learning_rate=0.05, max_epochs=epochs,
                          batch_size=25, rng_seed=7, tolerance=1e-300,
                          lambda_q=0.01, lambda_k=0.01)
-        run = train(dp, dg, hb, (N_FEATURES, 8, 1), d_max=500,
-                    record_trajectory=True)
+        snaps = []
+
+        def snapshot(ps, *args, **kwargs):
+            snaps.append(([w.copy() for w in ps.weights], [b.copy() for b in ps.biases]))
+            return congruity_objective(ps, *args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(congruity, "congruity_objective", snapshot)
+            run = train(dp, dg, hb, (N_FEATURES, 8, 1), d_max=500)
         ref = _reference_descent(dp, dg, hb, (N_FEATURES, 8, 1), epochs, objective)
-        assert len(run.trajectory) == len(ref) == epochs + 1
-        for snap, (ref_w, ref_b) in zip(run.trajectory, ref):
-            for a, b in zip(snap.weights, ref_w):
+        assert len(run.loss_history) == len(ref) == epochs + 1
+        assert len(snaps) == epochs + 2
+        for (run_w, run_b), (ref_w, ref_b) in zip(snaps[1:], ref, strict=True):
+            for a, b in zip(run_w, ref_w, strict=True):
                 assert np.array_equal(a, b)
-            for a, b in zip(snap.biases, ref_b):
+            for a, b in zip(run_b, ref_b, strict=True):
                 assert np.array_equal(a, b)
     print(
         f"ACCEPTANCE 5 (learning progress, E {result.e_initial:.3f} -> "

@@ -321,6 +321,28 @@ class TestRunCmd:
         assert err.startswith("error: ") and key in err, err
         assert not out.exists()
 
+    @pytest.mark.parametrize("line,key", [
+        ("sweep_values = 1e308\n", "data_rate_mbps = 1e+308"),
+        ("service_seconds = 1e306\n", "service_seconds = 1e+306"),
+        ("cache_fraction = 1e307\n", "cache_fraction = 1e+307"),
+        ("request_count = 1000000000000\n", "request_count must lie"),
+        ("catalog_size = 100000000\n", "catalog_size must lie"),
+    ])
+    def test_oversized_workload_exits_one_before_any_point_runs(
+        self, line, key, tmp_path, monkeypatch, capsys
+    ):
+        def unreachable(*args):
+            raise AssertionError("a sweep point ran")
+
+        monkeypatch.setattr(evaluation, "_run_point", unreachable)
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text("scenario = embb\nn_devices = 32\nrequest_count = 10\n" + line)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err, err
+        assert not out.exists()
+
     def test_an_unused_base_value_of_the_sweep_variable_is_not_checked(self):
         # 10 and 20 k/km^2 over 100 km^2 are 1M and 2M devices; the default
         # density of 63 k/km^2, which no point uses, would be 6.3M

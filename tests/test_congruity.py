@@ -421,12 +421,6 @@ class TestTrain:
         for l, frozen in enumerate(ps.b_frozen):
             assert np.all(ps.biases[l][frozen] == 0.0)
 
-    def test_predictions_cover_both_datasets(self):
-        dp, dg = self.toy_data()
-        h = Hyperparams(max_epochs=3, learning_rate=0.05, batch_size=16)
-        result = train(dp, dg, h, (N_FEATURES, 4, 1), d_max=200)
-        assert len(result.predictions) == len(dp) + len(dg)
-
     def test_empty_dataset_rejected(self):
         dp, dg = self.toy_data()
         h = Hyperparams()

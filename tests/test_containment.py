@@ -8,7 +8,6 @@ from icnsim.containment import (
     Target,
     TargetMode,
     _grouping_labels,
-    _quotient,
     containerize,
     containerize_level,
     hierarchy_from_text,
@@ -90,20 +89,6 @@ class TestContainerizeLevel:
         with pytest.raises(UnitMismatch):
             containerize_level(g2, Target(1, 5, TargetMode.BOTTLENECK))
 
-    def test_seed_order_changes_indexing_only(self):
-        edges = [(0, 1, 1), (2, 3, 1)]
-        g = make(4, edges)
-        fwd = containerize_level(g, Target(1, 5))
-        rev = containerize_level(g, Target(1, 5), seed_order=[3, 2, 1, 0])
-        assert members(fwd) == [[0, 1], [2, 3]]
-        assert members(rev) == [[2, 3], [0, 1]]
-
-    @pytest.mark.parametrize("order", [[0, 1, 2], [0, 1, 1, 2], [3, 2, 1, 0, 4]])
-    def test_seed_order_must_be_a_permutation(self, order):
-        g = make(4, [(0, 1, 1), (2, 3, 1)])
-        with pytest.raises(InvalidParams, match="seed_order"):
-            containerize_level(g, Target(1, 5), seed_order=order)
-
     def test_matches_oracle_on_random_graphs(self):
         rng = np.random.default_rng(100)
         for _ in range(40):
@@ -117,26 +102,9 @@ class TestContainerizeLevel:
             assert members(out) == oracle_level_groups(n, edges, target, mode)
 
 
-def ranked_levels(g, targets):
-    """The members of each level, built through the generic ranked path:
-    containerize_level with an explicit ascending seed_order, each level
-    above the first on the quotient of the level below."""
-    levels, labels, current = [], np.arange(g.n), g
-    for t in targets:
-        if levels:
-            current = _quotient(current, q_labels, len(level), t.mode)
-        level = containerize_level(current, t, seed_order=list(range(current.n)))
-        q_labels = np.empty(current.n, dtype=np.int64)
-        for pos, c in enumerate(level):
-            q_labels[c.nodes] = pos
-        labels = q_labels[labels]
-        levels.append([np.flatnonzero(labels == pos).tolist() for pos in range(len(level))])
-    return levels
-
-
 class TestContainerize:
     @pytest.mark.parametrize("mode", list(TargetMode))
-    def test_equals_the_ranked_level_by_level_build(self, mode):
+    def test_equals_the_oracle_hierarchy(self, mode):
         rng = np.random.default_rng(21)
         unit = "bandwidth_bps" if mode == TargetMode.BOTTLENECK else "latency_us"
         for _ in range(25):
@@ -149,7 +117,8 @@ class TestContainerize:
                 values.reverse()  # wider links group first
             targets = [Target(i + 1, v, mode) for i, v in enumerate(values)]
             h = containerize(g, targets)
-            assert [members(level) for level in h.levels] == ranked_levels(g, targets)
+            expected = oracle_hierarchy(n, edges, values, mode.value)
+            assert [members(level) for level in h.levels] == expected
             for t, level in zip(targets, h.levels, strict=True):
                 assert [(c.level, c.index) for c in level] == [
                     (t.level, i + 1) for i in range(len(level))
@@ -413,7 +382,7 @@ def scipy_components(n, edges):
 
 def assert_same_partition(labels, want):
     assert labels.dtype == np.int64
-    # dense labels, as _level_groups sizes its tables by labels.max() + 1
+    # dense labels, as _level_labels counts containers as labels.max() + 1
     assert sorted(set(labels.tolist())) == list(range(len(set(labels.tolist()))))
     pairs = set(zip(labels.tolist(), want.tolist()))
     assert len(pairs) == len(set(labels.tolist())) == len(set(want.tolist()))

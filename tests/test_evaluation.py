@@ -1,4 +1,5 @@
 import signal
+import tracemalloc
 from contextlib import contextmanager
 from types import SimpleNamespace
 
@@ -18,6 +19,8 @@ from icnsim.errors import (
 )
 from icnsim.evaluation import (
     DEFAULT_SWEEPS,
+    MAX_CATALOG_SIZE,
+    MAX_REQUESTS,
     ItoReport,
     RequestRecord,
     ScenarioParams,
@@ -202,6 +205,7 @@ class TestRunScenario:
     @pytest.mark.parametrize("scenario,values,key", [
         ("embb", (8, -8), "data_rate_mbps"),
         ("embb", (0,), "data_rate_mbps"),
+        ("embb", (8, 1e308), "data_rate_mbps = 1e[+]308 and service_seconds"),
         ("urllc", (8, 0), "latency_ms"),
         ("urllc", (8, float("nan")), "latency_ms"),
         ("mmtc", (1, -1), "density_k_per_km2"),
@@ -289,6 +293,25 @@ class TestRunScenario:
             run_scenario(small_params(scenario="6g"))
         with pytest.raises(InvalidParams):
             run_scenario(small_params(request_count=0))
+
+    @pytest.mark.parametrize("case,key", [
+        (dict(request_count=MAX_REQUESTS + 1), "request_count"),
+        (dict(request_count=10**12), "request_count"),
+        (dict(catalog_size=MAX_CATALOG_SIZE + 1), "catalog_size"),
+        (dict(catalog_size=10**8), "catalog_size"),
+    ])
+    def test_workloads_over_the_cap_raise_before_allocating(self, case, key):
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidParams, match=key):
+                run_scenario(small_params(**case))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_caps_admit_their_own_values(self):
+        small_params(request_count=MAX_REQUESTS, catalog_size=MAX_CATALOG_SIZE).validate()
 
 
 class TestLearnerIntegration:

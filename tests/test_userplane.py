@@ -212,13 +212,6 @@ class TestHandleRequest:
         with pytest.raises(Unresolvable):
             request(net, obj, origin=4)
 
-    def test_hop_count_stamped_on_message(self):
-        g, net, res = make_net(capacity=0)
-        obj = publish(net, res)
-        req = RequestMsg(requested=obj.id, origin_node=5)
-        trace = handle_request(net, req)
-        assert req.hop_count == trace.hops == 4
-
     def test_origin_outside_the_graph_is_invalid(self):
         g = generate_topology(ScenarioParams(scenario="embb", n_devices=48), 2)
         h = containerize(g, [Target(1, 1_000), Target(2, 150_000), Target(3, 500_000)])
@@ -282,12 +275,13 @@ class TestHandleRequest:
         assert (trace.hops, trace.serving_node, trace.cache_hit) == (9, 0, False)
 
     def test_only_stale_listings_raise_no_route(self):
-        nodes = [Node(i, NodeKind.SWITCH) for i in range(5)]
+        # a line 0-1-2-3-4 and an isolated node 5 that publishes the object
+        nodes = [Node(i, NodeKind.SWITCH) for i in range(6)]
         g = build_graph(nodes, [Edge(i, i + 1, 1) for i in range(4)], "latency_us")
         net = build_network(g, None, Resolver(), 10**6)
         gid = register(net.resolver, "urn:gone", address_of(0))
         update_binding(net.resolver, gid, "add", address_of(4))
-        net.objects[gid] = ContentObject(gid, 10, 0)  # listed at 0 and 4, held nowhere
+        net.add_object(ContentObject(gid, 10, 5))  # listed at 0 and 4, held at neither
         with pytest.raises(NoRoute, match="no reachable host"):
             handle_request(net, RequestMsg(requested=gid, origin_node=2))
 
