@@ -233,7 +233,11 @@ def cmd_train(args) -> int:
     config = load_config(args.config)
     seed = args.seed if args.seed is not None else config["seeds"][0]
     h = hyperparams_from(config, seed)
-    if args.personal and args.general:
+    arch = congruity.check_widths((congruity.N_FEATURES, *config["hidden_widths"], 1))
+    if (args.personal is None) != (args.general is None):
+        missing = "--general" if args.general is None else "--personal"
+        raise ConfigError(f"a dataset file needs its pair: {missing} is missing")
+    if args.personal is not None:
         try:
             dp = congruity.load_dataset(args.personal, "personal")
             dg = congruity.load_dataset(args.general, "general")
@@ -242,7 +246,6 @@ def cmd_train(args) -> int:
     else:
         spec = from_config(congruity.DatasetSpec, config)
         dp, dg = congruity.synthesize_dataset(spec, seed)
-    arch = (congruity.N_FEATURES, *config["hidden_widths"], 1)
     d_max = config["d_max"] if config["d_max"] > 0 else None
     result = congruity.train(dp, dg, h, arch, d_max=d_max)
     os.makedirs(args.out, exist_ok=True)

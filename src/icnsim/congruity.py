@@ -45,6 +45,13 @@ LABEL_KINDS = (
 
 DEFAULT_LABEL_KIND = "distance"
 
+# Learner size caps. At the default 200 + 400 samples the prune phase took
+# 1 s for 170 weights and biases, 13.5 s for 2,450 and 90 s for 9,746 (peak
+# about 0.4 KiB each), and an epoch 12-20 ms at all three sizes: so about
+# 1.5 minutes of pruning at MAX_PARAMETERS and 3 of descent at MAX_EPOCHS.
+MAX_PARAMETERS = 10_000
+MAX_EPOCHS = 10_000
+
 
 # -- data model ----------------------------------------------------------------
 
@@ -160,8 +167,8 @@ class Hyperparams:
             raise InvalidParams("learning_rate must be positive")
         if not (0.0 <= self.prune_probability <= 1.0):
             raise InvalidParams("prune_probability must lie in [0, 1]")
-        if self.batch_size < 1 or self.max_epochs < 1:
-            raise InvalidParams("batch_size and max_epochs must be >= 1")
+        if self.batch_size < 1 or not 1 <= self.max_epochs <= MAX_EPOCHS:
+            raise InvalidParams(f"batch_size must be >= 1, max_epochs in [1, {MAX_EPOCHS}]")
         if self.tolerance <= 0:
             raise InvalidParams("tolerance must be positive")
         return self
@@ -237,11 +244,22 @@ class ParameterSet:
         return count
 
 
-def init_parameters(widths, d_max=None, rng=None) -> ParameterSet:
-    """Fresh parameters drawn uniformly from [-0.5, 0.5)."""
+def check_widths(widths) -> tuple:
+    """Layer widths as ints: two or more, each >= 1, with at most
+    MAX_PARAMETERS weights and biases in all; InvalidParams otherwise."""
     widths = tuple(int(w) for w in widths)
     if len(widths) < 2 or min(widths) < 1:
         raise InvalidParams("need at least input and output layers, widths >= 1")
+    count = sum(a * b for a, b in zip(widths, widths[1:])) + sum(widths)
+    if count > MAX_PARAMETERS:
+        raise InvalidParams(f"hidden_widths {widths[1:-1]} give {count} parameters, "
+                            f"more than {MAX_PARAMETERS}")
+    return widths
+
+
+def init_parameters(widths, d_max=None, rng=None) -> ParameterSet:
+    """Fresh parameters drawn uniformly from [-0.5, 0.5)."""
+    widths = check_widths(widths)
     if rng is None or isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
     max_indegree = max(widths[:-1])
@@ -821,9 +839,7 @@ def load_model(path):
         where = f"{path}, line {lineno}"
         try:
             if parts[0] == "widths":
-                widths = tuple(int(x) for x in parts[1:])
-                if len(widths) < 2 or min(widths) < 1:
-                    raise ValueError(f"need two or more positive widths, got {widths}")
+                widths = check_widths(int(x) for x in parts[1:])
                 weights = [np.zeros((widths[l + 1], widths[l])) for l in range(len(widths) - 1)]
                 biases = [np.zeros(w) for w in widths]
                 alive = [np.ones(w) for w in widths]
@@ -852,7 +868,7 @@ def load_model(path):
                 raise ValueError(f"unknown model line {parts[0]!r}")
         except IndexError:
             raise InvalidParams(f"{where}: too few fields in {parts[0]} line") from None
-        except ValueError as exc:
+        except (ValueError, InvalidParams) as exc:
             raise InvalidParams(f"{where}: {exc}") from None
     if widths is None or d_max is None:
         raise InvalidParams(f"{path}: model file missing widths/dmax header")

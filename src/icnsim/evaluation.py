@@ -55,7 +55,7 @@ MAX_REQUESTS = 1_000_000
 MAX_CATALOG_SIZE = 1_000_000
 
 
-@dataclass
+@dataclass(slots=True)
 class RequestRecord:
     n: int
     paths: list          # hop count per routing path in this request
@@ -139,6 +139,7 @@ class ScenarioParams:
             raise InvalidParams("learned_fraction must lie in [0, 1]")
         if len(self.targets_us) < 1:
             raise InvalidParams("need at least one containerization target")
+        congruity.check_widths((congruity.N_FEATURES, *self.hidden_widths, 1))
         return self
 
 
@@ -392,8 +393,8 @@ def _run_point(params: ScenarioParams, point_index: int):
     requesters = _requesters(pool, wrng, params.request_count)
     records = []
     traces = []
-    for n in range(1, params.request_count + 1):
-        obj = catalog[int(obj_draws[n - 1])]
+    for n, k in enumerate(obj_draws.tolist(), start=1):
+        obj = catalog[k]
         requester = next(requesters)
         while requester == obj.publisher:
             requester = next(requesters)

@@ -117,10 +117,13 @@ class NamingService:
 
 @dataclass(eq=False)
 class Resolver:
-    """The naming service and the one record table (identifier -> NameRecord)."""
+    """The naming service and the one record table (identifier -> NameRecord).
+    `mutations` counts the binding changes, so a reader can keep answers
+    until it moves."""
 
     naming: NamingService = field(default_factory=NamingService)
     table: dict = field(default_factory=dict)
+    mutations: int = 0
 
 
 def register(res: Resolver, hrn: str, na: NetworkAddress, service_meta: int = 0) -> GlobalId:
@@ -134,6 +137,7 @@ def register(res: Resolver, hrn: str, na: NetworkAddress, service_meta: int = 0)
             f"{hrn!r} already binds {LOCATOR_LIMIT} addresses"
         )
     rec.locators.add(na)
+    res.mutations += 1
     return gid
 
 
@@ -144,6 +148,7 @@ def register_indirect(res: Resolver, hrn: str, target: GlobalId, service_meta: i
     if rec is None:
         rec = res.table[gid] = NameRecord(hrn=hrn, id=gid, service_meta=service_meta)
     rec.indirect_target = target
+    res.mutations += 1
     return gid
 
 
@@ -191,6 +196,7 @@ def update_binding(res: Resolver, gid: GlobalId, action: str, na: NetworkAddress
             del res.table[gid]
     else:
         raise InvalidParams(f"unknown binding action {action!r}")
+    res.mutations += 1
     return frozenset(rec.locators)
 
 

@@ -490,22 +490,7 @@ def hop_path(g: WeightedGraph, u: int, target: int) -> list:
         return []
     is_tree, parents, depths = g._tree_info()
     if is_tree:
-        # up from u to the common ancestor, then down to target
-        up, down = [], []
-        a, b = u, target
-        while depths[a] > depths[b]:
-            a = parents[a]
-            up.append(a)
-        while depths[b] > depths[a]:
-            down.append(b)
-            b = parents[b]
-        while a != b:
-            a = parents[a]
-            up.append(a)
-            down.append(b)
-            b = parents[b]
-        down.reverse()
-        return up + down
+        return _tree_path(parents, depths, u, (target,))
     indptr, dst, _ = g._ensure_csr()
     dist = _bfs(indptr, dst, target)[0]
     if dist[u] < 0:
@@ -516,6 +501,45 @@ def hop_path(g: WeightedGraph, u: int, target: int) -> list:
         u = int(nbrs[dist[nbrs] == dist[u] - 1][0])  # rows are ascending
         path.append(u)
     return path
+
+
+def closest_path(g: WeightedGraph, u: int, targets) -> list:
+    """hop_path to the first of `targets` with the fewest hops from u, or
+    None when none is reachable; ids outside [0, n) raise InvalidParams."""
+    n = g.n
+    if not 0 <= u < n or targets and not 0 <= min(targets) <= max(targets) < n:
+        raise InvalidParams(f"node {u} or one of {list(targets)} is outside the graph")
+    is_tree, parents, depths = g._tree_info()
+    if is_tree:
+        return _tree_path(parents, depths, u, targets)
+    best = None
+    for t in targets:
+        try:
+            d = hop_distance(g, u, t)
+        except Unreachable:
+            continue
+        if best is None or d < best[0]:
+            best = (d, t)
+    return None if best is None else hop_path(g, u, best[1])
+
+
+def _tree_path(parents, depths, u, targets):
+    """closest_path on a tree: one walk up from u, then each target climbs
+    until it meets that walk, at their lowest common ancestor."""
+    up = [u]
+    while parents[up[-1]] >= 0:
+        up.append(parents[up[-1]])
+    top = len(up) - 1  # u's depth; up[top - d] is u's ancestor at depth d
+    best = None
+    for t in targets:
+        down, x, d = [], t, depths[t]
+        while d > top or x != up[top - d]:
+            down.append(x)
+            x = parents[x]
+            d -= 1
+        if best is None or len(down) + top - d < best[0]:
+            best = (len(down) + top - d, up[1:top - d + 1] + down[::-1])
+    return None if best is None else best[1]
 
 
 # -- scenario topology generation --------------------------------------------

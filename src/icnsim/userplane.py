@@ -29,7 +29,7 @@ from .errors import (
     Unresolvable,
 )
 from .ilm import GlobalId, NetworkAddress, Resolver, resolve, update_binding
-from .topology import WeightedGraph, hop_distance, hop_path
+from .topology import WeightedGraph, closest_path, hop_distance
 
 _ADDR_BASE = 0x0A000000  # 10.0.0.0/8; node id maps directly into it
 
@@ -92,7 +92,7 @@ class CacheStore:
         return True
 
 
-@dataclass
+@dataclass(slots=True)
 class RequestMsg:
     """A request for one object: the requested identifier and the node the
     request starts from."""
@@ -101,7 +101,7 @@ class RequestMsg:
     origin_node: int
 
 
-@dataclass
+@dataclass(slots=True)
 class DeliveryTrace:
     request: RequestMsg
     path: list
@@ -136,6 +136,8 @@ class NetState:
         self.objects = {}
         self.explicit = set()  # (node, object id) pairs registered with the ILM
         self.forwarding = graph.forwarding_mask()
+        self._hosts = {}  # object id -> listed host nodes, as of _hosts_at
+        self._hosts_at = resolver.mutations
 
     def local_ilm(self, node: int) -> Resolver:
         # kept for perfbench/mesh.py, which registers its catalog through it
@@ -160,19 +162,27 @@ class NetState:
             except NotFound:
                 pass
 
+    def listed_hosts(self, oid) -> tuple:
+        """The nodes the resolver lists for `oid`, in address order. Answers
+        are kept until the resolver's next binding change (an indirect
+        record's answer changes with its target's, so all are dropped)."""
+        res = self.resolver
+        if self._hosts_at != res.mutations:
+            self._hosts.clear()
+            self._hosts_at = res.mutations
+        hosts = self._hosts.get(oid)
+        if hosts is None:
+            try:
+                locators = resolve(res, oid)
+            except NotFound:
+                raise Unresolvable(
+                    f"identifier {oid.hex[:12]}.. is unknown and uncached on the path"
+                )
+            hosts = self._hosts[oid] = tuple(node_of_address(na) for na in sorted(locators))
+        return hosts
+
     def add_object(self, obj: ContentObject) -> None:
         self.objects[obj.id] = obj
-
-    def holds(self, node: int, oid) -> str:
-        """'origin' when the node publishes the object, 'cache' on a cache
-        hit, '' otherwise."""
-        obj = self.objects.get(oid)
-        if obj is not None and obj.publisher == node:
-            return "origin"
-        store = self.caches.get(node)
-        if store is not None and oid in store:
-            return "cache"
-        return ""
 
 
 def build_network(graph: WeightedGraph, hierarchy, resolver: Resolver,
@@ -187,56 +197,47 @@ def build_network(graph: WeightedGraph, hierarchy, resolver: Resolver,
 def handle_request(net: NetState, req: RequestMsg) -> DeliveryTrace:
     """Walk the request hop by hop until a copy is found.
 
-    Every element on the way checks its own store. The identifier is resolved
-    once, at the first element that misses, and the request heads for the
-    listed copy whose host is the fewest forwarding hops away (ties broken by
-    the lowest address). Along a fewest-hops path every step brings that host
-    one hop closer and no other host more than one, so it stays the closest
-    all the way and is picked once. A listed host found without the object is
-    dropped for the rest of the request and the closest remaining host is
-    picked from there.
+    Every element on the way checks its own store. The listed hosts are read
+    once, at the first element that misses (see NetState.listed_hosts), and
+    the request heads for the listed copy whose host is the fewest forwarding
+    hops away (ties broken by the lowest address). Along a fewest-hops path
+    every step brings that host one hop closer and no other host more than
+    one, so it stays the closest all the way and is picked once. A listed
+    host found without the object is dropped for the rest of the request and
+    the closest remaining host is picked from there.
     """
     oid = req.requested
-    g = net.graph
-    current = req.origin_node
-    path = [current]
-    held = net.holds(current, oid)
-    hosts = None  # listed hosts in address order, once resolved
-    while not held:
-        if hosts is None:
-            try:
-                locators = resolve(net.resolver, oid)
-            except NotFound:
-                raise Unresolvable(
-                    f"identifier {oid.hex[:12]}.. is unknown and uncached on the path"
-                )
-            hosts = [node_of_address(na) for na in sorted(locators)]
-        if current in hosts:
-            hosts.remove(current)  # it was checked above: the listing is stale
-        best = None
-        for host in hosts:
-            try:
-                d = hop_distance(g, current, host)
-            except Unreachable:
-                continue
-            if best is None or d < best[0]:
-                best = (d, host)
-        if best is None:
-            raise NoRoute(f"no reachable host for {oid.hex[:12]}..")
-        for current in hop_path(g, current, best[1]):
-            path.append(current)
-            held = net.holds(current, oid)
-            if held:
-                break
-    if held == "cache":
-        net.cache_of(current).touch(oid)
     obj = net.objects.get(oid)
+    publisher = obj.publisher if obj is not None else None
+    caches = net.caches
+    path = []
+    leg = (req.origin_node,)
+    hosts = None  # listed hosts in address order, once resolved
+    while True:
+        for current in leg:
+            path.append(current)
+            store = caches.get(current)
+            if current == publisher or (store is not None and oid in store.entries):
+                break
+        else:  # no copy on the leg: head for the closest listed host
+            if hosts is None:
+                hosts = net.listed_hosts(oid)
+            if current in hosts:  # it was checked above: the listing is stale
+                hosts = [host for host in hosts if host != current]
+            leg = closest_path(net.graph, current, hosts)
+            if leg is None:
+                raise NoRoute(f"no reachable host for {oid.hex[:12]}..")
+            continue
+        break
+    cache_hit = current != publisher
+    if cache_hit:
+        caches[current].touch(oid)
     return DeliveryTrace(
         request=req,
         path=path,
         hops=len(path) - 1,
         serving_node=current,
-        cache_hit=(held == "cache"),
+        cache_hit=cache_hit,
         volume=obj.volume if obj else 0,
     )
 

@@ -277,6 +277,45 @@ class TestTrainCmd:
         assert (out / "loss.csv").read_text() == "old loss\n"
         assert not (out / "model.txt.tmp").exists()
 
+    @pytest.mark.parametrize("given,missing", [
+        ("--personal", "--general"), ("--general", "--personal"),
+    ])
+    def test_a_lone_dataset_flag_exits_one(self, given, missing, config_path, tmp_path,
+                                           monkeypatch, capsys):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("training ran")
+
+        monkeypatch.setattr(cli.congruity, "train", unreachable)
+        out = tmp_path / "out"
+        code = main(["train", "--config", config_path, given, str(tmp_path / "none.csv"),
+                     "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and missing in err, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,lines,key", [
+        ("train", "hidden_widths = 1000000000\n", "hidden_widths"),
+        ("train", "max_epochs = 1000000000\ntolerance = 1e-300\n", "max_epochs"),
+        ("run", "hidden_widths = 1000000000\n", "hidden_widths"),
+        ("run", "max_epochs = 1000000000\ntolerance = 1e-300\n", "max_epochs"),
+    ])
+    def test_an_oversized_learner_exits_one_before_training(
+        self, command, lines, key, tmp_path, monkeypatch, capsys
+    ):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("training ran")
+
+        monkeypatch.setattr(cli.congruity, "train", unreachable)
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text("scenario = embb\nn_devices = 32\nrequest_count = 10\n"
+                       "use_learner = true\nn_personal = 20\nn_general = 20\n" + lines)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err, err
+        assert not out.exists()
+
 
 class TestRunCmd:
     def test_zero_cache_config_gives_all_zero_ito(self, tmp_path):

@@ -765,6 +765,8 @@ class TestModelAndDatasetFiles:
     @pytest.mark.parametrize("bad,message", [
         ("dmax", "line 2: too few fields in dmax line"),
         ("widths 17 x", "line 1: invalid literal"),
+        ("widths 17 0", "line 1: need at least input and output layers"),
+        ("widths 17 1000000000000 1", "line 1: hidden_widths (1000000000000,) give"),
         ("hyper bogus=1", "line 4: unknown hyperparameter 'bogus'"),
         ("w 1 0 1 x", "line 5: could not convert"),
         ("w 9 0 1 0.0", "line 5: neuron 9/0 is outside widths"),

@@ -313,6 +313,31 @@ class TestRunScenario:
     def test_caps_admit_their_own_values(self):
         small_params(request_count=MAX_REQUESTS, catalog_size=MAX_CATALOG_SIZE).validate()
 
+    @pytest.mark.parametrize("case,key", [
+        (dict(hidden_widths=(10**9,)), "hidden_widths"),
+        (dict(hidden_widths=(8,) * 10**4), "hidden_widths"),
+        (dict(learner=Hyperparams(max_epochs=10**9, tolerance=1e-300)), "max_epochs"),
+    ])
+    def test_learners_over_the_cap_raise_before_allocating(self, case, key):
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidParams, match=key):
+                run_scenario(small_params(use_learner=True, **case))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_learner_caps_admit_their_own_values(self):
+        # one hidden layer of width w has 19 * w + 18 weights and biases
+        assert 19 * 525 + 18 <= congruity.MAX_PARAMETERS < 19 * 526 + 18
+        small_params(hidden_widths=(525,), use_learner=True,
+                     learner=Hyperparams(max_epochs=congruity.MAX_EPOCHS)).validate()
+        with pytest.raises(InvalidParams, match="hidden_widths"):
+            small_params(hidden_widths=(526,)).validate()
+        with pytest.raises(InvalidParams, match="max_epochs"):
+            Hyperparams(max_epochs=congruity.MAX_EPOCHS + 1).validate()
+
 
 class TestLearnerIntegration:
     def test_replaced_weights_still_containerize_cleanly(self):

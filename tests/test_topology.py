@@ -20,6 +20,7 @@ from icnsim.topology import (
     NodeKind,
     WeightedGraph,
     build_graph,
+    closest_path,
     generate_topology,
     graph_from_text,
     graph_to_text,
@@ -311,9 +312,13 @@ class TestHopDistance:
         for g in (tree, ring):
             # a negative id would otherwise index from the end of the arrays
             for a, b in [(-1, 2), (2, -1), (-1, -1), (0, g.n), (g.n + 3, 0), (g.n, g.n)]:
-                for query in (hop_distance, next_hop_toward, hop_path):
+                for query in (hop_distance, next_hop_toward, hop_path, closest_to):
                     with pytest.raises(InvalidParams):
                         query(g, a, b)
+
+
+def closest_to(g, u, target):
+    return closest_path(g, u, [0, target])
 
 
 @st.composite
@@ -358,6 +363,12 @@ def check_hop_paths(n, edges):
             assert hop_path(g, u, t) == want
             assert len(want) == hop_distance(g, u, t)
             assert next_hop_toward(g, u, t) == (want[0] if want else u)
+    # closest_path: the hop_path to the fewest-hops target, ties to the earliest
+    for u in range(n):
+        for targets in (list(range(n - 1, -1, -1)), [t for t in range(n) if (t + u) % 3]):
+            reach = [(hops[u][t], i) for i, t in enumerate(targets) if hops[u][t] is not None]
+            want = hop_path(g, u, targets[min(reach)[1]]) if reach else None
+            assert closest_path(g, u, targets) == want
 
 
 @settings(max_examples=60, deadline=None)

@@ -6,16 +6,29 @@ from icnsim.containment import Target, containerize, hierarchy_from_text, hierar
 from icnsim.errors import (
     DegenerateDistribution,
     InvalidParams,
+    LocatorLimitExceeded,
     NoRoute,
+    NotFound,
     Unresolvable,
 )
 from icnsim.evaluation import ScenarioParams
 from icnsim import userplane
-from icnsim.ilm import LOCATOR_LIMIT, GlobalId, Resolver, register, resolve, update_binding
+from icnsim.ilm import (
+    LOCATOR_LIMIT,
+    GlobalId,
+    Resolver,
+    dump_table,
+    register,
+    register_indirect,
+    resolve,
+    update_binding,
+)
 from icnsim.topology import Edge, Node, NodeKind, build_graph, generate_topology
 from icnsim.userplane import (
     CacheStore,
     ContentObject,
+    DeliveryTrace,
+    PrefetchPlan,
     RequestMsg,
     address_of,
     apply_prefetch,
@@ -289,22 +302,31 @@ class TestHandleRequest:
 def reranking_reference(net, oid, origin):
     """Per-hop forwarding written from scratch: at every element that misses,
     rank the listed hosts by BFS hops from there (lowest address on ties) and
-    step to the lowest-id neighbour one hop closer to the first. Returns
-    (path, serving node, cache hit), or NoRoute when no host is reachable."""
+    step to the lowest-id neighbour one hop closer to the first. The
+    resolver is asked afresh, once the origin misses, and a listed host
+    reached without the object is dropped. Returns (path, serving node, cache
+    hit), NoRoute when no host is reachable, or Unresolvable when the
+    resolver lists none."""
     g = net.graph
     edges = list(zip(g.ea.tolist(), g.eb.tolist(), g.ew.tolist()))
     adj = adjacency(g.n, edges)
-    hosts = sorted(node_of_address(na) for na in resolve(net.resolver, oid))
+    hosts = None
     current, path = origin, [origin]
     for _ in range(g.n + 1):
-        held = net.holds(current, oid)
-        if held:
-            if held == "cache":
+        publisher = net.objects[oid].publisher
+        if current == publisher or oid in net.caches.get(current, ()):
+            if current != publisher:
                 net.cache_of(current).touch(oid)
-            return path, current, held == "cache"
+            return path, current, current != publisher
+        if hosts is None:
+            try:
+                hosts = sorted(node_of_address(na) for na in resolve(net.resolver, oid))
+            except NotFound:
+                return Unresolvable
+        hosts = [h for h in hosts if h != current]
         ranked = sorted(
             (bfs_hops(g.n, edges, current, h), h) for h in hosts
-            if h != current and bfs_hops(g.n, edges, current, h) is not None
+            if bfs_hops(g.n, edges, current, h) is not None
         )
         if not ranked:
             return NoRoute
@@ -370,6 +392,223 @@ def test_handle_request_matches_per_hop_reranking(case):
     trace = request(net, obj, origin)
     assert (trace.path, trace.serving_node, trace.cache_hit) == want
     assert trace.hops == len(want[0]) - 1
+
+
+class TestListedHosts:
+    """The user plane keeps each identifier's host list until the resolver's
+    next binding change."""
+
+    def indirect_net(self):
+        g, net, res = make_net()
+        dev = register(res, "urn:dev:a", address_of(4))
+        other = register(res, "urn:dev:b", address_of(5))
+        gid = register_indirect(res, "urn:data", dev)
+        net.add_object(ContentObject(gid, 10, 4))
+        return net, res, gid, other
+
+    def test_each_direct_mutation_refreshes_the_list(self):
+        g, net, res = make_net()
+        obj = publish(net, res)
+        assert net.listed_hosts(obj.id) == (1,)
+        register(res, "urn:movie", address_of(3))
+        assert net.listed_hosts(obj.id) == (1, 3)
+        update_binding(res, obj.id, "add", address_of(0))
+        assert net.listed_hosts(obj.id) == (0, 1, 3)
+        update_binding(res, obj.id, "remove", address_of(1))
+        assert net.listed_hosts(obj.id) == (0, 3)
+
+    def test_each_indirect_mutation_refreshes_the_list(self):
+        net, res, gid, other = self.indirect_net()
+        assert net.listed_hosts(gid) == (4,)
+        register(res, "urn:dev:a", address_of(2))  # the target moves
+        assert net.listed_hosts(gid) == (2, 4)
+        update_binding(res, res.table[gid].indirect_target, "remove", address_of(4))
+        assert net.listed_hosts(gid) == (2,)
+        register_indirect(res, "urn:data", other)  # re-targeted
+        assert net.listed_hosts(gid) == (5,)
+
+    @pytest.mark.parametrize("mutate", [
+        lambda res, gid: register(res, "urn:x", address_of(0)),
+        lambda res, gid: register_indirect(res, "urn:y", gid),
+        lambda res, gid: update_binding(res, gid, "add", address_of(0)),
+        lambda res, gid: update_binding(res, gid, "remove", address_of(0)),
+    ], ids=["register", "register_indirect", "add", "remove"])
+    def test_every_mutation_moves_the_counter_and_drops_the_lists(self, mutate):
+        net, res, gid, _ = self.indirect_net()
+        net.listed_hosts(gid)
+        before = res.mutations
+        mutate(res, gid)
+        assert res.mutations == before + 1
+        assert net.listed_hosts(gid) == tuple(
+            sorted(node_of_address(na) for na in resolve(res, gid)))
+        assert net._hosts_at == res.mutations
+
+    def test_rejected_mutations_leave_the_counter(self):
+        g, net, res = make_net()
+        obj = publish(net, res)
+        for node in (0, 2, 3):
+            update_binding(res, obj.id, "add", address_of(node))
+        before = res.mutations
+        with pytest.raises(LocatorLimitExceeded):
+            update_binding(res, obj.id, "add", address_of(4))
+        with pytest.raises(LocatorLimitExceeded):
+            register(res, "urn:movie", address_of(5))
+        with pytest.raises(NotFound):
+            update_binding(res, GlobalId(7), "add", address_of(4))
+        assert res.mutations == before
+
+    def test_a_failed_resolve_is_not_kept(self, monkeypatch):
+        g, net, res = make_net()
+        obj = ContentObject(GlobalId(999), 10, 1)
+        net.add_object(obj)  # in the catalog, never registered
+        lookups = []
+
+        def counted(*args):
+            lookups.append(args)
+            return resolve(*args)
+
+        monkeypatch.setattr(userplane, "resolve", counted)
+        for _ in range(2):
+            with pytest.raises(Unresolvable):
+                request(net, obj, origin=4)
+        assert len(lookups) == 2 and net._hosts == {}
+
+    def test_one_lookup_per_identifier_between_changes(self, monkeypatch):
+        g, net, res = make_net(capacity=0)
+        obj = publish(net, res)
+        lookups = []
+
+        def counted(*args):
+            lookups.append(args)
+            return resolve(*args)
+
+        monkeypatch.setattr(userplane, "resolve", counted)
+        for origin in (4, 5, 4):
+            assert request(net, obj, origin).hops == 4
+        assert len(lookups) == 1
+        update_binding(res, obj.id, "add", address_of(0))
+        request(net, obj, 4)
+        assert len(lookups) == 2
+
+    def test_a_stale_drop_leaves_the_kept_list_whole(self):
+        nodes = [Node(i, NodeKind.SWITCH) for i in range(7)]
+        g = build_graph(nodes, [Edge(i, i + 1, 1) for i in range(6)], "latency_us")
+        net = build_network(g, None, Resolver(), 10**6)
+        obj = publish(net, net.resolver, publisher=0)
+        for stale in (4, 6):
+            update_binding(net.resolver, obj.id, "add", address_of(stale))
+        assert request(net, obj, origin=5).serving_node == 0
+        assert net.listed_hosts(obj.id) == (0, 4, 6)
+        assert request(net, obj, origin=4).path == [4, 5, 6, 5, 4, 3, 2, 1, 0]
+
+    def test_a_listed_node_outside_the_graph_is_invalid(self):
+        g, net, res = make_net()
+        obj = publish(net, res)
+        update_binding(res, obj.id, "add", address_of(g.n))
+        for _ in range(2):
+            with pytest.raises(InvalidParams):
+                request(net, obj, origin=4)
+
+
+@st.composite
+def binding_scripts(draw):
+    """A forwarding case's graph, three publishers and a script that
+    interleaves binding changes, explicit placements and requests."""
+    n, edges, _, _, _ = draw(forwarding_cases())
+    nodes = st.integers(0, n - 1)
+    publishers = draw(st.lists(nodes, min_size=3, max_size=3))
+    request = st.tuples(st.just("request"), st.integers(0, 1), nodes)
+    ops = draw(st.lists(st.one_of(
+        request, request, request,
+        st.tuples(st.just("register"), st.sampled_from(HRNS), nodes),
+        st.tuples(st.just("retarget"), st.integers(0, 1)),
+        st.tuples(st.just("update"), st.integers(0, 1),
+                  st.sampled_from(["add", "remove"]), nodes),
+        st.tuples(st.just("place"), st.integers(0, 1), nodes),
+    ), min_size=4, max_size=40))
+    return n, edges, publishers, ops
+
+
+HRNS = ("urn:obj:0", "urn:obj:1", "urn:dev:0", "urn:dev:1")
+
+
+def scripted_net(n, edges, publishers):
+    """Object 0 is listed at publishers[0]. Object 1 binds to device 0,
+    listed at publishers[1], which publishes it; device 1 is listed at
+    publishers[2]. Each store holds one object."""
+    g = build_graph([Node(i, NodeKind.SWITCH) for i in range(n)],
+                    [Edge(a, b, 1) for a, b in edges], "latency_us")
+    net = build_network(g, None, Resolver(), 100)
+    res = net.resolver
+    devices = [register(res, f"urn:dev:{k}", address_of(publishers[k + 1]))
+               for k in range(2)]
+    gids = [register(res, "urn:obj:0", address_of(publishers[0])),
+            register_indirect(res, "urn:obj:1", devices[0])]
+    for gid, publisher in zip(gids, publishers):
+        net.add_object(ContentObject(gid, 100, publisher))
+    return net, gids, devices
+
+
+def play(net, gids, devices, op):
+    """Apply one scripted step other than a request; a change the resolver
+    rejects changes nothing."""
+    res = net.resolver
+    try:
+        if op[0] == "register":
+            register(res, op[1], address_of(op[2]))
+        elif op[0] == "retarget":
+            register_indirect(res, "urn:obj:1", devices[op[1]])
+        elif op[0] == "update":
+            update_binding(res, gids[op[1]], op[2], address_of(op[3]))
+        elif op[0] == "place":
+            plan = PrefetchPlan([(gids[op[1]], op[2], 1.0)], [op[2]], [gids[op[1]]],
+                                np.ones((1, 1)))
+            apply_prefetch(net, plan)
+    except (LocatorLimitExceeded, NotFound):
+        pass
+
+
+# A path 0-1-2-3 with node 4 off node 2 and node 5 off node 1. A request
+# from 5 leaves copies at 5 and 1; from 3, node 4 is then two hops away and
+# node 0 three, so a listing at 4 changes the path from 3.
+FORK = (6, [(0, 1), (1, 2), (2, 3), (2, 4), (1, 5)], [0, 0, 4])
+
+
+@settings(max_examples=200, deadline=None)
+@given(binding_scripts())
+@example(FORK + ([("request", 0, 5), ("register", "urn:obj:0", 4), ("request", 0, 3)],))
+@example(FORK + ([("request", 0, 5), ("update", 0, "add", 4), ("request", 0, 3)],))
+@example(FORK + ([("request", 0, 5), ("update", 0, "remove", 0), ("request", 0, 3)],))
+@example(FORK + ([("request", 1, 5), ("retarget", 1), ("request", 1, 3)],))
+@example(FORK + ([("request", 1, 5), ("register", "urn:dev:0", 4),  # the target moves
+                  ("request", 1, 3)],))
+def test_kept_host_lists_match_a_fresh_resolve_per_request(case):
+    """Every request against the kept host lists takes the path a fresh
+    resolve would give, across binding changes, re-targeted indirect
+    records and evictions of explicit copies, on trees and on cyclic, often
+    disconnected graphs."""
+    n, edges, publishers, ops = case
+    net, gids, devices = scripted_net(n, edges, publishers)
+    ref, ref_gids, ref_devices = scripted_net(n, edges, publishers)
+    for op in ops:
+        if op[0] != "request":
+            play(net, gids, devices, op)
+            play(ref, ref_gids, ref_devices, op)
+            assert dump_table(net.resolver) == dump_table(ref.resolver)
+            continue
+        _, k, origin = op
+        want = reranking_reference(ref, ref_gids[k], origin)
+        if want in (NoRoute, Unresolvable):
+            with pytest.raises(want):
+                request(net, net.objects[gids[k]], origin)
+            continue
+        trace = request(net, net.objects[gids[k]], origin)
+        assert (trace.path, trace.serving_node, trace.cache_hit) == want
+        deliver_data(net, trace)
+        path, serving, hit = want
+        deliver_data(ref, DeliveryTrace(trace.request, path, len(path) - 1, serving,
+                                        hit, 100))
+        assert net.explicit == ref.explicit
 
 
 class TestDeliverData:
