@@ -117,13 +117,15 @@ def _grouping_labels(g: WeightedGraph, t: Target) -> np.ndarray:
         mask = g.ew >= t.value
     else:
         mask = g.ew < t.value
-    ea, eb = g.ea[mask], g.eb[mask]
+    # int32 ids, where they fit, halve the memory each round touches
+    ids = np.int32 if g.n <= np.iinfo(np.int32).max else np.int64
+    ea, eb = g.ea[mask].astype(ids), g.eb[mask].astype(ids)
     # Every node points at a smaller or equal id of its component; a root
     # points at itself. Each round hooks the larger root of every kept edge
     # whose ends still differ onto the smaller, then jumps pointers until
     # every node points at a root. At the end a component's root is its
     # lowest id.
-    f = np.arange(g.n)
+    f = np.arange(g.n, dtype=ids)
     while True:
         fa, fb = f[ea], f[eb]
         split = fa != fb
@@ -135,7 +137,7 @@ def _grouping_labels(g: WeightedGraph, t: Target) -> np.ndarray:
             if np.array_equal(ff, f):
                 break
             f = ff
-    is_root = f == np.arange(g.n)
+    is_root = f == np.arange(g.n, dtype=ids)
     return (np.cumsum(is_root) - 1)[f]
 
 

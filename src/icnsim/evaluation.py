@@ -47,10 +47,10 @@ DEFAULT_SWEEPS = {
 
 _URLLC_VOLUME = 2_000  # bytes per tactile update
 
-# Workload caps. One replayed request keeps its draw, record and trace, about
-# 0.6 KiB, and one catalog object its entry, resolver listing and name,
+# Workload caps. One replayed request keeps its draw and record, about
+# 0.2 KiB, and one catalog object its entry, resolver listing and name,
 # about 0.9 KiB (tracemalloc over small eMBB and mMTC points), so either cap
-# alone keeps a point under about 1 GiB and 3 minutes (0.12-0.18 ms each).
+# alone keeps a point under about 1 GiB and a minute (0.01-0.03 ms each).
 MAX_REQUESTS = 1_000_000
 MAX_CATALOG_SIZE = 1_000_000
 
@@ -309,8 +309,9 @@ def _requesters(pool: np.ndarray, wrng, chunk: int):
         yield from pool[wrng.integers(0, len(pool), size=chunk)].tolist()
 
 
-def _run_point(params: ScenarioParams, point_index: int):
-    """One sweep point; `params` is an entry of `sweep_points`."""
+def _run_point(params: ScenarioParams, point_index: int, with_details: bool = False):
+    """One sweep point; `params` is an entry of `sweep_points`. Returns
+    (report, records, traces); traces is None unless `with_details`."""
     var = SWEEP_VARS[params.scenario]
     topo_seed, catalog_seed, workload_seed, prefetch_seed = point_seeds(
         params.seed, point_index
@@ -377,7 +378,7 @@ def _run_point(params: ScenarioParams, point_index: int):
         userplane.apply_prefetch(net, plan)
 
     if params.scenario == "mmtc":
-        pool = g.nodes_of_kind(NodeKind.MMTC_DEVICE)
+        pool = publishers_pool  # the devices both publish and request
     else:
         pool = np.concatenate([
             g.nodes_of_kind(NodeKind.PC), g.nodes_of_kind(NodeKind.MOBILE_DEVICE)
@@ -392,7 +393,10 @@ def _run_point(params: ScenarioParams, point_index: int):
     obj_draws = wrng.choice(params.catalog_size, size=params.request_count, p=fp)
     requesters = _requesters(pool, wrng, params.request_count)
     records = []
-    traces = []
+    traces = [] if with_details else None
+    # Integer totals below 2**53 are exact in float64, so dividing them by
+    # the request count gives the same IEEE result as np.mean over the traces.
+    hops_total = hits = 0
     for n, k in enumerate(obj_draws.tolist(), start=1):
         obj = catalog[k]
         requester = next(requesters)
@@ -405,7 +409,10 @@ def _run_point(params: ScenarioParams, point_index: int):
         records.append(
             RequestRecord(n, paths=[trace.hops], volume=obj.volume, baseline_hops=hc)
         )
-        traces.append(trace)
+        hops_total += trace.hops
+        hits += trace.cache_hit
+        if with_details:
+            traces.append(trace)
 
     ito = compute_ito(records)
     report = ItoReport(
@@ -415,18 +422,19 @@ def _run_point(params: ScenarioParams, point_index: int):
         seed=int(params.seed),
         request_count=params.request_count,
         ito=ito,
-        mean_hops=float(np.mean([t.hops for t in traces])),
-        cache_hit_rate=float(np.mean([1.0 if t.cache_hit else 0.0 for t in traces])),
+        mean_hops=hops_total / params.request_count,
+        cache_hit_rate=hits / params.request_count,
     )
     return report, records, traces
 
 
 def run_scenario(params: ScenarioParams, with_details: bool = False):
-    """One ItoReport per sweep point (plus records and traces on request)."""
+    """One ItoReport per sweep point, plus (records, traces) per point when
+    `with_details`; only then are the per-request traces kept."""
     reports = []
     details = []
     for idx, point in enumerate(sweep_points(params)):
-        report, records, traces = _run_point(point, idx)
+        report, records, traces = _run_point(point, idx, with_details)
         reports.append(report)
         if with_details:
             details.append((records, traces))

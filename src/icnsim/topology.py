@@ -527,19 +527,31 @@ def _tree_path(parents, depths, u, targets):
     """closest_path on a tree: one walk up from u, then each target climbs
     until it meets that walk, at their lowest common ancestor."""
     up = [u]
-    while parents[up[-1]] >= 0:
-        up.append(parents[up[-1]])
+    x = parents[u]
+    while x >= 0:
+        up.append(x)
+        x = parents[x]
     top = len(up) - 1  # u's depth; up[top - d] is u's ancestor at depth d
     best = None
     for t in targets:
         down, x, d = [], t, depths[t]
-        while d > top or x != up[top - d]:
+        while d > top:  # climb to u's depth
             down.append(x)
             x = parents[x]
             d -= 1
-        if best is None or len(down) + top - d < best[0]:
-            best = (len(down) + top - d, up[1:top - d + 1] + down[::-1])
-    return None if best is None else best[1]
+        while x != up[top - d]:  # climb until the walk from u is met
+            down.append(x)
+            x = parents[x]
+            d -= 1
+        hops = len(down) + top - d
+        if best is None or hops < best[0]:
+            best = (hops, d, down)
+    if best is None:
+        return None
+    _, d, down = best
+    path = up[1:top - d + 1]
+    path.extend(reversed(down))
+    return path
 
 
 # -- scenario topology generation --------------------------------------------
@@ -688,16 +700,20 @@ def generate_topology(params, seed: int) -> WeightedGraph:
 
     # The layers attach in id order, so node i's parent and depth are the
     # (i + 1)-th entries of these lists. A parent's id is one Python int
-    # shared by all its children's entries.
+    # shared by all its children's entries. Edge i - 1 joins node i to its
+    # parent; parents never decrease along the ids, so the edges are in
+    # canonical (parent, child) order as they are filled.
     parents, depths = [-1], [0]
-    ea_parts, eb_parts, ew_parts = [], [], []
+    ea = np.empty(n - 1, dtype=np.int64)
+    eb = np.arange(1, n, dtype=np.int64)
+    ew = np.empty(n - 1, dtype=np.int64)
 
     def attach(children, parent_layer, fanout, weights):
         """Hang `children` below `parent_layer`, the first `fanout` of them
         below its first node, and so on."""
-        ea_parts.append(children)
-        eb_parts.append(parent_layer[np.arange(len(children)) // fanout])
-        ew_parts.append(weights)
+        edges = slice(len(parents) - 1, len(parents) - 1 + len(children))
+        ea[edges] = parent_layer[np.arange(len(children)) // fanout]
+        ew[edges] = weights
         end = len(parents) + len(children)
         for p in parent_layer.tolist():
             parents.extend([p] * min(fanout, end - len(parents)))
@@ -723,10 +739,7 @@ def generate_topology(params, seed: int) -> WeightedGraph:
     else:
         attach(devices, aps, devices_per_ap, draw(*_LOCAL_LAT, n_devices))
 
-    ea = np.concatenate(ea_parts)
-    eb = np.concatenate(eb_parts)
-    ew = np.concatenate(ew_parts)
-    g = WeightedGraph.from_arrays(
+    g = WeightedGraph(
         kinds, mems, storages, downs, ups, computes, ea, eb, ew,
         WeightUnit.LATENCY_US,
     )

@@ -250,13 +250,16 @@ def deliver_data(net: NetState, trace: DeliveryTrace) -> list:
     if obj is None:
         return []
     stored = []
-    forwarding = net.forwarding
+    forwarding, caches = net.forwarding, net.caches
+    serving, oid, volume = trace.serving_node, obj.id, obj.volume
     for node in reversed(trace.path):
-        if node == trace.serving_node:
+        if node == serving or not forwarding[node]:
             continue
-        if forwarding[node]:
-            if net.cache_of(node).insert(obj.id, obj.volume):
-                stored.append(node)
+        store = caches.get(node)
+        if store is None:
+            store = net.cache_of(node)
+        if store.insert(oid, volume):
+            stored.append(node)
     return stored
 
 

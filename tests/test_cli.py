@@ -5,6 +5,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 
 import pytest
@@ -314,6 +315,26 @@ class TestTrainCmd:
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["n_personal", "n_general"])
+    def test_an_oversized_dataset_exits_one_before_any_draw(
+        self, key, config_path, tmp_path, capsys
+    ):
+        # 10**9 samples would take about 600 GiB
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text(BASE_CONFIG + f"{key} = 1000000000\n")
+        out = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            code = main(["train", "--config", str(cfg), "--out", str(out)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err, err
+        assert peak < 1 << 20
         assert not out.exists()
 
 

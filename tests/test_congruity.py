@@ -741,6 +741,12 @@ class TestSynthesizeDataset:
         with pytest.raises(InvalidSpec):
             DatasetSpec(n_personal=5, n_general=5, conflict_fraction=1.0).validate()
 
+    def test_sample_counts_are_capped(self):
+        DatasetSpec(n_personal=congruity.MAX_SAMPLES, n_general=congruity.MAX_SAMPLES).validate()
+        for key in ("n_personal", "n_general"):
+            with pytest.raises(InvalidSpec, match=key):
+                DatasetSpec(**{key: congruity.MAX_SAMPLES + 1}).validate()
+
 
 class TestModelAndDatasetFiles:
     def test_model_round_trip_exact(self, tmp_path):

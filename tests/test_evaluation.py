@@ -339,6 +339,68 @@ class TestRunScenario:
             Hyperparams(max_epochs=congruity.MAX_EPOCHS + 1).validate()
 
 
+@st.composite
+def replay_configs(draw):
+    """Small eMBB, URLLC and mMTC points with hundreds of requests, so the
+    mean hop counts and hit rates have long binary fractions."""
+    scenario = draw(st.sampled_from(["embb", "urllc", "mmtc"]))
+    sweep = {
+        "embb": st.sampled_from([8.0, 64.0]),
+        "urllc": st.sampled_from([1.0, 8.0, 64.0]),
+        "mmtc": st.sampled_from([3.0, 20.0]),  # k devices per km^2 over 0.005 km^2
+    }[scenario]
+    return ScenarioParams(
+        scenario=scenario,
+        sweep_values=(draw(sweep), draw(sweep)),
+        seed=draw(st.integers(0, 50)),
+        n_devices=draw(st.integers(2, 120)),
+        devices_per_ap=draw(st.integers(1, 8)),
+        area_km2=0.005,
+        catalog_size=draw(st.integers(1, 24)),
+        request_count=draw(st.integers(1, 400)),
+        cache_fraction=draw(st.sampled_from([0.0, 0.05, 0.5])),
+        prefetch_budget=draw(st.integers(0, 8)),
+    )
+
+
+class TestDetailsOnRequest:
+    @settings(max_examples=30, deadline=None)
+    @given(replay_configs())
+    def test_reports_equal_the_detailed_run_and_its_traces(self, params):
+        plain = run_scenario(params)
+        reports, details = run_scenario(params, with_details=True)
+        assert reports_to_csv(plain) == reports_to_csv(reports)
+        for report, (records, traces) in zip(reports, details):
+            assert len(records) == len(traces) == report.request_count
+            # the running totals give the mean over the traces, bit for bit
+            hops = float(np.mean([t.hops for t in traces]))
+            hit_rate = float(np.mean([1.0 if t.cache_hit else 0.0 for t in traces]))
+            assert report.mean_hops.hex() == hops.hex()
+            assert report.cache_hit_rate.hex() == hit_rate.hex()
+
+    def test_a_point_keeps_no_traces_unless_asked(self):
+        (point,) = sweep_points(small_params(sweep_values=(8,)))
+        assert evaluation._run_point(point, 0)[2] is None
+        assert len(evaluation._run_point(point, 0, with_details=True)[2]) == 60
+
+    def test_a_replayed_request_holds_under_0_3_kib(self):
+        # What a request holds until its point ends (its draws and record),
+        # from the tracemalloc peaks of runs at two request counts; a kept
+        # trace with its request and path list would take about as much again.
+        def peak(count):
+            params = ScenarioParams(scenario="embb", sweep_values=(8,), n_devices=256,
+                                    request_count=count, seed=1)
+            tracemalloc.start()
+            try:
+                run_scenario(params)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        per_request = (peak(20_000) - peak(5_000)) / 15_000
+        assert per_request < 0.3 * 1024
+
+
 class TestLearnerIntegration:
     def test_replaced_weights_still_containerize_cleanly(self):
         params = ScenarioParams(

@@ -363,9 +363,11 @@ def check_hop_paths(n, edges):
             assert hop_path(g, u, t) == want
             assert len(want) == hop_distance(g, u, t)
             assert next_hop_toward(g, u, t) == (want[0] if want else u)
-    # closest_path: the hop_path to the fewest-hops target, ties to the earliest
+    # closest_path: the hop_path to the fewest-hops target, ties to the
+    # earliest; on a tree this is _tree_path's walk
     for u in range(n):
-        for targets in (list(range(n - 1, -1, -1)), [t for t in range(n) if (t + u) % 3]):
+        some = [t for t in range(n) if (t + u) % 3]
+        for targets in (list(range(n - 1, -1, -1)), some, [], [u], [*some, *some, u]):
             reach = [(hops[u][t], i) for i, t in enumerate(targets) if hops[u][t] is not None]
             want = hop_path(g, u, targets[min(reach)[1]]) if reach else None
             assert closest_path(g, u, targets) == want
@@ -459,6 +461,45 @@ def test_handed_over_tree_equals_the_bfs_one(case, seed):
     assert rebuilt._tree is None
     assert handed == rebuilt._tree_info()
     assert handed[0] and len(handed[1]) == len(handed[2]) == g.n
+
+
+@st.composite
+def generator_shapes(draw):
+    """Scenario parameters of every shape, down to one device or one server."""
+    scenario = draw(st.sampled_from(["embb", "urllc", "mmtc"]))
+    params = ScenarioParams(
+        scenario=scenario,
+        n_devices=draw(st.sampled_from([1, 2, 7, 33, 200])),
+        devices_per_ap=draw(st.integers(1, 9)),
+        aps_per_switch=draw(st.integers(1, 5)),
+        switches_per_zone=draw(st.integers(1, 5)),
+        n_servers=draw(st.integers(1, 4)),
+        devices_per_gateway=draw(st.integers(1, 9)),
+        density_k_per_km2=draw(st.sampled_from([1.0, 7.0, 40.0])),
+        area_km2=draw(st.sampled_from([0.001, 0.005])),  # 1 to 200 mMTC devices
+        latency_ms=draw(st.sampled_from([1.0, 8.0, 1e300])),
+    )
+    return params, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(generator_shapes())
+def test_generated_edges_are_the_canonical_ones(case):
+    # The generator fills its edge arrays in place; from_arrays on the same
+    # edges, child first and shuffled, must sort them into the same arrays.
+    params, seed = case
+    g = generate_topology(params, seed)
+    order = np.random.default_rng(seed).permutation(g.m)
+    rebuilt = WeightedGraph.from_arrays(
+        g.kinds, g.mems, g.storages, g.downs, g.ups, g.computes,
+        g.eb[order], g.ea[order], g.ew[order], g.unit,
+    )
+    for name in ("ea", "eb", "ew"):
+        got, want = getattr(g, name), getattr(rebuilt, name)
+        assert got.dtype == want.dtype == np.int64
+        assert got.tolist() == want.tolist()
+    assert g.m == g.n - 1
+    assert g._tree_info() == rebuilt._tree_info()  # a BFS over the edges
 
 
 def scipy_tree_parents(n, edges):
