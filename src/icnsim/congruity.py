@@ -45,10 +45,11 @@ LABEL_KINDS = (
 
 DEFAULT_LABEL_KIND = "distance"
 
-# Learner size caps. At the default 200 + 400 samples the prune phase took
-# 1 s for 170 weights and biases, 13.5 s for 2,450 and 90 s for 9,746 (peak
-# about 0.4 KiB each), and an epoch 12-20 ms at all three sizes: so about
-# 1.5 minutes of pruning at MAX_PARAMETERS and 3 of descent at MAX_EPOCHS.
+# Learner size caps. At the default 200 + 400 samples (2-vCPU VM, numpy
+# 2.4) the prune phase took 0.14 s for 170 weights and biases, 3.3 s for
+# 2,450 and 27 s for 9,746 (peak about 0.4 KiB each), and an epoch 1.7, 3.8
+# and 12 ms: so about half a minute of pruning at MAX_PARAMETERS and two of
+# descent at MAX_EPOCHS.
 MAX_PARAMETERS = 10_000
 MAX_EPOCHS = 10_000
 
@@ -290,22 +291,28 @@ def init_parameters(widths, d_max=None, rng=None) -> ParameterSet:
 
 
 def _sigmoid(z):
-    """Logistic function of a fresh pre-activation array, computed in place:
-    the same operations, in the same order, as
-    1 / (1 + exp(-clip(z, -500, 500)))."""
+    """Logistic function of a fresh pre-activation array, computed in place,
+    bit for bit 1 / (1 + exp(-clip(z, -500, 500))). The upper clip is left
+    out: for z >= 500, exp(-z) <= exp(-500) < 1e-217, so 1 + exp(-z) is 1.0
+    either way."""
     np.maximum(z, -500.0, out=z)
-    np.minimum(z, 500.0, out=z)
     np.negative(z, out=z)
     np.exp(z, out=z)
     z += 1.0
     return np.divide(1.0, z, out=z)
 
 
-def _forward_batch(ps: ParameterSet, X: np.ndarray):
-    acts = [X * ps.alive[0]]
+def _forward_batch(ps: ParameterSet, X: np.ndarray, alive=None):
+    """Every layer's activations. `alive` stands in for ps.alive, with None
+    for a layer whose neurons all live: x * 1.0 is x, bit for bit."""
+    if alive is None:
+        alive = ps.alive
+    acts = [X if alive[0] is None else X * alive[0]]
     for l in range(1, ps.L):
-        z = acts[-1] @ ps.weights[l - 1].T + ps.biases[l]
-        acts.append(_sigmoid(z) * ps.alive[l])
+        a = _sigmoid(acts[-1] @ ps.weights[l - 1].T + ps.biases[l])
+        if alive[l] is not None:
+            a *= alive[l]
+        acts.append(a)
     return acts
 
 def _reconstruct_batch(ps: ParameterSet, Y: np.ndarray):
@@ -385,10 +392,12 @@ def _check_output_width(ps):
         raise DimensionMismatch("error functions require a single output neuron")
 
 
-def _loss_parts(ps, X, vals, mask, reconstruct=True):
+def _loss_parts(ps, X, vals, mask, reconstruct=True, acts=None):
     """Summed prediction loss and per-sample squared reconstruction errors;
-    the reconstruction is None when `reconstruct` is false."""
-    acts = _forward_batch(ps, X)
+    the reconstruction is None when `reconstruct` is false. `acts` is X's
+    forward pass at the current parameters, if the caller has it."""
+    if acts is None:
+        acts = _forward_batch(ps, X)
     y = acts[-1][:, 0]
     pred_sum = float((((y - vals) ** 2) * mask).sum())
     if not reconstruct:
@@ -417,7 +426,8 @@ def general_error(ps: ParameterSet, dg: Dataset, h: Hyperparams,
 
 
 def personal_error(ps: ParameterSet, dp: Dataset, h: Hyperparams,
-                   label_kind: str = DEFAULT_LABEL_KIND, centroid=None) -> float:
+                   label_kind: str = DEFAULT_LABEL_KIND, centroid=None,
+                   acts=None) -> float:
     """Prediction loss on labeled personal samples plus the per-sample
     filter-gated reconstruction (response) loss."""
     if dp.kind != "personal":
@@ -427,7 +437,7 @@ def personal_error(ps: ParameterSet, dp: Dataset, h: Hyperparams,
     _check_output_width(ps)
     vals, mask = dp.label_arrays(label_kind)
     pred_sum, recon_sq = _loss_parts(ps, dp.feature_matrix(), vals, mask,
-                                     reconstruct=h.lambda_k != 0.0)
+                                     reconstruct=h.lambda_k != 0.0, acts=acts)
     if recon_sq is None:
         return h.lambda_p * pred_sum
     if centroid is None:
@@ -452,7 +462,7 @@ def _zero_grads(ps):
             [np.zeros(b.shape) for b in ps.biases])
 
 
-def _backprop(ps, X, vals, mask, pred_w, recon_coeff):
+def _backprop(ps, X, vals, mask, pred_w, recon_coeff, acts=None, alive=None):
     """Gradient of pred_w * sum_labeled (y - t)^2 + sum_n c_n * ||x_n - X_n||^2,
     plus the per-sample squared reconstruction errors ||x_n - X_n||^2.
 
@@ -470,15 +480,25 @@ def _backprop(ps, X, vals, mask, pred_w, recon_coeff):
     return it, pruning writes +0.0, and w - d is -0.0 only when w is), so
     every loss, parameter and prediction is unchanged. Where a skipped term
     is not finite, the full formula made 0.0 * inf = nan of it instead.
+
+    Without the chain each block is assigned, not added to zeros (again
+    only the sign of exact zeros can differ), and only the input biases keep
+    their zeros. The output is one neuron wide (the error functions check
+    it). `acts` is X's forward pass if the caller has it; `alive` goes to
+    `_forward_batch` otherwise.
     """
-    dW, db = _zero_grads(ps)
-    acts = _forward_batch(ps, X)
+    if acts is None:
+        acts = _forward_batch(ps, X, alive)
     L = ps.L
+    err = 2.0 * pred_w * (acts[-1][:, 0] - vals) * mask
 
     if recon_coeff is None:
         recon_sq = None
-        ga = np.zeros(acts[-1].shape)
+        dW = [None] * (L - 1)
+        db = [np.zeros(ps.widths[0])] + [None] * (L - 1)
+        ga = err[:, None]
     else:
+        dW, db = _zero_grads(ps)
         # negative (reconstruction) chain
         recs = _reconstruct_batch(ps, acts[-1])
         diff = recs[0] - X
@@ -490,15 +510,19 @@ def _backprop(ps, X, vals, mask, pred_w, recon_coeff):
             db[l] += gs.sum(axis=0)
             gr = gs @ ps.weights[l].T
         ga = gr * ps.alive[L - 1]
+        ga[:, 0] += err
 
-    # positive chain, seeded by the reconstruction flow plus prediction error
-    y = acts[-1][:, 0]
-    ga[:, 0] += 2.0 * pred_w * (y - vals) * mask
+    # positive chain, seeded by the prediction error plus any reconstruction flow
     for l in range(L - 1, 0, -1):
         gz = ga * acts[l] * (1.0 - acts[l])
-        dW[l - 1] += gz.T @ acts[l - 1]
-        db[l] += gz.sum(axis=0)
-        ga = gz @ ps.weights[l - 1]
+        if recon_sq is None:
+            dW[l - 1] = gz.T @ acts[l - 1]
+            db[l] = np.add.reduce(gz, axis=0)
+        else:
+            dW[l - 1] += gz.T @ acts[l - 1]
+            db[l] += np.add.reduce(gz, axis=0)
+        if l > 1:
+            ga = gz @ ps.weights[l - 1]
     return dW, db, recon_sq
 
 
@@ -523,18 +547,19 @@ def _regularizer_grads(ps, q):
 
 
 def grad_general(ps: ParameterSet, dg: Dataset, h: Hyperparams,
-                 label_kind: str = DEFAULT_LABEL_KIND):
+                 label_kind: str = DEFAULT_LABEL_KIND, alive=None):
+    """`alive` stands in for ps.alive in the forward pass (see _forward_batch)."""
     if len(dg) == 0:
         raise EmptyDataset("general dataset is empty")
     _check_output_width(ps)
     X = dg.feature_matrix()
     vals, mask = dg.label_arrays(label_kind)
     if h.lambda_q == 0.0:
-        dW, db, _ = _backprop(ps, X, vals, mask, h.lambda_g, None)
+        dW, db, _ = _backprop(ps, X, vals, mask, h.lambda_g, None, alive=alive)
         return dW, db
     rW, rb, r = _regularizer_grads(ps, h.q)
     coeff = np.full(len(dg), h.lambda_q * r)
-    dW, db, recon_sq = _backprop(ps, X, vals, mask, h.lambda_g, coeff)
+    dW, db, recon_sq = _backprop(ps, X, vals, mask, h.lambda_g, coeff, alive=alive)
     # the q-norm multiplies the summed reconstruction loss, so its own
     # gradient enters scaled by that sum
     s = h.lambda_q * float(recon_sq.sum())
@@ -546,7 +571,10 @@ def grad_general(ps: ParameterSet, dg: Dataset, h: Hyperparams,
 
 
 def grad_personal(ps: ParameterSet, dp: Dataset, h: Hyperparams,
-                  label_kind: str = DEFAULT_LABEL_KIND, centroid=None):
+                  label_kind: str = DEFAULT_LABEL_KIND, centroid=None,
+                  acts=None, alive=None):
+    """`acts` is dp's forward pass at the current parameters, if the caller
+    has it; `alive` stands in for ps.alive otherwise (see _forward_batch)."""
     if len(dp) == 0:
         raise EmptyDataset("personal dataset is empty")
     _check_output_width(ps)
@@ -558,14 +586,14 @@ def grad_personal(ps: ParameterSet, dp: Dataset, h: Hyperparams,
         if centroid is None:
             centroid = dp.centroid()
         coeff = h.lambda_k * dp.topk_filters(centroid, h.k)
-    dW, db, _ = _backprop(ps, X, vals, mask, h.lambda_p, coeff)
+    dW, db, _ = _backprop(ps, X, vals, mask, h.lambda_p, coeff, acts, alive)
     return dW, db
 
 
 def grad_congruity(ps: ParameterSet, dp: Dataset, dg: Dataset, h: Hyperparams,
-                   label_kind: str = DEFAULT_LABEL_KIND, centroid=None):
-    gW, gb = grad_general(ps, dg, h, label_kind)
-    pW, pb = grad_personal(ps, dp, h, label_kind, centroid)
+                   label_kind: str = DEFAULT_LABEL_KIND, centroid=None, alive=None):
+    gW, gb = grad_general(ps, dg, h, label_kind, alive)
+    pW, pb = grad_personal(ps, dp, h, label_kind, centroid, alive=alive)
     a = h.alpha
     dW = [(1.0 - a) * g + a * p for g, p in zip(gW, pW)]
     db = [(1.0 - a) * g + a * p for g, p in zip(gb, pb)]
@@ -592,11 +620,19 @@ def _batches(dp, dg, batch_size):
     return [(bps[i % len(bps)], bgs[i % len(bgs)]) for i in range(max(len(bps), len(bgs)))]
 
 
-def _apply_step(ps, dW, db, lr):
-    for l in range(len(ps.weights)):
-        ps.weights[l] -= lr * np.where(ps.w_frozen[l], 0.0, dW[l])
-    for l in range(len(ps.biases)):
-        ps.biases[l] -= lr * np.where(ps.b_frozen[l], 0.0, db[l])
+def _live_masks(ps):
+    """The alive flags and the weight and bias frozen masks, with None for
+    each that changes nothing: a layer with no dead neuron (x * 1.0 is x)
+    or a mask with no frozen entry (np.where over all-False is d), bit for
+    bit. Neither changes after the prune phase."""
+    return ([None if (a == 1.0).all() else a for a in ps.alive],
+            [f if f.any() else None for f in ps.w_frozen],
+            [f if f.any() else None for f in ps.b_frozen])
+
+
+def _apply_step(ps, dW, db, lr, w_frozen, b_frozen):
+    for p, d, f in zip(ps.weights + ps.biases, dW + db, w_frozen + b_frozen):
+        p -= lr * (d if f is None else np.where(f, 0.0, d))
 
 
 def _prune_phase(ps, pairs, h, centroid, rng, label_kind):
@@ -608,33 +644,43 @@ def _prune_phase(ps, pairs, h, centroid, rng, label_kind):
     soon as its live parameter count drops under d_max.
 
     A kept step leaves the parameters where the next coordinate starts, so
-    the errors after it are the next coordinate's errors before its step on
-    the same batch; only a prune (zeroing, freezing, maybe killing a neuron)
-    or a batch change forces a fresh evaluation.
+    the errors after it, and the personal forward pass behind them, are the
+    next coordinate's before its step on the same batch; only a prune
+    (zeroing, freezing, maybe killing a neuron) or a batch change forces a
+    fresh evaluation. A zero gradient makes the step a no-op: both errors
+    would come back unchanged, 0 < alpha * 0 fails and no rng value is
+    drawn, so the step is skipped. With lambda_k == 0 every layer-0
+    gradient is zero (layer 0 has only biases, which only the skipped
+    reconstruction chain reaches), so that layer is not swept at all.
     """
     pruned = 0
-    known = None  # (batch index, personal error, general error) at the current parameters
-    for layer in range(ps.L):
+    known = None  # (batch, personal error, general error, personal forward pass)
+    for layer in range(0 if h.lambda_k != 0.0 else 1, ps.L):
         d = ps.live_count(layer)
         if d < ps.d_max:
             continue
+        coords = ps.layer_coords(layer)
         advance = False
         for b, (bp, bg) in enumerate(pairs):
-            for coord in ps.layer_coords(layer):
+            Xp = bp.feature_matrix()
+            for coord in coords:
                 if ps.is_frozen(coord):
                     continue
-                gW, gb = grad_personal(ps, bp, h, label_kind, centroid)
+                if known is None or known[0] != b:
+                    acts = _forward_batch(ps, Xp)
+                    known = (b, personal_error(ps, bp, h, label_kind, centroid, acts),
+                             general_error(ps, bg, h, label_kind), acts)
+                _, ev_p, ev_g, acts = known
+                gW, gb = grad_personal(ps, bp, h, label_kind, centroid, acts=acts)
                 kind, a, bidx, cidx = coord
                 g = gW[a][bidx, cidx] if kind == "w" else gb[a][bidx]
-                if known is not None and known[0] == b:
-                    _, ev_p, ev_g = known
-                else:
-                    ev_p = personal_error(ps, bp, h, label_kind, centroid)
-                    ev_g = general_error(ps, bg, h, label_kind)
+                if g == 0.0:
+                    continue
                 ps.set_param(coord, ps.get_param(coord) - h.learning_rate * g)
-                en_p = personal_error(ps, bp, h, label_kind, centroid)
+                acts = _forward_batch(ps, Xp)
+                en_p = personal_error(ps, bp, h, label_kind, centroid, acts)
                 en_g = general_error(ps, bg, h, label_kind)
-                known = (b, en_p, en_g)
+                known = (b, en_p, en_g, acts)
                 if abs(en_p - ev_p) < h.alpha * abs(en_g - ev_g):
                     if rng.random() < h.prune_probability:
                         ps.set_param(coord, 0.0)
@@ -673,10 +719,11 @@ def train(dp: Dataset, dg: Dataset, h: Hyperparams, arch,
 
     e_prev = congruity_objective(ps, dp, dg, h, label_kind, centroid)
     history = [e_prev]
+    alive, w_frozen, b_frozen = _live_masks(ps)
     for _ in range(h.max_epochs):
         for bp, bg in pairs:
-            dW, db = grad_congruity(ps, bp, bg, h, label_kind, centroid)
-            _apply_step(ps, dW, db, h.learning_rate)
+            dW, db = grad_congruity(ps, bp, bg, h, label_kind, centroid, alive)
+            _apply_step(ps, dW, db, h.learning_rate, w_frozen, b_frozen)
         e_now = congruity_objective(ps, dp, dg, h, label_kind, centroid)
         if not math.isfinite(e_now):
             raise NonFiniteLoss(f"objective diverged to {e_now}")

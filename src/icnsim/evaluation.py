@@ -257,41 +257,22 @@ def _learned_graph(g: WeightedGraph, params, seed: int) -> WeightedGraph:
 
 
 def _edge_samples(g: WeightedGraph, max_w: float) -> list:
+    """One learner sample per edge (a, b): 17 features in [0, 1], built as
+    numpy columns, with the edge's normalized latency as its distance label."""
+    a, b = g.ea, g.eb
     degs = g.degrees().astype(np.float64)
     max_deg = max(1.0, degs.max())
-    scale = {
-        "mem": max(1.0, float(g.mems.max())),
-        "sto": max(1.0, float(g.storages.max())),
-        "up": max(1.0, float(g.ups.max())),
-        "down": max(1.0, float(g.downs.max())),
-        "cpu": max(1.0, float(g.computes.max())),
-    }
-    n_kind = 8.0
-    samples = []
-    m = max(1, g.m)
-    for j, (a, b, w) in enumerate(zip(g.ea.tolist(), g.eb.tolist(), g.ew.tolist())):
-        lat = w / max_w
-        feats = np.array([
-            j / m,
-            0.5,
-            g.ups[a] / scale["up"],
-            g.downs[a] / scale["down"],
-            g.computes[a] / scale["cpu"],
-            degs[a] / max_deg,
-            degs[b] / max_deg,
-            lat,
-            g.storages[a] / scale["sto"],
-            g.ups[b] / scale["up"],
-            g.computes[b] / scale["cpu"],
-            (degs[a] + degs[b]) / (2 * max_deg),
-            a / g.n,
-            b / g.n,
-            g.kinds[a] / n_kind,
-            g.kinds[b] / n_kind,
-            0.5,
-        ])
-        samples.append(congruity.Sample(feats, {"distance": lat}))
-    return samples
+    up, down, cpu, sto = (v / max(1.0, float(v.max()))
+                          for v in (g.ups, g.downs, g.computes, g.storages))
+    lat = g.ew / max_w
+    half = np.full(g.m, 0.5)
+    X = np.column_stack([
+        np.arange(g.m) / max(1, g.m), half, up[a], down[a], cpu[a],
+        degs[a] / max_deg, degs[b] / max_deg, lat, sto[a], up[b], cpu[b],
+        (degs[a] + degs[b]) / (2 * max_deg), a / g.n, b / g.n,
+        g.kinds[a] / 8.0, g.kinds[b] / 8.0, half,
+    ])
+    return [congruity.Sample(row, {"distance": d}) for row, d in zip(X, lat.tolist())]
 
 
 def point_seeds(seed: int, point_index: int):

@@ -638,6 +638,37 @@ def test_demo_runs(demo, tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+HASH_SEED_CONFIG = (
+    "scenario = mmtc\nsweep_values = 20\narea_km2 = 0.005\nseeds = 1, 2\n"
+    "request_count = 60\ncatalog_size = 12\nuse_learner = true\nmax_epochs = 5\n"
+    "n_personal = 40\nn_general = 60\n"
+)
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    """`run` (with the learner) and `train` write the same bytes under two
+    string-hash seeds, so no output follows set or dict order of strings."""
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(HASH_SEED_CONFIG)
+    outputs = {}
+    for hash_seed in ("0", "12345"):
+        for command in ("run", "train"):
+            out = tmp_path / f"{command}-{hash_seed}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "icnsim.cli", command, "--config", str(cfg),
+                 "--out", str(out)],
+                env={**child_env(), "PYTHONHASHSEED": hash_seed},
+                capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.setdefault(command, []).append(
+                {p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert set(outputs["run"][0]) >= {"report.csv"}
+    assert set(outputs["train"][0]) == {"model.txt", "loss.csv"}
+    for command, (first, second) in outputs.items():
+        assert first == second, command
+
+
 def test_importing_the_cli_loads_no_scipy():
     code = "import sys, icnsim.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
     proc = subprocess.run(

@@ -669,6 +669,170 @@ class TestZeroWeightTerms:
         assert all(math.isfinite(x) for x in losses)
 
 
+def pruned_net(rng, hidden, frozen_share, dead_share):
+    """A net with a share of its coordinates pruned and every coordinate of
+    a share of its neurons pruned, so that some neurons die."""
+    ps = init_parameters((N_FEATURES, *hidden, 1), rng=rng)
+    for layer in range(ps.L):
+        dead = {j for j in range(ps.widths[layer]) if rng.random() < dead_share}
+        for coord in ps.layer_coords(layer):
+            if coord[2] in dead or rng.random() < frozen_share:
+                ps.set_param(coord, 0.0)
+                ps.freeze(coord)
+    return ps
+
+
+class TestTrainingPassesOnce:
+    """Training reuses each prune step's forward pass, skips prune steps that
+    cannot move a parameter, and skips the masks that mask nothing; none of
+    that may change a single output bit."""
+
+    TRAIN_CONFIG = "seeds = {seed}\nmax_epochs = {epochs}\nn_personal = {np}\nn_general = {ng}\n"
+    # (config, model.txt SHA-256, loss.csv SHA-256), recorded with the
+    # implementation that ran every prune step and every mask
+    GOLDEN = {
+        "lambda_k only": (
+            TRAIN_CONFIG.format(seed=3, epochs=15, np=40, ng=60) + "lambda_k = 0.7\n",
+            "92483c4c58cc132bbbe8a9467e9841f318f8924814377cfb13925e1cf53e8dff",
+            "7a057b971af4609d446f5ad0a89598efef5580509a4aaeb6326979f250819b36",
+        ),
+        "lambda_q only": (
+            TRAIN_CONFIG.format(seed=3, epochs=15, np=40, ng=60) + "lambda_q = 0.3\n",
+            "32854e2fb560d6f69dd10cb29c1a5aabcc96d058b82d43237331aec6d7789645",
+            "d3c992421d8aea2c863e7dfa76252c174cf8eb17e8c13f3ecbad4a9202919b54",
+        ),
+        # ends with one hidden neuron dead, so descent keeps masks
+        "prune everything": (
+            TRAIN_CONFIG.format(seed=3, epochs=10, np=40, ng=60)
+            + "prune_probability = 1.0\nalpha = 1.0\nbatch_size = 16\nhidden_widths = 4\n",
+            "1ca79eff6f3cb45d287fc668e11132383ccbd0d78bac12f863cec8a3d9211e6d",
+            "3f5db7771c09beb1e2ba9e0695690bee2a1de8a5dfc9a381325972564a80b657",
+        ),
+        "single batch": (
+            TRAIN_CONFIG.format(seed=4, epochs=15, np=20, ng=30) + "batch_size = 64\n",
+            "1666c02ae3e5375fb6367b51cd6610b01c6a483db1924fff1085e883b1edd630",
+            "723ba921fb64812b7b346e883086aa4539be105530d2098652789b530dde45bb",
+        ),
+        "two hidden layers": (
+            TRAIN_CONFIG.format(seed=5, epochs=10, np=40, ng=60) + "hidden_widths = 8, 4\n",
+            "6c17fd106e4690fc913cbc01dd7fc75e24d75eefeef6d27f623ba842c58d6b5c",
+            "8e6fc7e8161ab009556ded774be8f8ecc883c34d3dae90942dfaecb134fe3f65",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_train_outputs_match_golden_hashes(self, name, tmp_path):
+        text, model_sha, loss_sha = self.GOLDEN[name]
+        cfg = tmp_path / "golden.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        model = (out / "model.txt").read_bytes()
+        assert hashlib.sha256(model).hexdigest() == model_sha
+        assert hashlib.sha256((out / "loss.csv").read_bytes()).hexdigest() == loss_sha
+        if name == "prune everything":
+            alive = [line.split()[3] for line in model.decode().splitlines()
+                     if line.startswith("w 1 ")]
+            assert alive.count("0") == 1
+
+    # the learner benchmark workload's config; its report does not read the
+    # learned weights, so the model and the loss history are pinned
+    LEARNER_CONFIG = (
+        "scenario = embb\nsweep_values = 8\nseeds = {seed}\nn_devices = 512\n"
+        "request_count = 256\nuse_learner = true\n"
+    )
+    LEARNER_SHA256 = {  # seed: (model_to_text, repr(loss_history))
+        1: ("a6abb35e502250b7794bbec0c65a5b7363257252f1c8dee476ec95098a44a099",
+            "6e5449347572483ed0d475805a6f84a81a8df2a7708669de8d83c9c75ebe0009"),
+        2: ("86b0753d761812ad3535e5f081f26a23a7c3005ecc97c97a861731e98b17b0b8",
+            "71292313b83a1ff60e3d8e06f823d31136e9d7f3ed56ff1794d80e55b8966ec2"),
+        3: ("08fd5c0af87558e94b06b843c97a7122b9aa12071f5a08476bd39e31a3b2a4db",
+            "eabb7f2a2a391dcf9d60b01e315be37406113192b4674aa6401d79e69f4b53d9"),
+        4: ("2d71a70c4209c5a158f1afeb674fc172601f340309577c184c9df3d78d51381d",
+            "6f2c64d7b7f25c79cd89fb23687c117c42f8d51322b9c12540e4307093a83b25"),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(LEARNER_SHA256))
+    def test_learner_workload_matches_golden_hashes(self, seed, tmp_path, monkeypatch):
+        trained = []
+        original = congruity.train
+
+        def recording(dp, dg, h, arch, *args, **kwargs):
+            result = original(dp, dg, h, arch, *args, **kwargs)
+            trained.append((result, h))
+            return result
+
+        monkeypatch.setattr(congruity, "train", recording)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(self.LEARNER_CONFIG.format(seed=seed))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        [(result, h)] = trained
+        assert (
+            hashlib.sha256(model_to_text(result.theta_star, h).encode()).hexdigest(),
+            hashlib.sha256(repr(result.loss_history).encode()).hexdigest(),
+        ) == self.LEARNER_SHA256[seed]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        hidden=st.lists(st.integers(1, 5), max_size=2),
+        n=st.integers(1, 6),
+        seed=st.integers(0, 2**16),
+        frozen_share=st.sampled_from([0.0, 0.3, 1.0]),
+        dead_share=st.sampled_from([0.0, 0.5]),
+        reconstruct=st.booleans(),
+    )
+    def test_passed_in_passes_give_the_same_gradients(
+        self, hidden, n, seed, frozen_share, dead_share, reconstruct,
+    ):
+        rng = np.random.default_rng(seed)
+        ps = pruned_net(rng, hidden, frozen_share, dead_share)
+        X = rng.random((n, N_FEATURES))
+        vals = rng.random(n)
+        mask = (rng.random(n) < 0.7).astype(np.float64)
+        coeff = rng.random(n) if reconstruct else None
+        alive, _, _ = congruity._live_masks(ps)
+
+        plain = congruity._backprop(ps, X, vals, mask, 1.5, coeff)
+        for kwargs in ({"acts": congruity._forward_batch(ps, X)}, {"alive": alive},
+                       {"acts": congruity._forward_batch(ps, X, alive)}):
+            got = congruity._backprop(ps, X, vals, mask, 1.5, coeff, **kwargs)
+            for a, b in zip(plain[0] + plain[1], got[0] + got[1]):
+                assert a.tobytes() == b.tobytes()
+            assert (got[2] is None) == (plain[2] is None)
+            if plain[2] is not None:
+                assert got[2].tobytes() == plain[2].tobytes()
+
+    @pytest.mark.parametrize("lambda_k", [0.0, 0.4])
+    def test_layer_zero_is_swept_only_with_a_reconstruction_term(self, lambda_k,
+                                                                  monkeypatch):
+        """With lambda_k == 0 every layer-0 gradient is zero, so no prune step
+        is evaluated there."""
+        dp, dg = synthesize_dataset(DatasetSpec(n_personal=24, n_general=24), 6)
+        h = Hyperparams(lambda_k=lambda_k, batch_size=8, rng_seed=1)
+        ps = init_parameters((N_FEATURES, 3, 1), rng=1)
+        swept = []
+        layer_coords = ps.layer_coords
+
+        def recording_coords(layer):
+            swept.append(layer)
+            return layer_coords(layer)
+
+        ps.layer_coords = recording_coords
+        graded = []
+        original = congruity.grad_personal
+
+        def recording(*args, **kwargs):
+            graded.append(swept[-1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(congruity, "grad_personal", recording)
+        pairs = congruity._batches(dp, dg, h.batch_size)
+        congruity._prune_phase(ps, pairs, h, dp.centroid(), np.random.default_rng(1),
+                               "distance")
+        assert 1 in graded
+        assert (0 in graded) == (lambda_k != 0.0)
+
+
 class TestPredictDistance:
     def test_untrained_zero_net_is_half(self):
         ps = zero_net((N_FEATURES, 1))

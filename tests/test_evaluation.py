@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from icnsim import cli, congruity, evaluation, topology
 from icnsim.congruity import Hyperparams
@@ -425,6 +425,60 @@ class TestLearnerIntegration:
         )
         reports = run_scenario(params)
         assert len(reports) == 1 and reports[0].ito <= 1.0
+
+
+def scalar_edge_samples(g, max_w):
+    """The per-edge loop that `_edge_samples` replaced, kept as its
+    reference: (feature matrix, distance labels)."""
+    degs = g.degrees().astype(np.float64)
+    max_deg = max(1.0, degs.max())
+    scale = {
+        "sto": max(1.0, float(g.storages.max())),
+        "up": max(1.0, float(g.ups.max())),
+        "down": max(1.0, float(g.downs.max())),
+        "cpu": max(1.0, float(g.computes.max())),
+    }
+    rows, labels = [], []
+    m = max(1, g.m)
+    for j, (a, b, w) in enumerate(zip(g.ea.tolist(), g.eb.tolist(), g.ew.tolist())):
+        lat = w / max_w
+        rows.append([
+            j / m, 0.5, g.ups[a] / scale["up"], g.downs[a] / scale["down"],
+            g.computes[a] / scale["cpu"], degs[a] / max_deg, degs[b] / max_deg,
+            lat, g.storages[a] / scale["sto"], g.ups[b] / scale["up"],
+            g.computes[b] / scale["cpu"], (degs[a] + degs[b]) / (2 * max_deg),
+            a / g.n, b / g.n, g.kinds[a] / 8.0, g.kinds[b] / 8.0, 0.5,
+        ])
+        labels.append(lat)
+    return np.array(rows, dtype=np.float64).reshape(-1, congruity.N_FEATURES), labels
+
+
+class TestEdgeSamples:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        scenario=st.sampled_from(["embb", "urllc", "mmtc"]),
+        n_devices=st.integers(1, 40),
+        per_parent=st.integers(1, 8),
+        density=st.sampled_from([1.0, 3.0, 20.0]),
+        seed=st.integers(0, 3),
+    )
+    @example(scenario="embb", n_devices=1, per_parent=1, density=1.0, seed=0)
+    @example(scenario="urllc", n_devices=1, per_parent=1, density=1.0, seed=0)
+    @example(scenario="mmtc", n_devices=1, per_parent=1, density=1.0, seed=0)
+    def test_columns_equal_the_scalar_loop(self, scenario, n_devices, per_parent,
+                                           density, seed):
+        params = ScenarioParams(
+            scenario=scenario, n_devices=n_devices, devices_per_ap=per_parent,
+            devices_per_gateway=per_parent, area_km2=0.001, density_k_per_km2=density,
+        )
+        g = generate_topology(params, seed)
+        max_w = float(g.ew.max())
+        samples = evaluation._edge_samples(g, max_w)
+        want, labels = scalar_edge_samples(g, max_w)
+        got = np.array([s.features for s in samples])
+        assert got.shape == want.shape == (g.m, congruity.N_FEATURES)
+        assert got.tobytes() == want.tobytes()
+        assert [s.labels for s in samples] == [{"distance": lat} for lat in labels]
 
 
 class TestSweepReport:

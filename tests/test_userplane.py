@@ -310,9 +310,12 @@ def reranking_reference(net, oid, origin):
     g = net.graph
     edges = list(zip(g.ea.tolist(), g.eb.tolist(), g.ew.tolist()))
     adj = adjacency(g.n, edges)
-    hosts = None
+    hosts = listed = None
     current, path = origin, [origin]
-    for _ in range(g.n + 1):
+    # Each stale listed host is dropped once, and each leg between drops is a
+    # fewest-hops path of at most n - 1 hops, so a walk that converges takes
+    # fewer than (listed hosts + 1) * n steps.
+    while listed is None or len(path) <= (len(listed) + 1) * g.n:
         publisher = net.objects[oid].publisher
         if current == publisher or oid in net.caches.get(current, ()):
             if current != publisher:
@@ -320,7 +323,8 @@ def reranking_reference(net, oid, origin):
             return path, current, current != publisher
         if hosts is None:
             try:
-                hosts = sorted(node_of_address(na) for na in resolve(net.resolver, oid))
+                hosts = listed = sorted(node_of_address(na)
+                                        for na in resolve(net.resolver, oid))
             except NotFound:
                 return Unresolvable
         hosts = [h for h in hosts if h != current]
@@ -582,6 +586,11 @@ FORK = (6, [(0, 1), (1, 2), (2, 3), (2, 4), (1, 5)], [0, 0, 4])
 @example(FORK + ([("request", 1, 5), ("retarget", 1), ("request", 1, 3)],))
 @example(FORK + ([("request", 1, 5), ("register", "urn:dev:0", 4),  # the target moves
                   ("request", 1, 3)],))
+# a request that passes two stale listed hosts walks 13 hops before NoRoute
+@example((12, [(2, 4), (2, 0), (2, 7), (2, 6), (4, 5), (7, 1), (2, 3), (2, 8), (6, 9),
+               (2, 10), (2, 11)], [0, 8, 1],
+          [("retarget", 1), ("register", "urn:obj:1", 0), ("register", "urn:obj:1", 9),
+           ("update", 1, "add", 5), ("request", 1, 3)]))
 def test_kept_host_lists_match_a_fresh_resolve_per_request(case):
     """Every request against the kept host lists takes the path a fresh
     resolve would give, across binding changes, re-targeted indirect
