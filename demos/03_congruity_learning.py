@@ -3,7 +3,7 @@
 import numpy as np
 
 from icnsim import (
-    Dataset, DatasetSpec, Hyperparams, Sample,
+    DatasetSpec, Hyperparams,
     congruity_objective, filter_topk, general_error, personal_error,
     predict_distance, regularizer, synthesize_dataset, train,
 )
@@ -15,7 +15,7 @@ spec = DatasetSpec(
     class_proportions=(0.947, 0.0343, 0.0183), conflict_fraction=0.02,
 )
 dp, dg = synthesize_dataset(spec, seed=3)
-labeled = sum("distance" in s.labels for s in dg.samples)
+labeled = int(dg.label_arrays("distance")[1].sum())
 print(f"general data: {len(dg)} samples, {labeled} carry a distance label")
 
 h = Hyperparams(
@@ -36,8 +36,7 @@ print(f"\ntrained: E {result.e_initial:.3f} -> {result.e_star:.4f} "
 
 # The filter gates personal reconstruction by top-k cosine against the centroid.
 centroid = dp.centroid()
-sample = dp.samples[0]
-print("filter for one personal sample:", round(filter_topk(sample.features, centroid, h.k), 4))
+print("filter for one personal sample:", round(filter_topk(dp.features[0], centroid, h.k), 4))
 
 # Distance prediction for fresh feature vectors, de-normalized to microseconds.
 rng = np.random.default_rng(0)

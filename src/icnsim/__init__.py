@@ -17,7 +17,6 @@ from .congruity import (
     DatasetSpec,
     Hyperparams,
     ParameterSet,
-    Sample,
     congruity_objective,
     filter_topk,
     forward_negative,

@@ -14,9 +14,11 @@ Everything is seeded and deterministic; repeated runs are bit-identical.
 
 from __future__ import annotations
 
+import bisect
 import csv
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,95 +55,102 @@ DEFAULT_LABEL_KIND = "distance"
 MAX_PARAMETERS = 10_000
 MAX_EPOCHS = 10_000
 
-# Most samples `synthesize_dataset` draws per side. A sample costs about
-# 0.6 KiB and 0.065 ms to synthesize (tracemalloc at 10,000 and 40,000), so
-# either side at the cap takes about 0.6 GiB and a minute.
+# Most samples `synthesize_dataset` draws per side. A sample holds about
+# 170 bytes, peaks at about 330 while it is built, and takes about 0.5 us
+# (tracemalloc at 40,000, 2-vCPU VM), so either side at the cap peaks at
+# about a third of a GiB and takes about a second.
 MAX_SAMPLES = 1_000_000
 
 
 # -- data model ----------------------------------------------------------------
 
 
-@dataclass
-class Sample:
-    features: np.ndarray
-    labels: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        if self.features.shape != (N_FEATURES,):
-            raise DimensionMismatch(
-                f"feature vector must have {N_FEATURES} entries, "
-                f"got {self.features.shape}"
-            )
-        if not np.all(np.isfinite(self.features)):
-            raise InvalidParams("features must be finite")
-        if self.features.min() < 0.0 or self.features.max() > 1.0:
-            raise InvalidParams("features must be normalized to [0, 1]")
-        for kind in self.labels:
-            if kind not in LABEL_KINDS:
-                raise InvalidParams(f"unknown label kind {kind!r}")
+def _bad_row(X):
+    """(index, reason) of the first row of X that is not finite and within
+    [0, 1], or None when every row is."""
+    ok = ((X >= 0.0) & (X <= 1.0)).all(axis=1)  # nan compares False
+    if ok.all():
+        return None
+    i = int(ok.argmin())
+    if not np.isfinite(X[i]).all():
+        return i, "features must be finite"
+    return i, "features must be normalized to [0, 1]"
 
 
-@dataclass
 class Dataset:
-    """A personal or general sample set.
-
-    The feature matrix, the label arrays and the top-k filters are computed on
-    first use and memoised, so `samples` must not be mutated after the dataset
-    has been used; build a new Dataset (or a `slice`) instead.
+    """A personal or general sample set: one feature row per sample, plus a
+    `(values, mask)` column pair per label kind, where mask is 1.0 for a
+    labeled sample and values read 0 elsewhere. The arrays are read-only, so
+    the top-k filters are memoised per (k, centroid).
     """
 
-    kind: str
-    samples: list
+    def __init__(self, kind: str, features, labels=None):
+        """`features` is an (n, N_FEATURES) array-like in [0, 1]; `labels`
+        maps a label kind to a (values, mask) pair of length n."""
+        X = np.array(features, dtype=np.float64)
+        if X.size == 0:
+            X = X.reshape(0, N_FEATURES)
+        if X.ndim != 2 or X.shape[1] != N_FEATURES:
+            raise DimensionMismatch(
+                f"feature rows must have {N_FEATURES} entries, got shape {X.shape}"
+            )
+        bad = _bad_row(X)
+        if bad is not None:
+            raise InvalidParams(f"sample {bad[0]}: {bad[1]}")
+        columns = {}
+        for name, (values, mask) in (labels or {}).items():
+            if name not in LABEL_KINDS:
+                raise InvalidParams(f"unknown label kind {name!r}")
+            given = np.asarray(mask, dtype=bool)
+            values = np.where(given, np.asarray(values, dtype=np.float64), 0.0)
+            if given.shape != values.shape or values.shape != (len(X),):
+                raise DimensionMismatch(f"label {name!r} must have {len(X)} entries")
+            columns[name] = (values, given.astype(np.float64))
+        self._fill(kind, X, columns)
 
-    def __post_init__(self):
-        if self.kind not in ("personal", "general"):
-            raise InvalidParams(f"dataset kind must be personal or general, got {self.kind!r}")
-        self._matrix = None
-        self._labels = {}
+    def _fill(self, kind, X, columns):
+        if kind not in ("personal", "general"):
+            raise InvalidParams(f"dataset kind must be personal or general, got {kind!r}")
+        self.kind = kind
+        self.features = X
+        self.labels = columns
+        for a in (X, *(a for pair in columns.values() for a in pair)):
+            a.flags.writeable = False
         self._filters = {}
 
     def __len__(self):
-        return len(self.samples)
-
-    def feature_matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            self._matrix = np.array([s.features for s in self.samples], dtype=np.float64)
-        return self._matrix
+        return len(self.features)
 
     def label_arrays(self, kind: str = DEFAULT_LABEL_KIND):
         """(values, mask) of one label kind; unlabeled samples read 0 in both."""
-        if kind not in self._labels:
-            vals = np.zeros(len(self.samples))
-            mask = np.zeros(len(self.samples))
-            for i, s in enumerate(self.samples):
-                if kind in s.labels:
-                    vals[i] = s.labels[kind]
-                    mask[i] = 1.0
-            vals.flags.writeable = False
-            mask.flags.writeable = False
-            self._labels[kind] = (vals, mask)
-        return self._labels[kind]
+        if kind in self.labels:
+            return self.labels[kind]
+        zeros = np.zeros(len(self))
+        zeros.flags.writeable = False
+        return zeros, zeros
 
     def topk_filters(self, centroid, k: int) -> np.ndarray:
         """`filter_topk` of every sample against the centroid."""
         centroid = np.asarray(centroid, dtype=np.float64)
         key = (k, centroid.tobytes())
         if key not in self._filters:
-            X = self.feature_matrix()
+            X = self.features
             filters = np.array([filter_topk(X[i], centroid, k) for i in range(len(self))])
             filters.flags.writeable = False
             self._filters[key] = filters
         return self._filters[key]
 
     def centroid(self) -> np.ndarray:
-        if not self.samples:
+        if len(self) == 0:
             raise EmptyDataset("cannot take the centroid of an empty dataset")
-        return self.feature_matrix().mean(axis=0)
+        return self.features.mean(axis=0)
 
     def slice(self, lo: int, hi: int) -> "Dataset":
-        return Dataset(self.kind, self.samples[lo:hi])
+        """Samples lo..hi-1, as views of this dataset's arrays."""
+        part = Dataset.__new__(Dataset)
+        part._fill(self.kind, self.features[lo:hi],
+                   {name: (v[lo:hi], m[lo:hi]) for name, (v, m) in self.labels.items()})
+        return part
 
 
 @dataclass
@@ -181,73 +190,69 @@ class Hyperparams:
 
 
 class ParameterSet:
-    """Layered parameters with alive flags and a frozen (pruned) mask.
+    """Layered parameters in one flat vector `theta`, with alive flags and a
+    frozen (pruned) mask laid out like theta.
 
     Layer 0 is the input layer: its neurons carry no connections, only a bias
     that the negative pass uses when reconstructing the features. Layer L-1 is
     the output layer. weights[l] connects layer l to layer l+1 with shape
     (widths[l+1], widths[l]); row j is the connection vector of neuron j.
+    Layer l's block of theta is weights[l-1] row-major, then biases[l];
+    `weights`, `biases`, `w_frozen` and `b_frozen` are views of theta and
+    frozen. A new set is all zeros, alive and unfrozen.
     """
 
-    def __init__(self, widths, weights, biases, alive, d_max):
+    def __init__(self, widths, d_max):
         self.widths = tuple(int(w) for w in widths)
-        self.weights = weights
-        self.biases = biases
-        self.alive = alive
         self.d_max = int(d_max)
+        sizes = [self.widths[0]] + [(a + 1) * b for a, b in zip(self.widths, self.widths[1:])]
+        self._starts = (0, *itertools.accumulate(sizes))
+        self.theta = np.zeros(self._starts[-1])
+        self.frozen = np.zeros(self._starts[-1], dtype=bool)
+        self.weights, self.biases = self.views(self.theta)
+        self.w_frozen, self.b_frozen = self.views(self.frozen)
+        self.alive = [np.ones(w) for w in self.widths]
 
     @property
     def L(self) -> int:
         return len(self.widths)
 
-    def layer_coords(self, layer: int):
-        """Deterministic coordinate order for one layer: connection weights
+    def views(self, vec):
+        """(weights, biases) of a vector laid out like theta, as views."""
+        weights, biases = [], []
+        for l, w in enumerate(self.widths):
+            hi = self._starts[l + 1]
+            if l >= 1:
+                weights.append(vec[self._starts[l]:hi - w].reshape(w, self.widths[l - 1]))
+            biases.append(vec[hi - w:hi])
+        return weights, biases
+
+    def layer_coords(self, layer: int) -> range:
+        """Indices of one layer's block of theta: connection weights
         row-major, then biases (layer 0 has biases only)."""
-        coords = []
-        if layer >= 1:
-            rows, cols = self.weights[layer - 1].shape
-            coords.extend(("w", layer - 1, r, c) for r in range(rows) for c in range(cols))
-        coords.extend(("b", layer, j, -1) for j in range(self.widths[layer]))
-        return coords
+        return range(self._starts[layer], self._starts[layer + 1])
 
-    def get_param(self, coord):
-        kind, a, b, c = coord
-        return self.weights[a][b, c] if kind == "w" else self.biases[a][b]
+    def neuron(self, i: int):
+        """(layer, index) of the neuron that owns parameter i."""
+        l = bisect.bisect_right(self._starts, i) - 1
+        offset = i - self._starts[l]
+        n_weights = self._starts[l + 1] - self._starts[l] - self.widths[l]
+        if offset >= n_weights:
+            return l, offset - n_weights
+        return l, offset // self.widths[l - 1]
 
-    def set_param(self, coord, value):
-        kind, a, b, c = coord
-        if kind == "w":
-            self.weights[a][b, c] = value
-        else:
-            self.biases[a][b] = value
-
-    def is_frozen(self, coord) -> bool:
-        kind, a, b, c = coord
-        return bool(self.w_frozen[a][b, c] if kind == "w" else self.b_frozen[a][b])
-
-    def freeze(self, coord):
-        kind, a, b, c = coord
-        if kind == "w":
-            self.w_frozen[a][b, c] = True
-        else:
-            self.b_frozen[a][b] = True
-        self._refresh_alive(a + 1 if kind == "w" else a)
-
-    def _refresh_alive(self, layer):
-        """A neuron dies once every parameter it owns has been pruned."""
-        j_range = range(self.widths[layer])
-        for j in j_range:
-            dead = self.b_frozen[layer][j]
-            if layer >= 1:
-                dead = dead and bool(self.w_frozen[layer - 1][j, :].all())
-            if dead:
-                self.alive[layer][j] = 0.0
+    def prune(self, i: int):
+        """Zero and freeze parameter i; its neuron dies once every parameter
+        it owns is frozen."""
+        self.theta[i] = 0.0
+        self.frozen[i] = True
+        l, j = self.neuron(i)
+        if self.b_frozen[l][j] and (l == 0 or self.w_frozen[l - 1][j].all()):
+            self.alive[l][j] = 0.0
 
     def live_count(self, layer: int) -> int:
-        count = int((~self.b_frozen[layer]).sum())
-        if layer >= 1:
-            count += int((~self.w_frozen[layer - 1]).sum())
-        return count
+        block = self.frozen[self._starts[layer]:self._starts[layer + 1]]
+        return len(block) - int(block.sum())
 
 
 def check_widths(widths) -> tuple:
@@ -275,15 +280,9 @@ def init_parameters(widths, d_max=None, rng=None) -> ParameterSet:
         raise InvalidParams(
             f"layer in-degree {max_indegree} exceeds d_max {d_max}"
         )
-    weights = [
-        rng.uniform(-0.5, 0.5, size=(widths[l + 1], widths[l]))
-        for l in range(len(widths) - 1)
-    ]
-    biases = [rng.uniform(-0.5, 0.5, size=w) for w in widths]
-    alive = [np.ones(w) for w in widths]
-    ps = ParameterSet(widths, weights, biases, alive, d_max)
-    ps.w_frozen = [np.zeros(w.shape, dtype=bool) for w in ps.weights]
-    ps.b_frozen = [np.zeros(len(b), dtype=bool) for b in ps.biases]
+    ps = ParameterSet(widths, d_max)
+    for p in ps.weights + ps.biases:
+        p[...] = rng.uniform(-0.5, 0.5, size=p.shape)
     return ps
 
 
@@ -418,7 +417,7 @@ def general_error(ps: ParameterSet, dg: Dataset, h: Hyperparams,
     _check_output_width(ps)
     vals, mask = dg.label_arrays(label_kind)
     # a zero-weighted reconstruction term is not computed (see _backprop)
-    pred_sum, recon_sq = _loss_parts(ps, dg.feature_matrix(), vals, mask,
+    pred_sum, recon_sq = _loss_parts(ps, dg.features, vals, mask,
                                      reconstruct=h.lambda_q != 0.0)
     if recon_sq is None:
         return h.lambda_g * pred_sum
@@ -436,7 +435,7 @@ def personal_error(ps: ParameterSet, dp: Dataset, h: Hyperparams,
         raise EmptyDataset("personal dataset is empty")
     _check_output_width(ps)
     vals, mask = dp.label_arrays(label_kind)
-    pred_sum, recon_sq = _loss_parts(ps, dp.feature_matrix(), vals, mask,
+    pred_sum, recon_sq = _loss_parts(ps, dp.features, vals, mask,
                                      reconstruct=h.lambda_k != 0.0, acts=acts)
     if recon_sq is None:
         return h.lambda_p * pred_sum
@@ -457,17 +456,14 @@ def congruity_objective(ps: ParameterSet, dp: Dataset, dg: Dataset, h: Hyperpara
 # -- analytic gradients ----------------------------------------------------------
 
 
-def _zero_grads(ps):
-    return ([np.zeros(w.shape) for w in ps.weights],
-            [np.zeros(b.shape) for b in ps.biases])
-
-
 def _backprop(ps, X, vals, mask, pred_w, recon_coeff, acts=None, alive=None):
-    """Gradient of pred_w * sum_labeled (y - t)^2 + sum_n c_n * ||x_n - X_n||^2,
-    plus the per-sample squared reconstruction errors ||x_n - X_n||^2.
+    """Gradient, laid out like theta, of pred_w * sum_labeled (y - t)^2 +
+    sum_n c_n * ||x_n - X_n||^2, plus the per-sample squared reconstruction
+    errors ||x_n - X_n||^2.
 
     The reconstruction chain reuses the forward connections transposed, so
-    each weight (and each hidden bias) collects gradient from both passes.
+    each weight (and each hidden bias) collects gradient from both passes;
+    both chains add into one zeroed vector.
 
     `recon_coeff` None means a zero-weighted reconstruction term: the
     negative chain is skipped and the errors come back as None. The result
@@ -481,24 +477,23 @@ def _backprop(ps, X, vals, mask, pred_w, recon_coeff, acts=None, alive=None):
     every loss, parameter and prediction is unchanged. Where a skipped term
     is not finite, the full formula made 0.0 * inf = nan of it instead.
 
-    Without the chain each block is assigned, not added to zeros (again
-    only the sign of exact zeros can differ), and only the input biases keep
-    their zeros. The output is one neuron wide (the error functions check
-    it). `acts` is X's forward pass if the caller has it; `alive` goes to
-    `_forward_batch` otherwise.
+    Without the chain the input biases keep their zeros, and adding into
+    zeros can turn a -0.0 entry into +0.0, a sign that by the same argument
+    no parameter sees. The output is one neuron wide (the error functions
+    check it). `acts` is X's forward pass if the caller has it; `alive` goes
+    to `_forward_batch` otherwise.
     """
     if acts is None:
         acts = _forward_batch(ps, X, alive)
     L = ps.L
+    grad = np.zeros(ps.theta.size)
+    gW, gb = ps.views(grad)
     err = 2.0 * pred_w * (acts[-1][:, 0] - vals) * mask
 
     if recon_coeff is None:
         recon_sq = None
-        dW = [None] * (L - 1)
-        db = [np.zeros(ps.widths[0])] + [None] * (L - 1)
         ga = err[:, None]
     else:
-        dW, db = _zero_grads(ps)
         # negative (reconstruction) chain
         recs = _reconstruct_batch(ps, acts[-1])
         diff = recs[0] - X
@@ -506,8 +501,8 @@ def _backprop(ps, X, vals, mask, pred_w, recon_coeff, acts=None, alive=None):
         gr = 2.0 * recon_coeff[:, None] * diff
         for l in range(L - 1):
             gs = gr * recs[l] * (1.0 - recs[l])
-            dW[l] += recs[l + 1].T @ gs
-            db[l] += gs.sum(axis=0)
+            gW[l] += recs[l + 1].T @ gs
+            gb[l] += gs.sum(axis=0)
             gr = gs @ ps.weights[l].T
         ga = gr * ps.alive[L - 1]
         ga[:, 0] += err
@@ -515,35 +510,33 @@ def _backprop(ps, X, vals, mask, pred_w, recon_coeff, acts=None, alive=None):
     # positive chain, seeded by the prediction error plus any reconstruction flow
     for l in range(L - 1, 0, -1):
         gz = ga * acts[l] * (1.0 - acts[l])
-        if recon_sq is None:
-            dW[l - 1] = gz.T @ acts[l - 1]
-            db[l] = np.add.reduce(gz, axis=0)
-        else:
-            dW[l - 1] += gz.T @ acts[l - 1]
-            db[l] += np.add.reduce(gz, axis=0)
+        gW[l - 1] += gz.T @ acts[l - 1]
+        gb[l] += np.add.reduce(gz, axis=0)
         if l > 1:
             ga = gz @ ps.weights[l - 1]
-    return dW, db, recon_sq
+    return grad, recon_sq
 
 
 def _regularizer_grads(ps, q):
-    """Gradient of the q-norm over alive parameters (zero at the origin)."""
+    """Gradient of the q-norm over alive parameters (zero at the origin),
+    laid out like theta, and the norm."""
     r = regularizer(ps, q)
-    dW, db = _zero_grads(ps)
+    grad = np.zeros(ps.theta.size)
     if r == 0.0:
-        return dW, db, r
+        return grad, r
     try:
         scale = r ** (1.0 - q)
     except OverflowError:
         raise NonFiniteLoss(f"q-norm gradient overflows: {r!r} ** {1 - q}") from None
+    gW, gb = ps.views(grad)
     for l in range(ps.L):
         m = ps.alive[l]
         b = ps.biases[l]
-        db[l] += scale * (np.abs(b) ** (q - 1)) * np.sign(b) * m
+        gb[l] += scale * (np.abs(b) ** (q - 1)) * np.sign(b) * m
         if l >= 1:
             w = ps.weights[l - 1]
-            dW[l - 1] += scale * (np.abs(w) ** (q - 1)) * np.sign(w) * m[:, None]
-    return dW, db, r
+            gW[l - 1] += scale * (np.abs(w) ** (q - 1)) * np.sign(w) * m[:, None]
+    return grad, r
 
 
 def grad_general(ps: ParameterSet, dg: Dataset, h: Hyperparams,
@@ -552,22 +545,17 @@ def grad_general(ps: ParameterSet, dg: Dataset, h: Hyperparams,
     if len(dg) == 0:
         raise EmptyDataset("general dataset is empty")
     _check_output_width(ps)
-    X = dg.feature_matrix()
+    X = dg.features
     vals, mask = dg.label_arrays(label_kind)
     if h.lambda_q == 0.0:
-        dW, db, _ = _backprop(ps, X, vals, mask, h.lambda_g, None, alive=alive)
-        return dW, db
-    rW, rb, r = _regularizer_grads(ps, h.q)
+        return _backprop(ps, X, vals, mask, h.lambda_g, None, alive=alive)[0]
+    reg_grad, r = _regularizer_grads(ps, h.q)
     coeff = np.full(len(dg), h.lambda_q * r)
-    dW, db, recon_sq = _backprop(ps, X, vals, mask, h.lambda_g, coeff, alive=alive)
+    grad, recon_sq = _backprop(ps, X, vals, mask, h.lambda_g, coeff, alive=alive)
     # the q-norm multiplies the summed reconstruction loss, so its own
     # gradient enters scaled by that sum
-    s = h.lambda_q * float(recon_sq.sum())
-    for l in range(len(dW)):
-        dW[l] += s * rW[l]
-    for l in range(len(db)):
-        db[l] += s * rb[l]
-    return dW, db
+    grad += h.lambda_q * float(recon_sq.sum()) * reg_grad
+    return grad
 
 
 def grad_personal(ps: ParameterSet, dp: Dataset, h: Hyperparams,
@@ -578,7 +566,6 @@ def grad_personal(ps: ParameterSet, dp: Dataset, h: Hyperparams,
     if len(dp) == 0:
         raise EmptyDataset("personal dataset is empty")
     _check_output_width(ps)
-    X = dp.feature_matrix()
     vals, mask = dp.label_arrays(label_kind)
     if h.lambda_k == 0.0:
         coeff = None
@@ -586,18 +573,14 @@ def grad_personal(ps: ParameterSet, dp: Dataset, h: Hyperparams,
         if centroid is None:
             centroid = dp.centroid()
         coeff = h.lambda_k * dp.topk_filters(centroid, h.k)
-    dW, db, _ = _backprop(ps, X, vals, mask, h.lambda_p, coeff, acts, alive)
-    return dW, db
+    return _backprop(ps, dp.features, vals, mask, h.lambda_p, coeff, acts, alive)[0]
 
 
 def grad_congruity(ps: ParameterSet, dp: Dataset, dg: Dataset, h: Hyperparams,
                    label_kind: str = DEFAULT_LABEL_KIND, centroid=None, alive=None):
-    gW, gb = grad_general(ps, dg, h, label_kind, alive)
-    pW, pb = grad_personal(ps, dp, h, label_kind, centroid, alive=alive)
-    a = h.alpha
-    dW = [(1.0 - a) * g + a * p for g, p in zip(gW, pW)]
-    db = [(1.0 - a) * g + a * p for g, p in zip(gb, pb)]
-    return dW, db
+    g = grad_general(ps, dg, h, label_kind, alive)
+    p = grad_personal(ps, dp, h, label_kind, centroid, alive=alive)
+    return (1.0 - h.alpha) * g + h.alpha * p
 
 
 # -- training --------------------------------------------------------------------
@@ -621,18 +604,11 @@ def _batches(dp, dg, batch_size):
 
 
 def _live_masks(ps):
-    """The alive flags and the weight and bias frozen masks, with None for
-    each that changes nothing: a layer with no dead neuron (x * 1.0 is x)
-    or a mask with no frozen entry (np.where over all-False is d), bit for
-    bit. Neither changes after the prune phase."""
+    """The alive flags, with None for a layer with no dead neuron (x * 1.0
+    is x), and the frozen mask, or None if nothing is frozen (np.where over
+    all-False is d), bit for bit. Neither changes after the prune phase."""
     return ([None if (a == 1.0).all() else a for a in ps.alive],
-            [f if f.any() else None for f in ps.w_frozen],
-            [f if f.any() else None for f in ps.b_frozen])
-
-
-def _apply_step(ps, dW, db, lr, w_frozen, b_frozen):
-    for p, d, f in zip(ps.weights + ps.biases, dW + db, w_frozen + b_frozen):
-        p -= lr * (d if f is None else np.where(f, 0.0, d))
+            ps.frozen if ps.frozen.any() else None)
 
 
 def _prune_phase(ps, pairs, h, centroid, rng, label_kind):
@@ -659,32 +635,28 @@ def _prune_phase(ps, pairs, h, centroid, rng, label_kind):
         d = ps.live_count(layer)
         if d < ps.d_max:
             continue
-        coords = ps.layer_coords(layer)
         advance = False
         for b, (bp, bg) in enumerate(pairs):
-            Xp = bp.feature_matrix()
-            for coord in coords:
-                if ps.is_frozen(coord):
+            Xp = bp.features
+            for i in ps.layer_coords(layer):
+                if ps.frozen[i]:
                     continue
                 if known is None or known[0] != b:
                     acts = _forward_batch(ps, Xp)
                     known = (b, personal_error(ps, bp, h, label_kind, centroid, acts),
                              general_error(ps, bg, h, label_kind), acts)
                 _, ev_p, ev_g, acts = known
-                gW, gb = grad_personal(ps, bp, h, label_kind, centroid, acts=acts)
-                kind, a, bidx, cidx = coord
-                g = gW[a][bidx, cidx] if kind == "w" else gb[a][bidx]
+                g = grad_personal(ps, bp, h, label_kind, centroid, acts=acts)[i]
                 if g == 0.0:
                     continue
-                ps.set_param(coord, ps.get_param(coord) - h.learning_rate * g)
+                ps.theta[i] -= h.learning_rate * g
                 acts = _forward_batch(ps, Xp)
                 en_p = personal_error(ps, bp, h, label_kind, centroid, acts)
                 en_g = general_error(ps, bg, h, label_kind)
                 known = (b, en_p, en_g, acts)
                 if abs(en_p - ev_p) < h.alpha * abs(en_g - ev_g):
                     if rng.random() < h.prune_probability:
-                        ps.set_param(coord, 0.0)
-                        ps.freeze(coord)
+                        ps.prune(i)
                         known = None
                         d -= 1
                         pruned += 1
@@ -719,11 +691,11 @@ def train(dp: Dataset, dg: Dataset, h: Hyperparams, arch,
 
     e_prev = congruity_objective(ps, dp, dg, h, label_kind, centroid)
     history = [e_prev]
-    alive, w_frozen, b_frozen = _live_masks(ps)
+    alive, frozen = _live_masks(ps)
     for _ in range(h.max_epochs):
         for bp, bg in pairs:
-            dW, db = grad_congruity(ps, bp, bg, h, label_kind, centroid, alive)
-            _apply_step(ps, dW, db, h.learning_rate, w_frozen, b_frozen)
+            step = grad_congruity(ps, bp, bg, h, label_kind, centroid, alive)
+            ps.theta -= h.learning_rate * (step if frozen is None else np.where(frozen, 0.0, step))
         e_now = congruity_objective(ps, dp, dg, h, label_kind, centroid)
         if not math.isfinite(e_now):
             raise NonFiniteLoss(f"objective diverged to {e_now}")
@@ -790,7 +762,9 @@ def _class_counts(n, proportions):
     return counts
 
 
-def _make_samples(n, rng, spec, coverage):
+def _make_side(n, rng, spec, coverage):
+    """(features, labels) of one side: every sample carries its class, a
+    `coverage` share its distance."""
     feats = rng.random((n, N_FEATURES))
     dist = np.clip(
         feats.mean(axis=1) + spec.noise_std * rng.standard_normal(n), 0.0, 1.0
@@ -812,13 +786,8 @@ def _make_samples(n, rng, spec, coverage):
         dist[i] = float(np.clip(1.0 - dist[partner], 0.0, 1.0))
         class_of[i] = (class_of[partner] + 1) % k
 
-    samples = []
-    for i in range(n):
-        labels = {"classification": (class_of[i] / (k - 1)) if k > 1 else 0.0}
-        if labeled[i]:
-            labels["distance"] = float(dist[i])
-        samples.append(Sample(feats[i], labels))
-    return samples
+    return feats, {"classification": (class_of / max(k - 1, 1), np.ones(n)),
+                   "distance": (dist, labeled)}
 
 
 def synthesize_dataset(spec: DatasetSpec, seed: int):
@@ -826,8 +795,8 @@ def synthesize_dataset(spec: DatasetSpec, seed: int):
     distance labels on the general side, and optional conflicting duplicates."""
     spec.validate()
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xDA7A]))
-    dp = Dataset("personal", _make_samples(spec.n_personal, rng, spec, 1.0))
-    dg = Dataset("general", _make_samples(spec.n_general, rng, spec, spec.label_coverage))
+    dp = Dataset("personal", *_make_side(spec.n_personal, rng, spec, 1.0))
+    dg = Dataset("general", *_make_side(spec.n_general, rng, spec, spec.label_coverage))
     return dp, dg
 
 
@@ -872,7 +841,8 @@ def save_model(ps: ParameterSet, h: Hyperparams, path) -> None:
 
 
 def load_model(path):
-    """Read a model written by `save_model`.
+    """Read a model written by `save_model`; anything it cannot have written
+    raises InvalidParams naming the file and the line or neuron.
 
     The file keeps weights, biases and alive flags but not the frozen
     (pruned) masks, so the loaded model is for inference: every parameter
@@ -885,6 +855,7 @@ def load_model(path):
     d_max = None
     seed = 0
     hyper = {}
+    neurons = {}  # (layer, index): (alive, bias, connections)
     for lineno, ln in enumerate(lines, start=1):
         parts = ln.split()
         if not parts:
@@ -893,9 +864,6 @@ def load_model(path):
         try:
             if parts[0] == "widths":
                 widths = check_widths(int(x) for x in parts[1:])
-                weights = [np.zeros((widths[l + 1], widths[l])) for l in range(len(widths) - 1)]
-                biases = [np.zeros(w) for w in widths]
-                alive = [np.ones(w) for w in widths]
             elif parts[0] == "dmax":
                 d_max = int(parts[1])
             elif parts[0] == "seed":
@@ -910,13 +878,13 @@ def load_model(path):
                 l, j = int(parts[1]), int(parts[2])
                 if widths is None or not (0 <= l < len(widths) and 0 <= j < widths[l]):
                     raise ValueError(f"neuron {l}/{j} is outside widths {widths}")
-                alive[l][j] = float(int(parts[3]))
-                biases[l][j] = float(parts[4])
+                if parts[3] not in ("0", "1"):
+                    raise ValueError(f"neuron {l}/{j} has alive flag {parts[3]!r}, not 0 or 1")
+                bias = float(parts[4])
                 conn = [float(x) for x in parts[5:]]
-                if l >= 1:
-                    if len(conn) != widths[l - 1]:
-                        raise ValueError(f"neuron {l}/{j} has {len(conn)} connections")
-                    weights[l - 1][j, :] = conn
+                if len(conn) != (widths[l - 1] if l >= 1 else 0):
+                    raise ValueError(f"neuron {l}/{j} has {len(conn)} connections")
+                neurons[l, j] = (float(parts[3]), bias, conn)
             else:
                 raise ValueError(f"unknown model line {parts[0]!r}")
         except IndexError:
@@ -925,42 +893,58 @@ def load_model(path):
             raise InvalidParams(f"{where}: {exc}") from None
     if widths is None or d_max is None:
         raise InvalidParams(f"{path}: model file missing widths/dmax header")
-    ps = ParameterSet(widths, weights, biases, alive, d_max)
-    ps.w_frozen = [np.zeros(w.shape, dtype=bool) for w in ps.weights]
-    ps.b_frozen = [np.zeros(len(b), dtype=bool) for b in ps.biases]
+    ps = ParameterSet(widths, d_max)
+    for l, width in enumerate(widths):
+        for j in range(width):
+            if (l, j) not in neurons:
+                raise InvalidParams(f"{path}: neuron {l}/{j} has no w line")
+            ps.alive[l][j], ps.biases[l][j], conn = neurons[l, j]
+            if l >= 1:
+                ps.weights[l - 1][j] = conn
     return ps, Hyperparams(rng_seed=seed, **hyper)
 
 
+_COLUMNS = [*FEATURE_NAMES, *(f"label_{k}" for k in LABEL_KINDS)]
+
+
 def save_dataset(ds: Dataset, path) -> None:
+    columns = [ds.label_arrays(k) for k in LABEL_KINDS]
+    values = np.column_stack([v for v, _ in columns]).tolist()
+    given = np.column_stack([m for _, m in columns]).tolist()
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(list(FEATURE_NAMES) + [f"label_{k}" for k in LABEL_KINDS])
-        for s in ds.samples:
-            row = [repr(float(v)) for v in s.features]
-            row.extend(
-                repr(float(s.labels[k])) if k in s.labels else "" for k in LABEL_KINDS
-            )
-            writer.writerow(row)
+        writer.writerow(_COLUMNS)
+        for feats, vals, mask in zip(ds.features.tolist(), values, given):
+            writer.writerow([repr(v) for v in feats]
+                            + [repr(v) if m else "" for v, m in zip(vals, mask)])
 
 
 def load_dataset(path, kind: str) -> Dataset:
     """Read a dataset CSV; a missing header or a malformed row raises
-    InvalidParams naming the file and line."""
-    expected = list(FEATURE_NAMES) + [f"label_{k}" for k in LABEL_KINDS]
+    InvalidParams naming the file and line. Every row has all the header's
+    cells, features first, then one label cell per kind, empty where the
+    sample has no such label."""
+    feats, values, given, lines = [], [], [], []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        if next(reader, None) != expected:
+        if next(reader, None) != _COLUMNS:
             raise InvalidParams(f"{path}, line 1: unexpected dataset columns")
-        samples = []
         for row in reader:
+            where = f"{path}, line {reader.line_num}"
+            if len(row) != len(_COLUMNS):
+                raise InvalidParams(f"{where}: {len(row)} cells, the header has {len(_COLUMNS)}")
             try:
-                feats = np.array([float(v) for v in row[:N_FEATURES]])
-                labels = {
-                    kind_name: float(cell)
-                    for kind_name, cell in zip(LABEL_KINDS, row[N_FEATURES:])
-                    if cell != ""
-                }
-                samples.append(Sample(feats, labels))
-            except (ValueError, DimensionMismatch, InvalidParams) as exc:
-                raise InvalidParams(f"{path}, line {reader.line_num}: {exc}") from None
-    return Dataset(kind, samples)
+                feats.append([float(v) for v in row[:N_FEATURES]])
+                values.append([float(c) if c != "" else 0.0 for c in row[N_FEATURES:]])
+            except ValueError as exc:
+                raise InvalidParams(f"{where}: {exc}") from None
+            given.append([c != "" for c in row[N_FEATURES:]])
+            lines.append(reader.line_num)
+    X = np.array(feats, dtype=np.float64).reshape(len(feats), N_FEATURES)
+    bad = _bad_row(X)
+    if bad is not None:
+        raise InvalidParams(f"{path}, line {lines[bad[0]]}: {bad[1]}")
+    values = np.array(values, dtype=np.float64).reshape(len(feats), len(LABEL_KINDS))
+    given = np.array(given, dtype=bool).reshape(len(feats), len(LABEL_KINDS))
+    return Dataset(kind, X, {name: (values[:, c], given[:, c])
+                             for c, name in enumerate(LABEL_KINDS) if given[:, c].any()})

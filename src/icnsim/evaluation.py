@@ -232,11 +232,12 @@ def _object_volume(params, crng) -> int:
 def _learned_graph(g: WeightedGraph, params, seed: int) -> WeightedGraph:
     """Train the distance learner on the edge set and substitute predictions
     for a seeded fraction of the measured weights."""
-    max_w = float(g.ew.max()) if g.m else 1.0
-    samples = _edge_samples(g, max_w)
-    half = max(1, len(samples) // 2)
-    dp = congruity.Dataset("personal", samples[:half])
-    dg = congruity.Dataset("general", samples[half:] or samples[:half])
+    max_w = float(g.ew.max())
+    X, lat = _edge_samples(g, max_w)
+    half = g.m // 2
+    ones = np.ones(g.m)
+    dp = congruity.Dataset("personal", X[:half], {"distance": (lat[:half], ones[:half])})
+    dg = congruity.Dataset("general", X[half:], {"distance": (lat[half:], ones[half:])})
     h = replace(params.learner, rng_seed=int(seed) & 0xFFFFFFFF)
     arch = (congruity.N_FEATURES, *params.hidden_widths, 1)
     result = congruity.train(dp, dg, h, arch)
@@ -247,18 +248,17 @@ def _learned_graph(g: WeightedGraph, params, seed: int) -> WeightedGraph:
     chosen = rng.choice(g.m, size=n_sub, replace=False)
     new_w = g.ew.copy()
     for j in chosen.tolist():
-        feats = samples[j].features
-        pred = congruity.predict_distance(result.theta_star, feats, scale=max_w)
-        new_w[j] = max(0, int(round(pred)))
+        new_w[j] = int(round(congruity.predict_distance(result.theta_star, X[j], scale=max_w)))
     return WeightedGraph.from_arrays(
         g.kinds, g.mems, g.storages, g.downs, g.ups, g.computes,
         g.ea, g.eb, new_w, g.unit,
     )
 
 
-def _edge_samples(g: WeightedGraph, max_w: float) -> list:
-    """One learner sample per edge (a, b): 17 features in [0, 1], built as
-    numpy columns, with the edge's normalized latency as its distance label."""
+def _edge_samples(g: WeightedGraph, max_w: float):
+    """One learner sample per edge (a, b): a row of 17 features in [0, 1],
+    built as numpy columns, and the edge's normalized latency, its distance
+    label."""
     a, b = g.ea, g.eb
     degs = g.degrees().astype(np.float64)
     max_deg = max(1.0, degs.max())
@@ -267,12 +267,12 @@ def _edge_samples(g: WeightedGraph, max_w: float) -> list:
     lat = g.ew / max_w
     half = np.full(g.m, 0.5)
     X = np.column_stack([
-        np.arange(g.m) / max(1, g.m), half, up[a], down[a], cpu[a],
+        np.arange(g.m) / g.m, half, up[a], down[a], cpu[a],
         degs[a] / max_deg, degs[b] / max_deg, lat, sto[a], up[b], cpu[b],
         (degs[a] + degs[b]) / (2 * max_deg), a / g.n, b / g.n,
         g.kinds[a] / 8.0, g.kinds[b] / 8.0, half,
     ])
-    return [congruity.Sample(row, {"distance": d}) for row, d in zip(X, lat.tolist())]
+    return X, lat
 
 
 def point_seeds(seed: int, point_index: int):

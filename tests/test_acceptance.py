@@ -12,7 +12,6 @@ from icnsim.congruity import (
     Dataset,
     Hyperparams,
     N_FEATURES,
-    Sample,
     congruity_objective,
     grad_congruity,
     grad_general,
@@ -230,6 +229,15 @@ def test_criterion_3_containerization_soundness():
     print(f"ACCEPTANCE 3 (containerization soundness, 200 graphs, {elapsed:.1f}s): PASS")
 
 
+def _partly_labeled(kind, rng, n, every):
+    """n random samples; those at an index that is not a multiple of
+    `every` carry a random distance label."""
+    rows = [(rng.random(N_FEATURES), float(rng.random()) if i % every else None)
+            for i in range(n)]
+    labels = ([d or 0.0 for _, d in rows], [d is not None for _, d in rows])
+    return Dataset(kind, [f for f, _ in rows], {"distance": labels})
+
+
 def test_criterion_4_gradient_check():
     """Analytic gradients match central finite differences at 100 probes."""
     start = time.monotonic()
@@ -240,22 +248,14 @@ def test_criterion_4_gradient_check():
         hidden = [int(w) for w in rng.integers(1, 11, size=int(rng.integers(1, 4)))]
         widths = (N_FEATURES, *hidden, 1)
         ps = init_parameters(widths, rng=rng)
-        dp = Dataset("personal", [
-            Sample(rng.random(N_FEATURES),
-                   {"distance": float(rng.random())} if i % 2 else {})
-            for i in range(5)
-        ])
-        dg = Dataset("general", [
-            Sample(rng.random(N_FEATURES),
-                   {"distance": float(rng.random())} if i % 3 else {})
-            for i in range(6)
-        ])
+        dp = _partly_labeled("personal", rng, 5, 2)
+        dg = _partly_labeled("general", rng, 6, 3)
         h = Hyperparams(
             alpha=float(rng.uniform(0.1, 0.9)), lambda_g=1.0, lambda_q=0.3,
             lambda_p=0.7, lambda_k=0.5, q=int(rng.integers(1, 4)), k=5,
         )
         centroid = dp.centroid()
-        dW, db = grad_congruity(ps, dp, dg, h, centroid=centroid)
+        dW, db = ps.views(grad_congruity(ps, dp, dg, h, centroid=centroid))
         eps = 1e-6
         for _ in range(10):
             if rng.random() < 0.6:
@@ -290,8 +290,10 @@ def test_criterion_4_gradient_check():
 def _toy_datasets(seed=17):
     rng = np.random.default_rng(seed)
     feats = rng.random((200, N_FEATURES))
-    rows = [Sample(f, {"distance": float(f.mean())}) for f in feats]
-    return Dataset("personal", rows[:100]), Dataset("general", rows[100:])
+    dist = [float(f.mean()) for f in feats]
+    ones = np.ones(100)
+    return (Dataset("personal", feats[:100], {"distance": (dist[:100], ones)}),
+            Dataset("general", feats[100:], {"distance": (dist[100:], ones)}))
 
 
 def _reference_descent(dp, dg, h, arch, epochs, objective):
@@ -307,21 +309,18 @@ def _reference_descent(dp, dg, h, arch, epochs, objective):
     for _ in range(epochs):
         for bp, bg in batches:
             if objective == "general":
-                dW, db = grad_general(ps, bg, h)
+                grad = grad_general(ps, bg, h)
             else:
-                dW, db = grad_personal(ps, bp, h, centroid=centroid)
-            for l in range(len(ps.weights)):
-                ps.weights[l] -= h.learning_rate * dW[l]
-            for l in range(len(ps.biases)):
-                ps.biases[l] -= h.learning_rate * db[l]
+                grad = grad_personal(ps, bp, h, centroid=centroid)
+            ps.theta -= h.learning_rate * grad
         snaps.append(([w.copy() for w in ps.weights], [b.copy() for b in ps.biases]))
     return snaps
 
 
 def _oracle_plain_mlp(dp, dg, seed, epochs=500, lr=1.0):
     """Independent from-scratch MLP confirming the 50% reduction is attainable."""
-    X = np.vstack([s.features for s in dp.samples + dg.samples])
-    y = np.array([s.labels["distance"] for s in dp.samples + dg.samples])
+    X = np.vstack([dp.features, dg.features])
+    y = np.concatenate([dp.label_arrays("distance")[0], dg.label_arrays("distance")[0]])
     rng = np.random.default_rng(seed)
     w1 = rng.uniform(-0.5, 0.5, (8, N_FEATURES))
     b1 = rng.uniform(-0.5, 0.5, 8)

@@ -528,6 +528,13 @@ MALFORMED_INPUTS = {
     "dataset-non-numeric-cell": (
         "train", DATASET + ",".join(["0.5"] * (len(FEATURE_NAMES) - 1) + ["x"] + [""] * len(LABEL_KINDS)) + "\n"
     ),
+    "dataset-extra-label-cell": (
+        "train", DATASET + ",".join(["0.5"] * (len(FEATURE_NAMES) + len(LABEL_KINDS) + 1)) + "\n"
+    ),
+    "dataset-features-only": ("train", DATASET + ",".join(["0.5"] * len(FEATURE_NAMES)) + "\n"),
+    "dataset-out-of-range-feature": (
+        "train", DATASET + ",".join(["0.5"] * (len(FEATURE_NAMES) - 1) + ["1.5"] + [""] * len(LABEL_KINDS)) + "\n"
+    ),
 }
 
 

@@ -13,7 +13,6 @@ from icnsim.congruity import (
     Hyperparams,
     N_FEATURES,
     ParameterSet,
-    Sample,
     congruity_objective,
     filter_topk,
     forward_negative,
@@ -59,7 +58,10 @@ def feature_vec(fill=0.5):
 
 def dataset(kind, rows):
     """rows: list of (features, labels-dict)."""
-    return Dataset(kind, [Sample(f, dict(lab)) for f, lab in rows])
+    kinds = {name for _, lab in rows for name in lab}
+    labels = {name: ([lab.get(name, 0.0) for _, lab in rows], [name in lab for _, lab in rows])
+              for name in kinds}
+    return Dataset(kind, [f for f, _ in rows], labels)
 
 
 def sigmoid(z):
@@ -248,7 +250,7 @@ class TestErrorFunctions:
 
     def test_personal_self_centroid_filter_is_one(self):
         feats = np.linspace(0.1, 0.9, N_FEATURES)
-        ds = Dataset("personal", [Sample(feats, {})])
+        ds = dataset("personal", [(feats, {})])
         assert filter_topk(feats, ds.centroid(), 5) == pytest.approx(1.0)
 
     def test_personal_prediction_residual(self):
@@ -354,7 +356,7 @@ class TestGradients:
                         lambda_k=0.6, q=2, k=4)
         ps = init_parameters((N_FEATURES, 4, 1), rng=rng)
         centroid = dp.centroid()
-        dW, db = grad_congruity(ps, dp, dg, h, centroid=centroid)
+        dW, db = ps.views(grad_congruity(ps, dp, dg, h, centroid=centroid))
         fn = lambda: congruity_objective(ps, dp, dg, h, centroid=centroid)
         for _ in range(40):
             if rng.random() < 0.5:
@@ -430,7 +432,8 @@ class TestTrain:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_loss_raises(self):
         dp, dg = self.toy_data(n=8)
-        dg.samples[0].labels["distance"] = float("inf")
+        vals, mask = dg.label_arrays("distance")
+        dg = Dataset("general", dg.features, {"distance": (np.r_[np.inf, vals[1:]], mask)})
         h = Hyperparams(max_epochs=3, learning_rate=0.05, batch_size=8)
         with pytest.raises(NonFiniteLoss):
             train(dp, dg, h, (N_FEATURES, 4, 1), d_max=200)
@@ -501,13 +504,12 @@ class TestLoopInvariantWork:
         for k in (2, 4):
             h = Hyperparams(lambda_k=0.6, k=k)
             for label_kind in ("distance", "classification"):
-                fresh = lambda: Dataset("personal", list(dp.samples))
+                fresh = lambda: Dataset("personal", dp.features, dp.labels)
                 assert (personal_error(ps, dp, h, label_kind, centroid)
                         == personal_error(ps, fresh(), h, label_kind, centroid))
                 used = grad_personal(ps, dp, h, label_kind, centroid)
                 new = grad_personal(ps, fresh(), h, label_kind, centroid)
-                for a, b in zip(used[0] + used[1], new[0] + new[1]):
-                    assert np.array_equal(a, b)
+                assert np.array_equal(used, new)
 
 
 class TestZeroWeightTerms:
@@ -583,15 +585,7 @@ class TestZeroWeightTerms:
         lambda_q, lambda_k, q,
     ):
         rng = np.random.default_rng(seed)
-        ps = init_parameters((N_FEATURES, *hidden, 1), rng=rng)
-        # prune a share of the coordinates, and every coordinate of a share
-        # of the neurons, so that some neurons die
-        for layer in range(ps.L):
-            dead = {j for j in range(ps.widths[layer]) if rng.random() < dead_share}
-            for coord in ps.layer_coords(layer):
-                if coord[2] in dead or rng.random() < frozen_share:
-                    ps.set_param(coord, 0.0)
-                    ps.freeze(coord)
+        ps = pruned_net(rng, hidden, frozen_share, dead_share)
         X = rng.random((n, N_FEATURES))
         vals = rng.random(n)
         mask = (rng.random(n) < 0.7).astype(np.float64)
@@ -599,10 +593,9 @@ class TestZeroWeightTerms:
         full = {}
         for w in (lambda_g, lambda_p):
             skipped = congruity._backprop(ps, X, vals, mask, w, None)
-            full[w] = congruity._backprop(ps, X, vals, mask, w, np.zeros(n))
-            assert skipped[2] is None
-            for a, b in zip(skipped[0] + skipped[1], full[w][0] + full[w][1]):
-                assert np.array_equal(a, b)
+            full[w] = congruity._backprop(ps, X, vals, mask, w, np.zeros(n))[0]
+            assert skipped[1] is None
+            assert np.array_equal(skipped[0], full[w])
 
         rows = [(X[i], {"distance": vals[i]} if mask[i] else {}) for i in range(n)]
         dg, dp = dataset("general", rows), dataset("personal", rows)
@@ -619,14 +612,11 @@ class TestZeroWeightTerms:
         )
 
         if lambda_q == 0.0:
-            rW, rb, _ = congruity._regularizer_grads(ps, q)
-            gW, gb = congruity.grad_general(ps, dg, h)
-            for g, f, r in zip(gW + gb, full[lambda_g][0] + full[lambda_g][1], rW + rb):
-                assert np.array_equal(g, f + 0.0 * r)
+            reg_grad, _ = congruity._regularizer_grads(ps, q)
+            assert np.array_equal(congruity.grad_general(ps, dg, h),
+                                  full[lambda_g] + 0.0 * reg_grad)
         if lambda_k == 0.0:
-            pW, pb = grad_personal(ps, dp, h)
-            for p, f in zip(pW + pb, full[lambda_p][0] + full[lambda_p][1]):
-                assert np.array_equal(p, f)
+            assert np.array_equal(grad_personal(ps, dp, h), full[lambda_p])
 
     @given(st.lists(
         st.one_of(
@@ -675,10 +665,9 @@ def pruned_net(rng, hidden, frozen_share, dead_share):
     ps = init_parameters((N_FEATURES, *hidden, 1), rng=rng)
     for layer in range(ps.L):
         dead = {j for j in range(ps.widths[layer]) if rng.random() < dead_share}
-        for coord in ps.layer_coords(layer):
-            if coord[2] in dead or rng.random() < frozen_share:
-                ps.set_param(coord, 0.0)
-                ps.freeze(coord)
+        for i in ps.layer_coords(layer):
+            if ps.neuron(i)[1] in dead or rng.random() < frozen_share:
+                ps.prune(i)
     return ps
 
 
@@ -772,6 +761,39 @@ class TestTrainingPassesOnce:
             hashlib.sha256(repr(result.loss_history).encode()).hexdigest(),
         ) == self.LEARNER_SHA256[seed]
 
+    # one device behind one server: the smallest generated topology, 6 nodes
+    # and 5 edges, with every edge weight replaced by a prediction
+    SMALLEST_CONFIG = (
+        "scenario = embb\nsweep_values = 8\nseeds = 1\nn_devices = 1\nn_servers = 1\n"
+        "request_count = 32\nuse_learner = true\nlearned_fraction = 1.0\n"
+    )
+    SMALLEST_SHA256 = {
+        "report.csv": "0fb28f5d1275f2c3c13495c9a526e9e945705614163da933803728cc4f41ea84",
+        "model": "3a3bc6fb82fdb5b80578234a86c5f32d5b661bdfca308302de47c8401afe6430",
+        "loss_history": "7a0efe792285f71390dac9b928d49765dee252ac9f4f69bc9c16e58909ca0618",
+    }
+
+    def test_smallest_learner_topology_matches_golden_hashes(self, tmp_path, monkeypatch):
+        trained = []
+        original = congruity.train
+
+        def recording(dp, dg, h, arch, *args, **kwargs):
+            result = original(dp, dg, h, arch, *args, **kwargs)
+            trained.append((result, h))
+            return result
+
+        monkeypatch.setattr(congruity, "train", recording)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(self.SMALLEST_CONFIG)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        [(result, h)] = trained
+        assert {
+            "report.csv": hashlib.sha256((out / "report.csv").read_bytes()).hexdigest(),
+            "model": hashlib.sha256(model_to_text(result.theta_star, h).encode()).hexdigest(),
+            "loss_history": hashlib.sha256(repr(result.loss_history).encode()).hexdigest(),
+        } == self.SMALLEST_SHA256
+
     @settings(max_examples=60, deadline=None)
     @given(
         hidden=st.lists(st.integers(1, 5), max_size=2),
@@ -790,17 +812,16 @@ class TestTrainingPassesOnce:
         vals = rng.random(n)
         mask = (rng.random(n) < 0.7).astype(np.float64)
         coeff = rng.random(n) if reconstruct else None
-        alive, _, _ = congruity._live_masks(ps)
+        alive, _ = congruity._live_masks(ps)
 
         plain = congruity._backprop(ps, X, vals, mask, 1.5, coeff)
         for kwargs in ({"acts": congruity._forward_batch(ps, X)}, {"alive": alive},
                        {"acts": congruity._forward_batch(ps, X, alive)}):
             got = congruity._backprop(ps, X, vals, mask, 1.5, coeff, **kwargs)
-            for a, b in zip(plain[0] + plain[1], got[0] + got[1]):
-                assert a.tobytes() == b.tobytes()
-            assert (got[2] is None) == (plain[2] is None)
-            if plain[2] is not None:
-                assert got[2].tobytes() == plain[2].tobytes()
+            assert got[0].tobytes() == plain[0].tobytes()
+            assert (got[1] is None) == (plain[1] is None)
+            if plain[1] is not None:
+                assert got[1].tobytes() == plain[1].tobytes()
 
     @pytest.mark.parametrize("lambda_k", [0.0, 0.4])
     def test_layer_zero_is_swept_only_with_a_reconstruction_term(self, lambda_k,
@@ -861,7 +882,7 @@ class TestSynthesizeDataset:
     def test_fully_labeled_when_coverage_is_one(self):
         spec = DatasetSpec(n_personal=10, n_general=1000, label_coverage=1.0)
         _, dg = synthesize_dataset(spec, 1)
-        assert all("distance" in s.labels for s in dg.samples)
+        assert dg.label_arrays("distance")[1].all()
 
     def test_class_proportions_within_half_percent(self):
         spec = DatasetSpec(
@@ -869,7 +890,7 @@ class TestSynthesizeDataset:
             class_proportions=(0.947, 0.0343, 0.0183),
         )
         _, dg = synthesize_dataset(spec, 3)
-        values = [s.labels["classification"] for s in dg.samples]
+        values = dg.label_arrays("classification")[0].tolist()
         total = len(values)
         shares = [values.count(v) / total for v in (0.0, 0.5, 1.0)]
         for share, want in zip(shares, (0.947, 0.0343, 0.0183)):
@@ -880,19 +901,21 @@ class TestSynthesizeDataset:
         a = synthesize_dataset(spec, 9)
         b = synthesize_dataset(spec, 9)
         for ds_a, ds_b in zip(a, b):
-            for sa, sb in zip(ds_a.samples, ds_b.samples):
-                assert np.array_equal(sa.features, sb.features)
-                assert sa.labels == sb.labels
+            assert np.array_equal(ds_a.features, ds_b.features)
+            for kind in congruity.LABEL_KINDS:
+                for x, y in zip(ds_a.label_arrays(kind), ds_b.label_arrays(kind)):
+                    assert np.array_equal(x, y)
 
     def test_conflicts_duplicate_features_with_different_labels(self):
         spec = DatasetSpec(n_personal=40, n_general=40, conflict_fraction=0.3)
         dp, _ = synthesize_dataset(spec, 5)
-        feats = [tuple(s.features) for s in dp.samples]
+        feats = [tuple(f) for f in dp.features.tolist()]
+        dist = dp.label_arrays("distance")[0].tolist()
         dupes = [f for f in set(feats) if feats.count(f) > 1]
         assert dupes
         conflicting = 0
         for f in dupes:
-            labels = {s.labels.get("distance") for s in dp.samples if tuple(s.features) == f}
+            labels = {d for g, d in zip(feats, dist) if g == f}
             if len(labels) > 1:
                 conflicting += 1
         assert conflicting > 0
@@ -941,6 +964,7 @@ class TestModelAndDatasetFiles:
         ("w 1 0 1 x", "line 5: could not convert"),
         ("w 9 0 1 0.0", "line 5: neuron 9/0 is outside widths"),
         ("w 1 0 1 0.0 1.0", "line 5: neuron 1/0 has 1 connections"),
+        ("w 1 0 3 0.0", "line 5: neuron 1/0 has alive flag '3', not 0 or 1"),
     ])
     def test_malformed_model_raises_invalid_params_with_its_line(self, bad, message, tmp_path):
         ps = init_parameters((N_FEATURES, 1), rng=np.random.default_rng(3))
@@ -956,6 +980,26 @@ class TestModelAndDatasetFiles:
             load_model(path)
         assert str(exc.value).startswith(f"{path}, {message}")
 
+    def test_model_missing_a_neuron_raises_invalid_params_naming_it(self, tmp_path):
+        ps = init_parameters((N_FEATURES, 2, 1), rng=np.random.default_rng(3))
+        lines = [ln for ln in model_to_text(ps, Hyperparams()).splitlines()
+                 if not ln.startswith("w 1 1 ")]
+        path = tmp_path / "model.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InvalidParams) as exc:
+            load_model(path)
+        assert str(exc.value) == f"{path}: neuron 1/1 has no w line"
+
+    @pytest.mark.parametrize("features,labels,error", [
+        (np.r_[1.5, np.full(N_FEATURES - 1, 0.5)], {}, InvalidParams),
+        (np.r_[np.full(N_FEATURES - 1, 0.5), np.nan], {}, InvalidParams),
+        (np.full(N_FEATURES - 1, 0.5), {}, DimensionMismatch),
+        (np.full(N_FEATURES, 0.5), {"bogus": 0.5}, InvalidParams),
+    ], ids=["out-of-range", "non-finite", "wrong-width", "unknown-label-kind"])
+    def test_bad_sample_is_rejected(self, features, labels, error):
+        with pytest.raises(error):
+            dataset("general", [(features, labels)])
+
     def test_dataset_round_trip(self, tmp_path):
         spec = DatasetSpec(n_personal=20, n_general=30, label_coverage=0.5)
         dp, dg = synthesize_dataset(spec, 2)
@@ -964,6 +1008,7 @@ class TestModelAndDatasetFiles:
             save_dataset(ds, path)
             again = load_dataset(path, ds.kind)
             assert len(again) == len(ds)
-            for a, b in zip(ds.samples, again.samples):
-                assert np.array_equal(a.features, b.features)
-                assert a.labels == b.labels
+            assert np.array_equal(ds.features, again.features)
+            for kind in congruity.LABEL_KINDS:
+                for a, b in zip(ds.label_arrays(kind), again.label_arrays(kind)):
+                    assert np.array_equal(a, b)

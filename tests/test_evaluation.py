@@ -473,12 +473,11 @@ class TestEdgeSamples:
         )
         g = generate_topology(params, seed)
         max_w = float(g.ew.max())
-        samples = evaluation._edge_samples(g, max_w)
+        got, lat = evaluation._edge_samples(g, max_w)
         want, labels = scalar_edge_samples(g, max_w)
-        got = np.array([s.features for s in samples])
         assert got.shape == want.shape == (g.m, congruity.N_FEATURES)
         assert got.tobytes() == want.tobytes()
-        assert [s.labels for s in samples] == [{"distance": lat} for lat in labels]
+        assert lat.tolist() == labels
 
 
 class TestSweepReport:
