@@ -45,8 +45,6 @@ LABEL_KINDS = (
     "service_quality", "cost",
 )
 
-DEFAULT_LABEL_KIND = "distance"
-
 # Learner size caps. At the default 200 + 400 samples (2-vCPU VM, numpy
 # 2.4) the prune phase took 0.14 s for 170 weights and biases, 3.3 s for
 # 2,450 and 27 s for 9,746 (peak about 0.4 KiB each), and an epoch 1.7, 3.8
@@ -121,7 +119,7 @@ class Dataset:
     def __len__(self):
         return len(self.features)
 
-    def label_arrays(self, kind: str = DEFAULT_LABEL_KIND):
+    def label_arrays(self, kind: str):
         """(values, mask) of one label kind; unlabeled samples read 0 in both."""
         if kind in self.labels:
             return self.labels[kind]
@@ -406,8 +404,7 @@ def _loss_parts(ps, X, vals, mask, reconstruct=True, acts=None):
     return pred_sum, recon_sq
 
 
-def general_error(ps: ParameterSet, dg: Dataset, h: Hyperparams,
-                  label_kind: str = DEFAULT_LABEL_KIND) -> float:
+def general_error(ps: ParameterSet, dg: Dataset, h: Hyperparams) -> float:
     """Prediction loss on labeled general samples plus the q-norm-scaled
     reconstruction (memory) loss over all general samples."""
     if dg.kind != "general":
@@ -415,7 +412,7 @@ def general_error(ps: ParameterSet, dg: Dataset, h: Hyperparams,
     if len(dg) == 0:
         raise EmptyDataset("general dataset is empty")
     _check_output_width(ps)
-    vals, mask = dg.label_arrays(label_kind)
+    vals, mask = dg.label_arrays("distance")
     # a zero-weighted reconstruction term is not computed (see _backprop)
     pred_sum, recon_sq = _loss_parts(ps, dg.features, vals, mask,
                                      reconstruct=h.lambda_q != 0.0)
@@ -424,8 +421,7 @@ def general_error(ps: ParameterSet, dg: Dataset, h: Hyperparams,
     return h.lambda_g * pred_sum + h.lambda_q * regularizer(ps, h.q) * float(recon_sq.sum())
 
 
-def personal_error(ps: ParameterSet, dp: Dataset, h: Hyperparams,
-                   label_kind: str = DEFAULT_LABEL_KIND, centroid=None,
+def personal_error(ps: ParameterSet, dp: Dataset, h: Hyperparams, centroid=None,
                    acts=None) -> float:
     """Prediction loss on labeled personal samples plus the per-sample
     filter-gated reconstruction (response) loss."""
@@ -434,7 +430,7 @@ def personal_error(ps: ParameterSet, dp: Dataset, h: Hyperparams,
     if len(dp) == 0:
         raise EmptyDataset("personal dataset is empty")
     _check_output_width(ps)
-    vals, mask = dp.label_arrays(label_kind)
+    vals, mask = dp.label_arrays("distance")
     pred_sum, recon_sq = _loss_parts(ps, dp.features, vals, mask,
                                      reconstruct=h.lambda_k != 0.0, acts=acts)
     if recon_sq is None:
@@ -446,10 +442,9 @@ def personal_error(ps: ParameterSet, dp: Dataset, h: Hyperparams,
 
 
 def congruity_objective(ps: ParameterSet, dp: Dataset, dg: Dataset, h: Hyperparams,
-                        label_kind: str = DEFAULT_LABEL_KIND,
                         centroid=None) -> float:
-    eg = general_error(ps, dg, h, label_kind)
-    ep = personal_error(ps, dp, h, label_kind, centroid)
+    eg = general_error(ps, dg, h)
+    ep = personal_error(ps, dp, h, centroid)
     return (1.0 - h.alpha) * eg + h.alpha * ep
 
 
@@ -539,14 +534,13 @@ def _regularizer_grads(ps, q):
     return grad, r
 
 
-def grad_general(ps: ParameterSet, dg: Dataset, h: Hyperparams,
-                 label_kind: str = DEFAULT_LABEL_KIND, alive=None):
+def grad_general(ps: ParameterSet, dg: Dataset, h: Hyperparams, alive=None):
     """`alive` stands in for ps.alive in the forward pass (see _forward_batch)."""
     if len(dg) == 0:
         raise EmptyDataset("general dataset is empty")
     _check_output_width(ps)
     X = dg.features
-    vals, mask = dg.label_arrays(label_kind)
+    vals, mask = dg.label_arrays("distance")
     if h.lambda_q == 0.0:
         return _backprop(ps, X, vals, mask, h.lambda_g, None, alive=alive)[0]
     reg_grad, r = _regularizer_grads(ps, h.q)
@@ -558,15 +552,14 @@ def grad_general(ps: ParameterSet, dg: Dataset, h: Hyperparams,
     return grad
 
 
-def grad_personal(ps: ParameterSet, dp: Dataset, h: Hyperparams,
-                  label_kind: str = DEFAULT_LABEL_KIND, centroid=None,
+def grad_personal(ps: ParameterSet, dp: Dataset, h: Hyperparams, centroid=None,
                   acts=None, alive=None):
     """`acts` is dp's forward pass at the current parameters, if the caller
     has it; `alive` stands in for ps.alive otherwise (see _forward_batch)."""
     if len(dp) == 0:
         raise EmptyDataset("personal dataset is empty")
     _check_output_width(ps)
-    vals, mask = dp.label_arrays(label_kind)
+    vals, mask = dp.label_arrays("distance")
     if h.lambda_k == 0.0:
         coeff = None
     else:
@@ -577,9 +570,9 @@ def grad_personal(ps: ParameterSet, dp: Dataset, h: Hyperparams,
 
 
 def grad_congruity(ps: ParameterSet, dp: Dataset, dg: Dataset, h: Hyperparams,
-                   label_kind: str = DEFAULT_LABEL_KIND, centroid=None, alive=None):
-    g = grad_general(ps, dg, h, label_kind, alive)
-    p = grad_personal(ps, dp, h, label_kind, centroid, alive=alive)
+                   centroid=None, alive=None):
+    g = grad_general(ps, dg, h, alive)
+    p = grad_personal(ps, dp, h, centroid, alive=alive)
     return (1.0 - h.alpha) * g + h.alpha * p
 
 
@@ -611,7 +604,7 @@ def _live_masks(ps):
             ps.frozen if ps.frozen.any() else None)
 
 
-def _prune_phase(ps, pairs, h, centroid, rng, label_kind):
+def _prune_phase(ps, pairs, h, centroid, rng):
     """Layer-wise pruning sweep.
 
     Per layer: take per-parameter response-gradient steps; a parameter whose
@@ -643,16 +636,16 @@ def _prune_phase(ps, pairs, h, centroid, rng, label_kind):
                     continue
                 if known is None or known[0] != b:
                     acts = _forward_batch(ps, Xp)
-                    known = (b, personal_error(ps, bp, h, label_kind, centroid, acts),
-                             general_error(ps, bg, h, label_kind), acts)
+                    known = (b, personal_error(ps, bp, h, centroid, acts),
+                             general_error(ps, bg, h), acts)
                 _, ev_p, ev_g, acts = known
-                g = grad_personal(ps, bp, h, label_kind, centroid, acts=acts)[i]
+                g = grad_personal(ps, bp, h, centroid, acts=acts)[i]
                 if g == 0.0:
                     continue
                 ps.theta[i] -= h.learning_rate * g
                 acts = _forward_batch(ps, Xp)
-                en_p = personal_error(ps, bp, h, label_kind, centroid, acts)
-                en_g = general_error(ps, bg, h, label_kind)
+                en_p = personal_error(ps, bp, h, centroid, acts)
+                en_g = general_error(ps, bg, h)
                 known = (b, en_p, en_g, acts)
                 if abs(en_p - ev_p) < h.alpha * abs(en_g - ev_g):
                     if rng.random() < h.prune_probability:
@@ -668,8 +661,7 @@ def _prune_phase(ps, pairs, h, centroid, rng, label_kind):
     return pruned
 
 
-def train(dp: Dataset, dg: Dataset, h: Hyperparams, arch,
-          d_max=None, label_kind: str = DEFAULT_LABEL_KIND) -> TrainResult:
+def train(dp: Dataset, dg: Dataset, h: Hyperparams, arch, d_max=None) -> TrainResult:
     """Two-phase optimization: layer-wise pruning, then gradient descent on
     the blended objective until max_epochs or the relative improvement drops
     under the tolerance. Deterministic for a fixed seed."""
@@ -685,18 +677,18 @@ def train(dp: Dataset, dg: Dataset, h: Hyperparams, arch,
     ps = init_parameters(arch, d_max, rng)
     centroid = dp.centroid()
 
-    e_initial = congruity_objective(ps, dp, dg, h, label_kind, centroid)
+    e_initial = congruity_objective(ps, dp, dg, h, centroid)
     pairs = _batches(dp, dg, h.batch_size)
-    pruned = _prune_phase(ps, pairs, h, centroid, rng, label_kind)
+    pruned = _prune_phase(ps, pairs, h, centroid, rng)
 
-    e_prev = congruity_objective(ps, dp, dg, h, label_kind, centroid)
+    e_prev = congruity_objective(ps, dp, dg, h, centroid)
     history = [e_prev]
     alive, frozen = _live_masks(ps)
     for _ in range(h.max_epochs):
         for bp, bg in pairs:
-            step = grad_congruity(ps, bp, bg, h, label_kind, centroid, alive)
+            step = grad_congruity(ps, bp, bg, h, centroid, alive)
             ps.theta -= h.learning_rate * (step if frozen is None else np.where(frozen, 0.0, step))
-        e_now = congruity_objective(ps, dp, dg, h, label_kind, centroid)
+        e_now = congruity_objective(ps, dp, dg, h, centroid)
         if not math.isfinite(e_now):
             raise NonFiniteLoss(f"objective diverged to {e_now}")
         history.append(e_now)
@@ -878,6 +870,8 @@ def load_model(path):
                 l, j = int(parts[1]), int(parts[2])
                 if widths is None or not (0 <= l < len(widths) and 0 <= j < widths[l]):
                     raise ValueError(f"neuron {l}/{j} is outside widths {widths}")
+                if (l, j) in neurons:
+                    raise ValueError(f"neuron {l}/{j} has a second w line")
                 if parts[3] not in ("0", "1"):
                     raise ValueError(f"neuron {l}/{j} has alive flag {parts[3]!r}, not 0 or 1")
                 bias = float(parts[4])
@@ -920,8 +914,9 @@ def save_dataset(ds: Dataset, path) -> None:
 
 
 def load_dataset(path, kind: str) -> Dataset:
-    """Read a dataset CSV; a missing header or a malformed row raises
-    InvalidParams naming the file and line. Every row has all the header's
+    """Read a dataset CSV; a missing header or a malformed row (a feature
+    outside [0, 1], a label that is not finite) raises InvalidParams naming
+    the file and line. Every row has all the header's
     cells, features first, then one label cell per kind, empty where the
     sample has no such label."""
     feats, values, given, lines = [], [], [], []
@@ -945,6 +940,10 @@ def load_dataset(path, kind: str) -> Dataset:
     if bad is not None:
         raise InvalidParams(f"{path}, line {lines[bad[0]]}: {bad[1]}")
     values = np.array(values, dtype=np.float64).reshape(len(feats), len(LABEL_KINDS))
+    finite = np.isfinite(values)
+    if not finite.all():
+        i, c = (int(x[0]) for x in np.nonzero(~finite))
+        raise InvalidParams(f"{path}, line {lines[i]}: label_{LABEL_KINDS[c]} must be finite")
     given = np.array(given, dtype=bool).reshape(len(feats), len(LABEL_KINDS))
     return Dataset(kind, X, {name: (values[:, c], given[:, c])
                              for c, name in enumerate(LABEL_KINDS) if given[:, c].any()})

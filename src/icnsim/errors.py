@@ -5,23 +5,24 @@ class SimError(Exception):
     """Base class for all simulator errors."""
 
 
-class DanglingEndpoint(SimError):
+class InvalidParams(SimError):
     pass
 
 
-class DuplicateEdge(SimError):
+# Structural faults of a graph are bad input, so they exit like any other.
+class DanglingEndpoint(InvalidParams):
     pass
 
 
-class NegativeWeight(SimError):
+class DuplicateEdge(InvalidParams):
+    pass
+
+
+class NegativeWeight(InvalidParams):
     pass
 
 
 class Unreachable(SimError):
-    pass
-
-
-class InvalidParams(SimError):
     pass
 
 

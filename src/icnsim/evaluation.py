@@ -336,11 +336,9 @@ def _run_point(params: ScenarioParams, point_index: int, with_details: bool = Fa
         params.catalog_size, params.zipf_exponent, params.zipf_shift
     )
 
-    fwd = np.concatenate([
-        g.nodes_of_kind(NodeKind.ACCESS_POINT),
-        g.nodes_of_kind(NodeKind.SWITCH),
-        g.nodes_of_kind(NodeKind.GATEWAY),
-    ])
+    # Each store fills on its own and candidates sort by (-degree, id), so
+    # the order of these ids reaches no output.
+    fwd = g.forwarding_nodes()
     if params.preplace_everywhere:
         total_volume = sum(obj.volume for obj in catalog)
         net.media_capacity = max(net.media_capacity, total_volume)

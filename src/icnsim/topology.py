@@ -117,7 +117,12 @@ class Edge:
     weight: int
 
 
-def _validate_node(node: Node) -> None:
+def _check_node(node: Node, n: int, seen: set) -> None:
+    """Check one node of an n-node graph whose earlier nodes' ids are in
+    `seen`, and add its id there."""
+    if not 0 <= node.id < n or node.id in seen:
+        raise InvalidParams(f"node {node.id}: ids must be dense in [0, {n}), each once")
+    seen.add(node.id)
     if node.downlink_bw != 3 * node.uplink_bw:
         raise InvalidParams(
             f"node {node.id}: downlink must be 3x uplink "
@@ -130,6 +135,24 @@ def _validate_node(node: Node) -> None:
             raise InvalidParams(f"node {node.id}: mMTC memory >= 50 kB")
         if node.storage >= MMTC_MAX_STORAGE:
             raise InvalidParams(f"node {node.id}: mMTC storage >= 300 kB")
+
+
+def _check_edge(edge: Edge, n: int, seen: set) -> None:
+    """Check one edge of an n-node graph whose earlier edges' (low, high)
+    pairs are in `seen`, and add its pair there."""
+    a, b, w = edge.a, edge.b, edge.weight
+    if not (0 <= a < n) or not (0 <= b < n):
+        raise DanglingEndpoint(f"edge ({a},{b}) references a missing node")
+    if a == b:
+        raise InvalidParams(f"self-loop on node {a}")
+    if w < 0:
+        raise NegativeWeight(f"edge ({a},{b}) has weight {w}")
+    if int(w) != w:
+        raise InvalidParams(f"edge ({a},{b}) weight must be an integer")
+    key = (min(a, b), max(a, b))
+    if key in seen:
+        raise DuplicateEdge(f"duplicate edge {key}")
+    seen.add(key)
 
 
 class WeightedGraph:
@@ -232,6 +255,10 @@ class WeightedGraph:
         traffic (FORWARDING_KINDS), else 0."""
         return np.isin(self.kinds, _FORWARDING_INDICES).tobytes()
 
+    def forwarding_nodes(self) -> np.ndarray:
+        """Ids of the nodes that forwarding_mask marks, ascending."""
+        return np.flatnonzero(np.isin(self.kinds, _FORWARDING_INDICES))
+
     # -- tree navigation (fast path for generated topologies) --------------
 
     def _tree_info(self):
@@ -311,17 +338,15 @@ def build_graph(nodes, edges, unit) -> WeightedGraph:
     n = len(nodes)
     if n == 0:
         raise InvalidParams("graph needs at least one node")
-    ids = sorted(node.id for node in nodes)
-    if ids != list(range(n)):
-        raise InvalidParams("node ids must be dense in [0, node_count)")
     kinds = np.zeros(n, dtype=np.int8)
     mems = np.zeros(n, dtype=np.int64)
     storages = np.zeros(n, dtype=np.int64)
     downs = np.zeros(n, dtype=np.int64)
     ups = np.zeros(n, dtype=np.int64)
     computes = np.zeros(n, dtype=np.int64)
+    seen = set()
     for node in nodes:
-        _validate_node(node)
+        _check_node(node, n, seen)
         i = node.id
         kinds[i] = _KIND_INDEX[node.kind]
         mems[i] = node.memory_total
@@ -335,20 +360,8 @@ def build_graph(nodes, edges, unit) -> WeightedGraph:
     eb = np.zeros(len(edges), dtype=np.int64)
     ew = np.zeros(len(edges), dtype=np.int64)
     for j, edge in enumerate(edges):
-        a, b, w = edge.a, edge.b, edge.weight
-        if not (0 <= a < n) or not (0 <= b < n):
-            raise DanglingEndpoint(f"edge ({a},{b}) references a missing node")
-        if a == b:
-            raise InvalidParams(f"self-loop on node {a}")
-        if w < 0:
-            raise NegativeWeight(f"edge ({a},{b}) has weight {w}")
-        if int(w) != w:
-            raise InvalidParams(f"edge ({a},{b}) weight must be an integer")
-        key = (min(a, b), max(a, b))
-        if key in seen:
-            raise DuplicateEdge(f"duplicate edge {key}")
-        seen.add(key)
-        ea[j], eb[j], ew[j] = a, b, int(w)
+        _check_edge(edge, n, seen)
+        ea[j], eb[j], ew[j] = edge.a, edge.b, int(edge.weight)
     return WeightedGraph.from_arrays(
         kinds, mems, storages, downs, ups, computes, ea, eb, ew, unit
     )
@@ -444,10 +457,10 @@ def hop_distance(g: WeightedGraph, a: int, b: int) -> int:
     is_tree, parents, depths = g._tree_info()
     if is_tree:
         return _tree_hops(parents, depths, a, b)
-    dist = _bfs_dists(g, a)
-    if dist[b] < 0:
+    hops = int(_dists_to(g, b)[a])
+    if hops < 0:
         raise Unreachable(f"no path {a} -> {b}")
-    return int(dist[b])
+    return hops
 
 
 def _tree_hops(parents, depths, a, b):
@@ -466,9 +479,11 @@ def _tree_hops(parents, depths, a, b):
     return hops
 
 
-def _bfs_dists(g, src):
+def _dists_to(g, t):
+    """Hop count from every node to t, -1 where t cannot be reached: one
+    _bfs from the far end, which every off-tree query reads."""
     indptr, dst, _ = g._ensure_csr()
-    return _bfs(indptr, dst, src)[0]
+    return _bfs(indptr, dst, t)[0]
 
 
 def next_hop_toward(g: WeightedGraph, u: int, target: int) -> int:
@@ -483,29 +498,16 @@ def hop_path(g: WeightedGraph, u: int, target: int) -> list:
     each is the lowest-id neighbour one hop closer to target than the node
     before it, and there are hop_distance(g, u, target) of them. ids outside
     [0, n) raise InvalidParams."""
-    n = g.n
-    if not (0 <= u < n and 0 <= target < n):
-        raise InvalidParams(f"nodes ({u},{target}) outside graph")
-    if u == target:
-        return []
-    is_tree, parents, depths = g._tree_info()
-    if is_tree:
-        return _tree_path(parents, depths, u, (target,))
-    indptr, dst, _ = g._ensure_csr()
-    dist = _bfs(indptr, dst, target)[0]
-    if dist[u] < 0:
+    path = closest_path(g, u, (target,))
+    if path is None:
         raise Unreachable(f"no route {u} -> {target}")
-    path = []
-    while u != target:
-        nbrs = dst[indptr[u]:indptr[u + 1]]
-        u = int(nbrs[dist[nbrs] == dist[u] - 1][0])  # rows are ascending
-        path.append(u)
     return path
 
 
 def closest_path(g: WeightedGraph, u: int, targets) -> list:
     """hop_path to the first of `targets` with the fewest hops from u, or
-    None when none is reachable; ids outside [0, n) raise InvalidParams."""
+    None when none is reachable; ids outside [0, n) raise InvalidParams.
+    Off the tree this is one _dists_to per distinct target."""
     n = g.n
     if not 0 <= u < n or targets and not 0 <= min(targets) <= max(targets) < n:
         raise InvalidParams(f"node {u} or one of {list(targets)} is outside the graph")
@@ -513,14 +515,19 @@ def closest_path(g: WeightedGraph, u: int, targets) -> list:
     if is_tree:
         return _tree_path(parents, depths, u, targets)
     best = None
-    for t in targets:
-        try:
-            d = hop_distance(g, u, t)
-        except Unreachable:
-            continue
-        if best is None or d < best[0]:
-            best = (d, t)
-    return None if best is None else hop_path(g, u, best[1])
+    for t in dict.fromkeys(targets):
+        dist = _dists_to(g, t)
+        if dist[u] >= 0 and (best is None or dist[u] < best[u]):
+            best = dist
+    if best is None:
+        return None
+    indptr, dst, _ = g._ensure_csr()
+    path = []
+    while best[u]:
+        nbrs = dst[indptr[u]:indptr[u + 1]]
+        u = int(nbrs[best[nbrs] == best[u] - 1][0])  # rows are ascending
+        path.append(u)
+    return path
 
 
 def _tree_path(parents, depths, u, targets):
@@ -763,9 +770,11 @@ def graph_to_text(g: WeightedGraph) -> str:
 
 
 def graph_from_text(text: str, source: str = "graph text") -> WeightedGraph:
-    """Parse `graph_to_text` output; a malformed line raises InvalidParams
-    naming `source` and the line number."""
+    """Parse `graph_to_text` output; a malformed line, or the first node or
+    edge that `build_graph` would reject, raises InvalidParams (or its
+    subclass) naming `source` and the line number."""
     header, nodes, edges = None, [], []
+    node_ids, edge_keys = set(), set()
     for lineno, ln in enumerate(text.splitlines(), start=1):
         parts = ln.split()
         if not parts:
@@ -774,29 +783,33 @@ def graph_from_text(text: str, source: str = "graph text") -> WeightedGraph:
         try:
             if header is None:
                 if parts[0] != "graph":
-                    raise InvalidParams(f"{where}: missing graph header")
+                    raise InvalidParams("missing graph header")
                 _, unit, count = parts
                 header = (WeightUnit(unit), int(count))
             elif parts[0] == "node":
-                nodes.append(
-                    Node(
-                        int(parts[1]),
-                        NodeKind(parts[2]),
-                        memory_total=int(parts[3]),
-                        storage=int(parts[4]),
-                        downlink_bw=int(parts[5]),
-                        uplink_bw=int(parts[6]),
-                        compute=int(parts[7]),
-                    )
+                node = Node(
+                    int(parts[1]),
+                    NodeKind(parts[2]),
+                    memory_total=int(parts[3]),
+                    storage=int(parts[4]),
+                    downlink_bw=int(parts[5]),
+                    uplink_bw=int(parts[6]),
+                    compute=int(parts[7]),
                 )
+                _check_node(node, header[1], node_ids)
+                nodes.append(node)
             elif parts[0] == "edge":
-                edges.append(Edge(int(parts[1]), int(parts[2]), int(parts[3])))
+                edge = Edge(int(parts[1]), int(parts[2]), int(parts[3]))
+                _check_edge(edge, header[1], edge_keys)
+                edges.append(edge)
             else:
-                raise InvalidParams(f"{where}: unknown line {parts[0]!r}")
+                raise InvalidParams(f"unknown line {parts[0]!r}")
         except IndexError:
             raise InvalidParams(f"{where}: too few fields in {parts[0]!r} line") from None
         except ValueError as exc:
             raise InvalidParams(f"{where}: {exc}") from None
+        except InvalidParams as exc:
+            raise type(exc)(f"{where}: {exc}") from None
     if header is None:
         raise InvalidParams(f"{source}: missing graph header")
     if len(nodes) != header[1]:

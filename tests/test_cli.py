@@ -521,6 +521,11 @@ MALFORMED_INPUTS = {
     "topology-unknown-unit": ("containerize", TOPOLOGY.replace("latency_us", "furlongs")),
     "topology-non-integer-count": ("containerize", TOPOLOGY.replace("latency_us 2", "latency_us two")),
     "topology-non-integer-weight": ("containerize", TOPOLOGY.replace("edge 0 1 5", "edge 0 1 5.5")),
+    "topology-dangling-edge": ("containerize", TOPOLOGY.replace("edge 0 1 5", "edge 0 5 5")),
+    "topology-duplicate-edge": ("containerize", TOPOLOGY + "edge 1 0 7\n"),
+    "topology-negative-weight": ("containerize", TOPOLOGY.replace("edge 0 1 5", "edge 0 1 -5")),
+    "topology-downlink-not-three-uplinks": ("containerize", TOPOLOGY.replace("node 1 switch 1 1 3", "node 1 switch 1 1 4")),
+    "topology-non-dense-ids": ("containerize", TOPOLOGY.replace("node 1 switch", "node 2 switch")),
     "report-wrong-header": ("report", REPORT.replace("seed", "run")),
     "report-short-row": ("report", REPORT + "embb,data_rate_mbps,8.0,1\n"),
     "report-non-numeric-row": ("report", REPORT + "embb,data_rate_mbps,8.0,1,40,high,1.5,0.25\n"),
@@ -532,6 +537,12 @@ MALFORMED_INPUTS = {
         "train", DATASET + ",".join(["0.5"] * (len(FEATURE_NAMES) + len(LABEL_KINDS) + 1)) + "\n"
     ),
     "dataset-features-only": ("train", DATASET + ",".join(["0.5"] * len(FEATURE_NAMES)) + "\n"),
+    "dataset-infinite-label": (
+        "train", DATASET + ",".join(["0.5"] * len(FEATURE_NAMES) + ["inf"] + [""] * (len(LABEL_KINDS) - 1)) + "\n"
+    ),
+    "dataset-nan-label": (
+        "train", DATASET + ",".join(["0.5"] * len(FEATURE_NAMES) + [""] * 2 + ["nan"] + [""] * (len(LABEL_KINDS) - 3)) + "\n"
+    ),
     "dataset-out-of-range-feature": (
         "train", DATASET + ",".join(["0.5"] * (len(FEATURE_NAMES) - 1) + ["1.5"] + [""] * len(LABEL_KINDS)) + "\n"
     ),

@@ -497,19 +497,18 @@ class TestLoopInvariantWork:
         dp, _ = synthesize_dataset(DatasetSpec(n_personal=12, n_general=1), 8)
         ps = init_parameters((N_FEATURES, 5, 1), rng=3)
         centroid = dp.centroid()
-        # fill the memos under another centroid, k and label kind first
+        # fill the memos under another centroid and k first
         warm = Hyperparams(lambda_k=0.6, k=2)
         personal_error(ps, dp, warm, centroid=np.full(N_FEATURES, 0.3))
-        grad_personal(ps, dp, warm, "classification")
+        grad_personal(ps, dp, warm)
         for k in (2, 4):
             h = Hyperparams(lambda_k=0.6, k=k)
-            for label_kind in ("distance", "classification"):
-                fresh = lambda: Dataset("personal", dp.features, dp.labels)
-                assert (personal_error(ps, dp, h, label_kind, centroid)
-                        == personal_error(ps, fresh(), h, label_kind, centroid))
-                used = grad_personal(ps, dp, h, label_kind, centroid)
-                new = grad_personal(ps, fresh(), h, label_kind, centroid)
-                assert np.array_equal(used, new)
+            fresh = lambda: Dataset("personal", dp.features, dp.labels)
+            assert (personal_error(ps, dp, h, centroid)
+                    == personal_error(ps, fresh(), h, centroid))
+            used = grad_personal(ps, dp, h, centroid)
+            new = grad_personal(ps, fresh(), h, centroid)
+            assert np.array_equal(used, new)
 
 
 class TestZeroWeightTerms:
@@ -848,8 +847,7 @@ class TestTrainingPassesOnce:
 
         monkeypatch.setattr(congruity, "grad_personal", recording)
         pairs = congruity._batches(dp, dg, h.batch_size)
-        congruity._prune_phase(ps, pairs, h, dp.centroid(), np.random.default_rng(1),
-                               "distance")
+        congruity._prune_phase(ps, pairs, h, dp.centroid(), np.random.default_rng(1))
         assert 1 in graded
         assert (0 in graded) == (lambda_k != 0.0)
 
@@ -965,6 +963,8 @@ class TestModelAndDatasetFiles:
         ("w 9 0 1 0.0", "line 5: neuron 9/0 is outside widths"),
         ("w 1 0 1 0.0 1.0", "line 5: neuron 1/0 has 1 connections"),
         ("w 1 0 3 0.0", "line 5: neuron 1/0 has alive flag '3', not 0 or 1"),
+        # inserted at line 5, so the file's own w 0 3 line moves to line 9
+        ("w 0 3 1 9.0", "line 9: neuron 0/3 has a second w line"),
     ])
     def test_malformed_model_raises_invalid_params_with_its_line(self, bad, message, tmp_path):
         ps = init_parameters((N_FEATURES, 1), rng=np.random.default_rng(3))
@@ -999,6 +999,20 @@ class TestModelAndDatasetFiles:
     def test_bad_sample_is_rejected(self, features, labels, error):
         with pytest.raises(error):
             dataset("general", [(features, labels)])
+
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan"])
+    def test_dataset_with_a_non_finite_label_names_its_line(self, cell, tmp_path):
+        dp, _ = synthesize_dataset(DatasetSpec(n_personal=4, n_general=1), 2)
+        path = tmp_path / "p.csv"
+        save_dataset(dp, path)
+        lines = path.read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[N_FEATURES + congruity.LABEL_KINDS.index("distance")] = cell
+        lines[3] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InvalidParams) as exc:
+            load_dataset(path, "personal")
+        assert str(exc.value) == f"{path}, line 4: label_distance must be finite"
 
     def test_dataset_round_trip(self, tmp_path):
         spec = DatasetSpec(n_personal=20, n_general=30, label_coverage=0.5)

@@ -14,6 +14,7 @@ from icnsim.errors import (
 )
 from icnsim.evaluation import DEFAULT_SWEEPS, ScenarioParams
 from icnsim.topology import (
+    FORWARDING_KINDS,
     MAX_DEVICES,
     Edge,
     Node,
@@ -30,7 +31,7 @@ from icnsim.topology import (
     mmtc_node,
     next_hop_toward,
     node_centrality,
-    _bfs_dists,
+    _dists_to,
 )
 
 from oracles import brute_additive, brute_bottleneck, bfs_hops
@@ -187,6 +188,15 @@ class TestCentrality:
 
 
 class TestGenerateTopology:
+    @pytest.mark.parametrize("scenario", ["embb", "mmtc"])
+    def test_forwarding_nodes_are_the_forwarding_kinds(self, scenario):
+        params = ScenarioParams(scenario=scenario, n_devices=40, density_k_per_km2=0.5)
+        g = generate_topology(params, 4)
+        want = sorted(i for i in range(g.n) if g.kind(i) in FORWARDING_KINDS)
+        assert g.forwarding_nodes().tolist() == want
+        assert list(g.forwarding_mask()) == [int(i in want) for i in range(g.n)]
+        assert (NodeKind.GATEWAY in {g.kind(i) for i in want}) == (scenario == "mmtc")
+
     def test_mmtc_density_gives_exact_device_count(self):
         params = ScenarioParams(scenario="mmtc", density_k_per_km2=63.0, area_km2=1.0)
         g = generate_topology(params, 7)
@@ -274,6 +284,27 @@ class TestGraphFile:
     def test_header_mismatch_rejected(self):
         with pytest.raises(InvalidParams):
             graph_from_text("graph latency_us 2\nnode 0 switch 1 1 3 1 1\n")
+
+    TEXT = "graph latency_us 3\n" + "".join(f"node {i} switch 1 1 3 1 1\n" for i in range(3))
+
+    @pytest.mark.parametrize("tail,error,lineno", [
+        ("edge 0 1 5\nedge 2 7 1\n", DanglingEndpoint, 6),
+        ("edge 0 1 5\nedge 1 2 1\nedge 1 0 2\n", DuplicateEdge, 7),
+        ("edge 0 1 5\nedge 1 2 -1\n", NegativeWeight, 6),
+        ("edge 0 0 5\n", InvalidParams, 5),
+    ])
+    def test_structural_faults_name_their_edge_line(self, tail, error, lineno):
+        with pytest.raises(error, match=f"^topo.txt, line {lineno}: "):
+            graph_from_text(self.TEXT + tail, "topo.txt")
+
+    @pytest.mark.parametrize("old,new,lineno", [
+        ("node 1 switch 1 1 3", "node 1 switch 1 1 4", 3),  # downlink != 3 x uplink
+        ("node 2 switch", "node 0 switch", 4),  # an id twice
+        ("node 1 switch", "node 3 switch", 3),  # an id past the header count
+    ])
+    def test_node_faults_name_their_line(self, old, new, lineno):
+        with pytest.raises(InvalidParams, match=f"^topo.txt, line {lineno}: node "):
+            graph_from_text(self.TEXT.replace(old, new), "topo.txt")
 
 
 class TestHopDistance:
@@ -585,7 +616,7 @@ def test_bfs_dists_match_the_oracle_off_the_tree(case):
     assume(not g.is_tree())
     for src in range(n):
         want = [bfs_hops(n, edges, src, v) for v in range(n)]
-        assert _bfs_dists(g, src).tolist() == [-1 if d is None else d for d in want]
+        assert _dists_to(g, src).tolist() == [-1 if d is None else d for d in want]
 
 
 def test_deep_graphs():
@@ -604,4 +635,34 @@ def test_deep_graphs():
     assert not ring.is_tree()
     for src in (0, int(order[0]), int(order[n // 2])):
         gap = np.abs(at - at[src])
-        assert _bfs_dists(ring, src).tolist() == np.minimum(gap, n - gap).tolist()
+        assert _dists_to(ring, src).tolist() == np.minimum(gap, n - gap).tolist()
+
+
+def test_off_tree_queries_run_one_bfs_per_distinct_target(monkeypatch):
+    """Off the tree each query reads one distance array per far end, so
+    closest_path runs k BFS over k distinct targets (repeats included) and
+    hop_path runs one."""
+    import icnsim.topology as topology
+
+    n = 12
+    ring = make(n, [(i, (i + 1) % n, 1) for i in range(n)] + [(0, 6, 1)])
+    assert not ring.is_tree()
+    calls = []
+    bfs = topology._bfs
+
+    def counting(*args):
+        calls.append(args[2])
+        return bfs(*args)
+
+    monkeypatch.setattr(topology, "_bfs", counting)
+    for targets in ((3,), (3, 9), (9, 3, 5), (2, 4, 8, 10), (5, 7, 5, 7, 11)):
+        calls.clear()
+        path = closest_path(ring, 1, targets)
+        assert sorted(calls) == sorted(set(targets))
+        assert path[-1] in targets
+    calls.clear()
+    assert hop_path(ring, 1, 9) == [0, 11, 10, 9]
+    assert calls == [9]
+    calls.clear()
+    assert hop_distance(ring, 1, 9) == 4
+    assert calls == [9]
