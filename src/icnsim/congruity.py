@@ -84,7 +84,8 @@ class Dataset:
 
     def __init__(self, kind: str, features, labels=None):
         """`features` is an (n, N_FEATURES) array-like in [0, 1]; `labels`
-        maps a label kind to a (values, mask) pair of length n."""
+        maps a label kind to a (values, mask) pair of length n, finite
+        where the mask is set."""
         X = np.array(features, dtype=np.float64)
         if X.size == 0:
             X = X.reshape(0, N_FEATURES)
@@ -103,6 +104,9 @@ class Dataset:
             values = np.where(given, np.asarray(values, dtype=np.float64), 0.0)
             if given.shape != values.shape or values.shape != (len(X),):
                 raise DimensionMismatch(f"label {name!r} must have {len(X)} entries")
+            bad = np.flatnonzero(~np.isfinite(values))
+            if len(bad):
+                raise InvalidParams(f"sample {bad[0]}: label {name!r} must be finite")
             columns[name] = (values, given.astype(np.float64))
         self._fill(kind, X, columns)
 

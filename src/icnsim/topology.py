@@ -69,11 +69,15 @@ MMTC_MAX_MEMORY = 50_000
 MMTC_MAX_STORAGE = 300_000
 MMTC_MAX_PAYLOAD = 128
 
-_MMTC_MEMORY = 32_000
-_MMTC_STORAGE = 200_000
-_MMTC_COMPUTE = 32_000_000
-_MMTC_UPLINK = 10_000
-_MMTC_DOWNLINK = 30_000
+# Resources of each node kind, in Node's field order: memory, storage,
+# downlink, uplink, compute. A generated graph derives its nodes' resources
+# from their kinds through this table.
+KIND_RESOURCES = {
+    kind: (DEFAULT_MEMORY, DEFAULT_STORAGE, DEFAULT_DOWNLINK, DEFAULT_UPLINK, DEFAULT_COMPUTE)
+    for kind in NodeKind
+}
+KIND_RESOURCES[NodeKind.MMTC_DEVICE] = (32_000, 200_000, 30_000, 10_000, 32_000_000)
+_RESOURCE_TABLE = np.array([KIND_RESOURCES[k] for k in _KIND_ORDER], dtype=np.int64)
 
 
 def media_partition(kind: NodeKind, memory_total: int) -> int:
@@ -99,15 +103,7 @@ class Node:
 
 def mmtc_node(node_id: int) -> Node:
     """A constrained machine-type device with compliant resource ceilings."""
-    return Node(
-        node_id,
-        NodeKind.MMTC_DEVICE,
-        memory_total=_MMTC_MEMORY,
-        storage=_MMTC_STORAGE,
-        downlink_bw=_MMTC_DOWNLINK,
-        uplink_bw=_MMTC_UPLINK,
-        compute=_MMTC_COMPUTE,
-    )
+    return Node(node_id, NodeKind.MMTC_DEVICE, *KIND_RESOURCES[NodeKind.MMTC_DEVICE])
 
 
 @dataclass(frozen=True)
@@ -155,21 +151,43 @@ def _check_edge(edge: Edge, n: int, seen: set) -> None:
     seen.add(key)
 
 
+_RESOURCE_COLUMNS = ("mems", "storages", "downs", "ups", "computes")
+
+
+class _KindColumn:
+    """A node resource column of a WeightedGraph. A graph built without it
+    fills it from its node kinds and KIND_RESOURCES the first time it is
+    read; the array then shadows this descriptor."""
+
+    def __set_name__(self, owner, name):
+        self.name, self.col = name, _RESOURCE_COLUMNS.index(name)
+
+    def __get__(self, g, owner=None):
+        if g is None:
+            return self
+        g.__dict__[self.name] = column = _RESOURCE_TABLE[g.kinds, self.col]
+        return column
+
+
 class WeightedGraph:
     """Immutable undirected graph with integer edge weights.
 
     Node attributes live in flat arrays indexed by node id; edges are kept in
     canonical order (a < b, sorted). Use build_graph() to construct one with
     validation, or from_arrays() when the arrays are already consistent.
+    `resources` holds the five _RESOURCE_COLUMNS in order, or nothing, in
+    which case they derive from the node kinds when first read.
     """
 
-    def __init__(self, kinds, mems, storages, downs, ups, computes, ea, eb, ew, unit):
+    mems = _KindColumn()
+    storages = _KindColumn()
+    downs = _KindColumn()
+    ups = _KindColumn()
+    computes = _KindColumn()
+
+    def __init__(self, kinds, ea, eb, ew, unit, resources=()):
         self.kinds = kinds
-        self.mems = mems
-        self.storages = storages
-        self.downs = downs
-        self.ups = ups
-        self.computes = computes
+        self.__dict__.update(zip(_RESOURCE_COLUMNS, resources))
         self.ea = ea
         self.eb = eb
         self.ew = ew
@@ -182,21 +200,14 @@ class WeightedGraph:
 
     @classmethod
     def from_arrays(cls, kinds, mems, storages, downs, ups, computes, ea, eb, ew, unit):
-        kinds = np.asarray(kinds, dtype=np.int8)
-        mems = np.asarray(mems, dtype=np.int64)
-        storages = np.asarray(storages, dtype=np.int64)
-        downs = np.asarray(downs, dtype=np.int64)
-        ups = np.asarray(ups, dtype=np.int64)
-        computes = np.asarray(computes, dtype=np.int64)
-        ea = np.asarray(ea, dtype=np.int64)
-        eb = np.asarray(eb, dtype=np.int64)
-        ew = np.asarray(ew, dtype=np.int64)
+        resources = [np.asarray(v, dtype=np.int64) for v in (mems, storages, downs, ups, computes)]
+        ea, eb, ew = (np.asarray(v, dtype=np.int64) for v in (ea, eb, ew))
         lo = np.minimum(ea, eb)
         hi = np.maximum(ea, eb)
         order = np.lexsort((hi, lo))
         return cls(
-            kinds, mems, storages, downs, ups, computes,
-            lo[order], hi[order], ew[order], WeightUnit(unit),
+            np.asarray(kinds, dtype=np.int8), lo[order], hi[order], ew[order],
+            WeightUnit(unit), resources,
         )
 
     # -- basic accessors ---------------------------------------------------
@@ -574,9 +585,9 @@ _CORE_LAT = (160_000, 450_000)  # core tier links, between T2 and T3
 _URLLC_BASE_LATENCY_MS = 8.0
 
 # Most end devices one generated topology may hold, and the largest
-# structure parameter. A topology costs about 0.27 KiB per device (the
-# largest default mMTC sweep point, 1.05M devices, peaks near 280 MiB), so
-# the cap is about 1 GiB.
+# structure parameter. A run costs about 0.1 KiB per device over the 35 MiB
+# that importing icnsim takes (`icnsim run` on the largest default mMTC sweep
+# point, 1.05M devices, peaks near 140 MiB), so the cap is about 0.45 GiB.
 MAX_DEVICES = 4_000_000
 
 
@@ -693,18 +704,6 @@ def generate_topology(params, seed: int) -> WeightedGraph:
         kinds[devices[:half]] = _KIND_INDEX[NodeKind.PC]
         kinds[devices[half:]] = _KIND_INDEX[NodeKind.MOBILE_DEVICE]
 
-    mems = np.full(n, DEFAULT_MEMORY, dtype=np.int64)
-    storages = np.full(n, DEFAULT_STORAGE, dtype=np.int64)
-    downs = np.full(n, DEFAULT_DOWNLINK, dtype=np.int64)
-    ups = np.full(n, DEFAULT_UPLINK, dtype=np.int64)
-    computes = np.full(n, DEFAULT_COMPUTE, dtype=np.int64)
-    if scenario == "mmtc":
-        mems[devices] = _MMTC_MEMORY
-        storages[devices] = _MMTC_STORAGE
-        downs[devices] = _MMTC_DOWNLINK
-        ups[devices] = _MMTC_UPLINK
-        computes[devices] = _MMTC_COMPUTE
-
     # The layers attach in id order, so node i's parent and depth are the
     # (i + 1)-th entries of these lists. A parent's id is one Python int
     # shared by all its children's entries. Edge i - 1 joins node i to its
@@ -746,10 +745,7 @@ def generate_topology(params, seed: int) -> WeightedGraph:
     else:
         attach(devices, aps, devices_per_ap, draw(*_LOCAL_LAT, n_devices))
 
-    g = WeightedGraph(
-        kinds, mems, storages, downs, ups, computes, ea, eb, ew,
-        WeightUnit.LATENCY_US,
-    )
+    g = WeightedGraph(kinds, ea, eb, ew, WeightUnit.LATENCY_US)
     g._tree = (True, parents, depths)  # what _tree_info's BFS would find
     return g
 
@@ -759,11 +755,11 @@ def generate_topology(params, seed: int) -> WeightedGraph:
 
 def graph_to_text(g: WeightedGraph) -> str:
     lines = [f"graph {g.unit.value} {g.n}"]
-    for i in range(g.n):
-        lines.append(
-            f"node {i} {g.kind(i).value} {g.mems[i]} {g.storages[i]} "
-            f"{g.downs[i]} {g.ups[i]} {g.computes[i]}"
-        )
+    columns = (g.mems, g.storages, g.downs, g.ups, g.computes)
+    for i, (k, mem, sto, down, up, cpu) in enumerate(
+        zip(g.kinds.tolist(), *(c.tolist() for c in columns))
+    ):
+        lines.append(f"node {i} {_KIND_ORDER[k].value} {mem} {sto} {down} {up} {cpu}")
     for a, b, w in zip(g.ea.tolist(), g.eb.tolist(), g.ew.tolist()):
         lines.append(f"edge {a} {b} {w}")
     return "\n".join(lines) + "\n"

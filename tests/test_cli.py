@@ -140,6 +140,23 @@ class TestGenTopo:
         main(["gen-topo", "--config", config_path, "--seed", "5", "--out", str(out_b)])
         assert (out_a / "topology.txt").read_bytes() == (out_b / "topology.txt").read_bytes()
 
+    # Every node line carries its resources, so these pin the resources of
+    # every node kind as well as the generated shape and weights.
+    @pytest.mark.parametrize("config,digest", [
+        ("scenario = embb\nsweep_values = 8\nseeds = 5\nn_devices = 512\n",
+         "057e30f82c314f0f1aaa8eb48b33fba111f2d5c2cea2b00d608685546ad25582"),
+        ("scenario = urllc\nsweep_values = 4\nseeds = 2\nn_devices = 300\n",
+         "49903c3e39213e52f77ddd50b8c9b7e21b6eedde7c21d8d9a83921b46534e176"),
+        ("scenario = mmtc\nsweep_values = 2\nseeds = 3\narea_km2 = 0.5\n",
+         "a2f7223dc95134cf581b58b036e0db4882e7e3ee6cd3ba2eaa6a7abd32033281"),
+    ], ids=["embb", "urllc", "mmtc"])
+    def test_golden_topology(self, config, digest, tmp_path):
+        cfg = tmp_path / "golden.cfg"
+        cfg.write_text(config)
+        out = tmp_path / "out"
+        assert main(["gen-topo", "--config", str(cfg), "--out", str(out)]) == 0
+        assert hashlib.sha256((out / "topology.txt").read_bytes()).hexdigest() == digest
+
     def test_missing_config_exits_one(self, tmp_path, capsys):
         assert main(["gen-topo", "--config", str(tmp_path / "nope.cfg")]) == 1
         assert "error:" in capsys.readouterr().err

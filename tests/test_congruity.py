@@ -431,12 +431,27 @@ class TestTrain:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_loss_raises(self):
+        # a finite label whose squared error overflows
         dp, dg = self.toy_data(n=8)
         vals, mask = dg.label_arrays("distance")
-        dg = Dataset("general", dg.features, {"distance": (np.r_[np.inf, vals[1:]], mask)})
+        dg = Dataset("general", dg.features, {"distance": (np.r_[1e300, vals[1:]], mask)})
         h = Hyperparams(max_epochs=3, learning_rate=0.05, batch_size=8)
         with pytest.raises(NonFiniteLoss):
             train(dp, dg, h, (N_FEATURES, 4, 1), d_max=200)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_label_is_rejected_naming_the_sample(self, value):
+        dp, dg = self.toy_data(n=8)
+        vals, mask = dg.label_arrays("distance")
+        with pytest.raises(InvalidParams, match="^sample 2: label 'distance' must be finite$"):
+            Dataset("general", dg.features, {"distance": (np.r_[vals[:2], value, vals[3:]], mask)})
+
+    def test_non_finite_value_of_an_unlabeled_sample_is_ignored(self):
+        dp, dg = self.toy_data(n=8)
+        vals, mask = dg.label_arrays("distance")
+        ds = Dataset("general", dg.features,
+                     {"distance": (np.r_[np.inf, vals[1:]], np.r_[0.0, mask[1:]])})
+        assert ds.label_arrays("distance")[0][0] == 0.0
 
     def test_arch_validation(self):
         dp, dg = self.toy_data(n=8)

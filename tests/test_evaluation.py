@@ -383,6 +383,25 @@ class TestDetailsOnRequest:
         assert evaluation._run_point(point, 0)[2] is None
         assert len(evaluation._run_point(point, 0, with_details=True)[2]) == 60
 
+    @pytest.mark.parametrize("overrides", [
+        dict(sweep_values=(8,)),
+        dict(scenario="mmtc", sweep_values=(2,), area_km2=0.05),
+    ], ids=["embb", "mmtc"])
+    def test_a_point_without_the_learner_derives_no_node_resources(self, overrides, monkeypatch):
+        # no resource column is read, so none is filled from the node kinds
+        graphs = []
+
+        def kept(params, seed):
+            graphs.append(generate_topology(params, seed))
+            return graphs[-1]
+
+        monkeypatch.setattr(evaluation, "generate_topology", kept)
+        (point,) = sweep_points(small_params(**overrides))
+        evaluation._run_point(point, 0)
+        (g,) = graphs
+        assert not set(topology._RESOURCE_COLUMNS) & set(vars(g))
+        assert g.mems is vars(g)["mems"]  # a read fills a column the check would see
+
     def test_a_replayed_request_holds_under_0_3_kib(self):
         # What a request holds until its point ends (its draws and record),
         # from the tracemalloc peaks of runs at two request counts; a kept

@@ -15,6 +15,7 @@ from icnsim.errors import (
 from icnsim.evaluation import DEFAULT_SWEEPS, ScenarioParams
 from icnsim.topology import (
     FORWARDING_KINDS,
+    KIND_RESOURCES,
     MAX_DEVICES,
     Edge,
     Node,
@@ -109,6 +110,69 @@ class TestBuildGraph:
                       downlink_bw=30_000, uplink_bw=10_000, compute=1_000_000)],
                 [], "latency_us",
             )
+
+
+# The resource columns as the generator used to fill them per node: the
+# full-size values everywhere, then the constrained ones on mMTC devices.
+FULL_SIZE = (8_000_000_000, 100_000_000_000, 1_200_000_000, 400_000_000, 2_100_000_000)
+CONSTRAINED = (32_000, 200_000, 30_000, 10_000, 32_000_000)
+RESOURCE_COLUMNS = ("mems", "storages", "downs", "ups", "computes")
+
+
+def node_resources(node):
+    return (node.memory_total, node.storage, node.downlink_bw, node.uplink_bw, node.compute)
+
+
+class TestKindResources:
+    @pytest.mark.parametrize("case", [
+        dict(scenario="embb", n_devices=300),
+        dict(scenario="urllc", n_devices=200, latency_ms=2.0),
+        dict(scenario="mmtc", area_km2=0.02),
+    ], ids=["embb", "urllc", "mmtc"])
+    def test_derived_columns_equal_the_per_node_fill(self, case):
+        g = generate_topology(ScenarioParams(**case), 5)
+        assert not set(RESOURCE_COLUMNS) & set(vars(g))
+        devices = g.nodes_of_kind(NodeKind.MMTC_DEVICE)
+        for name, full, constrained in zip(RESOURCE_COLUMNS, FULL_SIZE, CONSTRAINED):
+            want = np.full(g.n, full, dtype=np.int64)
+            want[devices] = constrained
+            got = getattr(g, name)
+            assert got.dtype == np.int64 and got.tobytes() == want.tobytes()
+            assert getattr(g, name) is got  # filled once, then kept
+
+    def test_nodes_agree_with_the_table(self):
+        assert set(KIND_RESOURCES) == set(NodeKind)
+        nodes = [mmtc_node(i) if kind == NodeKind.MMTC_DEVICE else Node(i, kind)
+                 for i, kind in enumerate(NodeKind)]
+        for node in nodes:
+            want = CONSTRAINED if node.kind == NodeKind.MMTC_DEVICE else FULL_SIZE
+            assert node_resources(node) == KIND_RESOURCES[node.kind] == want
+        g = build_graph(nodes, [Edge(0, i, 1) for i in range(1, len(nodes))], "latency_us")
+        derived = WeightedGraph(g.kinds, g.ea, g.eb, g.ew, g.unit)
+        for name in RESOURCE_COLUMNS:
+            assert getattr(derived, name).tobytes() == getattr(g, name).tobytes()
+
+    def test_explicit_columns_are_kept(self):
+        zero = np.zeros(3, dtype=np.int64)
+        g = WeightedGraph.from_arrays(
+            [1, 1, 1], zero, zero, zero, zero, zero, [0, 1], [1, 2], [4, 5], "latency_us"
+        )
+        for name in RESOURCE_COLUMNS:
+            assert getattr(g, name).tolist() == [0, 0, 0]
+
+    def test_generation_allocates_under_90_bytes_per_node(self):
+        # about 100k mMTC devices; the five per-node int64 resource columns
+        # the generator used to fill took its peak to 105-112 B per node; it is
+        # 65-72 B without them
+        params = ScenarioParams(scenario="mmtc", density_k_per_km2=100.0)
+        tracemalloc.start()
+        try:
+            g = generate_topology(params, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g.n > 100_000
+        assert peak / g.n < 90
 
 
 class TestMeasureDistance:
