@@ -7,7 +7,7 @@ from icnsim import (
     prefetch_plan, zipf_popularity,
 )
 from icnsim.ilm import register
-from icnsim.topology import NodeKind
+from icnsim.topology import NodeKind, hop_distance
 from icnsim.userplane import (
     address_of, apply_prefetch, build_network, deliver_data, handle_request,
     traces_to_csv,
@@ -47,9 +47,10 @@ plan = prefetch_plan(
     nc, {obj.id: float(fp[obj.popularity_rank - 1]) for obj in catalog},
     budget=3, seed=1,
 )
-print("\nplacement probabilities sum to", round(plan.total_probability, 12))
+print("\nplacement probabilities sum to", round(float(plan.probabilities.sum()), 12))
 placed = apply_prefetch(net, plan)
-for oid, node, hops in placed:
+for oid, node in placed:
+    hops = hop_distance(g, publisher, node)
     print(f"  placed {oid.hex[:10]}.. at node {node} ({hops} hops from the publisher)")
 
 other_device = int(g.nodes_of_kind(NodeKind.PC)[5])

@@ -9,7 +9,6 @@ from .containment import (
     Target,
     TargetMode,
     containerize,
-    containerize_level,
     validate_hierarchy,
 )
 from .congruity import (

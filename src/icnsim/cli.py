@@ -75,7 +75,7 @@ CONFIG_KEYS = {
     "data_rate_mbps": (_parse_float, "eMBB data rate"),
     "service_seconds": (_parse_float, "nominal service duration per object"),
     "targets_us": (_list_of(int), "containerization targets"),
-    "target_mode": (str, "additive | bottleneck | exact_hit (containerize only)"),
+    "target_mode": (TargetMode, "additive | bottleneck | exact_hit (containerize only)"),
     "request_count": (int, "requests per sweep point"),
     "catalog_size": (int, "content objects"),
     "cache_fraction": (_parse_float, "media cache budget as a catalog-volume fraction"),
@@ -290,21 +290,21 @@ def _reports_from_csv(path) -> list:
         if not ln.strip():
             continue
         parts = ln.split(",")
+        if len(parts) != 8:
+            raise InvalidParams(f"{path}, line {lineno}: {len(parts)} columns, not 8")
         try:
             reports.append(
                 evaluation.ItoReport(
                     scenario=parts[0],
                     sweep_variable=parts[1],
-                    sweep_value=float(parts[2]),
+                    sweep_value=_parse_float(parts[2]),
                     seed=int(parts[3]),
                     request_count=int(parts[4]),
-                    ito=float(parts[5]),
-                    mean_hops=float(parts[6]),
-                    cache_hit_rate=float(parts[7]),
+                    ito=_parse_float(parts[5]),
+                    mean_hops=_parse_float(parts[6]),
+                    cache_hit_rate=_parse_float(parts[7]),
                 )
             )
-        except IndexError:
-            raise InvalidParams(f"{path}, line {lineno}: too few columns") from None
         except ValueError as exc:
             raise InvalidParams(f"{path}, line {lineno}: {exc}") from None
     return reports

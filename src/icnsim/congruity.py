@@ -739,8 +739,10 @@ class DatasetSpec:
         if self.noise_std < 0:
             raise InvalidSpec("noise_std must be non-negative")
         props = np.asarray(self.class_proportions, dtype=np.float64)
-        if len(props) < 1 or props.min() < 0 or props.sum() <= 0:
-            raise InvalidSpec("class_proportions must be non-negative with positive sum")
+        with np.errstate(over="ignore"):  # an overflowing sum is rejected below
+            total = props.sum()
+        if len(props) < 1 or props.min() < 0 or not 0 < total < np.inf:
+            raise InvalidSpec("class_proportions must be non-negative with a finite positive sum")
         return self
 
 
@@ -831,13 +833,8 @@ def model_to_text(ps: ParameterSet, h: Hyperparams) -> str:
     return "\n".join(lines) + "\n"
 
 
-def save_model(ps: ParameterSet, h: Hyperparams, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(model_to_text(ps, h))
-
-
 def load_model(path):
-    """Read a model written by `save_model`; anything it cannot have written
+    """Read a model file as `model_to_text` writes it; anything it cannot have written
     raises InvalidParams naming the file and the line or neuron.
 
     The file keeps weights, biases and alive flags but not the frozen

@@ -48,10 +48,9 @@ class Container:
 
     `nodes` holds the member node ids in ascending order as a read-only int64
     array; `containerize` stores a slice of the level's read-only sorted node
-    array there. Any other iterable of ids (a frozenset, a list) is sorted
-    into one at construction; an int64 array is taken as given, through a
-    read-only view when it is writeable. Containers compare by identity: two
-    containers with equal fields are still two containers.
+    array there. The array is taken as given, through a read-only view when
+    it is writeable. Containers compare by identity: two containers with
+    equal fields are still two containers.
     """
 
     level: int
@@ -59,11 +58,8 @@ class Container:
     nodes: np.ndarray
 
     def __post_init__(self):
-        nodes = self.nodes
-        if not (isinstance(nodes, np.ndarray) and nodes.dtype == np.int64):
-            nodes = np.array(sorted(set(nodes)), dtype=np.int64)
-        if nodes.flags.writeable:
-            nodes = nodes.view()
+        if self.nodes.flags.writeable:
+            nodes = self.nodes.view()
             nodes.flags.writeable = False
             object.__setattr__(self, "nodes", nodes)
 
@@ -216,13 +212,6 @@ def _containers(level: int, labels: np.ndarray, k: int) -> list:
     ]
 
 
-def containerize_level(g: WeightedGraph, t: Target) -> list:
-    """One containerization level: a partition of the graph's nodes, each
-    container seeded by the lowest still-unassigned node id. Deterministic."""
-    _check_graph(g, t)
-    return _containers(t.level, *_level_labels(g, t))
-
-
 def _quotient(g: WeightedGraph, labels: np.ndarray, k: int, mode: TargetMode) -> WeightedGraph:
     """Collapse each container to a super-node; parallel inter-container edges
     aggregate to the minimum weight (additive) or the maximum (bottleneck)."""
@@ -240,12 +229,10 @@ def _quotient(g: WeightedGraph, labels: np.ndarray, k: int, mode: TargetMode) ->
     else:
         agg = np.full(len(uniq), np.iinfo(np.int64).max, dtype=np.int64)
         np.minimum.at(agg, inv, w)
-    qa = (uniq // k).astype(np.int64)
-    qb = (uniq % k).astype(np.int64)
-    zero = np.zeros(k, dtype=np.int64)
-    return WeightedGraph.from_arrays(
+    # uniq ascends by (lo, hi), which is the canonical edge order
+    return WeightedGraph(
         np.full(k, 1, dtype=np.int8),  # switch placeholders; only weights matter here
-        zero, zero, zero, zero, zero, qa, qb, agg, g.unit,
+        uniq // k, uniq % k, agg, g.unit,
     )
 
 
@@ -371,14 +358,14 @@ def hierarchy_from_text(text: str, graph: WeightedGraph) -> ContainerHierarchy:
             raise InvalidParams(f"{where}: unknown line {parts[0]!r}")
         try:
             level, index = int(parts[1]), int(parts[2])
-            nodes = frozenset(int(x) for x in parts[3].split(","))
+            ids = [int(x) for x in parts[3].split(",")]
         except IndexError:
             raise InvalidParams(f"{where}: too few fields in container line") from None
         except ValueError as exc:
             raise InvalidParams(f"{where}: {exc}") from None
-        if min(nodes) < 0 or max(nodes) >= graph.n:
+        if min(ids) < 0 or max(ids) >= graph.n:
             raise InvalidParams(f"{where}: node ids outside the {graph.n}-node graph")
-        by_level.setdefault(level, []).append((index, nodes))
+        by_level.setdefault(level, []).append((index, np.unique(np.array(ids, dtype=np.int64))))
     levels = [
         [Container(level=level, index=index, nodes=nodes)
          for index, nodes in sorted(by_level[level], key=lambda row: row[0])]

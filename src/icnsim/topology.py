@@ -44,17 +44,10 @@ class NodeKind(str, Enum):
 FORWARDING_KINDS = frozenset(
     {NodeKind.SWITCH, NodeKind.ACCESS_POINT, NodeKind.GATEWAY}
 )
-END_DEVICE_KINDS = frozenset(
-    {NodeKind.PC, NodeKind.MOBILE_DEVICE, NodeKind.MMTC_DEVICE}
-)
 
 _KIND_ORDER = list(NodeKind)
 _KIND_INDEX = {k: i for i, k in enumerate(_KIND_ORDER)}
 _FORWARDING_INDICES = sorted(_KIND_INDEX[k] for k in FORWARDING_KINDS)
-
-# 80% of memory is reserved for audio-visual media on full-size elements;
-# constrained machine-type devices keep no media partition.
-MEDIA_MEMORY_SHARE = 0.8
 
 # Full-size element defaults: 8 GB memory, 1.2 Gb/s down / 0.4 Gb/s up.
 DEFAULT_MEMORY = 8_000_000_000
@@ -67,7 +60,6 @@ DEFAULT_COMPUTE = 2_100_000_000
 MMTC_MAX_COMPUTE = 50_000_000
 MMTC_MAX_MEMORY = 50_000
 MMTC_MAX_STORAGE = 300_000
-MMTC_MAX_PAYLOAD = 128
 
 # Resources of each node kind, in Node's field order: memory, storage,
 # downlink, uplink, compute. A generated graph derives its nodes' resources
@@ -80,12 +72,6 @@ KIND_RESOURCES[NodeKind.MMTC_DEVICE] = (32_000, 200_000, 30_000, 10_000, 32_000_
 _RESOURCE_TABLE = np.array([KIND_RESOURCES[k] for k in _KIND_ORDER], dtype=np.int64)
 
 
-def media_partition(kind: NodeKind, memory_total: int) -> int:
-    if kind == NodeKind.MMTC_DEVICE:
-        return 0
-    return int(math.floor(MEDIA_MEMORY_SHARE * memory_total))
-
-
 @dataclass(frozen=True)
 class Node:
     id: int
@@ -95,15 +81,6 @@ class Node:
     downlink_bw: int = DEFAULT_DOWNLINK
     uplink_bw: int = DEFAULT_UPLINK
     compute: int = DEFAULT_COMPUTE
-
-    @property
-    def memory_media_partition(self) -> int:
-        return media_partition(self.kind, self.memory_total)
-
-
-def mmtc_node(node_id: int) -> Node:
-    """A constrained machine-type device with compliant resource ceilings."""
-    return Node(node_id, NodeKind.MMTC_DEVICE, *KIND_RESOURCES[NodeKind.MMTC_DEVICE])
 
 
 @dataclass(frozen=True)

@@ -25,11 +25,10 @@ from .errors import (
     LocatorLimitExceeded,
     NoRoute,
     NotFound,
-    Unreachable,
     Unresolvable,
 )
 from .ilm import GlobalId, NetworkAddress, Resolver, resolve, update_binding
-from .topology import WeightedGraph, closest_path, hop_distance
+from .topology import WeightedGraph, closest_path
 
 _ADDR_BASE = 0x0A000000  # 10.0.0.0/8; node id maps directly into it
 
@@ -117,10 +116,6 @@ class PrefetchPlan:
     nodes: list
     objects: list
     probabilities: np.ndarray
-
-    @property
-    def total_probability(self) -> float:
-        return float(self.probabilities.sum())
 
 
 class NetState:
@@ -333,10 +328,9 @@ def prefetch_plan(nc: dict, fp: dict, budget: int, seed: int) -> PrefetchPlan:
 
 
 def apply_prefetch(net: NetState, plan: PrefetchPlan) -> list:
-    """Execute a plan: insert each object into the target's media store,
-    register the explicit copy with the resolver (until the locator cap) and
-    report the publisher-to-target hop distance of each placed copy (-1
-    when unreachable). Returns (object id, node, hops) per placed copy."""
+    """Execute a plan: insert each object into the target's media store and
+    register the explicit copy with the resolver (until the locator cap).
+    Returns (object id, node) per placed copy."""
     placed = []
     for oid, node, _p in plan.placements:
         obj = net.objects.get(oid)
@@ -351,11 +345,7 @@ def apply_prefetch(net: NetState, plan: PrefetchPlan) -> list:
             net.explicit.add((node, oid))
         except LocatorLimitExceeded:
             pass  # cached copy stays useful on-path even when unregistered
-        try:
-            hops = hop_distance(net.graph, obj.publisher, node)
-        except Unreachable:
-            hops = -1
-        placed.append((oid, node, hops))
+        placed.append((oid, node))
     return placed
 
 

@@ -401,7 +401,7 @@ def test_criterion_6_prefetch_distribution():
     nc = {i: float(rng.uniform(0.2, 3.0)) for i in range(3)}
     fp = {GlobalId(i): float(rng.uniform(0.2, 3.0)) for i in range(4)}
     plan = prefetch_plan(nc, fp, budget=5, seed=0)
-    assert abs(plan.total_probability - 1.0) <= 1e-9
+    assert abs(plan.probabilities.sum() - 1.0) <= 1e-9
 
     probs = plan.probabilities.ravel()
     draw_rng = np.random.default_rng(606)

@@ -546,6 +546,8 @@ MALFORMED_INPUTS = {
     "report-wrong-header": ("report", REPORT.replace("seed", "run")),
     "report-short-row": ("report", REPORT + "embb,data_rate_mbps,8.0,1\n"),
     "report-non-numeric-row": ("report", REPORT + "embb,data_rate_mbps,8.0,1,40,high,1.5,0.25\n"),
+    "report-long-row": ("report", REPORT + "embb,data_rate_mbps,8.0,1,40,0.5,1.5,0.25,9\n"),
+    "report-nan-ito": ("report", REPORT + "embb,data_rate_mbps,8.0,1,40,nan,1.5,0.25\n"),
     "dataset-empty": ("train", ""),
     "dataset-non-numeric-cell": (
         "train", DATASET + ",".join(["0.5"] * (len(FEATURE_NAMES) - 1) + ["x"] + [""] * len(LABEL_KINDS)) + "\n"
@@ -606,6 +608,13 @@ MALFORMED_VALUES = {
         "run", "prefetch_budget = 0\nprefetch_candidates = 0", [], "prefetch_candidates"
     ),
     "negative-prefetch-top-j": ("run", "prefetch_top_j = -2", [], "prefetch_top_j"),
+    "unknown-target-mode-containerize": (
+        "containerize", "target_mode = nonsense", ["--topo", "topology.txt"], "target_mode"
+    ),
+    "unknown-target-mode-run": ("run", "target_mode = nonsense", [], "target_mode"),
+    "infinite-class-proportion-sum": (
+        "train", "class_proportions = 1e308, 1e308", [], "class_proportions"
+    ),
 }
 
 

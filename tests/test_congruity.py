@@ -28,7 +28,6 @@ from icnsim.congruity import (
     predict_distance,
     regularizer,
     save_dataset,
-    save_model,
     synthesize_dataset,
     train,
 )
@@ -955,7 +954,7 @@ class TestModelAndDatasetFiles:
         ps.alive[1][2] = 0.0
         h = Hyperparams(alpha=0.37, lambda_q=0.125, rng_seed=99)
         path = tmp_path / "model.txt"
-        save_model(ps, h, path)
+        path.write_text(model_to_text(ps, h))
         ps2, h2 = load_model(path)
         assert ps2.widths == ps.widths
         assert h2 == h
@@ -965,8 +964,7 @@ class TestModelAndDatasetFiles:
             assert np.array_equal(a, b)
         for a, b in zip(ps.alive, ps2.alive):
             assert np.array_equal(a, b)
-        save_model(ps2, h2, tmp_path / "again.txt")
-        assert (tmp_path / "again.txt").read_text() == path.read_text()
+        assert model_to_text(ps2, h2) == path.read_text()
 
     @pytest.mark.parametrize("bad,message", [
         ("dmax", "line 2: too few fields in dmax line"),

@@ -9,7 +9,6 @@ from icnsim.containment import (
     TargetMode,
     _grouping_labels,
     containerize,
-    containerize_level,
     hierarchy_from_text,
     hierarchy_to_text,
     validate_hierarchy,
@@ -24,6 +23,10 @@ from oracles import oracle_hierarchy, oracle_level_groups
 def make(n, edges, unit="latency_us"):
     nodes = [Node(i, NodeKind.SWITCH) for i in range(n)]
     return build_graph(nodes, [Edge(*e) for e in edges], unit)
+
+
+def ids(*nodes):
+    return np.array(nodes, dtype=np.int64)
 
 
 def members(containers):
@@ -48,35 +51,35 @@ def random_graph(rng, n, max_extra=4):
 class TestContainerizeLevel:
     def test_single_isolated_node(self):
         g = make(1, [])
-        out = containerize_level(g, Target(1, 5))
+        out = containerize(g, [Target(1, 5)]).levels[0]
         assert members(out) == [[0]]
 
     def test_edge_not_under_target_stays_split(self):
         # brute-force oracle agrees: weight 10 is not contracted for T=5
         g = make(2, [(0, 1, 10)])
-        out = containerize_level(g, Target(1, 5))
+        out = containerize(g, [Target(1, 5)]).levels[0]
         assert members(out) == [[0], [1]]
         assert members(out) == oracle_level_groups(2, [(0, 1, 10)], 5, "additive")
 
     def test_contracted_chain_merges(self):
         edges = [(0, 1, 2), (1, 2, 2)]
         g = make(3, edges)
-        out = containerize_level(g, Target(1, 5))
+        out = containerize(g, [Target(1, 5)]).levels[0]
         assert members(out) == [[0, 1, 2]]
         assert members(out) == oracle_level_groups(3, edges, 5, "additive")
 
     def test_bottleneck_keeps_wide_links(self):
         edges = [(0, 1, 10), (1, 2, 3)]
         g = make(3, edges, "bandwidth_bps")
-        out = containerize_level(g, Target(1, 5, TargetMode.BOTTLENECK))
+        out = containerize(g, [Target(1, 5, TargetMode.BOTTLENECK)]).levels[0]
         assert members(out) == [[0, 1], [2]]
         assert members(out) == oracle_level_groups(3, edges, 5, "bottleneck")
 
     def test_exact_hit_closes_the_bound(self):
         edges = [(0, 1, 5), (1, 2, 9)]
         g = make(3, edges)
-        closed = containerize_level(g, Target(1, 5, TargetMode.EXACT_HIT))
-        open_ = containerize_level(g, Target(1, 5))
+        closed = containerize(g, [Target(1, 5, TargetMode.EXACT_HIT)]).levels[0]
+        open_ = containerize(g, [Target(1, 5)]).levels[0]
         assert members(closed) == oracle_level_groups(3, edges, 5, "exact_hit")
         assert members(closed) == [[0, 1], [2]]
         assert members(open_) == [[0], [1], [2]]
@@ -84,10 +87,10 @@ class TestContainerizeLevel:
     def test_unit_mismatch(self):
         g = make(2, [(0, 1, 3)], "bandwidth_bps")
         with pytest.raises(UnitMismatch):
-            containerize_level(g, Target(1, 5))
+            containerize(g, [Target(1, 5)])
         g2 = make(2, [(0, 1, 3)])
         with pytest.raises(UnitMismatch):
-            containerize_level(g2, Target(1, 5, TargetMode.BOTTLENECK))
+            containerize(g2, [Target(1, 5, TargetMode.BOTTLENECK)])
 
     def test_matches_oracle_on_random_graphs(self):
         rng = np.random.default_rng(100)
@@ -98,7 +101,7 @@ class TestContainerizeLevel:
             mode = ("additive", "bottleneck", "exact_hit")[int(rng.integers(0, 3))]
             unit = "bandwidth_bps" if mode == "bottleneck" else "latency_us"
             g = make(n, edges, unit)
-            out = containerize_level(g, Target(1, target, TargetMode(mode)))
+            out = containerize(g, [Target(1, target, TargetMode(mode))]).levels[0]
             assert members(out) == oracle_level_groups(n, edges, target, mode)
 
 
@@ -135,9 +138,9 @@ class TestContainerize:
         assert writeable.flags.writeable
 
     def test_single_target_equals_single_level(self):
-        g = make(3, [(0, 1, 2), (1, 2, 9)])
-        h = containerize(g, [Target(1, 5)])
-        assert members(h.levels[0]) == members(containerize_level(g, Target(1, 5)))
+        edges = [(0, 1, 2), (1, 2, 9)]
+        h = containerize(make(3, edges), [Target(1, 5)])
+        assert members(h.levels[0]) == oracle_level_groups(3, edges, 5, "additive")
 
     def test_unit_mismatch(self):
         # the first level checks the unit for every level: modes are shared
@@ -212,27 +215,20 @@ class TestContainerize:
             n = int(rng.integers(3, 10))
             g = make(n, random_graph(rng, n))
             counts = [
-                len(containerize_level(g, Target(1, t))) for t in (2, 5, 12, 25, 60)
+                len(containerize(g, [Target(1, t)]).levels[0]) for t in (2, 5, 12, 25, 60)
             ]
             assert counts == sorted(counts, reverse=True)
 
 
 class TestContainer:
-    def test_nodes_ascending_from_any_iterable(self):
-        c = Container(1, 1, frozenset({2, 0}))
-        assert c.nodes.dtype == np.int64
-        assert c.nodes.tolist() == [0, 2]
-        assert Container(1, 1, [5, 3, 5]).nodes.tolist() == [3, 5]
-        assert Container(1, 1, frozenset()).nodes.tolist() == []
-
     def test_nodes_are_read_only(self):
         c = Container(1, 1, np.array([0, 2], dtype=np.int64))
         with pytest.raises(ValueError):
             c.nodes[0] = 1
 
     def test_equality_is_identity(self):
-        a = Container(1, 1, frozenset({0, 1}))
-        b = Container(1, 1, frozenset({0, 1}))
+        a = Container(1, 1, ids(0, 1))
+        b = Container(1, 1, ids(0, 1))
         assert a == a and a != b
         assert len({a, b, a}) == 2
 
@@ -260,8 +256,8 @@ class TestValidateHierarchy:
         g = make(3, [(0, 1, 1)])
         h = ContainerHierarchy(
             levels=[[
-                Container(1, 1, frozenset({0, 1})),
-                Container(1, 2, frozenset({1, 2})),
+                Container(1, 1, ids(0, 1)),
+                Container(1, 2, ids(1, 2)),
             ]],
             source_graph=g,
         )
@@ -272,7 +268,7 @@ class TestValidateHierarchy:
     def test_coverage_violation(self):
         g = make(3, [(0, 1, 1)])
         h = ContainerHierarchy(
-            levels=[[Container(1, 1, frozenset({0, 1}))]],
+            levels=[[Container(1, 1, ids(0, 1))]],
             source_graph=g,
         )
         report = validate_hierarchy(h)
@@ -283,8 +279,8 @@ class TestValidateHierarchy:
         g = make(2, [(0, 1, 1)])
         h = ContainerHierarchy(
             levels=[
-                [Container(1, 1, frozenset({0, 1}))],
-                [Container(2, 1, frozenset({0}))],
+                [Container(1, 1, ids(0, 1))],
+                [Container(2, 1, ids(0))],
             ],
             source_graph=g,
         )
@@ -293,7 +289,7 @@ class TestValidateHierarchy:
     def test_nodes_outside_the_graph(self):
         g = make(2, [(0, 1, 1)])
         h = ContainerHierarchy(
-            levels=[[Container(1, 1, frozenset({0, 1, 7}))]],
+            levels=[[Container(1, 1, ids(0, 1, 7))]],
             source_graph=g,
         )
         report = validate_hierarchy(h)
@@ -437,6 +433,7 @@ class TestHierarchyDump:
     @pytest.mark.parametrize("line", [
         "container 1", "container x 1 0", "container 1 1 0,a",
         "container 2 1 0,2", "container 2 1 -1,0",  # ids outside the 2-node graph
+        "container 2 1 0,99999999999999999999",
     ])
     def test_malformed_line_raises_invalid_params_with_its_line(self, line):
         text = "container 1 0 0,1\n\n" + line + "\n"
@@ -460,3 +457,12 @@ class TestHierarchyDump:
         g = make(3, [(0, 1, 1)])
         again = hierarchy_from_text("container 1 1 0,2\n", g)
         assert again.labels()[0].tolist() == [0, -1, 0]
+
+    def test_unsorted_and_repeated_ids_read_as_their_sorted_set(self):
+        g = make(3, [(0, 1, 1)])
+        messy = hierarchy_from_text("container 1 1 2,0,2\n", g)
+        clean = hierarchy_from_text("container 1 1 0,2\n", g)
+        (got,), (want,) = messy.levels[0], clean.levels[0]
+        assert got.nodes.dtype == np.int64 and not got.nodes.flags.writeable
+        assert got.nodes.tolist() == want.nodes.tolist() == [0, 2]
+        assert messy.labels()[0].tolist() == clean.labels()[0].tolist()

@@ -1,0 +1,96 @@
+"""Every name that `src/icnsim` defines has a reader in `src/`, or a stated
+reason to stay.
+
+A reader is a word-boundary mention of the name anywhere in `src/icnsim`
+outside the name's own definition and `__init__.py`, whose imports only
+re-export. Tests, demos and `perfbench/` do not count: a name that only they
+read is code that no run and no command needs. Names are the top-level
+functions, classes and constants of each module and the methods of each
+class (dunder methods are called implicitly and are not checked).
+"""
+
+import ast
+import re
+from collections import defaultdict
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "icnsim"
+
+# name -> why it stays although nothing in src/ reads it
+KEPT = {
+    "__version__": "the package's version attribute, read by users and tools",
+    "NetState.local_ilm": "perfbench/mesh.py registers through it",
+    "next_hop_toward": "the perfbench tracer hooks it",
+    "Gateway": "acceptance criterion 7 names the 8-bit local namespace",
+    "Gateway.register_local": "part of the Gateway of acceptance criterion 7",
+    "Gateway.deregister_local": "part of the Gateway of acceptance criterion 7",
+    "Gateway.translate": "part of the Gateway of acceptance criterion 7",
+    "Gateway.translate_back": "part of the Gateway of acceptance criterion 7",
+    "dump_table": "two property tests compare resolver state in its format",
+    "measure_distance": "ROADMAP item 8 (latency-aware host choice) reads it",
+    "traces_to_csv": "ROADMAP item 4 (traces from the CLI) reads it",
+    "load_model": "ROADMAP item 6 (one pipeline) reads kept models with it",
+    "hierarchy_from_text": "ROADMAP item 6 (one pipeline) reads kept hierarchies with it",
+    "save_dataset": "the only writer of the documented dataset format; the CI smoke step uses it",
+    "forward_negative": "the public negative pass, the counterpart of forward_positive",
+}
+
+
+def _definitions():
+    """qualified name -> (bare name, file, first line, last line) for every
+    top-level function, class and constant and every non-dunder method."""
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            span = (path.name, node.lineno, node.end_lineno)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                found[node.name] = (node.name, *span)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    if isinstance(target, ast.Name):
+                        found[target.id] = (target.id, *span)
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                        found[f"{node.name}.{item.name}"] = (
+                            item.name, path.name, item.lineno, item.end_lineno
+                        )
+    return found
+
+
+def _mentions():
+    """word -> [(file, line)] over src/icnsim outside __init__.py. A name is
+    all word characters, so a regex word-boundary match of it is exactly a
+    maximal run of word characters equal to it."""
+    where = defaultdict(list)
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+            for word in re.findall(r"\w+", line):
+                where[word].append((path.name, lineno))
+    return where
+
+
+DEFINITIONS = _definitions()
+MENTIONS = _mentions()
+
+
+def _readers(qualified):
+    name, path, first, last = DEFINITIONS[qualified]
+    return [
+        (p, line) for p, line in MENTIONS[name]
+        if not (p == path and first <= line <= last)
+    ]
+
+
+def test_every_name_has_a_reader_in_src_or_a_reason_to_stay():
+    unread = [q for q in DEFINITIONS if q not in KEPT and not _readers(q)]
+    assert unread == [], f"no reader in src/ and no entry in KEPT: {unread}"
+
+
+def test_every_kept_name_exists_and_still_has_no_reader():
+    assert sorted(set(KEPT) - set(DEFINITIONS)) == []
+    read = {q: _readers(q) for q in KEPT if _readers(q)}
+    assert read == {}, f"these have readers now; drop them from KEPT: {read}"

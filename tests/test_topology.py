@@ -29,7 +29,6 @@ from icnsim.topology import (
     hop_distance,
     hop_path,
     measure_distance,
-    mmtc_node,
     next_hop_toward,
     node_centrality,
     _dists_to,
@@ -94,13 +93,8 @@ class TestBuildGraph:
         with pytest.raises(InvalidParams):
             build_graph([bad], [], "latency_us")
 
-    def test_media_partition_is_80_percent(self):
-        node = Node(3, NodeKind.SERVER, memory_total=1001)
-        assert node.memory_media_partition == math.floor(0.8 * 1001)
-        assert mmtc_node(1).memory_media_partition == 0
-
     def test_mmtc_ceilings(self):
-        dev = mmtc_node(0)
+        dev = Node(0, NodeKind.MMTC_DEVICE, *KIND_RESOURCES[NodeKind.MMTC_DEVICE])
         assert dev.compute < 50_000_000
         assert dev.memory_total < 50_000
         assert dev.storage < 300_000
@@ -142,8 +136,8 @@ class TestKindResources:
 
     def test_nodes_agree_with_the_table(self):
         assert set(KIND_RESOURCES) == set(NodeKind)
-        nodes = [mmtc_node(i) if kind == NodeKind.MMTC_DEVICE else Node(i, kind)
-                 for i, kind in enumerate(NodeKind)]
+        nodes = [Node(i, kind, *KIND_RESOURCES[kind]) if kind == NodeKind.MMTC_DEVICE
+                 else Node(i, kind) for i, kind in enumerate(NodeKind)]
         for node in nodes:
             want = CONSTRAINED if node.kind == NodeKind.MMTC_DEVICE else FULL_SIZE
             assert node_resources(node) == KIND_RESOURCES[node.kind] == want
