@@ -15,12 +15,10 @@ import sys
 from dataclasses import fields
 
 from . import congruity, evaluation
-from .containment import (
-    Target, TargetMode, containerize, hierarchy_to_text, validate_hierarchy,
-)
+from .containment import TargetMode, containerize, hierarchy_to_text, validate_hierarchy
 from .errors import ConfigError, InvalidParams, InvalidSpec, SimError, UnitMismatch
 from .evaluation import ScenarioParams
-from .topology import generate_topology, graph_to_text, load_graph
+from .topology import graph_to_text, load_graph
 
 _VALIDATION_ERRORS = (ConfigError, InvalidParams, InvalidSpec, UnitMismatch)
 
@@ -75,7 +73,7 @@ CONFIG_KEYS = {
     "data_rate_mbps": (_parse_float, "eMBB data rate"),
     "service_seconds": (_parse_float, "nominal service duration per object"),
     "targets_us": (_list_of(int), "containerization targets"),
-    "target_mode": (TargetMode, "additive | bottleneck | exact_hit (containerize only)"),
+    "target_mode": (TargetMode, "additive | bottleneck | exact_hit (run rejects bottleneck)"),
     "request_count": (int, "requests per sweep point"),
     "catalog_size": (int, "content objects"),
     "cache_fraction": (_parse_float, "media cache budget as a catalog-volume fraction"),
@@ -99,7 +97,6 @@ CONFIG_KEYS = {
     "batch_size": (int, "training batch size"),
     "max_epochs": (int, "training epoch cap"),
     "tolerance": (_parse_float, "relative improvement stop threshold"),
-    "d_max": (int, "layer advance threshold for pruning, 0 = auto (train only)"),
     "n_personal": (int, "synthesized personal samples"),
     "n_general": (int, "synthesized general samples"),
     "label_coverage": (_parse_float, "labeled fraction of general samples"),
@@ -108,8 +105,8 @@ CONFIG_KEYS = {
     "class_proportions": (_list_of(_parse_float), "class mix"),
 }
 
-# the keys that set no dataclass field
-CLI_DEFAULTS = {"seeds": (0,), "target_mode": "additive", "d_max": 0}
+# the key that sets no dataclass field
+CLI_DEFAULTS = {"seeds": (0,)}
 
 # keys named otherwise than their field (model.txt writes q= and k=)
 RENAMED = {"q_norm": "q", "top_k": "k"}
@@ -199,7 +196,7 @@ def cmd_gen_topo(args) -> int:
     config = load_config(args.config)
     seed = args.seed if args.seed is not None else config["seeds"][0]
     point = evaluation.sweep_points(scenario_params_from(config, seed))[0]
-    graph = generate_topology(point, seed)
+    graph = evaluation.point_graph(point, 0)
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "topology.txt")
     _write_atomic((out_path, graph_to_text(graph)))
@@ -213,10 +210,7 @@ def cmd_containerize(args) -> int:
         graph = load_graph(args.topo)
     except FileNotFoundError:
         raise SimError(f"topology file not found: {args.topo}")
-    mode = TargetMode(config["target_mode"])
-    targets = [
-        Target(i + 1, int(v), mode) for i, v in enumerate(config["targets_us"])
-    ]
+    targets = evaluation.point_targets(from_config(ScenarioParams, config))
     hierarchy = containerize(graph, targets)
     violations = validate_hierarchy(hierarchy).violations
     if violations:
@@ -246,8 +240,7 @@ def cmd_train(args) -> int:
     else:
         spec = from_config(congruity.DatasetSpec, config)
         dp, dg = congruity.synthesize_dataset(spec, seed)
-    d_max = config["d_max"] if config["d_max"] > 0 else None
-    result = congruity.train(dp, dg, h, arch, d_max=d_max)
+    result = congruity.train(dp, dg, h, arch)
     os.makedirs(args.out, exist_ok=True)
     model_path = os.path.join(args.out, "model.txt")
     loss_path = os.path.join(args.out, "loss.csv")
@@ -277,7 +270,27 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _reports_from_csv(path) -> list:
+def _report_problem(r) -> str:
+    """Why no run could write the report row `r`, or "" when one could."""
+    checks = (
+        (r.scenario in evaluation.SWEEP_VARS, f"unknown scenario {r.scenario!r}"),
+        (evaluation.SWEEP_VARS.get(r.scenario) == r.sweep_variable,
+         f"{r.scenario} does not sweep {r.sweep_variable!r}"),
+        (r.sweep_value > 0, "sweep_value must be positive"),
+        (r.seed >= 0, "seed must be non-negative"),
+        (1 <= r.request_count <= evaluation.MAX_REQUESTS,
+         f"N must lie in [1, {evaluation.MAX_REQUESTS}]"),
+        (r.ito <= 1, "ito must be at most 1"),
+        (r.mean_hops >= 0, "mean_hops must be non-negative"),
+        (0 <= r.cache_hit_rate <= 1, "cache_hit_rate must lie in [0, 1]"),
+    )
+    return next((problem for ok, problem in checks if not ok), "")
+
+
+def _reports_from_csv(path, seen: dict) -> list:
+    """The rows of one report CSV. `seen` maps each (scenario, sweep_var,
+    sweep_value, seed) read so far, from any file, to its place; a row that
+    repeats one is rejected."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -289,31 +302,38 @@ def _reports_from_csv(path) -> list:
     for lineno, ln in enumerate(lines[1:], start=2):
         if not ln.strip():
             continue
+        where = f"{path}, line {lineno}"
         parts = ln.split(",")
         if len(parts) != 8:
-            raise InvalidParams(f"{path}, line {lineno}: {len(parts)} columns, not 8")
+            raise InvalidParams(f"{where}: {len(parts)} columns, not 8")
         try:
-            reports.append(
-                evaluation.ItoReport(
-                    scenario=parts[0],
-                    sweep_variable=parts[1],
-                    sweep_value=_parse_float(parts[2]),
-                    seed=int(parts[3]),
-                    request_count=int(parts[4]),
-                    ito=_parse_float(parts[5]),
-                    mean_hops=_parse_float(parts[6]),
-                    cache_hit_rate=_parse_float(parts[7]),
-                )
+            r = evaluation.ItoReport(
+                scenario=parts[0],
+                sweep_variable=parts[1],
+                sweep_value=_parse_float(parts[2]),
+                seed=int(parts[3]),
+                request_count=int(parts[4]),
+                ito=_parse_float(parts[5]),
+                mean_hops=_parse_float(parts[6]),
+                cache_hit_rate=_parse_float(parts[7]),
             )
         except ValueError as exc:
-            raise InvalidParams(f"{path}, line {lineno}: {exc}") from None
+            raise InvalidParams(f"{where}: {exc}") from None
+        problem = _report_problem(r)
+        if problem:
+            raise InvalidParams(f"{where}: {problem}")
+        key = (r.scenario, r.sweep_variable, r.sweep_value, r.seed)
+        if key in seen:
+            raise InvalidParams(f"{where}: repeats the point and seed of {seen[key]}")
+        seen[key] = where
+        reports.append(r)
     return reports
 
 
 def cmd_report(args) -> int:
-    reports = []
+    reports, seen = [], {}
     for path in args.reports:
-        reports.extend(_reports_from_csv(path))
+        reports.extend(_reports_from_csv(path, seen))
     summary = evaluation.sweep_report(reports)
     os.makedirs(args.out, exist_ok=True)
     summary_path = os.path.join(args.out, "summary.csv")
@@ -341,6 +361,7 @@ def _config_epilog() -> str:
     for key, (_, help_text) in CONFIG_KEYS.items():
         default = _DEFAULTS[key]
         shown = ",".join(str(v) for v in default) if isinstance(default, tuple) else default
+        shown = getattr(shown, "value", shown)  # target_mode shows 'additive', not the enum
         lines.append(f"  {key:<22} default {shown!r:<28} {help_text}")
     return "\n".join(lines)
 
@@ -360,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=_parse_seed, default=None, help="override the config seeds")
         p.add_argument("--out", default=".", help="output directory")
 
-    p = sub.add_parser("gen-topo", help="generate a scenario topology file")
+    p = sub.add_parser("gen-topo", help="write the graph of sweep point 0 as run builds it")
     common(p)
     p.set_defaults(func=cmd_gen_topo)
 

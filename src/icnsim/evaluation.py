@@ -23,7 +23,7 @@ import numpy as np
 
 from . import congruity, ilm, userplane
 from .containment import Target, TargetMode, containerize
-from .errors import EmptyLog, InvalidParams, ZeroDenominator
+from .errors import EmptyLog, InvalidParams, UnitMismatch, ZeroDenominator
 from .topology import (
     NodeKind,
     WeightedGraph,
@@ -103,6 +103,7 @@ class ScenarioParams:
     data_rate_mbps: float = 8.0
     service_seconds: float = 1.0
     targets_us: tuple = (1_000, 150_000, 500_000)
+    target_mode: TargetMode = TargetMode.ADDITIVE
     # workload
     request_count: int = 256
     catalog_size: int = 64
@@ -290,21 +291,26 @@ def _requesters(pool: np.ndarray, wrng, chunk: int):
         yield from pool[wrng.integers(0, len(pool), size=chunk)].tolist()
 
 
+def point_graph(params: ScenarioParams, point_index: int) -> WeightedGraph:
+    """The graph that sweep point `point_index`, an entry of `sweep_points`,
+    runs on: learned weights replace measured ones under `use_learner`."""
+    topo_seed = point_seeds(params.seed, point_index)[0]
+    g = generate_topology(params, topo_seed)
+    return _learned_graph(g, params, topo_seed) if params.use_learner else g
+
+
+def point_targets(params: ScenarioParams) -> list:
+    """Level i + 1 targets `targets_us[i]`, in `target_mode`."""
+    return [Target(i + 1, int(v), params.target_mode) for i, v in enumerate(params.targets_us)]
+
+
 def _run_point(params: ScenarioParams, point_index: int, with_details: bool = False):
     """One sweep point; `params` is an entry of `sweep_points`. Returns
     (report, records, traces); traces is None unless `with_details`."""
     var = SWEEP_VARS[params.scenario]
-    topo_seed, catalog_seed, workload_seed, prefetch_seed = point_seeds(
-        params.seed, point_index
-    )
-    g = generate_topology(params, topo_seed)
-    if params.use_learner:
-        g = _learned_graph(g, params, topo_seed)
-    targets = [
-        Target(i + 1, int(v), TargetMode.ADDITIVE)
-        for i, v in enumerate(params.targets_us)
-    ]
-    hierarchy = containerize(g, targets)
+    _, catalog_seed, workload_seed, prefetch_seed = point_seeds(params.seed, point_index)
+    g = point_graph(params, point_index)
+    hierarchy = containerize(g, point_targets(params))
 
     capacity = int(round(_capacity_bytes(params)))
     net = userplane.build_network(g, hierarchy, ilm.build_ilm_tree(hierarchy), capacity)
@@ -410,6 +416,8 @@ def _run_point(params: ScenarioParams, point_index: int, with_details: bool = Fa
 def run_scenario(params: ScenarioParams, with_details: bool = False):
     """One ItoReport per sweep point, plus (records, traces) per point when
     `with_details`; only then are the per-request traces kept."""
+    if params.target_mode == TargetMode.BOTTLENECK:
+        raise UnitMismatch("target_mode = bottleneck, but every generated topology is latency_us")
     reports = []
     details = []
     for idx, point in enumerate(sweep_points(params)):

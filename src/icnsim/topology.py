@@ -70,6 +70,8 @@ KIND_RESOURCES = {
 }
 KIND_RESOURCES[NodeKind.MMTC_DEVICE] = (32_000, 200_000, 30_000, 10_000, 32_000_000)
 _RESOURCE_TABLE = np.array([KIND_RESOURCES[k] for k in _KIND_ORDER], dtype=np.int64)
+# a graph holds its resources and weights as int64
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -96,6 +98,9 @@ def _check_node(node: Node, n: int, seen: set) -> None:
     if not 0 <= node.id < n or node.id in seen:
         raise InvalidParams(f"node {node.id}: ids must be dense in [0, {n}), each once")
     seen.add(node.id)
+    resources = (node.memory_total, node.storage, node.downlink_bw, node.uplink_bw, node.compute)
+    if min(resources) < _INT64_MIN or max(resources) > _INT64_MAX:
+        raise InvalidParams(f"node {node.id}: a resource lies outside int64")
     if node.downlink_bw != 3 * node.uplink_bw:
         raise InvalidParams(
             f"node {node.id}: downlink must be 3x uplink "
@@ -120,6 +125,8 @@ def _check_edge(edge: Edge, n: int, seen: set) -> None:
         raise InvalidParams(f"self-loop on node {a}")
     if w < 0:
         raise NegativeWeight(f"edge ({a},{b}) has weight {w}")
+    if w > _INT64_MAX:
+        raise InvalidParams(f"edge ({a},{b}) weight {w} lies outside int64")
     if int(w) != w:
         raise InvalidParams(f"edge ({a},{b}) weight must be an integer")
     key = (min(a, b), max(a, b))

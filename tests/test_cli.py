@@ -24,7 +24,7 @@ from icnsim.containment import (
 )
 from icnsim.errors import ConfigError
 from icnsim.evaluation import ScenarioParams
-from icnsim.topology import load_graph
+from icnsim.topology import graph_to_text, load_graph
 
 BASE_CONFIG = """
 # tiny but complete experiment
@@ -100,7 +100,8 @@ UNKEYED_FIELDS = {"seed", "rng_seed", "learner", "preplace_everywhere"}
 
 class TestSingleDeclaration:
     def test_each_key_sets_one_field_or_has_a_cli_default(self):
-        assert len(CONFIG_KEYS) == 46
+        assert len(CONFIG_KEYS) == 45
+        assert CLI_DEFAULTS == {"seeds": (0,)}
         for key in CONFIG_KEYS:
             name = RENAMED.get(key, key)
             owners = [c for c in CONFIG_CLASSES if name in {f.name for f in fields(c)}]
@@ -124,6 +125,28 @@ class TestSingleDeclaration:
         assert (h.q, h.k, h.rng_seed) == (3, 7, 4)
 
 
+def readme_config() -> str:
+    """The config file of README's CLI example."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        return re.search(r"cat > \S+ <<EOF\n(.*?\n)EOF\n", fh.read(), re.S).group(1)
+
+
+# README's example, an mMTC point of about a thousand devices, and the
+# benchmark's learner workload
+POINT_ZERO_CONFIGS = {
+    "readme": readme_config(),
+    "mmtc": "scenario = mmtc\nsweep_values = 2\nseeds = 3\narea_km2 = 0.5\n",
+    "learner": (
+        "scenario = embb\nsweep_values = 8\nseeds = 1\nn_devices = 512\n"
+        "request_count = 256\nuse_learner = true\n"
+    ),
+}
+
+
+class StopAtFirstPoint(Exception):
+    """Ends a run once its first point is containerized."""
+
+
 class TestGenTopo:
     def test_round_trips_to_equal_graph(self, config_path, tmp_path, capsys):
         out = tmp_path / "out"
@@ -140,15 +163,47 @@ class TestGenTopo:
         main(["gen-topo", "--config", config_path, "--seed", "5", "--out", str(out_b)])
         assert (out_a / "topology.txt").read_bytes() == (out_b / "topology.txt").read_bytes()
 
+    @pytest.mark.parametrize("mode", ["additive", "exact_hit"])
+    @pytest.mark.parametrize("flags", [[], ["--seed", "7"]], ids=["config-seed", "seed-flag"])
+    @pytest.mark.parametrize("config", ["readme", "mmtc", "learner"])
+    def test_writes_the_point_that_run_containerizes(
+        self, config, flags, mode, tmp_path, monkeypatch
+    ):
+        """`gen-topo` writes the graph `run` containerizes for point 0 of the
+        seed, learned weights included, and `containerize --topo` on that
+        file writes the hierarchy `run` builds there."""
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(POINT_ZERO_CONFIGS[config] + f"target_mode = {mode}\n")
+        built = []
+        real = evaluation.containerize
+
+        def first_point_only(g, targets):
+            built.append((g, real(g, targets)))
+            raise StopAtFirstPoint
+
+        with monkeypatch.context() as m:
+            m.setattr(evaluation, "containerize", first_point_only)
+            with pytest.raises(StopAtFirstPoint):
+                main(["run", "--config", str(cfg), *flags, "--out", str(tmp_path / "run")])
+        (graph, hierarchy), = built
+        out = tmp_path / "out"
+        assert main(["gen-topo", "--config", str(cfg), *flags, "--out", str(out)]) == 0
+        assert (out / "topology.txt").read_text() == graph_to_text(graph)
+        assert main([
+            "containerize", "--config", str(cfg),
+            "--topo", str(out / "topology.txt"), "--out", str(out),
+        ]) == 0
+        assert (out / "hierarchy.txt").read_text() == hierarchy_to_text(hierarchy)
+
     # Every node line carries its resources, so these pin the resources of
     # every node kind as well as the generated shape and weights.
     @pytest.mark.parametrize("config,digest", [
         ("scenario = embb\nsweep_values = 8\nseeds = 5\nn_devices = 512\n",
-         "057e30f82c314f0f1aaa8eb48b33fba111f2d5c2cea2b00d608685546ad25582"),
+         "97ccb6de345acd3dd35b11db9cc459c9f9c15153f01c629deb5fa0a27bc082ca"),
         ("scenario = urllc\nsweep_values = 4\nseeds = 2\nn_devices = 300\n",
-         "49903c3e39213e52f77ddd50b8c9b7e21b6eedde7c21d8d9a83921b46534e176"),
+         "83c65aed15de80b614758da5db563bbd1dd5f609765ce88e09a634a2fd150b29"),
         ("scenario = mmtc\nsweep_values = 2\nseeds = 3\narea_km2 = 0.5\n",
-         "a2f7223dc95134cf581b58b036e0db4882e7e3ee6cd3ba2eaa6a7abd32033281"),
+         "e71fe66930d3d4eb7a11b1d398181d18812c8a032037d357b5b111ba25933e39"),
     ], ids=["embb", "urllc", "mmtc"])
     def test_golden_topology(self, config, digest, tmp_path):
         cfg = tmp_path / "golden.cfg"
@@ -427,6 +482,19 @@ class TestRunCmd:
         points = evaluation.sweep_points(scenario_params_from(config, 1))
         assert [p.density_k_per_km2 for p in points] == [10, 20]
 
+    def test_bottleneck_targets_exit_one_before_any_topology(self, tmp_path, monkeypatch, capsys):
+        def unreachable(*args):
+            raise AssertionError("a topology was generated")
+
+        monkeypatch.setattr(evaluation, "generate_topology", unreachable)
+        cfg = tmp_path / "bottleneck.cfg"
+        cfg.write_text(BASE_CONFIG + "target_mode = bottleneck\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "target_mode" in err, err
+        assert not out.exists()
+
     def test_lone_mmtc_device_exits_one(self, tmp_path):
         # one device is both the only publisher and the only requester
         cfg = tmp_path / "lone.cfg"
@@ -524,6 +592,17 @@ class TestReportCmd:
         assert (out / "plotdata.csv").read_text() == "old plot\n"
         assert not (out / "summary.csv.tmp").exists()
 
+    def test_a_row_repeated_in_another_file_exits_one_naming_both(self, tmp_path, capsys):
+        row = "embb,data_rate_mbps,8.0,1,40,0.5,1.5,0.25\n"
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        first.write_text(REPORT + row)
+        second.write_text(REPORT + row.replace(",1,", ",2,") + row)
+        out = tmp_path / "out"
+        assert main(["report", str(first), str(second), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"{second}, line 3" in err and f"{first}, line 2" in err, err
+        assert not out.exists()
+
     def test_missing_report_file_exits_two(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "ghost.csv"), "--out", str(tmp_path)]) == 2
         assert "ghost.csv" in capsys.readouterr().err
@@ -543,11 +622,23 @@ MALFORMED_INPUTS = {
     "topology-negative-weight": ("containerize", TOPOLOGY.replace("edge 0 1 5", "edge 0 1 -5")),
     "topology-downlink-not-three-uplinks": ("containerize", TOPOLOGY.replace("node 1 switch 1 1 3", "node 1 switch 1 1 4")),
     "topology-non-dense-ids": ("containerize", TOPOLOGY.replace("node 1 switch", "node 2 switch")),
+    "topology-huge-weight": ("containerize", TOPOLOGY.replace("edge 0 1 5", "edge 0 1 100000000000000000000000")),
+    "topology-huge-memory": ("containerize", TOPOLOGY.replace("node 1 switch 1", "node 1 switch 80000000000000000000000000")),
     "report-wrong-header": ("report", REPORT.replace("seed", "run")),
     "report-short-row": ("report", REPORT + "embb,data_rate_mbps,8.0,1\n"),
     "report-non-numeric-row": ("report", REPORT + "embb,data_rate_mbps,8.0,1,40,high,1.5,0.25\n"),
     "report-long-row": ("report", REPORT + "embb,data_rate_mbps,8.0,1,40,0.5,1.5,0.25,9\n"),
     "report-nan-ito": ("report", REPORT + "embb,data_rate_mbps,8.0,1,40,nan,1.5,0.25\n"),
+    "report-unknown-scenario": ("report", REPORT + "foo,data_rate_mbps,8.0,1,40,0.5,1.5,0.25\n"),
+    "report-other-scenarios-sweep-var": ("report", REPORT + "embb,latency_ms,8.0,1,40,0.5,1.5,0.25\n"),
+    "report-zero-sweep-value": ("report", REPORT + "embb,data_rate_mbps,0.0,1,40,0.5,1.5,0.25\n"),
+    "report-negative-seed": ("report", REPORT + "embb,data_rate_mbps,8.0,-1,40,0.5,1.5,0.25\n"),
+    "report-zero-requests": ("report", REPORT + "embb,data_rate_mbps,8.0,1,0,0.5,1.5,0.25\n"),
+    "report-too-many-requests": ("report", REPORT + "embb,data_rate_mbps,8.0,1,1000001,0.5,1.5,0.25\n"),
+    "report-ito-above-one": ("report", REPORT + "embb,data_rate_mbps,8.0,1,40,1.5,1.5,0.25\n"),
+    "report-negative-mean-hops": ("report", REPORT + "embb,data_rate_mbps,8.0,1,40,0.5,-1.5,0.25\n"),
+    "report-hit-rate-above-one": ("report", REPORT + "embb,data_rate_mbps,8.0,1,40,0.5,1.5,3.25\n"),
+    "report-repeated-row": ("report", REPORT + "embb,data_rate_mbps,8.0,1,40,0.5,1.5,0.25\n" * 2),
     "dataset-empty": ("train", ""),
     "dataset-non-numeric-cell": (
         "train", DATASET + ",".join(["0.5"] * (len(FEATURE_NAMES) - 1) + ["x"] + [""] * len(LABEL_KINDS)) + "\n"
@@ -612,6 +703,11 @@ MALFORMED_VALUES = {
         "containerize", "target_mode = nonsense", ["--topo", "topology.txt"], "target_mode"
     ),
     "unknown-target-mode-run": ("run", "target_mode = nonsense", [], "target_mode"),
+    # d_max was a train-only key; no command accepts it now
+    "d-max-run": ("run", "d_max = 30", [], "d_max"),
+    "d-max-train": ("train", "d_max = 30", [], "d_max"),
+    "d-max-gen-topo": ("gen-topo", "d_max = 30", [], "d_max"),
+    "d-max-containerize": ("containerize", "d_max = 30", ["--topo", "topology.txt"], "d_max"),
     "infinite-class-proportion-sum": (
         "train", "class_proportions = 1e308, 1e308", [], "class_proportions"
     ),
@@ -650,6 +746,14 @@ class TestEntryPoints:
             main(["--help"])
         out = capsys.readouterr().out
         assert "cache_fraction" in out and "default" in out
+
+    def test_help_shows_the_target_mode_value_and_no_d_max(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        out = capsys.readouterr().out
+        line, = [ln for ln in out.splitlines() if ln.strip().startswith("target_mode ")]
+        assert "default 'additive' " in line
+        assert "d_max" not in out
 
 
 def test_readme_cli_example_runs(tmp_path, monkeypatch, capsys):

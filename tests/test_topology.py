@@ -93,6 +93,15 @@ class TestBuildGraph:
         with pytest.raises(InvalidParams):
             build_graph([bad], [], "latency_us")
 
+    def test_values_beyond_int64_rejected(self):
+        with pytest.raises(InvalidParams, match="int64"):
+            make(2, [(0, 1, 10**23)])
+        with pytest.raises(InvalidParams, match="int64"):
+            build_graph([Node(0, NodeKind.PC, memory_total=8 * 10**25)], [], "latency_us")
+        with pytest.raises(InvalidParams, match="int64"):
+            build_graph([Node(0, NodeKind.PC, compute=-(2**63) - 1)], [], "latency_us")
+        assert make(2, [(0, 1, 2**63 - 1)]).ew.tolist() == [2**63 - 1]
+
     def test_mmtc_ceilings(self):
         dev = Node(0, NodeKind.MMTC_DEVICE, *KIND_RESOURCES[NodeKind.MMTC_DEVICE])
         assert dev.compute < 50_000_000
