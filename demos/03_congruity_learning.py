@@ -12,7 +12,7 @@ from icnsim.congruity import N_FEATURES, init_parameters
 # Synthesized corpus: imbalanced classes, partial labels, a few conflicts.
 spec = DatasetSpec(
     n_personal=150, n_general=350, label_coverage=0.8,
-    class_proportions=(0.947, 0.0343, 0.0183), conflict_fraction=0.02,
+    conflict_fraction=0.02,
 )
 dp, dg = synthesize_dataset(spec, seed=3)
 labeled = int(dg.label_arrays("distance")[1].sum())

@@ -102,7 +102,6 @@ CONFIG_KEYS = {
     "label_coverage": (_parse_float, "labeled fraction of general samples"),
     "conflict_fraction": (_parse_float, "conflicting duplicate fraction"),
     "noise_std": (_parse_float, "distance label noise"),
-    "class_proportions": (_list_of(_parse_float), "class mix"),
 }
 
 # the key that sets no dataclass field

@@ -718,13 +718,16 @@ def predict_distance(ps: ParameterSet, features, scale: float = 1.0) -> float:
 
 # -- synthetic datasets ------------------------------------------------------------
 
+# The class mix of synthesized samples. Training reads only the distance
+# label, so the mix changes no trained model and is fixed here.
+CLASS_PROPORTIONS = (0.947, 0.0343, 0.0183)
+
 
 @dataclass
 class DatasetSpec:
     n_personal: int = 200
     n_general: int = 400
     label_coverage: float = 1.0
-    class_proportions: tuple = (0.947, 0.0343, 0.0183)
     conflict_fraction: float = 0.0
     noise_std: float = 0.02
 
@@ -738,18 +741,13 @@ class DatasetSpec:
             raise InvalidSpec("conflict_fraction must lie in [0, 1)")
         if self.noise_std < 0:
             raise InvalidSpec("noise_std must be non-negative")
-        props = np.asarray(self.class_proportions, dtype=np.float64)
-        with np.errstate(over="ignore"):  # an overflowing sum is rejected below
-            total = props.sum()
-        if len(props) < 1 or props.min() < 0 or not 0 < total < np.inf:
-            raise InvalidSpec("class_proportions must be non-negative with a finite positive sum")
         return self
 
 
-def _class_counts(n, proportions):
-    """Exact largest-remainder allocation so observed shares track the
-    requested proportions."""
-    props = np.asarray(proportions, dtype=np.float64)
+def _class_counts(n):
+    """Exact largest-remainder allocation of `n` samples, so observed
+    shares track CLASS_PROPORTIONS."""
+    props = np.asarray(CLASS_PROPORTIONS, dtype=np.float64)
     props = props / props.sum()
     raw = props * n
     counts = np.floor(raw).astype(int)
@@ -767,7 +765,7 @@ def _make_side(n, rng, spec, coverage):
     dist = np.clip(
         feats.mean(axis=1) + spec.noise_std * rng.standard_normal(n), 0.0, 1.0
     )
-    counts = _class_counts(n, spec.class_proportions)
+    counts = _class_counts(n)
     k = len(counts)
     class_of = np.repeat(np.arange(k), counts)
     class_of = class_of[rng.permutation(n)]
@@ -789,7 +787,7 @@ def _make_side(n, rng, spec, coverage):
 
 
 def synthesize_dataset(spec: DatasetSpec, seed: int):
-    """Seeded stand-in corpus with a controlled class imbalance, partial
+    """Seeded stand-in corpus with a fixed class imbalance, partial
     distance labels on the general side, and optional conflicting duplicates."""
     spec.validate()
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xDA7A]))

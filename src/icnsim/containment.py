@@ -4,16 +4,15 @@ A container groups nodes whose mutual distance satisfies a target: for
 additive targets (latency, hops) every edge under the target is contracted to
 zero cost and nodes are grouped while their accumulated contracted distance
 stays under the target; for bottleneck targets (bandwidth) edges under the
-target are removed and nodes are grouped along the surviving links. Levels
-nest: each level above the first is built on the quotient graph of the level
-below, which guarantees that a container is the exact union of the
-containers below it that it covers.
+target are removed and nodes are grouped along the surviving links; exact_hit
+targets close the additive bound, which then also admits one edge weighing
+exactly the target. Levels nest: each level above the first is built on the
+quotient graph of the level below, which guarantees that a container is the
+exact union of the containers below it that it covers.
 """
 
 from __future__ import annotations
 
-import heapq
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -137,43 +136,6 @@ def _grouping_labels(g: WeightedGraph, t: Target) -> np.ndarray:
     return (np.cumsum(is_root) - 1)[f]
 
 
-def _exact_hit_groups(g: WeightedGraph, t: Target) -> list:
-    """Greedy grouping for the closed-bound mode: from each seed, in
-    ascending id order, collect the still-unassigned nodes whose contracted
-    path distance is <= the target, searching only through unassigned nodes."""
-    contracted = {}
-    for a, b, w in zip(g.ea.tolist(), g.eb.tolist(), g.ew.tolist()):
-        cw = 0 if w < t.value else w
-        contracted[(a, b)] = cw
-        contracted[(b, a)] = cw
-    remaining = set(range(g.n))
-    groups = []
-    for seed in range(g.n):
-        if seed not in remaining:
-            continue
-        dist = {seed: 0}
-        heap = [(0, seed)]
-        hit = set()
-        while heap:
-            d, u = heapq.heappop(heap)
-            if d > dist.get(u, math.inf):
-                continue
-            hit.add(u)
-            nbrs, _ = g.neighbors(u)
-            for v in nbrs.tolist():
-                if v not in remaining:
-                    continue
-                nd = d + contracted[(u, v)]
-                if nd <= t.value and nd < dist.get(v, math.inf):
-                    dist[v] = nd
-                    heapq.heappush(heap, (nd, v))
-        groups.append(sorted(hit))
-        remaining -= hit
-        if not remaining:
-            break
-    return groups
-
-
 def _positions(groups, n: int) -> np.ndarray:
     """Each id in 0..n-1's position among the id arrays `groups`, else -1."""
     out = np.full(n, -1, dtype=np.int64)
@@ -197,11 +159,38 @@ def _level_labels(g: WeightedGraph, t: Target) -> tuple:
     """(labels, k) for one level seeded in ascending id order: each node's
     container position and the number of containers. _grouping_labels
     already numbers components by their lowest id, which is that order."""
-    if t.mode == TargetMode.EXACT_HIT:
-        groups = _exact_hit_groups(g, t)
-        return _positions(groups, g.n), len(groups)
     labels = _grouping_labels(g, t)
-    return labels, int(labels.max()) + 1
+    k = int(labels.max()) + 1
+    if t.mode == TargetMode.EXACT_HIT:
+        return _absorb_exact_hits(g, t, labels, k)
+    return labels, k
+
+
+def _absorb_exact_hits(g: WeightedGraph, t: Target, labels: np.ndarray, k: int) -> tuple:
+    """(labels, k) under the closed bound, from the `k` additive components
+    `labels` of `g`.
+
+    Every uncontracted edge weighs at least the target, so a path within the
+    bound crosses at most one of them, and that one weighs exactly the
+    target. A container is thus one seed component plus the still-unassigned
+    components one exact-weight edge away from it. Seeds go by ascending
+    component, as the additive labels number components by lowest id.
+    """
+    hit = g.ew == t.value
+    la, lb = labels[g.ea[hit]], labels[g.eb[hit]]
+    cross = la != lb
+    # one key per component pair, ascending by (low, high) component
+    pairs = np.unique(np.minimum(la, lb)[cross] * k + np.maximum(la, lb)[cross])
+    seed_of = {}  # absorbed component -> the seed whose container takes it
+    for a, b in zip((pairs // k).tolist(), (pairs % k).tolist()):
+        # every pair naming a lower component came earlier, so whether `a`
+        # was absorbed is settled; `b` > `a` has not been a seed yet
+        if a not in seed_of and b not in seed_of:
+            seed_of[b] = a
+    owner = np.arange(k)
+    owner[list(seed_of)] = list(seed_of.values())
+    is_seed = owner == np.arange(k)
+    return (np.cumsum(is_seed) - 1)[owner][labels], k - len(seed_of)
 
 
 def _containers(level: int, labels: np.ndarray, k: int) -> list:

@@ -250,10 +250,9 @@ def _learned_graph(g: WeightedGraph, params, seed: int) -> WeightedGraph:
     new_w = g.ew.copy()
     for j in chosen.tolist():
         new_w[j] = int(round(congruity.predict_distance(result.theta_star, X[j], scale=max_w)))
-    return WeightedGraph.from_arrays(
-        g.kinds, g.mems, g.storages, g.downs, g.ups, g.computes,
-        g.ea, g.eb, new_w, g.unit,
-    )
+    learned = WeightedGraph(g.kinds, g.ea, g.eb, new_w, g.unit)
+    learned._tree = g._tree  # same edges, so the same tree (or none)
+    return learned
 
 
 def _edge_samples(g: WeightedGraph, max_w: float):

@@ -333,33 +333,29 @@ def build_graph(nodes, edges, unit) -> WeightedGraph:
     n = len(nodes)
     if n == 0:
         raise InvalidParams("graph needs at least one node")
-    kinds = np.zeros(n, dtype=np.int8)
-    mems = np.zeros(n, dtype=np.int64)
-    storages = np.zeros(n, dtype=np.int64)
-    downs = np.zeros(n, dtype=np.int64)
-    ups = np.zeros(n, dtype=np.int64)
-    computes = np.zeros(n, dtype=np.int64)
     seen = set()
     for node in nodes:
         _check_node(node, n, seen)
-        i = node.id
-        kinds[i] = _KIND_INDEX[node.kind]
-        mems[i] = node.memory_total
-        storages[i] = node.storage
-        downs[i] = node.downlink_bw
-        ups[i] = node.uplink_bw
-        computes[i] = node.compute
-
     seen = set()
-    ea = np.zeros(len(edges), dtype=np.int64)
-    eb = np.zeros(len(edges), dtype=np.int64)
-    ew = np.zeros(len(edges), dtype=np.int64)
-    for j, edge in enumerate(edges):
+    for edge in edges:
         _check_edge(edge, n, seen)
-        ea[j], eb[j], ew[j] = edge.a, edge.b, int(edge.weight)
-    return WeightedGraph.from_arrays(
-        kinds, mems, storages, downs, ups, computes, ea, eb, ew, unit
-    )
+    return _pack_graph(nodes, edges, unit)
+
+
+def _pack_graph(nodes, edges, unit) -> WeightedGraph:
+    """Pack nodes and edges that passed _check_node and _check_edge, one
+    node per id, into a WeightedGraph."""
+    columns = np.zeros((6, len(nodes)), dtype=np.int64)  # kind index, then the resources
+    columns[:, [node.id for node in nodes]] = np.array([
+        (_KIND_INDEX[node.kind], node.memory_total, node.storage,
+         node.downlink_bw, node.uplink_bw, node.compute)
+        for node in nodes
+    ], dtype=np.int64).T
+    kinds, *resources = columns
+    ea, eb, ew = np.array(
+        [(edge.a, edge.b, int(edge.weight)) for edge in edges], dtype=np.int64,
+    ).reshape(-1, 3).T
+    return WeightedGraph.from_arrays(kinds, *resources, ea, eb, ew, unit)
 
 
 # -- distance measurement ----------------------------------------------------
@@ -752,7 +748,8 @@ def graph_to_text(g: WeightedGraph) -> str:
 def graph_from_text(text: str, source: str = "graph text") -> WeightedGraph:
     """Parse `graph_to_text` output; a malformed line, or the first node or
     edge that `build_graph` would reject, raises InvalidParams (or its
-    subclass) naming `source` and the line number."""
+    subclass) naming `source` and the line number. Each node and edge is
+    checked once, as its line is read."""
     header, nodes, edges = None, [], []
     node_ids, edge_keys = set(), set()
     for lineno, ln in enumerate(text.splitlines(), start=1):
@@ -766,6 +763,8 @@ def graph_from_text(text: str, source: str = "graph text") -> WeightedGraph:
                     raise InvalidParams("missing graph header")
                 _, unit, count = parts
                 header = (WeightUnit(unit), int(count))
+                if header[1] < 1:
+                    raise InvalidParams("graph needs at least one node")
             elif parts[0] == "node":
                 node = Node(
                     int(parts[1]),
@@ -794,7 +793,7 @@ def graph_from_text(text: str, source: str = "graph text") -> WeightedGraph:
         raise InvalidParams(f"{source}: missing graph header")
     if len(nodes) != header[1]:
         raise InvalidParams(f"{source}: node count mismatch with header")
-    return build_graph(nodes, edges, header[0])
+    return _pack_graph(nodes, edges, header[0])
 
 
 def load_graph(path) -> WeightedGraph:

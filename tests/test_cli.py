@@ -100,7 +100,7 @@ UNKEYED_FIELDS = {"seed", "rng_seed", "learner", "preplace_everywhere"}
 
 class TestSingleDeclaration:
     def test_each_key_sets_one_field_or_has_a_cli_default(self):
-        assert len(CONFIG_KEYS) == 45
+        assert len(CONFIG_KEYS) == 44
         assert CLI_DEFAULTS == {"seeds": (0,)}
         for key in CONFIG_KEYS:
             name = RENAMED.get(key, key)
@@ -249,21 +249,31 @@ class TestContainerizeCmd:
         }
         assert levels == {1}
 
-    # A 557-node eMBB topology: 45, 11 and 1 containers per level.
-    GOLDEN_CONFIG = "scenario = embb\nsweep_values = 8\nseeds = 5\nn_devices = 512\n"
-    GOLDEN_SHA256 = "9c06d552c402e957c5fb4c2728bb1671caefbeafea9e25c4549fcd12f60f79ad"
-
-    def test_golden_dump(self, tmp_path):
+    @pytest.mark.parametrize("config,digest", [
+        # A 557-node eMBB topology: 45, 11 and 1 containers per level.
+        (
+            "scenario = embb\nsweep_values = 8\nseeds = 5\nn_devices = 512\n",
+            "9c06d552c402e957c5fb4c2728bb1671caefbeafea9e25c4549fcd12f60f79ad",
+        ),
+        # An 851-node URLLC topology at 1 ms access latency, where 132 edges
+        # weigh exactly the first target: exact_hit gives 207, 81 and 1
+        # containers per level, additive 339, 81 and 1.
+        (
+            "scenario = urllc\nsweep_values = 1\nseeds = 5\nn_devices = 512\n"
+            "target_mode = exact_hit\n",
+            "7177648348bf58da2c0ba1a62923847415ba6cb2033da62a56e2e18257429c02",
+        ),
+    ], ids=["embb", "urllc-exact-hit"])
+    def test_golden_dump(self, config, digest, tmp_path):
         cfg = tmp_path / "golden.cfg"
-        cfg.write_text(self.GOLDEN_CONFIG)
+        cfg.write_text(config)
         out = tmp_path / "out"
         assert main(["gen-topo", "--config", str(cfg), "--out", str(out)]) == 0
         assert main([
             "containerize", "--config", str(cfg),
             "--topo", str(out / "topology.txt"), "--out", str(out),
         ]) == 0
-        digest = hashlib.sha256((out / "hierarchy.txt").read_bytes()).hexdigest()
-        assert digest == self.GOLDEN_SHA256
+        assert hashlib.sha256((out / "hierarchy.txt").read_bytes()).hexdigest() == digest
 
     def test_bottleneck_target_on_latency_topology_exits_one(self, tmp_path, capsys):
         cfg = tmp_path / "bottleneck.cfg"
@@ -616,6 +626,7 @@ MALFORMED_INPUTS = {
     "topology-unknown-kind": ("containerize", TOPOLOGY.replace("node 1 switch", "node 1 router")),
     "topology-unknown-unit": ("containerize", TOPOLOGY.replace("latency_us", "furlongs")),
     "topology-non-integer-count": ("containerize", TOPOLOGY.replace("latency_us 2", "latency_us two")),
+    "topology-zero-count": ("containerize", "graph latency_us 0\n"),
     "topology-non-integer-weight": ("containerize", TOPOLOGY.replace("edge 0 1 5", "edge 0 1 5.5")),
     "topology-dangling-edge": ("containerize", TOPOLOGY.replace("edge 0 1 5", "edge 0 5 5")),
     "topology-duplicate-edge": ("containerize", TOPOLOGY + "edge 1 0 7\n"),
@@ -708,9 +719,8 @@ MALFORMED_VALUES = {
     "d-max-train": ("train", "d_max = 30", [], "d_max"),
     "d-max-gen-topo": ("gen-topo", "d_max = 30", [], "d_max"),
     "d-max-containerize": ("containerize", "d_max = 30", ["--topo", "topology.txt"], "d_max"),
-    "infinite-class-proportion-sum": (
-        "train", "class_proportions = 1e308, 1e308", [], "class_proportions"
-    ),
+    # the class mix is fixed (congruity.CLASS_PROPORTIONS); no command accepts the key
+    "class-proportions-train": ("train", "class_proportions = 0.2, 0.8", [], "class_proportions"),
 }
 
 

@@ -897,10 +897,7 @@ class TestSynthesizeDataset:
         assert dg.label_arrays("distance")[1].all()
 
     def test_class_proportions_within_half_percent(self):
-        spec = DatasetSpec(
-            n_personal=10, n_general=4000,
-            class_proportions=(0.947, 0.0343, 0.0183),
-        )
+        spec = DatasetSpec(n_personal=10, n_general=4000)
         _, dg = synthesize_dataset(spec, 3)
         values = dg.label_arrays("classification")[0].tolist()
         total = len(values)

@@ -419,6 +419,37 @@ def test_grouping_labels_on_long_shuffled_paths_and_forests():
             )
 
 
+@st.composite
+def exact_hit_cases(draw):
+    """A random simple graph whose weights cluster at its targets: each edge
+    weighs T - 1, T or T + 1 for one of the one or three targets T, which
+    rise or fall level by level, or more than all of them. On average a
+    third of the edges or more weigh exactly a target."""
+    n = draw(st.integers(1, 14))
+    levels = draw(st.sampled_from([1, 3]))
+    values = draw(st.lists(st.integers(2, 30), min_size=levels, max_size=levels, unique=True))
+    values.sort(reverse=draw(st.booleans()))
+    near = sorted({t + d for t in values for d in (-1, 0, 1)})
+    weight = st.sampled_from(values) | st.sampled_from(near) | st.integers(max(values) + 1, 60)
+    edges, seen = [], set()
+    for a, b in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=25)):
+        if a != b and frozenset((a, b)) not in seen:
+            seen.add(frozenset((a, b)))
+            edges.append((a, b, draw(weight)))
+    return n, edges, values
+
+
+@settings(max_examples=200, deadline=None)
+@given(exact_hit_cases())
+def test_exact_hit_matches_the_oracle_at_weights_near_the_targets(case):
+    n, edges, values = case
+    targets = [Target(i + 1, v, TargetMode.EXACT_HIT) for i, v in enumerate(values)]
+    h = containerize(make(n, edges), targets)
+    expected = oracle_hierarchy(n, edges, values, "exact_hit")
+    assert [members(level) for level in h.levels] == expected
+
+
 class TestHierarchyDump:
     def test_round_trip(self):
         g = make(5, [(0, 1, 2), (1, 2, 9), (3, 4, 1), (2, 3, 30)])

@@ -235,12 +235,14 @@ class TestRunScenario:
     @pytest.mark.parametrize("scenario,overrides", [
         ("mmtc", dict(sweep_values=(63,), area_km2=0.01)),
         ("embb", dict(sweep_values=(8,))),
+        ("embb", dict(sweep_values=(8,), n_devices=64, use_learner=True)),
     ])
     def test_generated_runs_need_no_bfs_and_no_adjacency(
         self, scenario, overrides, monkeypatch
     ):
-        # A generated topology hands its tree over and counts degrees from
-        # its edge list, so a run learns nothing by BFS and builds no CSR.
+        # A generated topology hands its tree over, as does the graph of its
+        # learned weights, and counts degrees from its edge list, so a run
+        # learns nothing by BFS and builds no CSR.
         params = ScenarioParams(scenario=scenario, seed=2, **overrides)
         want = reports_to_csv(run_scenario(params))
 
