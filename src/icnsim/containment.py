@@ -46,10 +46,12 @@ class Container:
     """One container of a hierarchy level.
 
     `nodes` holds the member node ids in ascending order as a read-only int64
-    array; `containerize` stores a slice of the level's read-only sorted node
-    array there. The array is taken as given, through a read-only view when
-    it is writeable. Containers compare by identity: two containers with
-    equal fields are still two containers.
+    array. `containerize` stores no containers: its hierarchy derives a
+    level's containers from the level's labels the first time `levels` is
+    read, each `nodes` a slice of the level's read-only sorted node array.
+    The array is taken as given, through a read-only view when it is
+    writeable. Containers compare by identity: two containers with equal
+    fields are still two containers.
     """
 
     level: int
@@ -63,19 +65,52 @@ class Container:
             object.__setattr__(self, "nodes", nodes)
 
 
-@dataclass
 class ContainerHierarchy:
-    """Containers per level, lowest target first, over the graph they
-    partition; a container's members are an ascending id array (`nodes`)."""
+    """The levels of containers over the graph they partition, lowest target
+    first.
 
-    levels: list          # levels[i]: the containers of the i-th lowest level
-    source_graph: WeightedGraph
+    `containerize` stores one label map per level and derives the rest. The
+    first level's map holds each graph node's container position, and each
+    higher level's map holds the position of each container of the level
+    below; the map's container count and target level come with it.
+    `labels()` composes the maps. `levels`, the `Container` lists, is built
+    from them on its first read and then kept. A hierarchy constructed from
+    explicit container lists (a dump read back, or one made by hand, valid
+    or not) stores those lists, and its labels derive from them.
+    """
+
+    def __init__(self, levels: list, source_graph: WeightedGraph):
+        self._levels = levels
+        self.source_graph = source_graph
+        self._maps = None  # [(target level, label map, container count)] per level
+
+    @classmethod
+    def _from_maps(cls, maps: list, source_graph: WeightedGraph) -> "ContainerHierarchy":
+        h = cls(None, source_graph)
+        h._maps = maps
+        return h
+
+    @property
+    def levels(self) -> list:
+        """levels[i]: the containers of the i-th lowest level, by position."""
+        if self._levels is None:
+            self._levels = [
+                _containers(level, labels, k)
+                for (level, _, k), labels in zip(self._maps, self.labels(), strict=True)
+            ]
+        return self._levels
 
     def labels(self) -> list:
         """Per level, each node's container position (int64, one entry per
-        graph node); a node that no container covers gets -1."""
-        n = self.source_graph.n
-        return [_positions([c.nodes for c in level], n) for level in self.levels]
+        graph node); a node that no container covers gets -1. A built
+        hierarchy's first entry is its stored, read-only map."""
+        if self._maps is None:
+            n = self.source_graph.n
+            return [_positions([c.nodes for c in level], n) for level in self._levels]
+        out = []
+        for _, q_labels, _ in self._maps:
+            out.append(q_labels[out[-1]] if out else q_labels)
+        return out
 
 
 @dataclass
@@ -243,15 +278,15 @@ def containerize(g: WeightedGraph, targets) -> ContainerHierarchy:
     # Each level is seeded in ascending id order of the graph it is built on,
     # so its labels are its container positions as they come.
     q_labels, k = _level_labels(g, targets[0])  # current-graph node -> position
-    labels = q_labels                            # node -> newest-level position
-    levels = [_containers(targets[0].level, labels, k)]
+    maps = [(targets[0].level, q_labels, k)]
     current = g          # graph the newest level was built on
     for t in targets[1:]:
         current = _quotient(current, q_labels, k, t.mode)
         q_labels, k = _level_labels(current, t)
-        labels = q_labels[labels]
-        levels.append(_containers(t.level, labels, k))
-    return ContainerHierarchy(levels=levels, source_graph=g)
+        maps.append((t.level, q_labels, k))
+    for _, q_labels, _ in maps:
+        q_labels.flags.writeable = False
+    return ContainerHierarchy._from_maps(maps, g)
 
 
 def validate_hierarchy(h: ContainerHierarchy) -> ValidationReport:
@@ -335,7 +370,8 @@ def hierarchy_to_text(h: ContainerHierarchy) -> str:
 
 def hierarchy_from_text(text: str, graph: WeightedGraph) -> ContainerHierarchy:
     """Rebuild a hierarchy from its dump over the graph it partitions. A
-    malformed line, or one naming a node outside the graph, raises
+    malformed line, one with a level or index below 1, one repeating a
+    container of its level, or one naming a node outside the graph raises
     InvalidParams naming the line number."""
     by_level = {}
     for lineno, ln in enumerate(text.splitlines(), start=1):
@@ -352,12 +388,19 @@ def hierarchy_from_text(text: str, graph: WeightedGraph) -> ContainerHierarchy:
             raise InvalidParams(f"{where}: too few fields in container line") from None
         except ValueError as exc:
             raise InvalidParams(f"{where}: {exc}") from None
+        if len(parts) > 4:
+            raise InvalidParams(f"{where}: too many fields in container line")
+        if level < 1 or index < 1:
+            raise InvalidParams(f"{where}: container level and index must be >= 1")
         if min(ids) < 0 or max(ids) >= graph.n:
             raise InvalidParams(f"{where}: node ids outside the {graph.n}-node graph")
-        by_level.setdefault(level, []).append((index, np.unique(np.array(ids, dtype=np.int64))))
+        rows = by_level.setdefault(level, {})
+        if index in rows:
+            raise InvalidParams(f"{where}: level {level} repeats container {index}")
+        rows[index] = np.unique(np.array(ids, dtype=np.int64))
     levels = [
         [Container(level=level, index=index, nodes=nodes)
-         for index, nodes in sorted(by_level[level], key=lambda row: row[0])]
+         for index, nodes in sorted(by_level[level].items())]
         for level in sorted(by_level)
     ]
     return ContainerHierarchy(levels=levels, source_graph=graph)

@@ -339,23 +339,24 @@ def build_graph(nodes, edges, unit) -> WeightedGraph:
     seen = set()
     for edge in edges:
         _check_edge(edge, n, seen)
-    return _pack_graph(nodes, edges, unit)
-
-
-def _pack_graph(nodes, edges, unit) -> WeightedGraph:
-    """Pack nodes and edges that passed _check_node and _check_edge, one
-    node per id, into a WeightedGraph."""
-    columns = np.zeros((6, len(nodes)), dtype=np.int64)  # kind index, then the resources
-    columns[:, [node.id for node in nodes]] = np.array([
-        (_KIND_INDEX[node.kind], node.memory_total, node.storage,
+    node_rows = np.array([
+        (node.id, _KIND_INDEX[node.kind], node.memory_total, node.storage,
          node.downlink_bw, node.uplink_bw, node.compute)
         for node in nodes
-    ], dtype=np.int64).T
-    kinds, *resources = columns
-    ea, eb, ew = np.array(
+    ], dtype=np.int64)
+    edge_rows = np.array(
         [(edge.a, edge.b, int(edge.weight)) for edge in edges], dtype=np.int64,
-    ).reshape(-1, 3).T
-    return WeightedGraph.from_arrays(kinds, *resources, ea, eb, ew, unit)
+    ).reshape(-1, 3)
+    return _pack_graph(node_rows, edge_rows, unit)
+
+
+def _pack_graph(node_rows: np.ndarray, edge_rows: np.ndarray, unit) -> WeightedGraph:
+    """Pack checked rows into a WeightedGraph: node rows of (id, kind index,
+    the five resources), one per id, and edge rows of (a, b, weight)."""
+    columns = np.zeros((6, len(node_rows)), dtype=np.int64)  # kind index, then the resources
+    columns[:, node_rows[:, 0]] = node_rows[:, 1:].T
+    kinds, *resources = columns
+    return WeightedGraph.from_arrays(kinds, *resources, *edge_rows.T, unit)
 
 
 # -- distance measurement ----------------------------------------------------
@@ -748,10 +749,13 @@ def graph_to_text(g: WeightedGraph) -> str:
 def graph_from_text(text: str, source: str = "graph text") -> WeightedGraph:
     """Parse `graph_to_text` output; a malformed line, or the first node or
     edge that `build_graph` would reject, raises InvalidParams (or its
-    subclass) naming `source` and the line number. Each node and edge is
-    checked once, as its line is read."""
-    header, nodes, edges = None, [], []
-    node_ids, edge_keys = set(), set()
+    subclass) naming `source` and the line number.
+
+    The lines are parsed into int rows first, then screened as columns. The
+    scalar check of `build_graph` reruns on the first line the screen flags,
+    ahead of any malformed later line, and raises its message."""
+    header, nodes, edges = None, [], []  # rows of (line number, ints...)
+    failure = None
     for lineno, ln in enumerate(text.splitlines(), start=1):
         parts = ln.split()
         if not parts:
@@ -766,34 +770,111 @@ def graph_from_text(text: str, source: str = "graph text") -> WeightedGraph:
                 if header[1] < 1:
                     raise InvalidParams("graph needs at least one node")
             elif parts[0] == "node":
-                node = Node(
-                    int(parts[1]),
-                    NodeKind(parts[2]),
-                    memory_total=int(parts[3]),
-                    storage=int(parts[4]),
-                    downlink_bw=int(parts[5]),
-                    uplink_bw=int(parts[6]),
-                    compute=int(parts[7]),
-                )
-                _check_node(node, header[1], node_ids)
-                nodes.append(node)
+                nodes.append((
+                    lineno, int(parts[1]), _kind_index(parts[2]), int(parts[3]),
+                    int(parts[4]), int(parts[5]), int(parts[6]), int(parts[7]),
+                ))
             elif parts[0] == "edge":
-                edge = Edge(int(parts[1]), int(parts[2]), int(parts[3]))
-                _check_edge(edge, header[1], edge_keys)
-                edges.append(edge)
+                edges.append((lineno, int(parts[1]), int(parts[2]), int(parts[3])))
             else:
                 raise InvalidParams(f"unknown line {parts[0]!r}")
         except IndexError:
-            raise InvalidParams(f"{where}: too few fields in {parts[0]!r} line") from None
+            failure = InvalidParams(f"{where}: too few fields in {parts[0]!r} line")
+            break
         except ValueError as exc:
-            raise InvalidParams(f"{where}: {exc}") from None
+            failure = InvalidParams(f"{where}: {exc}")
+            break
         except InvalidParams as exc:
-            raise type(exc)(f"{where}: {exc}") from None
+            failure = type(exc)(f"{where}: {exc}")
+            break
+    n = header[1] if header is not None else 0
+    node_rows, i = _screen(nodes, 8, _node_faults, n)
+    edge_rows, j = _screen(edges, 4, _edge_faults, n)
+    if i < len(nodes) or j < len(edges):
+        _recheck(nodes, i, edges, j, n, source)
+    if failure is not None:
+        raise failure from None
     if header is None:
         raise InvalidParams(f"{source}: missing graph header")
-    if len(nodes) != header[1]:
+    if len(nodes) != n:
         raise InvalidParams(f"{source}: node count mismatch with header")
-    return _pack_graph(nodes, edges, header[0])
+    return _pack_graph(node_rows[:, 1:], edge_rows[:, 1:], header[0])
+
+
+_KIND_BY_NAME = {k.value: i for k, i in _KIND_INDEX.items()}
+
+
+def _kind_index(name: str) -> int:
+    """The kind index of a node kind's name; an unknown name raises
+    NodeKind's ValueError."""
+    index = _KIND_BY_NAME.get(name)
+    return _KIND_INDEX[NodeKind(name)] if index is None else index
+
+
+def _screen(rows: list, width: int, faults, n: int) -> tuple:
+    """(int64 array of `rows`' leading rows that fit int64, the index of the
+    first row that `faults` flags or that does not fit; len(rows) if none).
+    Each row is a tuple of `width` ints."""
+    end = len(rows)
+    try:
+        table = np.array(rows, dtype=np.int64).reshape(-1, width)
+    except OverflowError:
+        end = next(i for i, row in enumerate(rows) if min(row) < _INT64_MIN or max(row) > _INT64_MAX)
+        table = np.array(rows[:end], dtype=np.int64).reshape(-1, width)
+    flagged = np.flatnonzero(faults(table.T, n))
+    return table, int(flagged[0]) if len(flagged) else end
+
+
+def _node_faults(cols: np.ndarray, n: int) -> np.ndarray:
+    """The node rows (columns: line, id, kind, memory, storage, downlink,
+    uplink, compute) that _check_node rejects after the rows before them."""
+    _, ids, kinds, mem, sto, down, up, cpu = cols
+    bad = (ids < 0) | (ids >= n) | _repeated(ids)
+    # past +-(max // 3) the product 3 * up leaves int64, where no downlink is
+    third = _INT64_MAX // 3
+    bad |= (up > third) | (up < -third) | (down != 3 * up)
+    mmtc = kinds == _KIND_INDEX[NodeKind.MMTC_DEVICE]
+    return bad | mmtc & (
+        (cpu >= MMTC_MAX_COMPUTE) | (mem >= MMTC_MAX_MEMORY) | (sto >= MMTC_MAX_STORAGE)
+    )
+
+
+def _edge_faults(cols: np.ndarray, n: int) -> np.ndarray:
+    """The edge rows (columns: line, a, b, weight) that _check_edge rejects
+    after the rows before them; int64 weights need no range check."""
+    _, a, b, w = cols
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    return (lo < 0) | (hi >= n) | (a == b) | (w < 0) | _repeated(lo, hi)
+
+
+def _repeated(*keys) -> np.ndarray:
+    """Mask of the rows whose `keys` values all equal those of an earlier row."""
+    order = np.lexsort(keys[::-1])  # stable: equal keys keep row order
+    same = np.ones(max(len(order) - 1, 0), dtype=bool)
+    for key in keys:
+        ordered = key[order]
+        same &= ordered[1:] == ordered[:-1]
+    out = np.zeros(len(order), dtype=bool)
+    out[order[1:][same]] = True
+    return out
+
+
+def _recheck(nodes: list, i: int, edges: list, j: int, n: int, source: str) -> None:
+    """Run the scalar check on node row `i` or edge row `j`, whichever comes
+    first in the text, after the rows before it; it raises for that line."""
+    if j == len(edges) or (i < len(nodes) and nodes[i][0] < edges[j][0]):
+        lineno, node_id, kind, *resources = nodes[i]
+        check, item = _check_node, Node(node_id, _KIND_ORDER[kind], *resources)
+        seen = {row[1] for row in nodes[:i]}
+    else:
+        lineno, a, b, w = edges[j]
+        check, item = _check_edge, Edge(a, b, w)
+        seen = {(min(row[1:3]), max(row[1:3])) for row in edges[:j]}
+    try:
+        check(item, n, seen)
+    except InvalidParams as exc:
+        raise type(exc)(f"{source}, line {lineno}: {exc}") from None
+    raise AssertionError(f"{source}, line {lineno}: flagged, yet the check accepts it")
 
 
 def load_graph(path) -> WeightedGraph:

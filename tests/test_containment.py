@@ -8,6 +8,7 @@ from icnsim.containment import (
     Target,
     TargetMode,
     _grouping_labels,
+    _positions,
     containerize,
     hierarchy_from_text,
     hierarchy_to_text,
@@ -450,6 +451,43 @@ def test_exact_hit_matches_the_oracle_at_weights_near_the_targets(case):
     assert [members(level) for level in h.levels] == expected
 
 
+@st.composite
+def hierarchy_cases(draw):
+    """A random simple graph, one to three targets in one mode, and weights
+    that often sit at or next to a target."""
+    n = draw(st.integers(1, 20))
+    mode = draw(st.sampled_from(list(TargetMode)))
+    levels = draw(st.integers(1, 3))
+    values = sorted(draw(st.lists(st.integers(2, 40), min_size=levels, max_size=levels, unique=True)))
+    if mode == TargetMode.BOTTLENECK:
+        values.reverse()  # wider links group first
+    near = sorted({t + d for t in values for d in (-1, 0, 1)})
+    weight = st.sampled_from(near) | st.integers(1, 60)
+    edges, seen = [], set()
+    for a, b in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=30)):
+        if a != b and frozenset((a, b)) not in seen:
+            seen.add(frozenset((a, b)))
+            edges.append((a, b, draw(weight)))
+    return n, edges, mode, values
+
+
+@settings(max_examples=150, deadline=None)
+@given(hierarchy_cases())
+def test_containers_derive_from_the_stored_label_maps(case):
+    n, edges, mode, values = case
+    unit = "bandwidth_bps" if mode == TargetMode.BOTTLENECK else "latency_us"
+    targets = [Target(i + 1, v, mode) for i, v in enumerate(values)]
+    h = containerize(make(n, edges, unit), targets)
+    labels = h.labels()  # composed from the maps, before any container exists
+    assert h.levels is h.levels
+    assert [members(level) for level in h.levels] == oracle_hierarchy(n, edges, values, mode.value)
+    for t, level, lab in zip(targets, h.levels, labels, strict=True):
+        assert [(c.level, c.index) for c in level] == [(t.level, i + 1) for i in range(len(level))]
+        assert lab.dtype == np.int64 and len(lab) == n
+        assert np.array_equal(lab, _positions([c.nodes for c in level], n))
+
+
 class TestHierarchyDump:
     def test_round_trip(self):
         g = make(5, [(0, 1, 2), (1, 2, 9), (3, 4, 1), (2, 3, 30)])
@@ -465,9 +503,13 @@ class TestHierarchyDump:
         "container 1", "container x 1 0", "container 1 1 0,a",
         "container 2 1 0,2", "container 2 1 -1,0",  # ids outside the 2-node graph
         "container 2 1 0,99999999999999999999",
+        # lines no dump has: a repeated (level, index), a level or index
+        # below 1, a field after the ids
+        "container 1 1 1", "container 1 -3 0,1", "container 1 0 0,1",
+        "container 0 1 0,1", "container 1 2 0,1 extra",
     ])
     def test_malformed_line_raises_invalid_params_with_its_line(self, line):
-        text = "container 1 0 0,1\n\n" + line + "\n"
+        text = "container 1 1 0,1\n\n" + line + "\n"
         with pytest.raises(InvalidParams, match="line 3"):
             hierarchy_from_text(text, make(2, [(0, 1, 1)]))
 

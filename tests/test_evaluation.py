@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from icnsim import cli, congruity, evaluation, topology
+from icnsim import cli, congruity, containment, evaluation, topology
 from icnsim.congruity import Hyperparams
 from icnsim.containment import Target, containerize, validate_hierarchy
 from icnsim.errors import (
@@ -252,6 +252,22 @@ class TestRunScenario:
         monkeypatch.setattr(topology, "_bfs", forbidden)
         monkeypatch.setattr(topology.WeightedGraph, "_ensure_csr", forbidden)
         assert reports_to_csv(run_scenario(params)) == want
+
+    @pytest.mark.parametrize("scenario,overrides", [
+        ("mmtc", dict(sweep_values=(63,), area_km2=0.01)),
+        ("embb", dict(sweep_values=(8,), n_devices=64, use_learner=True)),
+    ])
+    def test_a_run_point_builds_no_container(self, scenario, overrides, monkeypatch):
+        # a run reads no container, so its hierarchy keeps only label maps
+        (point,) = sweep_points(ScenarioParams(scenario=scenario, seed=2, **overrides))
+        want = reports_to_csv([evaluation._run_point(point, 0)[0]])
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the run built containers")
+
+        monkeypatch.setattr(containment, "_group_members", forbidden)
+        monkeypatch.setattr(containment, "Container", forbidden)
+        assert reports_to_csv([evaluation._run_point(point, 0)[0]]) == want
 
     def test_run_sweep_concatenates_seeds(self):
         params = small_params(sweep_values=(8,), request_count=30)

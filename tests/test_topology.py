@@ -31,6 +31,8 @@ from icnsim.topology import (
     measure_distance,
     next_hop_toward,
     node_centrality,
+    _check_edge,
+    _check_node,
     _dists_to,
 )
 
@@ -368,10 +370,79 @@ class TestGraphFile:
         ("node 1 switch 1 1 3", "node 1 switch 1 1 4", 3),  # downlink != 3 x uplink
         ("node 2 switch", "node 0 switch", 4),  # an id twice
         ("node 1 switch", "node 3 switch", 3),  # an id past the header count
+        # in int64, 3 x this uplink wraps round to this downlink
+        ("node 1 switch 1 1 3 1", "node 1 switch 1 1 -9223372036854775807 3074457345618258603", 3),
+        ("node 1 switch 1 1 3 1 1", "node 1 mmtc_device 49999 299999 3 1 50000000", 3),
+        ("node 1 switch 1 1 3 1 1", "node 1 mmtc_device 50000 299999 3 1 49999999", 3),
+        ("node 1 switch 1 1 3 1 1", "node 1 mmtc_device 49999 300000 3 1 49999999", 3),
     ])
     def test_node_faults_name_their_line(self, old, new, lineno):
         with pytest.raises(InvalidParams, match=f"^topo.txt, line {lineno}: node "):
             graph_from_text(self.TEXT.replace(old, new), "topo.txt")
+
+
+THIRD = (2**63 - 1) // 3
+# values on both sides of every bound the node and edge checks apply
+RESOURCES = [0, 1, 10_000, 30_000, 49_999, 50_000, 299_999, 300_000, 49_999_999,
+             50_000_000, THIRD, THIRD + 1, -THIRD - 1, 2**63 - 1, 2**63, -2**63, -2**63 - 1]
+
+
+@st.composite
+def graph_lines(draw):
+    """(n, lines) of a graph text body: n node lines in a shuffled order
+    with edge lines, mostly well formed, some with one fault."""
+    n = draw(st.integers(1, 4))
+
+    def rarely(values, usual):
+        return draw(st.sampled_from(values)) if draw(st.integers(0, 7)) == 0 else usual
+
+    lines = []
+    for node_id in draw(st.permutations(range(n))):
+        node_id = rarely([-1, n, 0, 0, 2**63], node_id)
+        kind = draw(st.sampled_from([NodeKind.SWITCH, NodeKind.MMTC_DEVICE]))
+        mem, sto, up, cpu = (rarely(RESOURCES, 1) for _ in range(4))
+        down = rarely(RESOURCES, 3 * up)
+        lines.append(f"node {node_id} {kind.value} {mem} {sto} {down} {up} {cpu}")
+    pairs = []
+    for _ in range(draw(st.integers(0, 5))):
+        if pairs and draw(st.integers(0, 3)) == 0:
+            b, a = draw(st.sampled_from(pairs))  # the same edge again
+        else:
+            a, b = (rarely([-1, n, 2**63], draw(st.integers(0, n - 1))) for _ in range(2))
+        pairs.append((a, b))
+        w = rarely([-1, 0, 2**63 - 1, 2**63, -2**63 - 1], 7)
+        lines.append(f"edge {a} {b} {w}")
+    return n, draw(st.permutations(lines))
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph_lines())
+def test_graph_text_raises_what_the_per_line_checks_raise_first(case):
+    # the reference checks each line as it is read, as build_graph does
+    n, lines = case
+    text = f"graph latency_us {n}\n" + "".join(ln + "\n" for ln in lines)
+    want, nodes, edges = None, [], []
+    node_ids, edge_keys = set(), set()
+    for lineno, ln in enumerate(lines, start=2):
+        tag, *fields = ln.split()
+        try:
+            if tag == "node":
+                node_id, kind, *resources = fields
+                nodes.append(Node(int(node_id), NodeKind(kind), *map(int, resources)))
+                _check_node(nodes[-1], n, node_ids)
+            else:
+                edges.append(Edge(*map(int, fields)))
+                _check_edge(edges[-1], n, edge_keys)
+        except InvalidParams as exc:
+            want = (type(exc), f"t, line {lineno}: {exc}")
+            break
+    try:
+        got = graph_from_text(text, "t")
+    except InvalidParams as exc:
+        assert (type(exc), str(exc)) == want
+    else:
+        assert want is None
+        assert graph_to_text(got) == graph_to_text(build_graph(nodes, edges, "latency_us"))
 
 
 class TestHopDistance:
