@@ -4,7 +4,6 @@ learner, identifier-locator mapping, caching/prefetching, and
 traffic-offloading sweeps."""
 
 from .containment import (
-    Container,
     ContainerHierarchy,
     Target,
     TargetMode,

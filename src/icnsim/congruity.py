@@ -9,7 +9,7 @@ term; the personal error gates the reconstruction term per sample by a top-k
 cosine filter against the dataset centroid. Training first prunes parameters
 layer by layer, then runs plain gradient descent on the blended objective.
 
-Everything is seeded and deterministic; repeated runs are bit-identical.
+Everything is seeded; runs are bit-identical on one numpy SIMD and BLAS path.
 """
 
 from __future__ import annotations

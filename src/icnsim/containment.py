@@ -41,74 +41,42 @@ class Target:
             raise InvalidParams("target value must be positive")
 
 
-@dataclass(frozen=True, eq=False)
-class Container:
-    """One container of a hierarchy level.
-
-    `nodes` holds the member node ids in ascending order as a read-only int64
-    array. `containerize` stores no containers: its hierarchy derives a
-    level's containers from the level's labels the first time `levels` is
-    read, each `nodes` a slice of the level's read-only sorted node array.
-    The array is taken as given, through a read-only view when it is
-    writeable. Containers compare by identity: two containers with equal
-    fields are still two containers.
-    """
-
-    level: int
-    index: int
-    nodes: np.ndarray
-
-    def __post_init__(self):
-        if self.nodes.flags.writeable:
-            nodes = self.nodes.view()
-            nodes.flags.writeable = False
-            object.__setattr__(self, "nodes", nodes)
-
-
 class ContainerHierarchy:
     """The levels of containers over the graph they partition, lowest target
-    first.
+    first, held as one label map per level.
 
-    `containerize` stores one label map per level and derives the rest. The
+    `maps` holds (target level, label map, container count) per level. The
     first level's map holds each graph node's container position, and each
-    higher level's map holds the position of each container of the level
-    below; the map's container count and target level come with it.
-    `labels()` composes the maps. `levels`, the `Container` lists, is built
-    from them on its first read and then kept. A hierarchy constructed from
-    explicit container lists (a dump read back, or one made by hand, valid
-    or not) stores those lists, and its labels derive from them.
+    higher level's map the position of each container of the level below;
+    a container's index is its position + 1. `labels()` composes the maps,
+    and `levels` materializes each level's containers from them on its first
+    read and keeps them. `containerize` and the dump reader build only
+    nested partitions; maps assembled by hand may hold anything, and
+    `validate_hierarchy` reports what is wrong with them.
     """
 
-    def __init__(self, levels: list, source_graph: WeightedGraph):
-        self._levels = levels
+    def __init__(self, maps: list, source_graph: WeightedGraph):
+        self.maps = maps
         self.source_graph = source_graph
-        self._maps = None  # [(target level, label map, container count)] per level
-
-    @classmethod
-    def _from_maps(cls, maps: list, source_graph: WeightedGraph) -> "ContainerHierarchy":
-        h = cls(None, source_graph)
-        h._maps = maps
-        return h
+        self._levels = None
 
     @property
     def levels(self) -> list:
-        """levels[i]: the containers of the i-th lowest level, by position."""
+        """levels[i][j]: the ascending, read-only int64 node ids of container
+        j + 1 of the i-th lowest level, each level's arrays slices of one
+        sorted array."""
         if self._levels is None:
             self._levels = [
-                _containers(level, labels, k)
-                for (level, _, k), labels in zip(self._maps, self.labels(), strict=True)
+                _group_members(labels, k)
+                for (_, _, k), labels in zip(self.maps, self.labels(), strict=True)
             ]
         return self._levels
 
     def labels(self) -> list:
-        """Per level, each node's container position (int64, one entry per
-        graph node); a node that no container covers gets -1. A built
-        hierarchy's first entry is its stored, read-only map."""
-        if self._maps is None:
-            n = self.source_graph.n
-            return [_positions([c.nodes for c in level], n) for level in self._levels]
+        """Per level, each graph node's container position (int64, one entry
+        per node); the first entry is the stored level-1 map."""
         out = []
-        for _, q_labels, _ in self._maps:
+        for _, q_labels, _ in self.maps:
             out.append(q_labels[out[-1]] if out else q_labels)
         return out
 
@@ -171,14 +139,6 @@ def _grouping_labels(g: WeightedGraph, t: Target) -> np.ndarray:
     return (np.cumsum(is_root) - 1)[f]
 
 
-def _positions(groups, n: int) -> np.ndarray:
-    """Each id in 0..n-1's position among the id arrays `groups`, else -1."""
-    out = np.full(n, -1, dtype=np.int64)
-    for pos, grp in enumerate(groups):
-        out[grp] = pos
-    return out
-
-
 def _group_members(labels: np.ndarray, k: int) -> list:
     """The members of each of `k` groups, from a group label per node: one
     ascending read-only int64 id array per label, in label order, each a
@@ -226,14 +186,6 @@ def _absorb_exact_hits(g: WeightedGraph, t: Target, labels: np.ndarray, k: int) 
     owner[list(seed_of)] = list(seed_of.values())
     is_seed = owner == np.arange(k)
     return (np.cumsum(is_seed) - 1)[owner][labels], k - len(seed_of)
-
-
-def _containers(level: int, labels: np.ndarray, k: int) -> list:
-    """The containers of one level, from each node's container position."""
-    return [
-        Container(level=level, index=pos + 1, nodes=nodes)
-        for pos, nodes in enumerate(_group_members(labels, k))
-    ]
 
 
 def _quotient(g: WeightedGraph, labels: np.ndarray, k: int, mode: TargetMode) -> WeightedGraph:
@@ -286,74 +238,32 @@ def containerize(g: WeightedGraph, targets) -> ContainerHierarchy:
         maps.append((t.level, q_labels, k))
     for _, q_labels, _ in maps:
         q_labels.flags.writeable = False
-    return ContainerHierarchy._from_maps(maps, g)
+    return ContainerHierarchy(maps, g)
 
 
 def validate_hierarchy(h: ContainerHierarchy) -> ValidationReport:
-    """Checks disjointness and coverage per level plus nesting between levels.
+    """Checks that every entry of each level's map lies in [0, k), k the
+    level's container count, and that no container is empty.
 
-    Works on the concatenated `nodes` arrays of each level: a node that
-    already sits in an earlier container of its level is an overlap, a node
-    in none is uncovered, and a child is nested when all its nodes sit in
-    one container of the level above (where that level overlaps, a node
-    counts as sitting in the earliest container holding it). Ids outside the
-    graph are reported and then ignored.
+    The maps nest by construction, so nothing else can be wrong. An entry
+    out of range is reported by the graph nodes it holds, a negative one as
+    uncovered; those nodes are left out at the levels above.
     """
     report = ValidationReport()
-    n = h.source_graph.n
-    below = None  # the level below: (its containers, concatenated nodes, owners)
-    for li, containers in enumerate(h.levels):
-        level_no = containers[0].level if containers else li + 1
-        sizes = [len(c.nodes) for c in containers]
-        cat = np.concatenate([c.nodes for c in containers] + [np.empty(0, np.int64)])
-        owner = np.repeat(np.arange(len(containers)), sizes)
-        outside = (cat < 0) | (cat >= n)
-        for c, ids in _by_container(containers, owner, cat, outside):
-            report.violations.append(
-                f"level {c.level}: container {c.index} has nodes "
-                f"{ids[:5].tolist()} outside the graph"
-            )
-        cat, owner = cat[~outside], owner[~outside]
-        first = np.full(n, len(cat))
-        np.minimum.at(first, cat, np.arange(len(cat)))
-        repeated = first[cat] != np.arange(len(cat))
-        for c, ids in _by_container(containers, owner, cat, repeated):
-            report.violations.append(
-                f"level {c.level}: container {c.index} overlaps siblings "
-                f"on {np.unique(ids)[:5].tolist()}"
-            )
-        missing = np.flatnonzero(first == len(cat))
-        if len(missing):
-            report.violations.append(
-                f"level {level_no}: nodes {missing[:5].tolist()} uncovered"
-            )
-        if below is not None:
-            # each node's container position at this level, -1 if uncovered
-            label = np.full(n, -1)
-            label[cat[~repeated]] = owner[~repeated]
-            children, child_cat, child_owner = below
-            up = label[child_cat]
-            k = len(children)
-            lo = np.full(k, len(containers))
-            hi = np.full(k, -1)
-            np.minimum.at(lo, child_owner, up)
-            np.maximum.at(hi, child_owner, up)
-            for pos in np.flatnonzero((lo != hi) | (lo < 0)).tolist():
-                child = children[pos]
-                report.violations.append(
-                    f"level {child.level} container {child.index} is not nested "
-                    f"in exactly one parent"
-                )
-        below = (containers, cat, owner)
+    nodes = np.arange(h.source_graph.n)  # graph nodes placed at every level so far
+    below = nodes                        # each one's position at the level below
+    for level, q_labels, k in h.maps:
+        up = q_labels[below]
+        for bad, what in ((up < 0, "uncovered"), (up >= k, f"placed past its {k} containers")):
+            if bad.any():
+                report.violations.append(f"level {level}: nodes {nodes[bad][:5].tolist()} {what}")
+        in_range = (q_labels >= 0) & (q_labels < k)
+        empty = np.flatnonzero(np.bincount(q_labels[in_range], minlength=k) == 0)
+        if len(empty):
+            report.violations.append(f"level {level}: containers {(empty[:5] + 1).tolist()} empty")
+        placed = (up >= 0) & (up < k)
+        nodes, below = nodes[placed], up[placed]
     return report
-
-
-def _by_container(containers, owner, cat, flagged):
-    """(container, its flagged ids) for each container with a flagged id;
-    `owner` is ascending, as the level's `nodes` are concatenated in order."""
-    hit = np.unique(owner[flagged], return_index=True)
-    for pos, ids in zip(hit[0].tolist(), np.split(cat[flagged], hit[1][1:])):
-        yield containers[pos], ids
 
 
 # -- hierarchy dump format -----------------------------------------------------
@@ -361,19 +271,21 @@ def _by_container(containers, owner, cat, flagged):
 
 def hierarchy_to_text(h: ContainerHierarchy) -> str:
     lines = []
-    for containers in h.levels:
-        for c in sorted(containers, key=lambda c: c.index):
-            ids = ",".join(map(str, c.nodes.tolist()))
-            lines.append(f"container {c.level} {c.index} {ids}")
+    for (level, _, _), containers in zip(h.maps, h.levels, strict=True):
+        for index, nodes in enumerate(containers, start=1):
+            lines.append(f"container {level} {index} {','.join(map(str, nodes.tolist()))}")
     return "\n".join(lines) + "\n"
 
 
 def hierarchy_from_text(text: str, graph: WeightedGraph) -> ContainerHierarchy:
-    """Rebuild a hierarchy from its dump over the graph it partitions. A
-    malformed line, one with a level or index below 1, one repeating a
-    container of its level, or one naming a node outside the graph raises
-    InvalidParams naming the line number."""
-    by_level = {}
+    """Rebuild a hierarchy from its dump over the graph it partitions. A line
+    that is malformed, has a level or index below 1 or an index past the
+    node count, repeats a container of its level, or names a node outside
+    the graph or one that an earlier line of its level holds raises
+    InvalidParams naming the line; a level whose indexes are not 1..k, that
+    leaves a node in no container, or that splits a container of the level
+    below raises it naming the level."""
+    by_level = {}  # level -> (each node's container position or -1, indexes seen)
     for lineno, ln in enumerate(text.splitlines(), start=1):
         parts = ln.split()
         if not parts:
@@ -394,13 +306,41 @@ def hierarchy_from_text(text: str, graph: WeightedGraph) -> ContainerHierarchy:
             raise InvalidParams(f"{where}: container level and index must be >= 1")
         if min(ids) < 0 or max(ids) >= graph.n:
             raise InvalidParams(f"{where}: node ids outside the {graph.n}-node graph")
-        rows = by_level.setdefault(level, {})
-        if index in rows:
+        if index > graph.n:
+            raise InvalidParams(f"{where}: container index past the {graph.n}-node graph's")
+        labels, indexes = by_level.setdefault(level, (np.full(graph.n, -1, dtype=np.int64), set()))
+        if index in indexes:
             raise InvalidParams(f"{where}: level {level} repeats container {index}")
-        rows[index] = np.unique(np.array(ids, dtype=np.int64))
-    levels = [
-        [Container(level=level, index=index, nodes=nodes)
-         for index, nodes in sorted(by_level[level].items())]
-        for level in sorted(by_level)
-    ]
-    return ContainerHierarchy(levels=levels, source_graph=graph)
+        indexes.add(index)
+        nodes = np.array(ids, dtype=np.int64)
+        held = nodes[labels[nodes] >= 0]
+        if len(held):
+            raise InvalidParams(
+                f"{where}: node {held[0]} is already in level {level} container {labels[held[0]] + 1}"
+            )
+        labels[nodes] = index - 1
+    maps, below = [], None  # below: the level below's (level, node labels, container count)
+    for level in sorted(by_level):
+        labels, indexes = by_level[level]
+        where = f"hierarchy text, level {level}"
+        k = len(indexes)
+        if max(indexes) != k:
+            raise InvalidParams(f"{where}: container indexes are not 1..{k}")
+        missing = np.flatnonzero(labels < 0)
+        if len(missing):
+            raise InvalidParams(f"{where}: node {missing[0]} is in no container")
+        q_labels = labels
+        if below is not None:
+            low_level, low_labels, low_k = below
+            q_labels = np.empty(low_k, dtype=np.int64)
+            q_labels[low_labels] = labels
+            split = np.flatnonzero(q_labels[low_labels] != labels)
+            if len(split):
+                raise InvalidParams(
+                    f"{where}: level {low_level} container "
+                    f"{low_labels[split[0]] + 1} is split across its containers"
+                )
+        q_labels.flags.writeable = False
+        maps.append((level, q_labels, k))
+        below = (level, labels, k)
+    return ContainerHierarchy(maps, graph)

@@ -211,11 +211,11 @@ def test_criterion_3_containerization_soundness():
         cur_n, cur_edges = n, edges
         for li, (level_containers, t) in enumerate(zip(h.levels, targets)):
             if li == 0:
-                groups = [c.nodes.tolist() for c in level_containers]
+                groups = [c.tolist() for c in level_containers]
             else:
                 # a container's children: the level-below positions of its nodes
                 below = h.labels()[li - 1]
-                groups = [np.unique(below[c.nodes]).tolist() for c in level_containers]
+                groups = [np.unique(below[c]).tolist() for c in level_containers]
             assert _pairwise_ok(cur_n, cur_edges, groups, t.value, mode)
             assert groups == oracle_level_groups(cur_n, cur_edges, t.value, mode)
             labels = {}
@@ -569,6 +569,6 @@ def test_criterion_10_scenario_sweep_shape():
             if w < 1_000:
                 uf.union(a, b)
         for container in hier.levels[0]:
-            roots = {uf.find(m) for m in container.nodes.tolist()}
+            roots = {uf.find(m) for m in container.tolist()}
             assert len(roots) == 1
     print("ACCEPTANCE 10 (scenario sweep shape, three full axes): PASS")

@@ -20,7 +20,7 @@ from icnsim.congruity import (
     FEATURE_NAMES, LABEL_KINDS, DatasetSpec, Hyperparams, load_model,
 )
 from icnsim.containment import (
-    Container, ContainerHierarchy, Target, containerize, hierarchy_to_text,
+    ContainerHierarchy, Target, containerize, hierarchy_to_text,
 )
 from icnsim.errors import ConfigError
 from icnsim.evaluation import ScenarioParams
@@ -300,10 +300,10 @@ class TestContainerizeCmd:
 
         def dropping_a_node(graph, targets):
             h = real(graph, targets)
-            first = h.levels[0][0]
-            short = Container(first.level, first.index, first.nodes[1:])
-            levels = [[short, *h.levels[0][1:]], *h.levels[1:]]
-            return ContainerHierarchy(levels, h.source_graph)
+            (level, first, k), *above = h.maps
+            first = first.copy()
+            first[0] = -1  # node 0 in no container
+            return ContainerHierarchy([(level, first, k), *above], h.source_graph)
 
         monkeypatch.setattr(cli, "containerize", dropping_a_node)
         capsys.readouterr()

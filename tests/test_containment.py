@@ -3,12 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from icnsim.containment import (
-    Container,
     ContainerHierarchy,
     Target,
     TargetMode,
     _grouping_labels,
-    _positions,
     containerize,
     hierarchy_from_text,
     hierarchy_to_text,
@@ -26,12 +24,8 @@ def make(n, edges, unit="latency_us"):
     return build_graph(nodes, [Edge(*e) for e in edges], unit)
 
 
-def ids(*nodes):
-    return np.array(nodes, dtype=np.int64)
-
-
 def members(containers):
-    return [c.nodes.tolist() for c in containers]
+    return [c.tolist() for c in containers]
 
 
 def random_graph(rng, n, max_extra=4):
@@ -123,20 +117,11 @@ class TestContainerize:
             h = containerize(g, targets)
             expected = oracle_hierarchy(n, edges, values, mode.value)
             assert [members(level) for level in h.levels] == expected
-            for t, level in zip(targets, h.levels, strict=True):
-                assert [(c.level, c.index) for c in level] == [
-                    (t.level, i + 1) for i in range(len(level))
-                ]
-                assert not any(c.nodes.flags.writeable for c in level)
-
-    def test_read_only_members_are_kept_as_given(self):
-        ids = np.arange(3, dtype=np.int64)
-        ids.flags.writeable = False
-        assert Container(level=1, index=1, nodes=ids).nodes is ids
-        writeable = np.arange(3, dtype=np.int64)
-        c = Container(level=1, index=1, nodes=writeable)
-        assert c.nodes.base is writeable and not c.nodes.flags.writeable
-        assert writeable.flags.writeable
+            assert [(level, k) for level, _, k in h.maps] == [
+                (t.level, len(level)) for t, level in zip(targets, h.levels, strict=True)
+            ]
+            for level in h.levels:
+                assert not any(c.flags.writeable for c in level)
 
     def test_single_target_equals_single_level(self):
         edges = [(0, 1, 2), (1, 2, 9)]
@@ -169,7 +154,7 @@ class TestContainerize:
             h = containerize(g, [Target(1, 4), Target(2, 12), Target(3, 40)])
             for low, high in zip(h.levels, h.levels[1:]):
                 for child in low:
-                    owners = [c for c in high if np.isin(child.nodes, c.nodes).all()]
+                    owners = [c for c in high if np.isin(child, c).all()]
                     assert len(owners) == 1
 
     def test_matches_multilevel_oracle(self):
@@ -223,22 +208,15 @@ class TestContainerize:
 
 class TestContainer:
     def test_nodes_are_read_only(self):
-        c = Container(1, 1, np.array([0, 2], dtype=np.int64))
+        h = containerize(make(2, [(0, 1, 1)]), [Target(1, 5)])
         with pytest.raises(ValueError):
-            c.nodes[0] = 1
-
-    def test_equality_is_identity(self):
-        a = Container(1, 1, ids(0, 1))
-        b = Container(1, 1, ids(0, 1))
-        assert a == a and a != b
-        assert len({a, b, a}) == 2
+            h.levels[0][0][0] = 1
 
     def test_containerize_slices_one_array_per_level(self):
         g = make(6, [(0, 1, 1), (1, 2, 10), (2, 3, 1), (3, 4, 30), (4, 5, 1)])
         h = containerize(g, [Target(1, 5), Target(2, 20)])
-        for level in h.levels:
-            nodes = [c.nodes for c in level]
-            assert all(np.all(np.diff(ids) > 0) for ids in nodes)
+        for nodes in h.levels:
+            assert all(ids.dtype == np.int64 and np.all(np.diff(ids) > 0) for ids in nodes)
             assert np.array_equal(np.sort(np.concatenate(nodes)), np.arange(6))
             # zero-copy slices of the level's sorted node array
             assert len({id(ids.base) for ids in nodes}) == 1
@@ -253,94 +231,78 @@ class TestValidateHierarchy:
             h = containerize(g, [Target(1, 4), Target(2, 18)])
             assert validate_hierarchy(h).ok
 
-    def test_overlap_violation(self):
-        g = make(3, [(0, 1, 1)])
-        h = ContainerHierarchy(
-            levels=[[
-                Container(1, 1, ids(0, 1)),
-                Container(1, 2, ids(1, 2)),
-            ]],
-            source_graph=g,
-        )
-        report = validate_hierarchy(h)
-        assert not report.ok
-        assert sum("overlaps" in v for v in report.violations) == 1
-
     def test_coverage_violation(self):
         g = make(3, [(0, 1, 1)])
-        h = ContainerHierarchy(
-            levels=[[Container(1, 1, ids(0, 1))]],
-            source_graph=g,
-        )
-        report = validate_hierarchy(h)
-        assert not report.ok
-        assert sum("uncovered" in v for v in report.violations) == 1
+        h = ContainerHierarchy([(1, np.array([0, 0, -1]), 1)], g)
+        assert validate_hierarchy(h).violations == ["level 1: nodes [2] uncovered"]
 
-    def test_nesting_violation(self):
-        g = make(2, [(0, 1, 1)])
-        h = ContainerHierarchy(
-            levels=[
-                [Container(1, 1, ids(0, 1))],
-                [Container(2, 1, ids(0))],
-            ],
-            source_graph=g,
-        )
-        assert any("nested" in v for v in validate_hierarchy(h).violations)
+    def test_an_uncovered_container_uncovers_its_nodes(self):
+        g = make(4, [(0, 1, 1), (2, 3, 1)])
+        h = ContainerHierarchy([(1, np.array([0, 0, 1, 1]), 2), (3, np.array([0, -1]), 1)], g)
+        assert validate_hierarchy(h).violations == ["level 3: nodes [2, 3] uncovered"]
 
-    def test_nodes_outside_the_graph(self):
-        g = make(2, [(0, 1, 1)])
-        h = ContainerHierarchy(
-            levels=[[Container(1, 1, ids(0, 1, 7))]],
-            source_graph=g,
-        )
-        report = validate_hierarchy(h)
-        assert report.violations == ["level 1: container 1 has nodes [7] outside the graph"]
+    def test_entries_past_the_count_and_empty_containers(self):
+        g = make(3, [(0, 1, 1)])
+        h = ContainerHierarchy([(1, np.array([0, 3, 0]), 3)], g)
+        assert validate_hierarchy(h).violations == [
+            "level 1: nodes [1] placed past its 3 containers",
+            "level 1: containers [2, 3] empty",
+        ]
 
     def test_generated_mmtc_hierarchy_of_53k_nodes(self):
-        """A generated mMTC hierarchy of about 53k nodes validates, and each
-        kind of damage to it is reported."""
+        """A generated mMTC hierarchy of about 53k nodes validates and reads
+        back from its dump, and the reader rejects each kind of damage to the
+        dump, naming its line or level."""
         params = ScenarioParams(scenario="mmtc", density_k_per_km2=50.0)
         g = generate_topology(params, 2)
         assert g.n >= 50_000
         h = containerize(g, [Target(1, 1_000), Target(2, 150_000), Target(3, 500_000)])
         assert validate_hierarchy(h).ok
+        text = hierarchy_to_text(h)
+        assert hierarchy_to_text(hierarchy_from_text(text, g)) == text
 
-        def damaged(level, pos, nodes=None):
-            """Violations with a container replaced by one holding `nodes`,
-            or removed when `nodes` is None."""
-            levels = [list(row) for row in h.levels]
-            old = levels[level].pop(pos)
-            if nodes is not None:
-                levels[level].insert(pos, Container(old.level, old.index, nodes))
-            report = validate_hierarchy(
-                ContainerHierarchy(levels=levels, source_graph=g)
-            )
-            return report.violations
+        lines = text.splitlines()
+        low, parent = h.levels[0], h.labels()[1]
 
-        low = h.levels[0]
-        pos = next(i for i, c in enumerate(low) if len(c.nodes) > 1)
-        nodes, index = low[pos].nodes, low[pos].index
-        # a node dropped from its container is uncovered
-        assert damaged(0, pos, nodes[1:]) == [f"level 1: nodes [{nodes[0]}] uncovered"]
-        # a node of the same parent copied in overlaps its own container
-        parent = h.labels()[1]
-        near = next(c for c in low[pos + 1:] if parent[c.nodes[0]] == parent[nodes[0]])
-        stray = int(near.nodes[0])
-        assert damaged(0, pos, np.union1d(nodes, [stray])) == [
-            f"level 1: container {near.index} overlaps siblings on [{stray}]"
-        ]
-        # a node from under another parent also breaks the nesting
-        far = next(c for c in low[pos + 1:] if parent[c.nodes[0]] != parent[nodes[0]])
-        moved = int(far.nodes[0])
-        got = damaged(0, pos, np.union1d(nodes, [moved]))
-        assert got[0] == f"level 1: container {far.index} overlaps siblings on [{moved}]"
-        assert got[1:] == [f"level 1 container {index} is not nested in exactly one parent"]
-        # a parent removed leaves its nodes uncovered and its children unnested
-        gone = h.levels[1][0]
-        kids = [c.index for c in low if parent[c.nodes[0]] == 0]
-        assert damaged(1, 0) == [f"level 2: nodes {gone.nodes[:5].tolist()} uncovered"] + [
-            f"level 1 container {i} is not nested in exactly one parent" for i in kids
-        ]
+        def rejected(edits):
+            """The reader's message for the dump with the lines at the given
+            positions replaced; a removed line is left blank, which keeps
+            the line numbers."""
+            damaged = [edits.get(i, ln) for i, ln in enumerate(lines)]
+            with pytest.raises(InvalidParams) as err:
+                hierarchy_from_text("\n".join(damaged) + "\n", g)
+            return str(err.value)
+
+        def holding(pos, nodes):
+            """The line of level-1 container pos + 1 holding `nodes`."""
+            return f"container 1 {pos + 1} {','.join(map(str, nodes))}"
+
+        pos = next(i for i, c in enumerate(low) if len(c) > 1)
+        nodes = low[pos]
+        # a node dropped from its container is in none
+        assert rejected({pos: holding(pos, nodes[1:])}) == (
+            f"hierarchy text, level 1: node {nodes[0]} is in no container"
+        )
+        # a node copied in from the next container: the later line is named
+        stray = int(low[pos + 1][0])
+        assert rejected({pos: holding(pos, np.union1d(nodes, [stray]))}) == (
+            f"hierarchy text, line {pos + 2}: node {stray} is already in level 1 container {pos + 1}"
+        )
+        # a node moved in from under another parent splits its new container
+        far = next(
+            i for i in range(pos + 1, len(low))
+            if parent[low[i][0]] != parent[nodes[0]] and len(low[i]) > 1
+        )
+        moved = int(low[far][0])
+        edits = {pos: holding(pos, np.union1d(nodes, [moved])), far: holding(far, low[far][1:])}
+        assert rejected(edits) == (
+            f"hierarchy text, level 2: level 1 container {pos + 1} is split across its containers"
+        )
+        # a removed parent leaves a gap in its level's indexes
+        k = len(h.levels[1])
+        assert rejected({len(low): ""}) == (
+            f"hierarchy text, level 2: container indexes are not 1..{k - 1}"
+        )
 
 
 @st.composite
@@ -482,10 +444,13 @@ def test_containers_derive_from_the_stored_label_maps(case):
     labels = h.labels()  # composed from the maps, before any container exists
     assert h.levels is h.levels
     assert [members(level) for level in h.levels] == oracle_hierarchy(n, edges, values, mode.value)
-    for t, level, lab in zip(targets, h.levels, labels, strict=True):
-        assert [(c.level, c.index) for c in level] == [(t.level, i + 1) for i in range(len(level))]
+    assert [(level, k) for level, _, k in h.maps] == [
+        (t.level, len(level)) for t, level in zip(targets, h.levels, strict=True)
+    ]
+    for level, lab in zip(h.levels, labels, strict=True):
         assert lab.dtype == np.int64 and len(lab) == n
-        assert np.array_equal(lab, _positions([c.nodes for c in level], n))
+        assert sum(map(len, level)) == n
+        assert all(np.all(lab[c] == j) for j, c in enumerate(level))
 
 
 class TestHierarchyDump:
@@ -499,43 +464,57 @@ class TestHierarchyDump:
             members(level) for level in h.levels
         ]
 
-    @pytest.mark.parametrize("line", [
-        "container 1", "container x 1 0", "container 1 1 0,a",
-        "container 2 1 0,2", "container 2 1 -1,0",  # ids outside the 2-node graph
-        "container 2 1 0,99999999999999999999",
-        # lines no dump has: a repeated (level, index), a level or index
-        # below 1, a field after the ids
-        "container 1 1 1", "container 1 -3 0,1", "container 1 0 0,1",
-        "container 0 1 0,1", "container 1 2 0,1 extra",
+    @pytest.mark.parametrize("line,where", [
+        pytest.param(line, where, id=line) for where, lines in (
+            ("line 3", (
+                "container 1", "container x 1 0", "container 1 1 0,a",
+                "container 2 1 0,2", "container 2 1 -1,0",  # ids outside the 2-node graph
+                "container 2 1 0,99999999999999999999",
+                "container 1 99999999999999999999 0",  # more containers than nodes
+                # lines no dump has: a repeated (level, index), a level or
+                # index below 1, a field after the ids, a node an earlier
+                # line of the level holds
+                "container 1 1 1", "container 1 -3 0,1", "container 1 0 0,1",
+                "container 0 1 0,1", "container 1 2 0,1 extra", "container 1 2 1",
+            )),
+            # levels no dump has: an index gap, a node in no container
+            ("level 2", ("container 2 2 0,1", "container 2 1 0")),
+        ) for line in lines
     ])
-    def test_malformed_line_raises_invalid_params_with_its_line(self, line):
+    def test_malformed_line_raises_invalid_params_with_its_line(self, line, where):
         text = "container 1 1 0,1\n\n" + line + "\n"
-        with pytest.raises(InvalidParams, match="line 3"):
+        with pytest.raises(InvalidParams, match=where):
             hierarchy_from_text(text, make(2, [(0, 1, 1)]))
 
     def test_read_back_labels_equal_the_built_ones(self):
         """A dump read back with its graph is a full hierarchy: its labels
-        are those of the hierarchy it was written from."""
+        are those of the hierarchy it was written from, and it dumps to the
+        same bytes."""
         rng = np.random.default_rng(12)
-        for _ in range(10):
-            n = int(rng.integers(2, 12))
-            g = make(n, random_graph(rng, n))
-            h = containerize(g, [Target(1, 4), Target(2, 12), Target(3, 40)])
-            again = hierarchy_from_text(hierarchy_to_text(h), g)
-            assert again.source_graph is g
-            for built, read in zip(h.labels(), again.labels(), strict=True):
-                assert np.array_equal(built, read)
+        for mode in TargetMode:
+            unit = "bandwidth_bps" if mode == TargetMode.BOTTLENECK else "latency_us"
+            for _ in range(10):
+                n = int(rng.integers(2, 12))
+                g = make(n, random_graph(rng, n), unit)
+                values = rng.choice(np.arange(2, 40), size=int(rng.integers(1, 4)), replace=False)
+                values = sorted(values.tolist(), reverse=mode == TargetMode.BOTTLENECK)
+                h = containerize(g, [Target(i + 1, v, mode) for i, v in enumerate(values)])
+                text = hierarchy_to_text(h)
+                again = hierarchy_from_text(text, g)
+                assert again.source_graph is g
+                assert hierarchy_to_text(again) == text
+                for built, read in zip(h.labels(), again.labels(), strict=True):
+                    assert np.array_equal(built, read)
 
-    def test_uncovered_node_is_labelled_minus_one(self):
-        g = make(3, [(0, 1, 1)])
-        again = hierarchy_from_text("container 1 1 0,2\n", g)
-        assert again.labels()[0].tolist() == [0, -1, 0]
+    def test_uncovered_node_is_rejected(self):
+        with pytest.raises(InvalidParams, match="level 1: node 1 is in no container"):
+            hierarchy_from_text("container 1 1 0,2\n", make(3, [(0, 1, 1)]))
 
     def test_unsorted_and_repeated_ids_read_as_their_sorted_set(self):
         g = make(3, [(0, 1, 1)])
-        messy = hierarchy_from_text("container 1 1 2,0,2\n", g)
-        clean = hierarchy_from_text("container 1 1 0,2\n", g)
-        (got,), (want,) = messy.levels[0], clean.levels[0]
-        assert got.nodes.dtype == np.int64 and not got.nodes.flags.writeable
-        assert got.nodes.tolist() == want.nodes.tolist() == [0, 2]
-        assert messy.labels()[0].tolist() == clean.labels()[0].tolist()
+        messy = hierarchy_from_text("container 1 1 2,0,2\ncontainer 1 2 1\n", g)
+        clean = hierarchy_from_text("container 1 1 0,2\ncontainer 1 2 1\n", g)
+        got, want = messy.levels[0][0], clean.levels[0][0]
+        assert got.dtype == np.int64 and not got.flags.writeable
+        assert got.tolist() == want.tolist() == [0, 2]
+        assert messy.labels()[0].tolist() == clean.labels()[0].tolist() == [0, 1, 0]

@@ -266,7 +266,6 @@ class TestRunScenario:
             raise AssertionError("the run built containers")
 
         monkeypatch.setattr(containment, "_group_members", forbidden)
-        monkeypatch.setattr(containment, "Container", forbidden)
         assert reports_to_csv([evaluation._run_point(point, 0)[0]]) == want
 
     def test_run_sweep_concatenates_seeds(self):
@@ -292,8 +291,8 @@ class TestRunScenario:
         assert report.request_count == 64
 
     def test_mmtc_run_builds_no_member_sets(self, monkeypatch):
-        # the run path reads container counts and id arrays, never the
-        # frozenset a container builds on first read of `members`
+        # a container is its read-only id array: there is no member set to
+        # build, and the run cannot write to a container it was handed
         built = []
 
         def recording(g, targets):
@@ -304,7 +303,7 @@ class TestRunScenario:
         run_scenario(small_params(scenario="mmtc", sweep_values=(1, 2), area_km2=0.5))
         containers = [c for h in built for level in h.levels for c in level]
         assert len(built) == 2 and len(containers) > 2
-        assert not any("members" in vars(c) for c in containers)
+        assert all(type(c) is np.ndarray and not c.flags.writeable for c in containers)
 
     def test_validation(self):
         with pytest.raises(InvalidParams):
