@@ -46,10 +46,10 @@ LABEL_KINDS = (
 )
 
 # Learner size caps. At the default 200 + 400 samples (2-vCPU VM, numpy
-# 2.4) the prune phase took 0.14 s for 170 weights and biases, 3.3 s for
-# 2,450 and 27 s for 9,746 (peak about 0.4 KiB each), and an epoch 1.7, 3.8
-# and 12 ms: so about half a minute of pruning at MAX_PARAMETERS and two of
-# descent at MAX_EPOCHS.
+# 2.4) the prune phase took 0.045 s for 170 weights and biases, 1.5 s for
+# 2,450 and 13 s for 9,746 (peak about 0.4 KiB each), and an epoch of an
+# unpruned net 0.5, 1.6 and 5.1 ms: so about a quarter of a minute of
+# pruning at MAX_PARAMETERS and under a minute of descent at MAX_EPOCHS.
 MAX_PARAMETERS = 10_000
 MAX_EPOCHS = 10_000
 
@@ -220,13 +220,16 @@ class ParameterSet:
         return len(self.widths)
 
     def views(self, vec):
-        """(weights, biases) of a vector laid out like theta, as views."""
+        """(weights, biases) of a vector laid out like theta, or of a stack
+        of them along leading axes, as views."""
+        lead = vec.shape[:-1]
         weights, biases = [], []
         for l, w in enumerate(self.widths):
             hi = self._starts[l + 1]
             if l >= 1:
-                weights.append(vec[self._starts[l]:hi - w].reshape(w, self.widths[l - 1]))
-            biases.append(vec[hi - w:hi])
+                weights.append(vec[..., self._starts[l]:hi - w]
+                               .reshape(*lead, w, self.widths[l - 1]))
+            biases.append(vec[..., hi - w:hi])
         return weights, biases
 
     def layer_coords(self, layer: int) -> range:
@@ -304,8 +307,9 @@ def _sigmoid(z):
 
 
 def _forward_batch(ps: ParameterSet, X: np.ndarray, alive=None):
-    """Every layer's activations. `alive` stands in for ps.alive, with None
-    for a layer whose neurons all live: x * 1.0 is x, bit for bit."""
+    """Every layer's activations of a batch of rows, or of batches stacked
+    along a leading axis (see _backprop). `alive` stands in for ps.alive,
+    with None for a layer whose neurons all live: x * 1.0 is x, bit for bit."""
     if alive is None:
         alive = ps.alive
     acts = [X if alive[0] is None else X * alive[0]]
@@ -394,55 +398,62 @@ def _check_output_width(ps):
 
 
 def _loss_parts(ps, X, vals, mask, reconstruct=True, acts=None):
-    """Summed prediction loss and per-sample squared reconstruction errors;
-    the reconstruction is None when `reconstruct` is false. `acts` is X's
-    forward pass at the current parameters, if the caller has it."""
+    """Summed prediction loss and per-sample squared reconstruction errors,
+    per stacked batch if X has a leading stack axis; the reconstruction is
+    None when `reconstruct` is false. `acts` is X's forward pass at the
+    current parameters, if the caller has it."""
     if acts is None:
         acts = _forward_batch(ps, X)
-    y = acts[-1][:, 0]
-    pred_sum = float((((y - vals) ** 2) * mask).sum())
+    pred_sum = (((acts[-1][..., 0] - vals) ** 2) * mask).sum(axis=-1)
     if not reconstruct:
         return pred_sum, None
     recs = _reconstruct_batch(ps, acts[-1])
-    recon_sq = ((recs[0] - X) ** 2).sum(axis=1)
-    return pred_sum, recon_sq
+    return pred_sum, ((recs[0] - X) ** 2).sum(axis=-1)
+
+
+def _reconstructs(kind, h):
+    """Whether a `kind` side's reconstruction term is weighted; a
+    zero-weighted one is not computed (see _backprop)."""
+    return (h.lambda_k if kind == "personal" else h.lambda_q) != 0.0
+
+
+def _side_error(ps, d, h, pred_sum, recon_sq, centroid=None):
+    """`general_error` or `personal_error` of d, by its kind, from its
+    `_loss_parts`."""
+    if d.kind == "general":
+        if recon_sq is None:
+            return h.lambda_g * pred_sum
+        return h.lambda_g * pred_sum + h.lambda_q * regularizer(ps, h.q) * float(recon_sq.sum())
+    if recon_sq is None:
+        return h.lambda_p * pred_sum
+    if centroid is None:
+        centroid = d.centroid()
+    filters = d.topk_filters(centroid, h.k)
+    return h.lambda_p * pred_sum + h.lambda_k * float((filters * recon_sq).sum())
+
+
+def _error(ps, d, h, kind, centroid=None):
+    """`general_error` or `personal_error`, by `kind`."""
+    if d.kind != kind:
+        raise InvalidParams(f"{kind}_error needs a {kind} dataset")
+    if len(d) == 0:
+        raise EmptyDataset(f"{kind} dataset is empty")
+    _check_output_width(ps)
+    vals, mask = d.label_arrays("distance")
+    pred_sum, recon_sq = _loss_parts(ps, d.features, vals, mask, _reconstructs(kind, h))
+    return _side_error(ps, d, h, float(pred_sum), recon_sq, centroid)
 
 
 def general_error(ps: ParameterSet, dg: Dataset, h: Hyperparams) -> float:
     """Prediction loss on labeled general samples plus the q-norm-scaled
     reconstruction (memory) loss over all general samples."""
-    if dg.kind != "general":
-        raise InvalidParams("general_error needs a general dataset")
-    if len(dg) == 0:
-        raise EmptyDataset("general dataset is empty")
-    _check_output_width(ps)
-    vals, mask = dg.label_arrays("distance")
-    # a zero-weighted reconstruction term is not computed (see _backprop)
-    pred_sum, recon_sq = _loss_parts(ps, dg.features, vals, mask,
-                                     reconstruct=h.lambda_q != 0.0)
-    if recon_sq is None:
-        return h.lambda_g * pred_sum
-    return h.lambda_g * pred_sum + h.lambda_q * regularizer(ps, h.q) * float(recon_sq.sum())
+    return _error(ps, dg, h, "general")
 
 
-def personal_error(ps: ParameterSet, dp: Dataset, h: Hyperparams, centroid=None,
-                   acts=None) -> float:
+def personal_error(ps: ParameterSet, dp: Dataset, h: Hyperparams, centroid=None) -> float:
     """Prediction loss on labeled personal samples plus the per-sample
     filter-gated reconstruction (response) loss."""
-    if dp.kind != "personal":
-        raise InvalidParams("personal_error needs a personal dataset")
-    if len(dp) == 0:
-        raise EmptyDataset("personal dataset is empty")
-    _check_output_width(ps)
-    vals, mask = dp.label_arrays("distance")
-    pred_sum, recon_sq = _loss_parts(ps, dp.features, vals, mask,
-                                     reconstruct=h.lambda_k != 0.0, acts=acts)
-    if recon_sq is None:
-        return h.lambda_p * pred_sum
-    if centroid is None:
-        centroid = dp.centroid()
-    filters = dp.topk_filters(centroid, h.k)
-    return h.lambda_p * pred_sum + h.lambda_k * float((filters * recon_sq).sum())
+    return _error(ps, dp, h, "personal", centroid)
 
 
 def congruity_objective(ps: ParameterSet, dp: Dataset, dg: Dataset, h: Hyperparams,
@@ -481,36 +492,45 @@ def _backprop(ps, X, vals, mask, pred_w, recon_coeff, acts=None, alive=None):
     no parameter sees. The output is one neuron wide (the error functions
     check it). `acts` is X's forward pass if the caller has it; `alive` goes
     to `_forward_batch` otherwise.
+
+    X may stack S batches of the same rows along a leading axis, with vals,
+    mask and recon_coeff (S, rows) and pred_w (S, 1); the gradients come back
+    (S, theta.size) and the errors (S, rows). Each slice's bytes are those
+    of a pass over its batch alone on one condition: each stacked slice gets
+    the same BLAS call and the same elementwise and reduction loops as a
+    single-side pass. numpy meets it by running matmul slice by slice, with
+    the 2-D pass's shapes and strides, and by reducing each slice's
+    contiguous rows as it reduces a 2-D array's (TestStackedPass checks it).
     """
     if acts is None:
         acts = _forward_batch(ps, X, alive)
     L = ps.L
-    grad = np.zeros(ps.theta.size)
+    grad = np.zeros((*X.shape[:-2], ps.theta.size))
     gW, gb = ps.views(grad)
-    err = 2.0 * pred_w * (acts[-1][:, 0] - vals) * mask
+    err = 2.0 * pred_w * (acts[-1][..., 0] - vals) * mask
 
     if recon_coeff is None:
         recon_sq = None
-        ga = err[:, None]
+        ga = err[..., None]
     else:
         # negative (reconstruction) chain
         recs = _reconstruct_batch(ps, acts[-1])
         diff = recs[0] - X
-        recon_sq = (diff ** 2).sum(axis=1)
-        gr = 2.0 * recon_coeff[:, None] * diff
+        recon_sq = (diff ** 2).sum(axis=-1)
+        gr = 2.0 * recon_coeff[..., None] * diff
         for l in range(L - 1):
             gs = gr * recs[l] * (1.0 - recs[l])
-            gW[l] += recs[l + 1].T @ gs
-            gb[l] += gs.sum(axis=0)
+            gW[l] += recs[l + 1].swapaxes(-1, -2) @ gs
+            gb[l] += gs.sum(axis=-2)
             gr = gs @ ps.weights[l].T
         ga = gr * ps.alive[L - 1]
-        ga[:, 0] += err
+        ga[..., 0] += err
 
     # positive chain, seeded by the prediction error plus any reconstruction flow
     for l in range(L - 1, 0, -1):
         gz = ga * acts[l] * (1.0 - acts[l])
-        gW[l - 1] += gz.T @ acts[l - 1]
-        gb[l] += np.add.reduce(gz, axis=0)
+        gW[l - 1] += gz.swapaxes(-1, -2) @ acts[l - 1]
+        gb[l] += np.add.reduce(gz, axis=-2)
         if l > 1:
             ga = gz @ ps.weights[l - 1]
     return grad, recon_sq
@@ -538,46 +558,64 @@ def _regularizer_grads(ps, q):
     return grad, r
 
 
+def _recon_terms(ps, d, h, kind, centroid=None):
+    """(reconstruction coefficients, q-norm gradient) of a `kind` side's
+    gradient over d: lambda_k times the top-k filters on the personal side,
+    lambda_q times the q-norm on the general one, whose own gradient
+    `_add_qnorm` adds. None where the term is zero-weighted (see _backprop)
+    or has no q-norm."""
+    if not _reconstructs(kind, h):
+        return None, None
+    if kind == "personal":
+        if centroid is None:
+            centroid = d.centroid()
+        return h.lambda_k * d.topk_filters(centroid, h.k), None
+    reg_grad, r = _regularizer_grads(ps, h.q)
+    return np.full(len(d), h.lambda_q * r), reg_grad
+
+
+def _add_qnorm(grad, h, recon_sq, reg_grad):
+    """The q-norm multiplies the summed reconstruction loss, so its own
+    gradient enters scaled by that sum."""
+    grad += h.lambda_q * float(recon_sq.sum()) * reg_grad
+
+
+def _side_grad(ps, d, h, kind, centroid=None, acts=None, alive=None):
+    """`grad_general` or `grad_personal`, by `kind`."""
+    if len(d) == 0:
+        raise EmptyDataset(f"{kind} dataset is empty")
+    _check_output_width(ps)
+    vals, mask = d.label_arrays("distance")
+    coeff, reg_grad = _recon_terms(ps, d, h, kind, centroid)
+    pred_w = h.lambda_p if kind == "personal" else h.lambda_g
+    grad, recon_sq = _backprop(ps, d.features, vals, mask, pred_w, coeff, acts, alive)
+    if reg_grad is not None:
+        _add_qnorm(grad, h, recon_sq, reg_grad)
+    return grad
+
+
 def grad_general(ps: ParameterSet, dg: Dataset, h: Hyperparams, alive=None):
     """`alive` stands in for ps.alive in the forward pass (see _forward_batch)."""
-    if len(dg) == 0:
-        raise EmptyDataset("general dataset is empty")
-    _check_output_width(ps)
-    X = dg.features
-    vals, mask = dg.label_arrays("distance")
-    if h.lambda_q == 0.0:
-        return _backprop(ps, X, vals, mask, h.lambda_g, None, alive=alive)[0]
-    reg_grad, r = _regularizer_grads(ps, h.q)
-    coeff = np.full(len(dg), h.lambda_q * r)
-    grad, recon_sq = _backprop(ps, X, vals, mask, h.lambda_g, coeff, alive=alive)
-    # the q-norm multiplies the summed reconstruction loss, so its own
-    # gradient enters scaled by that sum
-    grad += h.lambda_q * float(recon_sq.sum()) * reg_grad
-    return grad
+    return _side_grad(ps, dg, h, "general", alive=alive)
 
 
 def grad_personal(ps: ParameterSet, dp: Dataset, h: Hyperparams, centroid=None,
                   acts=None, alive=None):
     """`acts` is dp's forward pass at the current parameters, if the caller
     has it; `alive` stands in for ps.alive otherwise (see _forward_batch)."""
-    if len(dp) == 0:
-        raise EmptyDataset("personal dataset is empty")
-    _check_output_width(ps)
-    vals, mask = dp.label_arrays("distance")
-    if h.lambda_k == 0.0:
-        coeff = None
-    else:
-        if centroid is None:
-            centroid = dp.centroid()
-        coeff = h.lambda_k * dp.topk_filters(centroid, h.k)
-    return _backprop(ps, dp.features, vals, mask, h.lambda_p, coeff, acts, alive)[0]
+    return _side_grad(ps, dp, h, "personal", centroid, acts, alive)
+
+
+def _blend(h, p, g):
+    """The blended objective's gradient from its personal and general ones."""
+    return (1.0 - h.alpha) * g + h.alpha * p
 
 
 def grad_congruity(ps: ParameterSet, dp: Dataset, dg: Dataset, h: Hyperparams,
                    centroid=None, alive=None):
     g = grad_general(ps, dg, h, alive)
     p = grad_personal(ps, dp, h, centroid, alive=alive)
-    return (1.0 - h.alpha) * g + h.alpha * p
+    return _blend(h, p, g)
 
 
 # -- training --------------------------------------------------------------------
@@ -592,12 +630,42 @@ class TrainResult:
     pruned_count: int
 
 
-def _batches(dp, dg, batch_size):
-    """(personal, general) batch pairs; the shorter side wraps around and
-    reuses its batch objects, so each batch's memos are filled once."""
-    bps = [dp.slice(lo, lo + batch_size) for lo in range(0, len(dp), batch_size)]
-    bgs = [dg.slice(lo, lo + batch_size) for lo in range(0, len(dg), batch_size)]
-    return [(bps[i % len(bps)], bgs[i % len(bgs)]) for i in range(max(len(bps), len(bgs)))]
+class _Stack:
+    """Batches of the same rows stacked along a leading axis, personal
+    before general, for one pass through `_forward_batch`, `_loss_parts`
+    and `_backprop`: features (S, rows, N_FEATURES), distance values and
+    masks (S, rows), each side's prediction weight (S, 1), and whether its
+    sides, which all run the same chain, reconstruct."""
+
+    def __init__(self, batches, h):
+        self.batches = batches
+        labels = [b.label_arrays("distance") for b in batches]
+        self.X = np.stack([b.features for b in batches])
+        self.vals = np.stack([v for v, _ in labels])
+        self.mask = np.stack([m for _, m in labels])
+        self.pred_w = np.array([[h.lambda_p if b.kind == "personal" else h.lambda_g]
+                                for b in batches])
+        self.reconstruct = _reconstructs(batches[0].kind, h)
+
+
+def _batches(dp, dg, h):
+    """Each (personal, general) batch pair as a list of stacks: one stack
+    of both sides when their rows match and both reconstruction terms are
+    weighted or neither is, else one stack per side. The shorter side wraps
+    around and reuses its batch objects, so each batch's memos are filled
+    once."""
+    size = h.batch_size
+    bps = [dp.slice(lo, lo + size) for lo in range(0, len(dp), size)]
+    bgs = [dg.slice(lo, lo + size) for lo in range(0, len(dg), size)]
+    together = _reconstructs("personal", h) == _reconstructs("general", h)
+    pairs = []
+    for i in range(max(len(bps), len(bgs))):
+        sides = bps[i % len(bps)], bgs[i % len(bgs)]
+        if together and len(sides[0]) == len(sides[1]):
+            pairs.append([_Stack(sides, h)])
+        else:
+            pairs.append([_Stack((b,), h) for b in sides])
+    return pairs
 
 
 def _live_masks(ps):
@@ -608,8 +676,34 @@ def _live_masks(ps):
             ps.frozen if ps.frozen.any() else None)
 
 
+def _pair_errors(ps, pair, h, centroid):
+    """(personal error, general error, personal forward pass) of one batch
+    pair, each side's error bit for bit what `personal_error` or
+    `general_error` gives."""
+    errors, passes = [], []
+    for st in pair:
+        passes.append(_forward_batch(ps, st.X))
+        pred_sum, recon_sq = _loss_parts(ps, st.X, st.vals, st.mask, st.reconstruct, passes[-1])
+        errors += [_side_error(ps, b, h, float(pred_sum[k]),
+                               None if recon_sq is None else recon_sq[k], centroid)
+                   for k, b in enumerate(st.batches)]
+    return (*errors, [a[0] for a in passes[0]])
+
+
+def _stack_grads(ps, st, h, centroid, alive):
+    """Each stacked side's gradient, (S, theta.size), bit for bit what
+    `grad_personal` or `grad_general` gives for its batch."""
+    terms = [_recon_terms(ps, b, h, b.kind, centroid) for b in st.batches]
+    coeff = np.stack([c for c, _ in terms]) if st.reconstruct else None
+    grad, recon_sq = _backprop(ps, st.X, st.vals, st.mask, st.pred_w, coeff, alive=alive)
+    for k, (_, reg_grad) in enumerate(terms):
+        if reg_grad is not None:
+            _add_qnorm(grad[k], h, recon_sq[k], reg_grad)
+    return grad
+
+
 def _prune_phase(ps, pairs, h, centroid, rng):
-    """Layer-wise pruning sweep.
+    """Layer-wise pruning sweep over `_batches` pairs.
 
     Per layer: take per-parameter response-gradient steps; a parameter whose
     step moves the personal error less than alpha times the general error is
@@ -633,24 +727,20 @@ def _prune_phase(ps, pairs, h, centroid, rng):
         if d < ps.d_max:
             continue
         advance = False
-        for b, (bp, bg) in enumerate(pairs):
-            Xp = bp.features
+        for b, pair in enumerate(pairs):
+            bp = pair[0].batches[0]
             for i in ps.layer_coords(layer):
                 if ps.frozen[i]:
                     continue
                 if known is None or known[0] != b:
-                    acts = _forward_batch(ps, Xp)
-                    known = (b, personal_error(ps, bp, h, centroid, acts),
-                             general_error(ps, bg, h), acts)
+                    known = (b, *_pair_errors(ps, pair, h, centroid))
                 _, ev_p, ev_g, acts = known
                 g = grad_personal(ps, bp, h, centroid, acts=acts)[i]
                 if g == 0.0:
                     continue
                 ps.theta[i] -= h.learning_rate * g
-                acts = _forward_batch(ps, Xp)
-                en_p = personal_error(ps, bp, h, centroid, acts)
-                en_g = general_error(ps, bg, h)
-                known = (b, en_p, en_g, acts)
+                known = (b, *_pair_errors(ps, pair, h, centroid))
+                _, en_p, en_g, _ = known
                 if abs(en_p - ev_p) < h.alpha * abs(en_g - ev_g):
                     if rng.random() < h.prune_probability:
                         ps.prune(i)
@@ -668,7 +758,11 @@ def _prune_phase(ps, pairs, h, centroid, rng):
 def train(dp: Dataset, dg: Dataset, h: Hyperparams, arch, d_max=None) -> TrainResult:
     """Two-phase optimization: layer-wise pruning, then gradient descent on
     the blended objective until max_epochs or the relative improvement drops
-    under the tolerance. Deterministic for a fixed seed."""
+    under the tolerance. Deterministic for a fixed seed.
+
+    Each batch pair runs as one stack of both sides where their rows and
+    reconstruction chains match, so one forward and one backward pass serve
+    both sides of a prune evaluation or a descent step."""
     h.validate()
     if len(dp) == 0 or len(dg) == 0:
         raise EmptyDataset("training needs non-empty personal and general data")
@@ -682,15 +776,16 @@ def train(dp: Dataset, dg: Dataset, h: Hyperparams, arch, d_max=None) -> TrainRe
     centroid = dp.centroid()
 
     e_initial = congruity_objective(ps, dp, dg, h, centroid)
-    pairs = _batches(dp, dg, h.batch_size)
+    pairs = _batches(dp, dg, h)
     pruned = _prune_phase(ps, pairs, h, centroid, rng)
 
     e_prev = congruity_objective(ps, dp, dg, h, centroid)
     history = [e_prev]
     alive, frozen = _live_masks(ps)
     for _ in range(h.max_epochs):
-        for bp, bg in pairs:
-            step = grad_congruity(ps, bp, bg, h, centroid, alive)
+        for pair in pairs:
+            p, g = (side for st in pair for side in _stack_grads(ps, st, h, centroid, alive))
+            step = _blend(h, p, g)
             ps.theta -= h.learning_rate * (step if frozen is None else np.where(frozen, 0.0, step))
         e_now = congruity_objective(ps, dp, dg, h, centroid)
         if not math.isfinite(e_now):

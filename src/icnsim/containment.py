@@ -245,11 +245,14 @@ def validate_hierarchy(h: ContainerHierarchy) -> ValidationReport:
     """Checks that every entry of each level's map lies in [0, k), k the
     level's container count, and that no container is empty.
 
-    The maps nest by construction, so nothing else can be wrong. An entry
-    out of range is reported by the graph nodes it holds, a negative one as
-    uncovered; those nodes are left out at the levels above.
+    The maps nest by construction, so nothing else can be wrong but a
+    hierarchy with no maps at all. An entry out of range is reported by the
+    graph nodes it holds, a negative one as uncovered; those nodes are left
+    out at the levels above.
     """
     report = ValidationReport()
+    if not h.maps:
+        report.violations.append("no levels")
     nodes = np.arange(h.source_graph.n)  # graph nodes placed at every level so far
     below = nodes                        # each one's position at the level below
     for level, q_labels, k in h.maps:
@@ -284,7 +287,8 @@ def hierarchy_from_text(text: str, graph: WeightedGraph) -> ContainerHierarchy:
     the graph or one that an earlier line of its level holds raises
     InvalidParams naming the line; a level whose indexes are not 1..k, that
     leaves a node in no container, or that splits a container of the level
-    below raises it naming the level."""
+    below raises it naming the level, and a dump with no container line
+    raises it too."""
     by_level = {}  # level -> (each node's container position or -1, indexes seen)
     for lineno, ln in enumerate(text.splitlines(), start=1):
         parts = ln.split()
@@ -319,6 +323,8 @@ def hierarchy_from_text(text: str, graph: WeightedGraph) -> ContainerHierarchy:
                 f"{where}: node {held[0]} is already in level {level} container {labels[held[0]] + 1}"
             )
         labels[nodes] = index - 1
+    if not by_level:
+        raise InvalidParams("hierarchy text: no container line")
     maps, below = [], None  # below: the level below's (level, node labels, container count)
     for level in sorted(by_level):
         labels, indexes = by_level[level]

@@ -860,10 +860,129 @@ class TestTrainingPassesOnce:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(congruity, "grad_personal", recording)
-        pairs = congruity._batches(dp, dg, h.batch_size)
+        pairs = congruity._batches(dp, dg, h)
         congruity._prune_phase(ps, pairs, h, dp.centroid(), np.random.default_rng(1))
         assert 1 in graded
         assert (0 in graded) == (lambda_k != 0.0)
+
+
+def labeled_side(kind, rng, n):
+    """A dataset of n random samples, about 70% of them with a distance."""
+    mask = rng.random(n) < 0.7
+    return Dataset(kind, rng.random((n, N_FEATURES)), {"distance": (rng.random(n), mask)})
+
+
+class TestStackedPass:
+    """Training runs a personal and a general batch of the same rows as one
+    stack; each stacked side must give the bytes of a pass over it alone."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        hidden=st.lists(st.integers(1, 6), max_size=1),
+        rows=st.integers(1, 40),
+        extra=st.sampled_from([0, 0, 1, 9]),
+        seed=st.integers(0, 2**16),
+        frozen_share=st.sampled_from([0.0, 0.3, 1.0]),
+        dead_share=st.sampled_from([0.0, 0.5]),
+        lambda_q=st.sampled_from([0.0, 0.3]),
+        lambda_k=st.sampled_from([0.0, 0.7]),
+        masked=st.booleans(),
+    )
+    def test_stacked_pass_matches_single_side_passes(
+        self, hidden, rows, extra, seed, frozen_share, dead_share, lambda_q, lambda_k, masked,
+    ):
+        rng = np.random.default_rng(seed)
+        ps = pruned_net(rng, hidden, frozen_share, dead_share)
+        dp, dg = labeled_side("personal", rng, rows), labeled_side("general", rng, rows + extra)
+        h = Hyperparams(lambda_p=1.5, lambda_g=0.75, lambda_q=lambda_q, lambda_k=lambda_k, k=3,
+                        batch_size=rows + extra)
+        centroid = dp.centroid()
+        alive = congruity._live_masks(ps)[0] if masked else None
+
+        # the kernel: both sides stacked against each side alone
+        if extra == 0:
+            sides = [(dp.features, *dp.label_arrays("distance")),
+                     (dg.features, *dg.label_arrays("distance"))]
+            X, vals, mask = (np.stack(parts) for parts in zip(*sides))
+            pred_w = np.array([[1.5], [0.75]])
+            coeff = rng.random((2, rows)) if lambda_k else None
+            grad, recon_sq = congruity._backprop(ps, X, vals, mask, pred_w, coeff, alive=alive)
+            pred_sum, recon = congruity._loss_parts(ps, X, vals, mask, lambda_k != 0.0)
+            for k, (Xk, vk, mk) in enumerate(sides):
+                one = congruity._backprop(ps, Xk, vk, mk, float(pred_w[k, 0]),
+                                          None if coeff is None else coeff[k], alive=alive)
+                assert grad[k].tobytes() == one[0].tobytes()
+                parts = congruity._loss_parts(ps, Xk, vk, mk, lambda_k != 0.0)
+                assert pred_sum[k].tobytes() == parts[0].tobytes()
+                if coeff is None:
+                    assert recon_sq is None and recon is None
+                else:
+                    assert recon_sq[k].tobytes() == one[1].tobytes()
+                    assert recon[k].tobytes() == parts[1].tobytes()
+
+        # what training runs: one stack when rows and chains match, else one per side
+        together = (lambda_k != 0.0) == (lambda_q != 0.0)
+        [pair] = congruity._batches(dp, dg, h)
+        assert len(pair) == (1 if together and extra == 0 else 2)
+        p, g = (side for stack in pair
+                for side in congruity._stack_grads(ps, stack, h, centroid, alive))
+        assert p.tobytes() == grad_personal(ps, dp, h, centroid, alive=alive).tobytes()
+        assert g.tobytes() == congruity.grad_general(ps, dg, h, alive).tobytes()
+        ep, eg, acts = congruity._pair_errors(ps, pair, h, centroid)
+        assert ep.hex() == personal_error(ps, dp, h, centroid).hex()
+        assert eg.hex() == general_error(ps, dg, h).hex()
+        for got, want in zip(acts, congruity._forward_batch(ps, dp.features), strict=True):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n_personal, n_general, lambda_q, lambda_k, stacks", [
+        (40, 60, 0.0, 0.0, [1, 2]),   # 32 + 8 rows against 32 + 28
+        (48, 48, 0.3, 0.7, [1, 1]),
+        (48, 48, 0.0, 0.7, [2, 2]),   # the chains differ
+        (20, 70, 0.3, 0.0, [2, 2, 2]),
+    ])
+    def test_training_matches_single_side_passes(self, n_personal, n_general, lambda_q,
+                                                 lambda_k, stacks, monkeypatch):
+        """Stacked training gives the bytes of training through the public
+        single-side errors and gradients."""
+        dp, dg = synthesize_dataset(DatasetSpec(n_personal=n_personal, n_general=n_general), 3)
+        h = Hyperparams(alpha=0.3, lambda_p=1.25, lambda_g=0.5, lambda_q=lambda_q,
+                        lambda_k=lambda_k, max_epochs=8, rng_seed=3)
+        assert [len(pair) for pair in congruity._batches(dp, dg, h)] == stacks
+        stacked = train(dp, dg, h, (N_FEATURES, 5, 1))
+
+        def errors(ps, pair, h, centroid):
+            bp, bg = (b for stack in pair for b in stack.batches)
+            acts = congruity._forward_batch(ps, bp.features)
+            return personal_error(ps, bp, h, centroid), general_error(ps, bg, h), acts
+
+        def grads(ps, stack, h, centroid, alive):
+            return [grad_personal(ps, b, h, centroid, alive=alive) if b.kind == "personal"
+                    else congruity.grad_general(ps, b, h, alive) for b in stack.batches]
+
+        monkeypatch.setattr(congruity, "_pair_errors", errors)
+        monkeypatch.setattr(congruity, "_stack_grads", grads)
+        single = train(dp, dg, h, (N_FEATURES, 5, 1))
+        assert model_to_text(stacked.theta_star, h) == model_to_text(single.theta_star, h)
+        assert repr(stacked.loss_history) == repr(single.loss_history)
+        assert stacked.pruned_count == single.pruned_count
+
+    @pytest.mark.parametrize("alpha, n_general", [(0.2, 48), (0.5, 48), (0.9, 60)])
+    def test_descent_steps_down_grad_congruity(self, alpha, n_general, monkeypatch):
+        """With the prune phase taken out, each descent step is a step down
+        the public grad_congruity of its batch pair, stacked (48 + 48) or
+        not (the second pair of 48 + 60 is 16 + 28 rows)."""
+        dp, dg = synthesize_dataset(DatasetSpec(n_personal=48, n_general=n_general), 5)
+        h = Hyperparams(alpha=alpha, lambda_q=0.3, lambda_k=0.7, max_epochs=3,
+                        tolerance=1e-300, rng_seed=5)
+        monkeypatch.setattr(congruity, "_prune_phase", lambda *args: 0)
+        trained = train(dp, dg, h, (N_FEATURES, 4, 1)).theta_star
+        ps = init_parameters((N_FEATURES, 4, 1), rng=np.random.default_rng(5))
+        centroid = dp.centroid()
+        for _ in range(h.max_epochs):
+            for lo in (0, 32):
+                step = grad_congruity(ps, dp.slice(lo, lo + 32), dg.slice(lo, lo + 32), h, centroid)
+                ps.theta -= h.learning_rate * step
+        assert ps.theta.tobytes() == trained.theta.tobytes()
 
 
 class TestPredictDistance:

@@ -249,6 +249,10 @@ class TestValidateHierarchy:
             "level 1: containers [2, 3] empty",
         ]
 
+    def test_a_hierarchy_with_no_levels_is_a_violation(self):
+        h = ContainerHierarchy([], make(3, [(0, 1, 1)]))
+        assert validate_hierarchy(h).violations == ["no levels"]
+
     def test_generated_mmtc_hierarchy_of_53k_nodes(self):
         """A generated mMTC hierarchy of about 53k nodes validates and reads
         back from its dump, and the reader rejects each kind of damage to the
@@ -505,6 +509,11 @@ class TestHierarchyDump:
                 assert hierarchy_to_text(again) == text
                 for built, read in zip(h.labels(), again.labels(), strict=True):
                     assert np.array_equal(built, read)
+
+    @pytest.mark.parametrize("text", ["", "\n", "  \n\n\t\n"])
+    def test_a_dump_with_no_container_line_is_rejected(self, text):
+        with pytest.raises(InvalidParams, match="no container line"):
+            hierarchy_from_text(text, make(3, [(0, 1, 1)]))
 
     def test_uncovered_node_is_rejected(self):
         with pytest.raises(InvalidParams, match="level 1: node 1 is in no container"):

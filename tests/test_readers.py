@@ -33,6 +33,8 @@ KEPT = {
     "hierarchy_from_text": "ROADMAP item 6 (one pipeline) reads kept hierarchies with it",
     "save_dataset": "the only writer of the documented dataset format; the CI smoke step uses it",
     "forward_negative": "the public negative pass, the counterpart of forward_positive",
+    "grad_congruity": "the public gradient of the blended objective, which acceptance "
+                      "criterion 4 checks; train blends its stacked gradients with the same _blend",
 }
 
 
