@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -90,49 +91,6 @@ class Edge:
     a: int
     b: int
     weight: int
-
-
-def _check_node(node: Node, n: int, seen: set) -> None:
-    """Check one node of an n-node graph whose earlier nodes' ids are in
-    `seen`, and add its id there."""
-    if not 0 <= node.id < n or node.id in seen:
-        raise InvalidParams(f"node {node.id}: ids must be dense in [0, {n}), each once")
-    seen.add(node.id)
-    resources = (node.memory_total, node.storage, node.downlink_bw, node.uplink_bw, node.compute)
-    if min(resources) < _INT64_MIN or max(resources) > _INT64_MAX:
-        raise InvalidParams(f"node {node.id}: a resource lies outside int64")
-    if node.downlink_bw != 3 * node.uplink_bw:
-        raise InvalidParams(
-            f"node {node.id}: downlink must be 3x uplink "
-            f"({node.downlink_bw} vs {node.uplink_bw})"
-        )
-    if node.kind == NodeKind.MMTC_DEVICE:
-        if node.compute >= MMTC_MAX_COMPUTE:
-            raise InvalidParams(f"node {node.id}: mMTC compute >= 50 MHz")
-        if node.memory_total >= MMTC_MAX_MEMORY:
-            raise InvalidParams(f"node {node.id}: mMTC memory >= 50 kB")
-        if node.storage >= MMTC_MAX_STORAGE:
-            raise InvalidParams(f"node {node.id}: mMTC storage >= 300 kB")
-
-
-def _check_edge(edge: Edge, n: int, seen: set) -> None:
-    """Check one edge of an n-node graph whose earlier edges' (low, high)
-    pairs are in `seen`, and add its pair there."""
-    a, b, w = edge.a, edge.b, edge.weight
-    if not (0 <= a < n) or not (0 <= b < n):
-        raise DanglingEndpoint(f"edge ({a},{b}) references a missing node")
-    if a == b:
-        raise InvalidParams(f"self-loop on node {a}")
-    if w < 0:
-        raise NegativeWeight(f"edge ({a},{b}) has weight {w}")
-    if w > _INT64_MAX:
-        raise InvalidParams(f"edge ({a},{b}) weight {w} lies outside int64")
-    if int(w) != w:
-        raise InvalidParams(f"edge ({a},{b}) weight must be an integer")
-    key = (min(a, b), max(a, b))
-    if key in seen:
-        raise DuplicateEdge(f"duplicate edge {key}")
-    seen.add(key)
 
 
 _RESOURCE_COLUMNS = ("mems", "storages", "downs", "ups", "computes")
@@ -333,21 +291,35 @@ def build_graph(nodes, edges, unit) -> WeightedGraph:
     n = len(nodes)
     if n == 0:
         raise InvalidParams("graph needs at least one node")
-    seen = set()
+    node_rows = []
     for node in nodes:
-        _check_node(node, n, seen)
-    seen = set()
-    for edge in edges:
-        _check_edge(edge, n, seen)
-    node_rows = np.array([
-        (node.id, _KIND_INDEX[node.kind], node.memory_total, node.storage,
-         node.downlink_bw, node.uplink_bw, node.compute)
-        for node in nodes
-    ], dtype=np.int64)
-    edge_rows = np.array(
-        [(edge.a, edge.b, int(edge.weight)) for edge in edges], dtype=np.int64,
-    ).reshape(-1, 3)
-    return _pack_graph(node_rows, edge_rows, unit)
+        node_id, *resources = _int_fields(node, _NODE_FIELDS)
+        node_rows.append((node_id, _KIND_INDEX[node.kind], *resources))
+    edge_rows = [_int_fields(edge, ("a", "b", "weight")) for edge in edges]
+    node_table, node_fault = _screen(node_rows, 7, _node_rules, n)
+    edge_table, edge_fault = _screen(edge_rows, 3, _edge_rules, n)
+    if node_fault or edge_fault:
+        raise (node_fault or edge_fault)[1]
+    return _pack_graph(node_table, edge_table, unit)
+
+
+_NODE_FIELDS = ("id", "memory_total", "storage", "downlink_bw", "uplink_bw", "compute")
+
+
+def _int_fields(item, names) -> tuple:
+    """The fields `names` of a Node or Edge as Python ints. An integral
+    float such as 5.0 passes; any other value that is not an integer raises
+    InvalidParams naming the item and the field."""
+    row = []
+    for name in names:
+        value = getattr(item, name)
+        try:
+            row.append(int(value) if isinstance(value, float) and value.is_integer()
+                       else operator.index(value))
+        except TypeError:
+            what = f"node {item.id}:" if isinstance(item, Node) else f"edge ({item.a},{item.b})"
+            raise InvalidParams(f"{what} {name} must be an integer") from None
+    return tuple(row)
 
 
 def _pack_graph(node_rows: np.ndarray, edge_rows: np.ndarray, unit) -> WeightedGraph:
@@ -751,10 +723,11 @@ def graph_from_text(text: str, source: str = "graph text") -> WeightedGraph:
     edge that `build_graph` would reject, raises InvalidParams (or its
     subclass) naming `source` and the line number.
 
-    The lines are parsed into int rows first, then screened as columns. The
-    scalar check of `build_graph` reruns on the first line the screen flags,
-    ahead of any malformed later line, and raises its message."""
-    header, nodes, edges = None, [], []  # rows of (line number, ints...)
+    The lines are parsed into int rows first, then screened as columns by
+    the rule tables `build_graph` uses. A faulty line goes ahead of any
+    malformed later line."""
+    header, nodes, edges = None, [], []  # int rows
+    node_lines, edge_lines = [], []  # the line number of each row
     failure = None
     for lineno, ln in enumerate(text.splitlines(), start=1):
         parts = ln.split()
@@ -771,11 +744,13 @@ def graph_from_text(text: str, source: str = "graph text") -> WeightedGraph:
                     raise InvalidParams("graph needs at least one node")
             elif parts[0] == "node":
                 nodes.append((
-                    lineno, int(parts[1]), _kind_index(parts[2]), int(parts[3]),
+                    int(parts[1]), _kind_index(parts[2]), int(parts[3]),
                     int(parts[4]), int(parts[5]), int(parts[6]), int(parts[7]),
                 ))
+                node_lines.append(lineno)
             elif parts[0] == "edge":
-                edges.append((lineno, int(parts[1]), int(parts[2]), int(parts[3])))
+                edges.append((int(parts[1]), int(parts[2]), int(parts[3])))
+                edge_lines.append(lineno)
             else:
                 raise InvalidParams(f"unknown line {parts[0]!r}")
         except IndexError:
@@ -788,17 +763,20 @@ def graph_from_text(text: str, source: str = "graph text") -> WeightedGraph:
             failure = type(exc)(f"{where}: {exc}")
             break
     n = header[1] if header is not None else 0
-    node_rows, i = _screen(nodes, 8, _node_faults, n)
-    edge_rows, j = _screen(edges, 4, _edge_faults, n)
-    if i < len(nodes) or j < len(edges):
-        _recheck(nodes, i, edges, j, n, source)
+    node_table, node_fault = _screen(nodes, 7, _node_rules, n)
+    edge_table, edge_fault = _screen(edges, 3, _edge_rules, n)
+    faults = [(lines[fault[0]], fault[1]) for lines, fault in
+              ((node_lines, node_fault), (edge_lines, edge_fault)) if fault]
+    if faults:
+        lineno, exc = min(faults, key=lambda fault: fault[0])
+        raise type(exc)(f"{source}, line {lineno}: {exc}")
     if failure is not None:
         raise failure from None
     if header is None:
         raise InvalidParams(f"{source}: missing graph header")
     if len(nodes) != n:
         raise InvalidParams(f"{source}: node count mismatch with header")
-    return _pack_graph(node_rows[:, 1:], edge_rows[:, 1:], header[0])
+    return _pack_graph(node_table, edge_table, header[0])
 
 
 _KIND_BY_NAME = {k.value: i for k, i in _KIND_INDEX.items()}
@@ -811,40 +789,74 @@ def _kind_index(name: str) -> int:
     return _KIND_INDEX[NodeKind(name)] if index is None else index
 
 
-def _screen(rows: list, width: int, faults, n: int) -> tuple:
-    """(int64 array of `rows`' leading rows that fit int64, the index of the
-    first row that `faults` flags or that does not fit; len(rows) if none).
-    Each row is a tuple of `width` ints."""
-    end = len(rows)
+# -- graph rules -------------------------------------------------------------
+# build_graph and graph_from_text screen their rows with one rule table per
+# row kind. An entry is (the mask of the rows that break the rule, given the
+# rows before them; the error class; the message, from the row's original
+# values), in the order a row's faults are reported.
+
+
+def _node_rules(cols, clamped, n: int) -> tuple:
+    """The node rule table over int64 columns (id, kind index, memory,
+    storage, downlink, uplink, compute) and the marks of the fields clamped
+    into int64."""
+    ids, kinds, mem, sto, down, up, cpu = cols
+    third = _INT64_MAX // 3  # past +-third, 3 * up leaves int64, where no downlink is
+    mmtc = kinds == _KIND_INDEX[NodeKind.MMTC_DEVICE]
+    return (
+        ((ids < 0) | (ids >= n) | clamped[0] | _repeated(ids), InvalidParams,
+         lambda i, *_: f"node {i}: ids must be dense in [0, {n}), each once"),
+        (clamped[2:].any(axis=0), InvalidParams,
+         lambda i, *_: f"node {i}: a resource lies outside int64"),
+        ((up > third) | (up < -third) | (down != 3 * up), InvalidParams,
+         lambda i, kind, mem, sto, down, up, cpu:
+             f"node {i}: downlink must be 3x uplink ({down} vs {up})"),
+        (mmtc & (cpu >= MMTC_MAX_COMPUTE), InvalidParams,
+         lambda i, *_: f"node {i}: mMTC compute >= 50 MHz"),
+        (mmtc & (mem >= MMTC_MAX_MEMORY), InvalidParams,
+         lambda i, *_: f"node {i}: mMTC memory >= 50 kB"),
+        (mmtc & (sto >= MMTC_MAX_STORAGE), InvalidParams,
+         lambda i, *_: f"node {i}: mMTC storage >= 300 kB"),
+    )
+
+
+def _edge_rules(cols, clamped, n: int) -> tuple:
+    """The edge rule table over int64 columns (a, b, weight) and the marks
+    of the fields clamped into int64."""
+    a, b, w = cols
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    return (
+        ((lo < 0) | (hi >= n) | clamped[0] | clamped[1], DanglingEndpoint,
+         lambda a, b, w: f"edge ({a},{b}) references a missing node"),
+        (a == b, InvalidParams, lambda a, b, w: f"self-loop on node {a}"),
+        (w < 0, NegativeWeight, lambda a, b, w: f"edge ({a},{b}) has weight {w}"),
+        (clamped[2], InvalidParams, lambda a, b, w: f"edge ({a},{b}) weight {w} lies outside int64"),
+        (_repeated(lo, hi), DuplicateEdge, lambda a, b, w: f"duplicate edge {(min(a, b), max(a, b))}"),
+    )
+
+
+def _screen(rows: list, width: int, rules, n: int) -> tuple:
+    """Screen `rows`, tuples of `width` ints, with the `rules` table of an
+    n-node graph. Returns (the rows as an int64 table, None) when all pass,
+    else (None, (the index of the first faulty row, the error its first
+    broken rule raises)). Rows after the first one past int64 are not read;
+    that one is clamped into int64, its clamped fields marked for the rules."""
+    clamped = np.zeros((len(rows), width), dtype=bool)
     try:
         table = np.array(rows, dtype=np.int64).reshape(-1, width)
     except OverflowError:
         end = next(i for i, row in enumerate(rows) if min(row) < _INT64_MIN or max(row) > _INT64_MAX)
-        table = np.array(rows[:end], dtype=np.int64).reshape(-1, width)
-    flagged = np.flatnonzero(faults(table.T, n))
-    return table, int(flagged[0]) if len(flagged) else end
-
-
-def _node_faults(cols: np.ndarray, n: int) -> np.ndarray:
-    """The node rows (columns: line, id, kind, memory, storage, downlink,
-    uplink, compute) that _check_node rejects after the rows before them."""
-    _, ids, kinds, mem, sto, down, up, cpu = cols
-    bad = (ids < 0) | (ids >= n) | _repeated(ids)
-    # past +-(max // 3) the product 3 * up leaves int64, where no downlink is
-    third = _INT64_MAX // 3
-    bad |= (up > third) | (up < -third) | (down != 3 * up)
-    mmtc = kinds == _KIND_INDEX[NodeKind.MMTC_DEVICE]
-    return bad | mmtc & (
-        (cpu >= MMTC_MAX_COMPUTE) | (mem >= MMTC_MAX_MEMORY) | (sto >= MMTC_MAX_STORAGE)
-    )
-
-
-def _edge_faults(cols: np.ndarray, n: int) -> np.ndarray:
-    """The edge rows (columns: line, a, b, weight) that _check_edge rejects
-    after the rows before them; int64 weights need no range check."""
-    _, a, b, w = cols
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    return (lo < 0) | (hi >= n) | (a == b) | (w < 0) | _repeated(lo, hi)
+        fitted = [min(max(v, _INT64_MIN), _INT64_MAX) for v in rows[end]]
+        table = np.array(rows[:end] + [fitted], dtype=np.int64)
+        clamped = clamped[:end + 1]
+        clamped[end] = [f != v for f, v in zip(fitted, rows[end])]
+    table_rules = rules(table.T, clamped.T, n)
+    flagged = np.flatnonzero(np.logical_or.reduce([mask for mask, _, _ in table_rules]))
+    if not len(flagged):
+        return table, None
+    i = int(flagged[0])
+    error, message = next((error, message) for mask, error, message in table_rules if mask[i])
+    return None, (i, error(message(*rows[i])))
 
 
 def _repeated(*keys) -> np.ndarray:
@@ -857,24 +869,6 @@ def _repeated(*keys) -> np.ndarray:
     out = np.zeros(len(order), dtype=bool)
     out[order[1:][same]] = True
     return out
-
-
-def _recheck(nodes: list, i: int, edges: list, j: int, n: int, source: str) -> None:
-    """Run the scalar check on node row `i` or edge row `j`, whichever comes
-    first in the text, after the rows before it; it raises for that line."""
-    if j == len(edges) or (i < len(nodes) and nodes[i][0] < edges[j][0]):
-        lineno, node_id, kind, *resources = nodes[i]
-        check, item = _check_node, Node(node_id, _KIND_ORDER[kind], *resources)
-        seen = {row[1] for row in nodes[:i]}
-    else:
-        lineno, a, b, w = edges[j]
-        check, item = _check_edge, Edge(a, b, w)
-        seen = {(min(row[1:3]), max(row[1:3])) for row in edges[:j]}
-    try:
-        check(item, n, seen)
-    except InvalidParams as exc:
-        raise type(exc)(f"{source}, line {lineno}: {exc}") from None
-    raise AssertionError(f"{source}, line {lineno}: flagged, yet the check accepts it")
 
 
 def load_graph(path) -> WeightedGraph:

@@ -2,12 +2,70 @@
 
 Everything here is deliberately implemented from first principles (path
 enumeration, Floyd-Warshall, plain BFS, list-based LRU, Fractions) and never
-calls into the package, so disagreement means a real defect.
+calls into the package, so disagreement means a real defect. The graph input
+checks take the package's error classes, Node, Edge and NodeKind, so that
+what they raise compares with what the package raises.
 """
 
 from fractions import Fraction
 
 import numpy as np
+
+from icnsim.errors import DanglingEndpoint, DuplicateEdge, InvalidParams, NegativeWeight
+from icnsim.topology import Edge, Node, NodeKind
+
+
+# -- graph input checks ---------------------------------------------------------
+
+# a graph holds its resources and weights as int64
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+# machine-type device ceilings: <50 MHz compute, <50 kB memory, <300 kB storage
+MMTC_MAX_COMPUTE = 50_000_000
+MMTC_MAX_MEMORY = 50_000
+MMTC_MAX_STORAGE = 300_000
+
+
+def _check_node(node: Node, n: int, seen: set) -> None:
+    """Check one node of an n-node graph whose earlier nodes' ids are in
+    `seen`, and add its id there."""
+    if not 0 <= node.id < n or node.id in seen:
+        raise InvalidParams(f"node {node.id}: ids must be dense in [0, {n}), each once")
+    seen.add(node.id)
+    resources = (node.memory_total, node.storage, node.downlink_bw, node.uplink_bw, node.compute)
+    if min(resources) < _INT64_MIN or max(resources) > _INT64_MAX:
+        raise InvalidParams(f"node {node.id}: a resource lies outside int64")
+    if node.downlink_bw != 3 * node.uplink_bw:
+        raise InvalidParams(
+            f"node {node.id}: downlink must be 3x uplink "
+            f"({node.downlink_bw} vs {node.uplink_bw})"
+        )
+    if node.kind == NodeKind.MMTC_DEVICE:
+        if node.compute >= MMTC_MAX_COMPUTE:
+            raise InvalidParams(f"node {node.id}: mMTC compute >= 50 MHz")
+        if node.memory_total >= MMTC_MAX_MEMORY:
+            raise InvalidParams(f"node {node.id}: mMTC memory >= 50 kB")
+        if node.storage >= MMTC_MAX_STORAGE:
+            raise InvalidParams(f"node {node.id}: mMTC storage >= 300 kB")
+
+
+def _check_edge(edge: Edge, n: int, seen: set) -> None:
+    """Check one edge of an n-node graph whose earlier edges' (low, high)
+    pairs are in `seen`, and add its pair there."""
+    a, b, w = edge.a, edge.b, edge.weight
+    if not (0 <= a < n) or not (0 <= b < n):
+        raise DanglingEndpoint(f"edge ({a},{b}) references a missing node")
+    if a == b:
+        raise InvalidParams(f"self-loop on node {a}")
+    if w < 0:
+        raise NegativeWeight(f"edge ({a},{b}) has weight {w}")
+    if w > _INT64_MAX:
+        raise InvalidParams(f"edge ({a},{b}) weight {w} lies outside int64")
+    if int(w) != w:
+        raise InvalidParams(f"edge ({a},{b}) weight must be an integer")
+    key = (min(a, b), max(a, b))
+    if key in seen:
+        raise DuplicateEdge(f"duplicate edge {key}")
+    seen.add(key)
 
 
 # -- path enumeration ---------------------------------------------------------

@@ -31,12 +31,10 @@ from icnsim.topology import (
     measure_distance,
     next_hop_toward,
     node_centrality,
-    _check_edge,
-    _check_node,
     _dists_to,
 )
 
-from oracles import brute_additive, brute_bottleneck, bfs_hops
+from oracles import _check_edge, _check_node, brute_additive, brute_bottleneck, bfs_hops
 
 
 def switch(i):
@@ -103,6 +101,22 @@ class TestBuildGraph:
         with pytest.raises(InvalidParams, match="int64"):
             build_graph([Node(0, NodeKind.PC, compute=-(2**63) - 1)], [], "latency_us")
         assert make(2, [(0, 1, 2**63 - 1)]).ew.tolist() == [2**63 - 1]
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 1.5, 2.5, "5"], ids=repr)
+    @pytest.mark.parametrize("build,named", [
+        (lambda v: build_graph([Node(0, NodeKind.PC, memory_total=v)], [], "latency_us"),
+         "node 0: memory_total"),
+        (lambda v: make(2, [(0, 1, v)]), r"edge \(0,1\) weight"),
+    ], ids=["resource", "weight"])
+    def test_fields_that_are_not_integers_rejected(self, build, named, value):
+        with pytest.raises(InvalidParams, match=f"^{named} must be an integer$"):
+            build(value)
+
+    def test_integral_floats_pass(self):
+        g = build_graph([Node(0.0, NodeKind.PC, memory_total=5.0), switch(1)],
+                        [Edge(1.0, 0, 5.0)], "latency_us")
+        assert g.mems.tolist() == [5, 8_000_000_000]
+        assert (g.ea.tolist(), g.eb.tolist(), g.ew.tolist()) == ([0], [1], [5])
 
     def test_mmtc_ceilings(self):
         dev = Node(0, NodeKind.MMTC_DEVICE, *KIND_RESOURCES[NodeKind.MMTC_DEVICE])
@@ -380,6 +394,16 @@ class TestGraphFile:
         with pytest.raises(InvalidParams, match=f"^topo.txt, line {lineno}: node "):
             graph_from_text(self.TEXT.replace(old, new), "topo.txt")
 
+    @pytest.mark.parametrize("line,error", [
+        ("node 9223372036854775808 switch 1 1 3 1 1", InvalidParams),
+        ("edge 0 9223372036854775808 1", DanglingEndpoint),
+    ])
+    def test_an_id_past_int64_names_its_line_under_any_count(self, line, error):
+        # the header count passes int64 too, so the id lies below it
+        text = f"graph latency_us {10**30}\nnode 0 switch 1 1 3 1 1\n{line}\n"
+        with pytest.raises(error, match="^topo.txt, line 3: "):
+            graph_from_text(text, "topo.txt")
+
 
 THIRD = (2**63 - 1) // 3
 # values on both sides of every bound the node and edge checks apply
@@ -415,27 +439,41 @@ def graph_lines(draw):
     return n, draw(st.permutations(lines))
 
 
+def first_fault(items, n):
+    """(position, error type, message) of the first of `items`, Node and
+    Edge objects checked in order, that the per-line checks reject, or None
+    when they accept all of them."""
+    node_ids, edge_keys = set(), set()
+    for i, item in enumerate(items):
+        try:
+            if isinstance(item, Node):
+                _check_node(item, n, node_ids)
+            else:
+                _check_edge(item, n, edge_keys)
+        except InvalidParams as exc:
+            return i, type(exc), str(exc)
+    return None
+
+
 @settings(max_examples=300, deadline=None)
 @given(graph_lines())
 def test_graph_text_raises_what_the_per_line_checks_raise_first(case):
-    # the reference checks each line as it is read, as build_graph does
+    # the reference checks the text's lines in order, and build_graph's
+    # nodes and edges (the same objects) in its order: all nodes, then edges
     n, lines = case
     text = f"graph latency_us {n}\n" + "".join(ln + "\n" for ln in lines)
-    want, nodes, edges = None, [], []
-    node_ids, edge_keys = set(), set()
-    for lineno, ln in enumerate(lines, start=2):
+    items = []
+    for ln in lines:
         tag, *fields = ln.split()
-        try:
-            if tag == "node":
-                node_id, kind, *resources = fields
-                nodes.append(Node(int(node_id), NodeKind(kind), *map(int, resources)))
-                _check_node(nodes[-1], n, node_ids)
-            else:
-                edges.append(Edge(*map(int, fields)))
-                _check_edge(edges[-1], n, edge_keys)
-        except InvalidParams as exc:
-            want = (type(exc), f"t, line {lineno}: {exc}")
-            break
+        if tag == "node":
+            node_id, kind, *resources = fields
+            items.append(Node(int(node_id), NodeKind(kind), *map(int, resources)))
+        else:
+            items.append(Edge(*map(int, fields)))
+    nodes = [item for item in items if isinstance(item, Node)]
+    edges = [item for item in items if isinstance(item, Edge)]
+    fault = first_fault(items, n)
+    want = fault and (fault[1], f"t, line {fault[0] + 2}: {fault[2]}")  # line 1 is the header
     try:
         got = graph_from_text(text, "t")
     except InvalidParams as exc:
@@ -443,6 +481,13 @@ def test_graph_text_raises_what_the_per_line_checks_raise_first(case):
     else:
         assert want is None
         assert graph_to_text(got) == graph_to_text(build_graph(nodes, edges, "latency_us"))
+    fault = first_fault(nodes + edges, n)
+    try:
+        build_graph(nodes, edges, "latency_us")
+    except InvalidParams as exc:
+        assert (type(exc), str(exc)) == (fault and fault[1:])
+    else:
+        assert fault is None
 
 
 class TestHopDistance:
