@@ -111,32 +111,40 @@ def _grouping_labels(g: WeightedGraph, t: Target) -> np.ndarray:
     under the target are removed, so reachability along the survivors means
     some path has every edge at or above the target.
     """
-    if t.mode == TargetMode.BOTTLENECK:
-        mask = g.ew >= t.value
-    else:
-        mask = g.ew < t.value
     # int32 ids, where they fit, halve the memory each round touches
     ids = np.int32 if g.n <= np.iinfo(np.int32).max else np.int64
-    ea, eb = g.ea[mask].astype(ids), g.eb[mask].astype(ids)
-    # Every node points at a smaller or equal id of its component; a root
-    # points at itself. Each round hooks the larger root of every kept edge
-    # whose ends still differ onto the smaller, then jumps pointers until
-    # every node points at a root. At the end a component's root is its
-    # lowest id.
-    f = np.arange(g.n, dtype=ids)
-    while True:
-        fa, fb = f[ea], f[eb]
-        split = fa != fb
-        if not split.any():
-            break
-        np.minimum.at(f, np.maximum(fa, fb)[split], np.minimum(fa, fb)[split])
-        while True:
-            ff = f[f]
-            if np.array_equal(ff, f):
-                break
-            f = ff
-    is_root = f == np.arange(g.n, dtype=ids)
-    return (np.cumsum(is_root) - 1)[f]
+    f = np.arange(g.n, dtype=ids)  # each node's root so far; a root points at itself
+    kept = _contracted(g, t)
+    while _hook(f, g.ea, g.eb, kept):
+        pass
+    labels = np.cumsum(f == np.arange(g.n, dtype=ids), dtype=np.int64)  # roots numbered from 1
+    labels -= 1
+    return labels[f]
+
+
+def _contracted(g: WeightedGraph, t: Target) -> np.ndarray:
+    """The edges `t` contracts, each inside one container of t's level."""
+    return g.ew >= t.value if t.mode == TargetMode.BOTTLENECK else g.ew < t.value
+
+
+def _hook(f: np.ndarray, ea, eb, kept) -> bool:
+    """One round, in place, over the pointers `f` to smaller or equal ids of
+    each node's component: hook the larger root of every kept edge whose
+    ends' roots differ onto the smaller, then jump pointers until each node
+    points at a root (at the end, the lowest id). False if no edge is left."""
+    fa, fb = f[ea], f[eb]
+    split = fa != fb
+    split &= kept
+    if not split.any():
+        return False
+    fa = fa[split]  # one at a time, so no two full-size copies meet
+    fb = fb[split]
+    lo = np.minimum(fa, fb)
+    np.minimum.at(f, np.maximum(fa, fb, out=fa), lo)
+    del fa, fb, lo, split  # freed before the jumps
+    while not np.array_equal(ff := f[f], f):
+        f[:] = ff
+    return True
 
 
 def _group_members(labels: np.ndarray, k: int) -> list:
@@ -188,18 +196,17 @@ def _absorb_exact_hits(g: WeightedGraph, t: Target, labels: np.ndarray, k: int) 
     return (np.cumsum(is_seed) - 1)[owner][labels], k - len(seed_of)
 
 
-def _quotient(g: WeightedGraph, labels: np.ndarray, k: int, mode: TargetMode) -> WeightedGraph:
-    """Collapse each container to a super-node; parallel inter-container edges
-    aggregate to the minimum weight (additive) or the maximum (bottleneck)."""
-    la = labels[g.ea]
-    lb = labels[g.eb]
+def _quotient(g: WeightedGraph, labels: np.ndarray, k: int, below: Target) -> WeightedGraph:
+    """Collapse each container, built for target `below`, to a super-node;
+    parallel inter-container edges, which `below` does not contract, keep
+    the minimum weight (additive) or the maximum (bottleneck)."""
+    outer = ~_contracted(g, below)
+    la, lb, w = labels[g.ea[outer]], labels[g.eb[outer]], g.ew[outer]
     mask = la != lb
-    la, lb, w = la[mask], lb[mask], g.ew[mask]
-    lo = np.minimum(la, lb)
-    hi = np.maximum(la, lb)
-    key = lo * k + hi
+    la, lb, w = la[mask], lb[mask], w[mask]
+    key = np.minimum(la, lb) * k + np.maximum(la, lb)
     uniq, inv = np.unique(key, return_inverse=True)
-    if mode == TargetMode.BOTTLENECK:
+    if below.mode == TargetMode.BOTTLENECK:
         agg = np.full(len(uniq), np.iinfo(np.int64).min, dtype=np.int64)
         np.maximum.at(agg, inv, w)
     else:
@@ -232,8 +239,8 @@ def containerize(g: WeightedGraph, targets) -> ContainerHierarchy:
     q_labels, k = _level_labels(g, targets[0])  # current-graph node -> position
     maps = [(targets[0].level, q_labels, k)]
     current = g          # graph the newest level was built on
-    for t in targets[1:]:
-        current = _quotient(current, q_labels, k, t.mode)
+    for below, t in zip(targets, targets[1:]):
+        current = _quotient(current, q_labels, k, below)
         q_labels, k = _level_labels(current, t)
         maps.append((t.level, q_labels, k))
     for _, q_labels, _ in maps:

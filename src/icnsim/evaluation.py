@@ -29,7 +29,6 @@ from .topology import (
     WeightedGraph,
     generate_topology,
     hop_distance,
-    node_centrality,
     topology_size,
 )
 
@@ -352,10 +351,10 @@ def _run_point(params: ScenarioParams, point_index: int, with_details: bool = Fa
             for obj in catalog:
                 store.insert(obj.id, obj.volume)
     elif params.prefetch_budget >= 1 and capacity > 0:
-        degs = g.degrees()[fwd]
-        order = np.lexsort((fwd, -degs))
-        candidates = fwd[order][: params.prefetch_candidates].tolist()
-        nc = {int(i): node_centrality(g, int(i)) for i in candidates}
+        degs = g.degrees_of(fwd)
+        top = np.lexsort((fwd, -degs))[: params.prefetch_candidates]
+        # each candidate's node_centrality, from the degrees at hand
+        nc = {i: d / (g.n - 1) for i, d in zip(fwd[top].tolist(), degs[top].tolist())}
         top_j = catalog[: min(params.prefetch_top_j, len(catalog))]
         fp_by_id = {obj.id: float(fp[obj.popularity_rank - 1]) for obj in top_j}
         plan = userplane.prefetch_plan(nc, fp_by_id, params.prefetch_budget, prefetch_seed)

@@ -9,6 +9,7 @@ immutable after construction, so they can be shared across parallel runs.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -203,6 +204,15 @@ class WeightedGraph:
             self._degrees = degs
         return self._degrees
 
+    def degrees_of(self, nodes: np.ndarray) -> np.ndarray:
+        """Degrees (int64) of the ascending ids `nodes`, with no count per graph
+        node: binary searches count the sorted lower ends, a mask the higher."""
+        listed = np.zeros(self.n, dtype=bool)
+        listed[nodes] = True
+        higher = np.searchsorted(nodes, self.eb[listed[self.eb]])
+        lower = np.searchsorted(self.ea, nodes, "right") - np.searchsorted(self.ea, nodes)
+        return lower + np.bincount(higher, minlength=len(nodes))
+
     def forwarding_mask(self) -> bytes:
         """One byte per node: 1 where the node's kind forwards and caches
         traffic (FORWARDING_KINDS), else 0."""
@@ -294,7 +304,10 @@ def build_graph(nodes, edges, unit) -> WeightedGraph:
     node_rows = []
     for node in nodes:
         node_id, *resources = _int_fields(node, _NODE_FIELDS)
-        node_rows.append((node_id, _KIND_INDEX[node.kind], *resources))
+        try:
+            node_rows.append((node_id, _kind_index(node.kind), *resources))
+        except (TypeError, ValueError):  # unhashable, or no kind's name
+            raise InvalidParams(f"node {node_id}: {node.kind!r} is not a valid NodeKind") from None
     edge_rows = [_int_fields(edge, ("a", "b", "weight")) for edge in edges]
     node_table, node_fault = _screen(node_rows, 7, _node_rules, n)
     edge_table, edge_fault = _screen(edge_rows, 3, _edge_rules, n)
@@ -538,9 +551,9 @@ _CORE_LAT = (160_000, 450_000)  # core tier links, between T2 and T3
 _URLLC_BASE_LATENCY_MS = 8.0
 
 # Most end devices one generated topology may hold, and the largest
-# structure parameter. A run costs about 0.1 KiB per device over the 35 MiB
-# that importing icnsim takes (`icnsim run` on the largest default mMTC sweep
-# point, 1.05M devices, peaks near 140 MiB), so the cap is about 0.45 GiB.
+# structure parameter. `icnsim run` peaks about 64 MiB per million mMTC
+# devices over the 35 MiB that importing icnsim takes (106 MiB at 1.05M, the
+# largest default sweep point, 174 MiB at 2.1M), so the cap is about 0.3 GiB.
 MAX_DEVICES = 4_000_000
 
 
@@ -635,12 +648,8 @@ def generate_topology(params, seed: int) -> WeightedGraph:
     zones = np.arange(servers[-1] + 1, servers[-1] + 1 + n_zones)
     switches = np.arange(zones[-1] + 1, zones[-1] + 1 + n_switches)
     aps = np.arange(switches[-1] + 1, switches[-1] + 1 + n_aps)
-    if scenario == "mmtc":
-        gateways = np.arange(aps[-1] + 1, aps[-1] + 1 + n_gateways)
-        devices = np.arange(gateways[-1] + 1, gateways[-1] + 1 + n_devices)
-    else:
-        gateways = np.arange(0)
-        devices = np.arange(aps[-1] + 1, aps[-1] + 1 + n_devices)
+    gateways = np.arange(aps[-1] + 1, aps[-1] + 1 + n_gateways)  # none outside mMTC
+    devices = np.arange(aps[-1] + 1 + n_gateways, aps[-1] + 1 + n_gateways + n_devices)
     n = int(devices[-1]) + 1
 
     kinds = np.zeros(n, dtype=np.int8)
@@ -669,14 +678,14 @@ def generate_topology(params, seed: int) -> WeightedGraph:
 
     def attach(children, parent_layer, fanout, weights):
         """Hang `children` below `parent_layer`, the first `fanout` of them
-        below its first node, and so on."""
+        below its first node, and so on (one node, if fanout passes them)."""
         edges = slice(len(parents) - 1, len(parents) - 1 + len(children))
-        ea[edges] = parent_layer[np.arange(len(children)) // fanout]
+        ea[edges] = np.repeat(parent_layer, min(fanout, len(children)))[:len(children)]
         ew[edges] = weights
         end = len(parents) + len(children)
         for p in parent_layer.tolist():
-            parents.extend([p] * min(fanout, end - len(parents)))
-        depths.extend([depths[parent_layer[0]] + 1] * len(children))
+            parents.extend(itertools.repeat(p, min(fanout, end - len(parents))))
+        depths.extend(itertools.repeat(depths[parent_layer[0]] + 1, len(children)))
 
     def draw(lo, hi, size):
         return rng.integers(lo, hi, size=size, dtype=np.int64)
