@@ -392,11 +392,6 @@ def filter_topk(xp, x, k: int) -> float:
     return float(np.clip((u @ v) / (nu * nv), -1.0, 1.0))
 
 
-def _check_output_width(ps):
-    if ps.widths[-1] != 1:
-        raise DimensionMismatch("error functions require a single output neuron")
-
-
 def _loss_parts(ps, X, vals, mask, reconstruct=True, acts=None):
     """Summed prediction loss and per-sample squared reconstruction errors,
     per stacked batch if X has a leading stack axis; the reconstruction is
@@ -411,56 +406,83 @@ def _loss_parts(ps, X, vals, mask, reconstruct=True, acts=None):
     return pred_sum, ((recs[0] - X) ** 2).sum(axis=-1)
 
 
-def _reconstructs(kind, h):
-    """Whether a `kind` side's reconstruction term is weighted; a
-    zero-weighted one is not computed (see _backprop)."""
-    return (h.lambda_k if kind == "personal" else h.lambda_q) != 0.0
+def _stacked(arrays):
+    """`arrays` stacked along a new leading axis; a lone array comes back
+    as a view of itself under that axis, never a copy."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
-def _side_error(ps, d, h, pred_sum, recon_sq, centroid=None):
-    """`general_error` or `personal_error` of d, by its kind, from its
-    `_loss_parts`."""
-    if d.kind == "general":
-        if recon_sq is None:
-            return h.lambda_g * pred_sum
-        return h.lambda_g * pred_sum + h.lambda_q * regularizer(ps, h.q) * float(recon_sq.sum())
-    if recon_sq is None:
-        return h.lambda_p * pred_sum
-    if centroid is None:
-        centroid = d.centroid()
-    filters = d.topk_filters(centroid, h.k)
-    return h.lambda_p * pred_sum + h.lambda_k * float((filters * recon_sq).sum())
+class _Stack:
+    """Batches of the same rows stacked along a leading axis, personal
+    before general, for one pass through `_forward_batch`, `_loss_parts`
+    and `_backprop`: features (S, rows, N_FEATURES), distance values and
+    masks (S, rows), each side's prediction weight (S, 1), and whether its
+    sides, which all run the same chain, reconstruct: a zero-weighted
+    reconstruction term is not computed (see _backprop). Every error and
+    gradient is computed on a stack; a stack of one dataset holds views of
+    its arrays."""
+
+    def __init__(self, batches, h):
+        self.batches = batches
+        labels = [b.label_arrays("distance") for b in batches]
+        self.X = _stacked([b.features for b in batches])
+        self.vals = _stacked([v for v, _ in labels])
+        self.mask = _stacked([m for _, m in labels])
+        self.pred_w = np.array([[h.lambda_p if b.kind == "personal" else h.lambda_g]
+                                for b in batches])
+        self.reconstruct = (h.lambda_k if batches[0].kind == "personal" else h.lambda_q) != 0.0
 
 
-def _error(ps, d, h, kind, centroid=None):
-    """`general_error` or `personal_error`, by `kind`."""
+def _stack_of_one(ps, d, h, kind, name):
+    """d as a stack of one for the public function `name`, which takes a
+    non-empty `kind` dataset and a net with a single output neuron."""
     if d.kind != kind:
-        raise InvalidParams(f"{kind}_error needs a {kind} dataset")
+        raise InvalidParams(f"{name} needs a {kind} dataset")
     if len(d) == 0:
         raise EmptyDataset(f"{kind} dataset is empty")
-    _check_output_width(ps)
-    vals, mask = d.label_arrays("distance")
-    pred_sum, recon_sq = _loss_parts(ps, d.features, vals, mask, _reconstructs(kind, h))
-    return _side_error(ps, d, h, float(pred_sum), recon_sq, centroid)
+    if ps.widths[-1] != 1:
+        raise DimensionMismatch("error functions require a single output neuron")
+    return _Stack((d,), h)
+
+
+def _stack_errors(ps, st, h, centroid, acts=None):
+    """Each stacked side's error, `general_error` or `personal_error` of its
+    batch by its kind. `acts` is st's forward pass at the current
+    parameters, if the caller has it."""
+    pred_sum, recon_sq = _loss_parts(ps, st.X, st.vals, st.mask, st.reconstruct, acts)
+    errors = []
+    for k, b in enumerate(st.batches):
+        e = (h.lambda_p if b.kind == "personal" else h.lambda_g) * float(pred_sum[k])
+        if recon_sq is not None and b.kind == "general":
+            e += h.lambda_q * regularizer(ps, h.q) * float(recon_sq[k].sum())
+        elif recon_sq is not None:
+            e += h.lambda_k * float((b.topk_filters(centroid, h.k) * recon_sq[k]).sum())
+        errors.append(e)
+    return errors
 
 
 def general_error(ps: ParameterSet, dg: Dataset, h: Hyperparams) -> float:
     """Prediction loss on labeled general samples plus the q-norm-scaled
     reconstruction (memory) loss over all general samples."""
-    return _error(ps, dg, h, "general")
+    return _stack_errors(ps, _stack_of_one(ps, dg, h, "general", "general_error"), h, None)[0]
 
 
 def personal_error(ps: ParameterSet, dp: Dataset, h: Hyperparams, centroid=None) -> float:
     """Prediction loss on labeled personal samples plus the per-sample
     filter-gated reconstruction (response) loss."""
-    return _error(ps, dp, h, "personal", centroid)
+    st = _stack_of_one(ps, dp, h, "personal", "personal_error")
+    return _stack_errors(ps, st, h, dp.centroid() if centroid is None else centroid)[0]
+
+
+def _blend(h, p, g):
+    """The blended objective, or its gradient, from its personal and general
+    parts."""
+    return (1.0 - h.alpha) * g + h.alpha * p
 
 
 def congruity_objective(ps: ParameterSet, dp: Dataset, dg: Dataset, h: Hyperparams,
                         centroid=None) -> float:
-    eg = general_error(ps, dg, h)
-    ep = personal_error(ps, dp, h, centroid)
-    return (1.0 - h.alpha) * eg + h.alpha * ep
+    return _blend(h, personal_error(ps, dp, h, centroid), general_error(ps, dg, h))
 
 
 # -- analytic gradients ----------------------------------------------------------
@@ -558,64 +580,37 @@ def _regularizer_grads(ps, q):
     return grad, r
 
 
-def _recon_terms(ps, d, h, kind, centroid=None):
-    """(reconstruction coefficients, q-norm gradient) of a `kind` side's
-    gradient over d: lambda_k times the top-k filters on the personal side,
-    lambda_q times the q-norm on the general one, whose own gradient
-    `_add_qnorm` adds. None where the term is zero-weighted (see _backprop)
-    or has no q-norm."""
-    if not _reconstructs(kind, h):
-        return None, None
-    if kind == "personal":
-        if centroid is None:
-            centroid = d.centroid()
-        return h.lambda_k * d.topk_filters(centroid, h.k), None
-    reg_grad, r = _regularizer_grads(ps, h.q)
-    return np.full(len(d), h.lambda_q * r), reg_grad
-
-
-def _add_qnorm(grad, h, recon_sq, reg_grad):
-    """The q-norm multiplies the summed reconstruction loss, so its own
-    gradient enters scaled by that sum."""
-    grad += h.lambda_q * float(recon_sq.sum()) * reg_grad
-
-
-def _side_grad(ps, d, h, kind, centroid=None, acts=None, alive=None):
-    """`grad_general` or `grad_personal`, by `kind`."""
-    if len(d) == 0:
-        raise EmptyDataset(f"{kind} dataset is empty")
-    _check_output_width(ps)
-    vals, mask = d.label_arrays("distance")
-    coeff, reg_grad = _recon_terms(ps, d, h, kind, centroid)
-    pred_w = h.lambda_p if kind == "personal" else h.lambda_g
-    grad, recon_sq = _backprop(ps, d.features, vals, mask, pred_w, coeff, acts, alive)
-    if reg_grad is not None:
-        _add_qnorm(grad, h, recon_sq, reg_grad)
+def _stack_grads(ps, st, h, centroid, alive=None, acts=None):
+    """Each stacked side's gradient, (S, theta.size): `grad_general` or
+    `grad_personal` of its batch by its kind. The reconstruction weighs a
+    personal sample by lambda_k times its top-k filter and a general one by
+    lambda_q times the q-norm, whose own gradient enters scaled by the
+    summed reconstruction loss. `acts` is st's forward pass at the current
+    parameters, if the caller has it; `alive` stands in for ps.alive
+    otherwise (see _forward_batch)."""
+    coeff = reg = None
+    if st.reconstruct:
+        if st.batches[-1].kind == "general":  # the general side is the last
+            reg = _regularizer_grads(ps, h.q)
+        coeff = _stacked([h.lambda_k * b.topk_filters(centroid, h.k) if b.kind == "personal"
+                          else np.full(len(b), h.lambda_q * reg[1]) for b in st.batches])
+    grad, recon_sq = _backprop(ps, st.X, st.vals, st.mask, st.pred_w, coeff, acts, alive)
+    if reg is not None:
+        grad[-1] += h.lambda_q * float(recon_sq[-1].sum()) * reg[0]
     return grad
 
 
-def grad_general(ps: ParameterSet, dg: Dataset, h: Hyperparams, alive=None):
-    """`alive` stands in for ps.alive in the forward pass (see _forward_batch)."""
-    return _side_grad(ps, dg, h, "general", alive=alive)
+def grad_general(ps: ParameterSet, dg: Dataset, h: Hyperparams):
+    return _stack_grads(ps, _stack_of_one(ps, dg, h, "general", "grad_general"), h, None)[0]
 
 
-def grad_personal(ps: ParameterSet, dp: Dataset, h: Hyperparams, centroid=None,
-                  acts=None, alive=None):
-    """`acts` is dp's forward pass at the current parameters, if the caller
-    has it; `alive` stands in for ps.alive otherwise (see _forward_batch)."""
-    return _side_grad(ps, dp, h, "personal", centroid, acts, alive)
+def grad_personal(ps: ParameterSet, dp: Dataset, h: Hyperparams, centroid=None):
+    st = _stack_of_one(ps, dp, h, "personal", "grad_personal")
+    return _stack_grads(ps, st, h, dp.centroid() if centroid is None else centroid)[0]
 
 
-def _blend(h, p, g):
-    """The blended objective's gradient from its personal and general ones."""
-    return (1.0 - h.alpha) * g + h.alpha * p
-
-
-def grad_congruity(ps: ParameterSet, dp: Dataset, dg: Dataset, h: Hyperparams,
-                   centroid=None, alive=None):
-    g = grad_general(ps, dg, h, alive)
-    p = grad_personal(ps, dp, h, centroid, alive=alive)
-    return _blend(h, p, g)
+def grad_congruity(ps: ParameterSet, dp: Dataset, dg: Dataset, h: Hyperparams, centroid=None):
+    return _blend(h, grad_personal(ps, dp, h, centroid), grad_general(ps, dg, h))
 
 
 # -- training --------------------------------------------------------------------
@@ -630,24 +625,6 @@ class TrainResult:
     pruned_count: int
 
 
-class _Stack:
-    """Batches of the same rows stacked along a leading axis, personal
-    before general, for one pass through `_forward_batch`, `_loss_parts`
-    and `_backprop`: features (S, rows, N_FEATURES), distance values and
-    masks (S, rows), each side's prediction weight (S, 1), and whether its
-    sides, which all run the same chain, reconstruct."""
-
-    def __init__(self, batches, h):
-        self.batches = batches
-        labels = [b.label_arrays("distance") for b in batches]
-        self.X = np.stack([b.features for b in batches])
-        self.vals = np.stack([v for v, _ in labels])
-        self.mask = np.stack([m for _, m in labels])
-        self.pred_w = np.array([[h.lambda_p if b.kind == "personal" else h.lambda_g]
-                                for b in batches])
-        self.reconstruct = _reconstructs(batches[0].kind, h)
-
-
 def _batches(dp, dg, h):
     """Each (personal, general) batch pair as a list of stacks: one stack
     of both sides when their rows match and both reconstruction terms are
@@ -657,7 +634,7 @@ def _batches(dp, dg, h):
     size = h.batch_size
     bps = [dp.slice(lo, lo + size) for lo in range(0, len(dp), size)]
     bgs = [dg.slice(lo, lo + size) for lo in range(0, len(dg), size)]
-    together = _reconstructs("personal", h) == _reconstructs("general", h)
+    together = (h.lambda_k != 0.0) == (h.lambda_q != 0.0)
     pairs = []
     for i in range(max(len(bps), len(bgs))):
         sides = bps[i % len(bps)], bgs[i % len(bgs)]
@@ -677,29 +654,11 @@ def _live_masks(ps):
 
 
 def _pair_errors(ps, pair, h, centroid):
-    """(personal error, general error, personal forward pass) of one batch
-    pair, each side's error bit for bit what `personal_error` or
-    `general_error` gives."""
-    errors, passes = [], []
-    for st in pair:
-        passes.append(_forward_batch(ps, st.X))
-        pred_sum, recon_sq = _loss_parts(ps, st.X, st.vals, st.mask, st.reconstruct, passes[-1])
-        errors += [_side_error(ps, b, h, float(pred_sum[k]),
-                               None if recon_sq is None else recon_sq[k], centroid)
-                   for k, b in enumerate(st.batches)]
-    return (*errors, [a[0] for a in passes[0]])
-
-
-def _stack_grads(ps, st, h, centroid, alive):
-    """Each stacked side's gradient, (S, theta.size), bit for bit what
-    `grad_personal` or `grad_general` gives for its batch."""
-    terms = [_recon_terms(ps, b, h, b.kind, centroid) for b in st.batches]
-    coeff = np.stack([c for c, _ in terms]) if st.reconstruct else None
-    grad, recon_sq = _backprop(ps, st.X, st.vals, st.mask, st.pred_w, coeff, alive=alive)
-    for k, (_, reg_grad) in enumerate(terms):
-        if reg_grad is not None:
-            _add_qnorm(grad[k], h, recon_sq[k], reg_grad)
-    return grad
+    """(personal error, general error, the personal batch's forward pass as
+    a stack of one) of one batch pair."""
+    passes = [_forward_batch(ps, st.X) for st in pair]
+    errors = [e for st, acts in zip(pair, passes) for e in _stack_errors(ps, st, h, centroid, acts)]
+    return (*errors, [a[:1] for a in passes[0]])
 
 
 def _prune_phase(ps, pairs, h, centroid, rng):
@@ -721,37 +680,32 @@ def _prune_phase(ps, pairs, h, centroid, rng):
     reconstruction chain reaches), so that layer is not swept at all.
     """
     pruned = 0
-    known = None  # (batch, personal error, general error, personal forward pass)
+    known = None  # (batch, personal error, general error, personal stack's forward pass)
+    personal = [_Stack(pair[0].batches[:1], h) for pair in pairs]  # personal sides alone, as views
     for layer in range(0 if h.lambda_k != 0.0 else 1, ps.L):
         d = ps.live_count(layer)
         if d < ps.d_max:
             continue
-        advance = False
-        for b, pair in enumerate(pairs):
-            bp = pair[0].batches[0]
-            for i in ps.layer_coords(layer):
-                if ps.frozen[i]:
-                    continue
-                if known is None or known[0] != b:
-                    known = (b, *_pair_errors(ps, pair, h, centroid))
-                _, ev_p, ev_g, acts = known
-                g = grad_personal(ps, bp, h, centroid, acts=acts)[i]
-                if g == 0.0:
-                    continue
-                ps.theta[i] -= h.learning_rate * g
-                known = (b, *_pair_errors(ps, pair, h, centroid))
-                _, en_p, en_g, _ = known
-                if abs(en_p - ev_p) < h.alpha * abs(en_g - ev_g):
-                    if rng.random() < h.prune_probability:
-                        ps.prune(i)
-                        known = None
-                        d -= 1
-                        pruned += 1
-                    if d < ps.d_max:
-                        advance = True
-                        break
-            if advance:
-                break
+        for b, i in itertools.product(range(len(pairs)), ps.layer_coords(layer)):
+            if ps.frozen[i]:
+                continue
+            if known is None or known[0] != b:
+                known = (b, *_pair_errors(ps, pairs[b], h, centroid))
+            _, ev_p, ev_g, acts = known
+            g = _stack_grads(ps, personal[b], h, centroid, acts=acts)[0, i]
+            if g == 0.0:
+                continue
+            ps.theta[i] -= h.learning_rate * g
+            known = (b, *_pair_errors(ps, pairs[b], h, centroid))
+            _, en_p, en_g, _ = known
+            if abs(en_p - ev_p) < h.alpha * abs(en_g - ev_g):
+                if rng.random() < h.prune_probability:
+                    ps.prune(i)
+                    known = None
+                    d -= 1
+                    pruned += 1
+                if d < ps.d_max:
+                    break
     return pruned
 
 
@@ -941,6 +895,7 @@ def load_model(path):
     d_max = None
     seed = 0
     hyper = {}
+    headers = set()
     neurons = {}  # (layer, index): (alive, bias, connections)
     for lineno, ln in enumerate(lines, start=1):
         parts = ln.split()
@@ -948,10 +903,18 @@ def load_model(path):
             continue
         where = f"{path}, line {lineno}"
         try:
+            if parts[0] in headers:
+                raise ValueError(f"a second {parts[0]} line")
+            if parts[0] != "w":
+                headers.add(parts[0])
             if parts[0] == "widths":
                 widths = check_widths(int(x) for x in parts[1:])
             elif parts[0] == "dmax":
                 d_max = int(parts[1])
+                if widths is None:
+                    raise ValueError("dmax line before the widths line")
+                if max(widths[:-1]) > d_max:
+                    raise ValueError(f"layer in-degree {max(widths[:-1])} exceeds d_max {d_max}")
             elif parts[0] == "seed":
                 seed = int(parts[1])
             elif parts[0] == "hyper":
@@ -959,7 +922,12 @@ def load_model(path):
                     key, val = kv.split("=", 1)
                     if key not in _HYPER_NAMES:
                         raise ValueError(f"unknown hyperparameter {key!r}")
+                    if key in hyper:
+                        raise ValueError(f"hyperparameter {key!r} given twice")
                     hyper[key] = int(val) if key in _INT_HYPERS else float(val)
+                    if not math.isfinite(hyper[key]):
+                        raise ValueError(f"hyperparameter {key!r} must be finite")
+                Hyperparams(**hyper).validate()
             elif parts[0] == "w":
                 l, j = int(parts[1]), int(parts[2])
                 if widths is None or not (0 <= l < len(widths) and 0 <= j < widths[l]):
@@ -972,6 +940,8 @@ def load_model(path):
                 conn = [float(x) for x in parts[5:]]
                 if len(conn) != (widths[l - 1] if l >= 1 else 0):
                     raise ValueError(f"neuron {l}/{j} has {len(conn)} connections")
+                if not all(math.isfinite(v) for v in (bias, *conn)):
+                    raise ValueError(f"neuron {l}/{j} has a bias or weight that is not finite")
                 neurons[l, j] = (float(parts[3]), bias, conn)
             else:
                 raise ValueError(f"unknown model line {parts[0]!r}")

@@ -643,28 +643,8 @@ def generate_topology(params, seed: int) -> WeightedGraph:
     n_zones = -(-n_switches // switches_per_zone)
 
     # id layout: root, servers, zones, switches, aps, gateways, devices
-    root = 0
-    servers = np.arange(1, 1 + n_servers)
-    zones = np.arange(servers[-1] + 1, servers[-1] + 1 + n_zones)
-    switches = np.arange(zones[-1] + 1, zones[-1] + 1 + n_switches)
-    aps = np.arange(switches[-1] + 1, switches[-1] + 1 + n_aps)
-    gateways = np.arange(aps[-1] + 1, aps[-1] + 1 + n_gateways)  # none outside mMTC
-    devices = np.arange(aps[-1] + 1 + n_gateways, aps[-1] + 1 + n_gateways + n_devices)
-    n = int(devices[-1]) + 1
-
-    kinds = np.zeros(n, dtype=np.int8)
-    kinds[root] = _KIND_INDEX[NodeKind.SERVER]
-    kinds[servers] = _KIND_INDEX[NodeKind.SERVER]
-    kinds[zones] = _KIND_INDEX[NodeKind.SWITCH]
-    kinds[switches] = _KIND_INDEX[NodeKind.SWITCH]
-    kinds[aps] = _KIND_INDEX[NodeKind.ACCESS_POINT]
-    if scenario == "mmtc":
-        kinds[gateways] = _KIND_INDEX[NodeKind.GATEWAY]
-        kinds[devices] = _KIND_INDEX[NodeKind.MMTC_DEVICE]
-    else:
-        half = len(devices) // 2
-        kinds[devices[:half]] = _KIND_INDEX[NodeKind.PC]
-        kinds[devices[half:]] = _KIND_INDEX[NodeKind.MOBILE_DEVICE]
+    n = 1 + n_servers + n_zones + n_switches + n_aps + n_gateways + n_devices
+    kinds = np.full(n, _KIND_INDEX[NodeKind.SERVER], dtype=np.int8)  # attach sets all but the root
 
     # The layers attach in id order, so node i's parent and depth are the
     # (i + 1)-th entries of these lists. A parent's id is one Python int
@@ -676,36 +656,46 @@ def generate_topology(params, seed: int) -> WeightedGraph:
     eb = np.arange(1, n, dtype=np.int64)
     ew = np.empty(n - 1, dtype=np.int64)
 
-    def attach(children, parent_layer, fanout, weights):
-        """Hang `children` below `parent_layer`, the first `fanout` of them
-        below its first node, and so on (one node, if fanout passes them)."""
-        edges = slice(len(parents) - 1, len(parents) - 1 + len(children))
-        ea[edges] = np.repeat(parent_layer, min(fanout, len(children)))[:len(children)]
+    def attach(kind, count, parent_layer, fanout, weights):
+        """Take the next `count` ids as `kind` nodes and hang them below
+        `parent_layer`, the first `fanout` below its first node, and so on
+        (one node, if fanout passes them); return their ids as a range."""
+        lo = len(parents)
+        edges = slice(lo - 1, lo - 1 + count)
+        kinds[lo:lo + count] = _KIND_INDEX[kind]
+        # child lo + c hangs below parent_layer[c // fanout], computed in place
+        np.subtract(eb[edges], lo, out=ea[edges])
+        ea[edges] //= fanout
+        ea[edges] += parent_layer[0]
         ew[edges] = weights
-        end = len(parents) + len(children)
-        for p in parent_layer.tolist():
-            parents.extend(itertools.repeat(p, min(fanout, end - len(parents))))
-        depths.extend(itertools.repeat(depths[parent_layer[0]] + 1, len(children)))
+        for p in parent_layer:
+            parents.extend(itertools.repeat(p, min(fanout, lo + count - len(parents))))
+        depths.extend(itertools.repeat(depths[parent_layer[0]] + 1, count))
+        return range(lo, lo + count)
 
     def draw(lo, hi, size):
         return rng.integers(lo, hi, size=size, dtype=np.int64)
 
-    top = np.array([root])
-    attach(servers, top, n_servers, draw(*_MID_LAT, n_servers))
-    attach(zones, top, n_zones, draw(*_CORE_LAT, n_zones))
-    attach(switches, zones, switches_per_zone, draw(*_CORE_LAT, n_switches))
+    attach(NodeKind.SERVER, n_servers, range(1), n_servers, draw(*_MID_LAT, n_servers))
+    zones = attach(NodeKind.SWITCH, n_zones, range(1), n_zones, draw(*_CORE_LAT, n_zones))
+    switches = attach(NodeKind.SWITCH, n_switches, zones, switches_per_zone,
+                      draw(*_CORE_LAT, n_switches))
     if scenario == "urllc":
         base = max(1000.0, float(params.latency_ms) * 1000.0)
         raw = base * rng.uniform(0.8, 1.2, size=n_aps)
         ap_w = np.clip(raw, 1000, 149_999).astype(np.int64)  # clip before the cast: raw may pass int64
     else:
         ap_w = draw(*_MID_LAT, n_aps)
-    attach(aps, switches, aps_per_switch, ap_w)
+    aps = attach(NodeKind.ACCESS_POINT, n_aps, switches, aps_per_switch, ap_w)
     if scenario == "mmtc":
-        attach(gateways, aps, devices_per_ap, draw(*_MID_LAT, n_gateways))
-        attach(devices, gateways, devices_per_gw, draw(*_LOCAL_LAT, n_devices))
+        gateways = attach(NodeKind.GATEWAY, n_gateways, aps, devices_per_ap,
+                          draw(*_MID_LAT, n_gateways))
+        attach(NodeKind.MMTC_DEVICE, n_devices, gateways, devices_per_gw,
+               draw(*_LOCAL_LAT, n_devices))
     else:
-        attach(devices, aps, devices_per_ap, draw(*_LOCAL_LAT, n_devices))
+        devices = attach(NodeKind.PC, n_devices, aps, devices_per_ap,
+                         draw(*_LOCAL_LAT, n_devices))
+        kinds[devices[n_devices // 2]:] = _KIND_INDEX[NodeKind.MOBILE_DEVICE]
 
     g = WeightedGraph(kinds, ea, eb, ew, WeightUnit.LATENCY_US)
     g._tree = (True, parents, depths)  # what _tree_info's BFS would find

@@ -260,6 +260,26 @@ class TestErrorFunctions:
         h = Hyperparams(lambda_p=2.0, lambda_k=0.0)
         assert personal_error(ps, ds, h) == pytest.approx(2 * 0.25)
 
+    @pytest.mark.parametrize("name, kind", [
+        ("general_error", "general"), ("grad_general", "general"),
+        ("personal_error", "personal"), ("grad_personal", "personal"),
+    ])
+    def test_each_public_side_checks_its_dataset_kind(self, name, kind):
+        other = "personal" if kind == "general" else "general"
+        ps = zero_net((N_FEATURES, 1))
+        with pytest.raises(InvalidParams, match=f"^{name} needs a {kind} dataset$"):
+            getattr(congruity, name)(ps, dataset(other, [(feature_vec(0.5), {})]), Hyperparams())
+
+    @pytest.mark.parametrize("name, first", [
+        ("congruity_objective", "personal_error"), ("grad_congruity", "grad_personal"),
+    ])
+    def test_blends_reject_swapped_datasets(self, name, first):
+        ps = zero_net((N_FEATURES, 1))
+        dp = dataset("personal", [(feature_vec(0.5), {})])
+        dg = dataset("general", [(feature_vec(0.5), {})])
+        with pytest.raises(InvalidParams, match=f"^{first} needs a personal dataset$"):
+            getattr(congruity, name)(ps, dg, dp, Hyperparams())
+
     def test_kind_and_empty_checks(self):
         h = Hyperparams()
         ps = zero_net((N_FEATURES, 1))
@@ -853,13 +873,13 @@ class TestTrainingPassesOnce:
 
         ps.layer_coords = recording_coords
         graded = []
-        original = congruity.grad_personal
+        original = congruity._stack_grads
 
         def recording(*args, **kwargs):
             graded.append(swept[-1])
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(congruity, "grad_personal", recording)
+        monkeypatch.setattr(congruity, "_stack_grads", recording)
         pairs = congruity._batches(dp, dg, h)
         congruity._prune_phase(ps, pairs, h, dp.centroid(), np.random.default_rng(1))
         assert 1 in graded
@@ -926,12 +946,18 @@ class TestStackedPass:
         assert len(pair) == (1 if together and extra == 0 else 2)
         p, g = (side for stack in pair
                 for side in congruity._stack_grads(ps, stack, h, centroid, alive))
-        assert p.tobytes() == grad_personal(ps, dp, h, centroid, alive=alive).tobytes()
-        assert g.tobytes() == congruity.grad_general(ps, dg, h, alive).tobytes()
+        for side, d in ((p, dp), (g, dg)):
+            one = congruity._stack_grads(ps, congruity._Stack((d,), h), h, centroid, alive)
+            assert one.shape == (1, ps.theta.size)
+            assert side.tobytes() == one.tobytes()
+        # masks that stand in for ps.alive change no byte of the public gradients
+        assert p.tobytes() == grad_personal(ps, dp, h, centroid).tobytes()
+        assert g.tobytes() == congruity.grad_general(ps, dg, h).tobytes()
         ep, eg, acts = congruity._pair_errors(ps, pair, h, centroid)
         assert ep.hex() == personal_error(ps, dp, h, centroid).hex()
         assert eg.hex() == general_error(ps, dg, h).hex()
         for got, want in zip(acts, congruity._forward_batch(ps, dp.features), strict=True):
+            assert got.shape == (1, *want.shape)
             assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n_personal, n_general, lambda_q, lambda_k, stacks", [
@@ -942,25 +968,22 @@ class TestStackedPass:
     ])
     def test_training_matches_single_side_passes(self, n_personal, n_general, lambda_q,
                                                  lambda_k, stacks, monkeypatch):
-        """Stacked training gives the bytes of training through the public
-        single-side errors and gradients."""
+        """Stacked training gives the bytes of training on one stack per
+        side of every pair."""
         dp, dg = synthesize_dataset(DatasetSpec(n_personal=n_personal, n_general=n_general), 3)
         h = Hyperparams(alpha=0.3, lambda_p=1.25, lambda_g=0.5, lambda_q=lambda_q,
                         lambda_k=lambda_k, max_epochs=8, rng_seed=3)
         assert [len(pair) for pair in congruity._batches(dp, dg, h)] == stacks
         stacked = train(dp, dg, h, (N_FEATURES, 5, 1))
 
-        def errors(ps, pair, h, centroid):
-            bp, bg = (b for stack in pair for b in stack.batches)
-            acts = congruity._forward_batch(ps, bp.features)
-            return personal_error(ps, bp, h, centroid), general_error(ps, bg, h), acts
+        joint = congruity._batches
 
-        def grads(ps, stack, h, centroid, alive):
-            return [grad_personal(ps, b, h, centroid, alive=alive) if b.kind == "personal"
-                    else congruity.grad_general(ps, b, h, alive) for b in stack.batches]
+        def split(dp, dg, h):
+            return [[congruity._Stack((b,), h) for stack in pair for b in stack.batches]
+                    for pair in joint(dp, dg, h)]
 
-        monkeypatch.setattr(congruity, "_pair_errors", errors)
-        monkeypatch.setattr(congruity, "_stack_grads", grads)
+        monkeypatch.setattr(congruity, "_batches", split)
+        assert [len(pair) for pair in congruity._batches(dp, dg, h)] == [2] * len(stacks)
         single = train(dp, dg, h, (N_FEATURES, 5, 1))
         assert model_to_text(stacked.theta_star, h) == model_to_text(single.theta_star, h)
         assert repr(stacked.loss_history) == repr(single.loss_history)
@@ -1088,6 +1111,13 @@ class TestModelAndDatasetFiles:
         ("widths 17 0", "line 1: need at least input and output layers"),
         ("widths 17 1000000000000 1", "line 1: hidden_widths (1000000000000,) give"),
         ("hyper bogus=1", "line 4: unknown hyperparameter 'bogus'"),
+        ("hyper alpha=0.5 k=3 alpha=0.5", "line 4: hyperparameter 'alpha' given twice"),
+        ("hyper alpha=2.0", "line 4: alpha must lie in [0, 1]"),
+        ("hyper batch_size=0", "line 4: batch_size must be >= 1"),
+        ("hyper tolerance=nan", "line 4: hyperparameter 'tolerance' must be finite"),
+        ("dmax -5", "line 2: layer in-degree 17 exceeds d_max -5"),
+        ("w 1 0 1 nan " + " ".join(["0.5"] * N_FEATURES),
+         "line 5: neuron 1/0 has a bias or weight that is not finite"),
         ("w 1 0 1 x", "line 5: could not convert"),
         ("w 9 0 1 0.0", "line 5: neuron 9/0 is outside widths"),
         ("w 1 0 1 0.0 1.0", "line 5: neuron 1/0 has 1 connections"),
@@ -1108,6 +1138,24 @@ class TestModelAndDatasetFiles:
         with pytest.raises(InvalidParams) as exc:
             load_model(path)
         assert str(exc.value).startswith(f"{path}, {message}")
+
+    @pytest.mark.parametrize("head", ["widths", "dmax", "seed", "hyper"])
+    def test_repeated_model_header_raises_invalid_params_with_its_line(self, head, tmp_path):
+        lines = model_to_text(zero_net((N_FEATURES, 1)), Hyperparams()).splitlines()
+        lines.insert(4, next(ln for ln in lines if ln.split()[0] == head))
+        path = tmp_path / "model.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InvalidParams) as exc:
+            load_model(path)
+        assert str(exc.value) == f"{path}, line 5: a second {head} line"
+
+    def test_dmax_before_widths_raises_invalid_params(self, tmp_path):
+        lines = model_to_text(zero_net((N_FEATURES, 1)), Hyperparams()).splitlines()
+        path = tmp_path / "model.txt"
+        path.write_text("\n".join([lines[1], lines[0], *lines[2:]]) + "\n")
+        with pytest.raises(InvalidParams) as exc:
+            load_model(path)
+        assert str(exc.value) == f"{path}, line 1: dmax line before the widths line"
 
     def test_model_missing_a_neuron_raises_invalid_params_naming_it(self, tmp_path):
         ps = init_parameters((N_FEATURES, 2, 1), rng=np.random.default_rng(3))
