@@ -18,7 +18,7 @@ import bisect
 import csv
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -172,6 +172,9 @@ class Hyperparams:
     rng_seed: int = 0
 
     def validate(self):
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise InvalidParams(f"{f.name} must be finite")
         if not (0.0 <= self.alpha <= 1.0):
             raise InvalidParams("alpha must lie in [0, 1]")
         if min(self.lambda_g, self.lambda_q, self.lambda_p, self.lambda_k) < 0:

@@ -380,18 +380,17 @@ def _run_point(params: ScenarioParams, point_index: int, with_details: bool = Fa
     # Integer totals below 2**53 are exact in float64, so dividing them by
     # the request count gives the same IEEE result as np.mean over the traces.
     hops_total = hits = 0
+    # read after a tracer has patched them, so its wrappers see every call
+    hops, handle, deliver = baseline_hops, userplane.handle_request, userplane.deliver_data
     for n, k in enumerate(obj_draws.tolist(), start=1):
         obj = catalog[k]
         requester = next(requesters)
         while requester == obj.publisher:
             requester = next(requesters)
-        req = userplane.RequestMsg(requested=obj.id, origin_node=requester)
-        hc = baseline_hops(g, requester, obj.publisher)
-        trace = userplane.handle_request(net, req)
-        userplane.deliver_data(net, trace)
-        records.append(
-            RequestRecord(n, paths=[trace.hops], volume=obj.volume, baseline_hops=hc)
-        )
+        hc = hops(g, requester, obj.publisher)
+        trace = handle(net, userplane.RequestMsg(obj.id, requester))
+        deliver(net, trace)
+        records.append(RequestRecord(n, [trace.hops], obj.volume, hc))
         hops_total += trace.hops
         hits += trace.cache_hit
         if with_details:

@@ -426,14 +426,14 @@ def node_centrality(g: WeightedGraph, v: int) -> float:
 def hop_distance(g: WeightedGraph, a: int, b: int) -> int:
     """Fewest-edges distance, ignoring weights; ids outside [0, n) raise
     InvalidParams."""
+    is_tree, parents, depths = g._tree_info()
+    if is_tree and 0 <= a < len(depths) and 0 <= b < len(depths):
+        return _tree_hops(parents, depths, a, b)
     n = g.n
     if not (0 <= a < n and 0 <= b < n):
         raise InvalidParams(f"nodes ({a},{b}) outside graph")
     if a == b:
         return 0
-    is_tree, parents, depths = g._tree_info()
-    if is_tree:
-        return _tree_hops(parents, depths, a, b)
     hops = int(_dists_to(g, b)[a])
     if hops < 0:
         raise Unreachable(f"no path {a} -> {b}")

@@ -131,7 +131,8 @@ class NetState:
         self.objects = {}
         self.explicit = set()  # (node, object id) pairs registered with the ILM
         self.forwarding = graph.forwarding_mask()
-        self._hosts = {}  # object id -> listed host nodes, as of _hosts_at
+        self.parents = graph._tree_info()[1]  # None off the tree
+        self._hosts = {}  # object id -> (listed hosts, above), as of _hosts_at
         self._hosts_at = resolver.mutations
 
     def local_ilm(self, node: int) -> Resolver:
@@ -157,24 +158,36 @@ class NetState:
             except NotFound:
                 pass
 
-    def listed_hosts(self, oid) -> tuple:
-        """The nodes the resolver lists for `oid`, in address order. Answers
-        are kept until the resolver's next binding change (an indirect
-        record's answer changes with its target's, so all are dropped)."""
+    def listing(self, oid) -> tuple:
+        """(listed hosts in address order, above): on a tree, `above` is the
+        set of nodes whose subtree holds a listed host, each host's chain to
+        the root; off it, None. Both are kept until the resolver's next
+        binding change (an indirect record's answer changes with its
+        target's, so all are dropped)."""
         res = self.resolver
         if self._hosts_at != res.mutations:
             self._hosts.clear()
             self._hosts_at = res.mutations
-        hosts = self._hosts.get(oid)
-        if hosts is None:
+        kept = self._hosts.get(oid)
+        if kept is None:
             try:
                 locators = resolve(res, oid)
             except NotFound:
                 raise Unresolvable(
                     f"identifier {oid.hex[:12]}.. is unknown and uncached on the path"
                 )
-            hosts = self._hosts[oid] = tuple(node_of_address(na) for na in sorted(locators))
-        return hosts
+            hosts = tuple(node_of_address(na) for na in sorted(locators))
+            if hosts[-1] >= self.graph.n:  # resolve lists at least one
+                raise InvalidParams(f"listed node {hosts[-1]} is outside the graph")
+            above = None
+            if self.parents is not None:
+                above = set()
+                for x in hosts:
+                    while x >= 0 and x not in above:
+                        above.add(x)
+                        x = self.parents[x]
+            kept = self._hosts[oid] = (hosts, above)
+        return kept
 
     def add_object(self, obj: ContentObject) -> None:
         self.objects[obj.id] = obj
@@ -192,33 +205,41 @@ def build_network(graph: WeightedGraph, hierarchy, resolver: Resolver,
 def handle_request(net: NetState, req: RequestMsg) -> DeliveryTrace:
     """Walk the request hop by hop until a copy is found.
 
-    Every element on the way checks its own store. The listed hosts are read
-    once, at the first element that misses (see NetState.listed_hosts), and
-    the request heads for the listed copy whose host is the fewest forwarding
-    hops away (ties broken by the lowest address). Along a fewest-hops path
-    every step brings that host one hop closer and no other host more than
-    one, so it stays the closest all the way and is picked once. A listed
-    host found without the object is dropped for the rest of the request and
-    the closest remaining host is picked from there.
+    Every element on the way checks its own store. The listing is read once,
+    at the first element that misses (see NetState.listing). On a tree, an
+    element whose subtree holds no listed host reaches every host through
+    its parent, so the request climbs there. From the first element that is
+    not climbed past, it heads for the listed copy whose host is the fewest
+    forwarding hops away (ties broken by the lowest address). Along a
+    fewest-hops path every step brings that host one hop closer and no other
+    host more than one, so it stays the closest all the way and is picked
+    once. A listed host found without the object is dropped for the rest of
+    the request, which from there heads for the closest remaining host (each
+    path ends at a listed host, so no later step climbs).
     """
     oid = req.requested
     obj = net.objects.get(oid)
     publisher = obj.publisher if obj is not None else None
-    caches = net.caches
+    caches, parents = net.caches, net.parents
+    if not 0 <= req.origin_node < net.graph.n:
+        raise InvalidParams(f"origin {req.origin_node} is outside the graph")
     path = []
     leg = (req.origin_node,)
-    hosts = None  # listed hosts in address order, once resolved
+    hosts = above = None  # the listing, once resolved
     while True:
         for current in leg:
             path.append(current)
             store = caches.get(current)
             if current == publisher or (store is not None and oid in store.entries):
                 break
-        else:  # no copy on the leg: head for the closest listed host
+        else:  # no copy on the leg: climb, or head for the closest listed host
             if hosts is None:
-                hosts = net.listed_hosts(oid)
+                hosts, above = net.listing(oid)
             if current in hosts:  # it was checked above: the listing is stale
                 hosts = [host for host in hosts if host != current]
+            if above is not None and current not in above:
+                leg = (parents[current],)
+                continue
             leg = closest_path(net.graph, current, hosts)
             if leg is None:
                 raise NoRoute(f"no reachable host for {oid.hex[:12]}..")
@@ -227,14 +248,8 @@ def handle_request(net: NetState, req: RequestMsg) -> DeliveryTrace:
     cache_hit = current != publisher
     if cache_hit:
         caches[current].touch(oid)
-    return DeliveryTrace(
-        request=req,
-        path=path,
-        hops=len(path) - 1,
-        serving_node=current,
-        cache_hit=cache_hit,
-        volume=obj.volume if obj else 0,
-    )
+    return DeliveryTrace(req, path, len(path) - 1, current, cache_hit,
+                         obj.volume if obj else 0)
 
 
 def deliver_data(net: NetState, trace: DeliveryTrace) -> list:

@@ -575,6 +575,48 @@ class TestRunCmd:
         assert len(indirect) == 4 * 24
         assert actions.count("add") == 48 and actions.count("remove") == 47
 
+    # Two latency bounds, two seeds, a cache of a fifth of the catalog: 46
+    # of the 48 prefetched copies are evicted and deregistered.
+    GOLDEN_URLLC_CONFIG = (
+        "scenario = urllc\nsweep_values = 1, 16\nseeds = 3, 4\nn_devices = 256\n"
+        "request_count = 400\ncatalog_size = 24\ncache_fraction = 0.2\n"
+        "prefetch_budget = 12\n"
+    )
+    GOLDEN_URLLC_SHA256 = "44fac0fa3df1d1c0a3251ab08ce84e9cc1f8282343b953dc38dc720098623f34"
+
+    def test_golden_urllc_report(self, tmp_path, monkeypatch):
+        actions = []
+        binding = userplane.update_binding
+
+        def counted(ilm_node, gid, action, na):
+            actions.append(action)
+            return binding(ilm_node, gid, action, na)
+
+        monkeypatch.setattr(userplane, "update_binding", counted)
+        cfg = tmp_path / "golden_urllc.cfg"
+        cfg.write_text(self.GOLDEN_URLLC_CONFIG)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        digest = hashlib.sha256((out / "report.csv").read_bytes()).hexdigest()
+        assert digest == self.GOLDEN_URLLC_SHA256
+        assert actions.count("add") == 48 and actions.count("remove") == 46
+
+    # The embb-replay benchmark point at seed 1: 4,096 devices and 32,768
+    # requests through the default prefetch and cache settings.
+    GOLDEN_REPLAY_CONFIG = (
+        "scenario = embb\nsweep_values = 8\nseeds = 1\nn_devices = 4096\n"
+        "request_count = 32768\n"
+    )
+    GOLDEN_REPLAY_SHA256 = "79f3a05f03a76853623e680ae07cebdcd9e73137a2d8f4ab3c57cbac0c49f96f"
+
+    def test_golden_replay_report(self, tmp_path):
+        cfg = tmp_path / "golden_replay.cfg"
+        cfg.write_text(self.GOLDEN_REPLAY_CONFIG)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        digest = hashlib.sha256((out / "report.csv").read_bytes()).hexdigest()
+        assert digest == self.GOLDEN_REPLAY_SHA256
+
 
 class TestReportCmd:
     def test_three_seed_summary_with_variance(self, tmp_path):

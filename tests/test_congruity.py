@@ -487,6 +487,13 @@ class TestTrain:
         with pytest.raises(InvalidParams):
             Hyperparams(q=0).validate()
 
+    @pytest.mark.parametrize("name", ["alpha", "lambda_g", "lambda_q", "lambda_p", "lambda_k",
+                                      "learning_rate", "prune_probability", "tolerance"])
+    def test_non_finite_hyperparams_are_invalid(self, name):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(InvalidParams, match=f"^{name} must be finite$"):
+                Hyperparams(**{name: value}).validate()
+
 
 class TestLoopInvariantWork:
     """Training computes the labels and top-k filters once per dataset and

@@ -23,7 +23,7 @@ from icnsim.ilm import (
     resolve,
     update_binding,
 )
-from icnsim.topology import Edge, Node, NodeKind, build_graph, generate_topology
+from icnsim.topology import Edge, Node, NodeKind, build_graph, closest_path, generate_topology
 from icnsim.userplane import (
     CacheStore,
     ContentObject,
@@ -360,35 +360,53 @@ def forwarding_cases(draw):
         if a != b and frozenset((a, b)) not in seen:
             seen.add(frozenset((a, b)))
             edges.append((a, b))
-    hosts = draw(st.lists(nodes, min_size=1, max_size=LOCATOR_LIMIT, unique=True))
+    listed = draw(st.lists(nodes, min_size=1, max_size=LOCATOR_LIMIT, unique=True))
+    held = draw(st.integers(1, len(listed)))
     cached = draw(st.lists(nodes, max_size=3, unique=True))
-    return n, edges, hosts, cached, draw(nodes)
+    return n, edges, listed[:held], cached, draw(nodes), listed[held:]
 
 
-def forwarding_net(n, edges, hosts, cached):
-    """The publisher is the first host; the others hold registered cache
-    copies, and `cached` nodes hold unregistered ones."""
+def forwarding_net(n, edges, hosts, cached, stale=(), publisher=None):
+    """The resolver lists `hosts`, which hold the object, and `stale`
+    nodes, which hold nothing. The publisher is the first host unless
+    named; the other hosts hold registered cache copies, and `cached` nodes
+    hold unregistered ones."""
     g = build_graph([Node(i, NodeKind.SWITCH) for i in range(n)],
                     [Edge(a, b, 1) for a, b in edges], "latency_us")
     net = build_network(g, None, Resolver(), 10**6)
-    obj = publish(net, net.resolver, publisher=hosts[0])
-    for host in hosts[1:]:
-        net.cache_of(host).insert(obj.id, obj.volume)
-        update_binding(net.resolver, obj.id, "add", address_of(host))
-    for node in cached:
-        net.cache_of(node).insert(obj.id, obj.volume)
+    publisher = hosts[0] if publisher is None else publisher
+    listed = [*hosts, *stale]
+    obj = ContentObject(register(net.resolver, "urn:movie", address_of(listed[0])), 1000,
+                        publisher)
+    net.add_object(obj)
+    for node in listed[1:]:
+        update_binding(net.resolver, obj.id, "add", address_of(node))
+    for node in [*hosts, *cached]:
+        if node != publisher:
+            net.cache_of(node).insert(obj.id, obj.volume)
     return net, obj
+
+
+# A tree rooted at 0: 1 and 4 under 0, 2 and 3 under 1, 5 under 4, 6 under 2.
+TREE = (7, [(0, 1), (1, 2), (1, 3), (0, 4), (4, 5), (2, 6)])
+LINE = (6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
 
 
 @settings(max_examples=150, deadline=None)
 @given(forwarding_cases())
 @example((4, [(0, 1), (1, 2), (2, 3), (3, 0)], [2], [], 0))  # two ways round a ring
 @example((6, [(0, 1), (1, 2), (3, 4)], [4, 2], [1], 0))  # host 4 is unreachable
+@example(TREE + ([5, 3], [], 6))  # climbs 6-2-1, then down to 3 beside 2
+@example(TREE + ([5, 1], [], 6))  # the listed copy at 1 is the origin's ancestor
+@example(TREE + ([5], [], 6, [2]))  # a stale host on the climb ends it
+@example(TREE + ([5], [], 6, [3]))  # a stale host beside the climb, then on to 5
+# every listed node is stale: the listing empties and the request raises NoRoute
+@example(LINE + ([], [], 2, [0, 3], 5))
 def test_handle_request_matches_per_hop_reranking(case):
-    n, edges, hosts, cached, origin = case
-    net, obj = forwarding_net(n, edges, hosts, cached)
+    n, edges, hosts, cached, origin, *rest = case
+    net, obj = forwarding_net(n, edges, hosts, cached, *rest)
     want = reranking_reference(net, obj.id, origin)
-    net, obj = forwarding_net(n, edges, hosts, cached)
+    net, obj = forwarding_net(n, edges, hosts, cached, *rest)
     if want is NoRoute:
         with pytest.raises(NoRoute):
             request(net, obj, origin)
@@ -398,9 +416,108 @@ def test_handle_request_matches_per_hop_reranking(case):
     assert trace.hops == len(want[0]) - 1
 
 
+@st.composite
+def generated_tree_scripts(draw):
+    """A small generated eMBB or mMTC tree, three objects published at
+    nodes that do not forward (as in a run, whose publishers are servers or
+    devices), prefetch placements on its forwarding elements and a run of
+    requests (object, origin)."""
+    if draw(st.booleans()):
+        params = ScenarioParams(scenario="embb", n_devices=draw(st.integers(2, 24)),
+                                devices_per_ap=4, aps_per_switch=2, switches_per_zone=2)
+    else:
+        params = ScenarioParams(scenario="mmtc", devices_per_gateway=8,
+                                area_km2=draw(st.sampled_from([0.0002, 0.0005])))
+    g = generate_topology(params, draw(st.integers(0, 2**16)))
+    nodes = st.integers(0, g.n - 1)
+    objects = st.integers(0, 2)
+    forwarding = g.forwarding_nodes().tolist()
+    others = sorted(set(range(g.n)) - set(forwarding))
+    publishers = draw(st.lists(st.sampled_from(others), min_size=3, max_size=3))
+    placements = draw(st.lists(st.tuples(objects, st.sampled_from(forwarding)), max_size=10))
+    requests = draw(st.lists(st.tuples(objects, nodes), min_size=1, max_size=12))
+    return g, publishers, placements, requests
+
+
+def generated_net(g, publishers, placements):
+    """Stores hold two of the three objects, so placements and deliveries
+    evict, and evicting a placed copy deregisters it."""
+    net = build_network(g, None, Resolver(), 200)
+    gids = [publish(net, net.resolver, f"urn:obj:{k}", publisher, 100).id
+            for k, publisher in enumerate(publishers)]
+    apply_prefetch(net, PrefetchPlan([(gids[k], node, 1.0) for k, node in placements],
+                                     [], [], np.ones((1, 1))))
+    return net, gids
+
+
+@settings(max_examples=40, deadline=None)
+@given(generated_tree_scripts())
+def test_climb_on_generated_trees_matches_per_hop_reranking(case):
+    g, publishers, placements, requests = case
+    assert g.is_tree()
+    net, gids = generated_net(g, publishers, placements)
+    ref, ref_gids = generated_net(g, publishers, placements)
+    for k, origin in requests:
+        want = reranking_reference(ref, ref_gids[k], origin)
+        trace = request(net, net.objects[gids[k]], origin)
+        assert (trace.path, trace.serving_node, trace.cache_hit) == want
+        deliver_data(net, trace)
+        path, serving, hit = want
+        deliver_data(ref, DeliveryTrace(trace.request, path, len(path) - 1, serving,
+                                        hit, 100))
+        assert net.explicit == ref.explicit
+
+
+class TestClimb:
+    """On a tree a request climbs while no listed host lies below it and
+    asks `closest_path` only from the first element that has one."""
+
+    def counted_paths(self, monkeypatch):
+        calls = []
+
+        def counted(g, u, targets):
+            calls.append((u, tuple(targets)))
+            return closest_path(g, u, targets)
+
+        monkeypatch.setattr(userplane, "closest_path", counted)
+        return calls
+
+    def test_a_copy_at_the_access_point_needs_no_path(self, monkeypatch):
+        g, net, res = make_net()
+        obj = publish(net, res)
+        net.cache_of(3).insert(obj.id, obj.volume)
+        calls = self.counted_paths(monkeypatch)
+        trace = request(net, obj, origin=4)
+        assert (trace.path, trace.serving_node, trace.cache_hit) == ([4, 3], 3, True)
+        assert calls == []
+
+    def test_the_path_starts_where_a_listed_host_lies_below(self, monkeypatch):
+        g, net, res = make_net()
+        obj = publish(net, res)
+        calls = self.counted_paths(monkeypatch)
+        assert request(net, obj, origin=4).path == [4, 3, 2, 0, 1]
+        assert calls == [(0, (1,))]
+        net.cache_of(2).insert(obj.id, obj.volume)
+        update_binding(res, obj.id, "add", address_of(2))
+        assert request(net, obj, origin=5).path == [5, 3, 2]
+        assert calls == [(0, (1,))]
+
+
 class TestListedHosts:
     """The user plane keeps each identifier's host list until the resolver's
     next binding change."""
+
+    def test_above_holds_each_hosts_chain_to_the_root(self):
+        g, net, res = make_net()  # a tree: 1 and 2 under 0, 3 under 2, 4 and 5 under 3
+        obj = publish(net, res)
+        assert net.listing(obj.id) == ((1,), {0, 1})
+        update_binding(res, obj.id, "add", address_of(3))
+        assert net.listing(obj.id) == ((1, 3), {0, 1, 2, 3})
+        ring = build_graph([Node(i, NodeKind.SWITCH) for i in range(3)],
+                           [Edge(0, 1, 1), Edge(1, 2, 1), Edge(0, 2, 1)], "latency_us")
+        off_tree = build_network(ring, None, Resolver(), 10**6)
+        obj = publish(off_tree, off_tree.resolver, publisher=2)
+        assert off_tree.listing(obj.id) == ((2,), None)
 
     def indirect_net(self):
         g, net, res = make_net()
@@ -413,23 +530,23 @@ class TestListedHosts:
     def test_each_direct_mutation_refreshes_the_list(self):
         g, net, res = make_net()
         obj = publish(net, res)
-        assert net.listed_hosts(obj.id) == (1,)
+        assert net.listing(obj.id)[0] == (1,)
         register(res, "urn:movie", address_of(3))
-        assert net.listed_hosts(obj.id) == (1, 3)
+        assert net.listing(obj.id)[0] == (1, 3)
         update_binding(res, obj.id, "add", address_of(0))
-        assert net.listed_hosts(obj.id) == (0, 1, 3)
+        assert net.listing(obj.id)[0] == (0, 1, 3)
         update_binding(res, obj.id, "remove", address_of(1))
-        assert net.listed_hosts(obj.id) == (0, 3)
+        assert net.listing(obj.id)[0] == (0, 3)
 
     def test_each_indirect_mutation_refreshes_the_list(self):
         net, res, gid, other = self.indirect_net()
-        assert net.listed_hosts(gid) == (4,)
+        assert net.listing(gid)[0] == (4,)
         register(res, "urn:dev:a", address_of(2))  # the target moves
-        assert net.listed_hosts(gid) == (2, 4)
+        assert net.listing(gid)[0] == (2, 4)
         update_binding(res, res.table[gid].indirect_target, "remove", address_of(4))
-        assert net.listed_hosts(gid) == (2,)
+        assert net.listing(gid)[0] == (2,)
         register_indirect(res, "urn:data", other)  # re-targeted
-        assert net.listed_hosts(gid) == (5,)
+        assert net.listing(gid)[0] == (5,)
 
     @pytest.mark.parametrize("mutate", [
         lambda res, gid: register(res, "urn:x", address_of(0)),
@@ -439,11 +556,11 @@ class TestListedHosts:
     ], ids=["register", "register_indirect", "add", "remove"])
     def test_every_mutation_moves_the_counter_and_drops_the_lists(self, mutate):
         net, res, gid, _ = self.indirect_net()
-        net.listed_hosts(gid)
+        net.listing(gid)
         before = res.mutations
         mutate(res, gid)
         assert res.mutations == before + 1
-        assert net.listed_hosts(gid) == tuple(
+        assert net.listing(gid)[0] == tuple(
             sorted(node_of_address(na) for na in resolve(res, gid)))
         assert net._hosts_at == res.mutations
 
@@ -502,7 +619,7 @@ class TestListedHosts:
         for stale in (4, 6):
             update_binding(net.resolver, obj.id, "add", address_of(stale))
         assert request(net, obj, origin=5).serving_node == 0
-        assert net.listed_hosts(obj.id) == (0, 4, 6)
+        assert net.listing(obj.id)[0] == (0, 4, 6)
         assert request(net, obj, origin=4).path == [4, 5, 6, 5, 4, 3, 2, 1, 0]
 
     def test_a_listed_node_outside_the_graph_is_invalid(self):
@@ -518,7 +635,7 @@ class TestListedHosts:
 def binding_scripts(draw):
     """A forwarding case's graph, three publishers and a script that
     interleaves binding changes, explicit placements and requests."""
-    n, edges, _, _, _ = draw(forwarding_cases())
+    n, edges, *_ = draw(forwarding_cases())
     nodes = st.integers(0, n - 1)
     publishers = draw(st.lists(nodes, min_size=3, max_size=3))
     request = st.tuples(st.just("request"), st.integers(0, 1), nodes)
