@@ -2,8 +2,9 @@
 (gen-topo, containerize, train, run, report).
 
 Exit codes: 0 success, 1 validation problem (usage, config), 2 runtime
-failure. Outputs are written atomically after all computation succeeds, so a
-failed run leaves no partial files.
+failure. Each command computes its files without writing anything
+(`outputs`); `main` then writes them all atomically, so a failed run leaves
+no partial files.
 """
 
 from __future__ import annotations
@@ -169,41 +170,49 @@ def scenario_params_from(config: dict, seed: int) -> ScenarioParams:
     return from_config(ScenarioParams, config, seed=seed, learner=learner).validate()
 
 
-def _write_atomic(*outputs) -> None:
-    """Write (path, content) pairs as one set: every content goes to a temp
-    file first and the renames follow only once all writes succeeded, so a
-    failed write leaves the previous outputs as they were."""
+def _write_atomic(texts: dict) -> None:
+    """Write {path: text} as one set: every text goes to a temp file first
+    and the renames follow only once all writes succeeded, so a failed write
+    leaves the previous outputs as they were."""
     written = []
     try:
-        for path, content in outputs:
+        for path, text in texts.items():
             tmp = f"{path}.tmp"
             with open(tmp, "w", encoding="utf-8") as fh:
                 written.append(tmp)
-                fh.write(content)
+                fh.write(text)
     except BaseException:
         for tmp in written:
             os.remove(tmp)
         raise
-    for path, _ in outputs:
+    for path in texts:
         os.replace(f"{path}.tmp", path)
 
 
-# -- subcommands ------------------------------------------------------------------
+# -- subcommands: each returns ({file name: text}, message) and writes nothing -----
 
 
-def cmd_gen_topo(args) -> int:
+def command_seeds(config: dict, seed) -> list:
+    """The seeds a command runs: `--seed` when given, else the config's
+    `seeds`, which must name at least one seed and none twice."""
+    if seed is not None:
+        return [seed]
+    seeds = list(config["seeds"])
+    repeated = [s for i, s in enumerate(seeds) if s in seeds[:i]]
+    if repeated or not seeds:
+        raise ConfigError(f"seeds repeats seed {repeated[0]}" if repeated else "seeds names no seed")
+    return seeds
+
+
+def cmd_gen_topo(args):
     config = load_config(args.config)
-    seed = args.seed if args.seed is not None else config["seeds"][0]
+    seed = command_seeds(config, args.seed)[0]
     point = evaluation.sweep_points(scenario_params_from(config, seed))[0]
     graph = evaluation.point_graph(point, 0)
-    os.makedirs(args.out, exist_ok=True)
-    out_path = os.path.join(args.out, "topology.txt")
-    _write_atomic((out_path, graph_to_text(graph)))
-    print(f"wrote {out_path} ({graph.n} nodes, {graph.m} edges)")
-    return 0
+    return {"topology.txt": graph_to_text(graph)}, f"wrote {{}} ({graph.n} nodes, {graph.m} edges)"
 
 
-def cmd_containerize(args) -> int:
+def cmd_containerize(args):
     config = load_config(args.config)
     try:
         graph = load_graph(args.topo)
@@ -214,17 +223,14 @@ def cmd_containerize(args) -> int:
     violations = validate_hierarchy(hierarchy).violations
     if violations:
         raise SimError(f"invalid hierarchy: {'; '.join(violations[:3])}")
-    os.makedirs(args.out, exist_ok=True)
-    out_path = os.path.join(args.out, "hierarchy.txt")
-    _write_atomic((out_path, hierarchy_to_text(hierarchy)))
     counts = ",".join(str(len(level)) for level in hierarchy.levels)
-    print(f"wrote {out_path} (containers per level: {counts})")
-    return 0
+    text = hierarchy_to_text(hierarchy)
+    return {"hierarchy.txt": text}, f"wrote {{}} (containers per level: {counts})"
 
 
-def cmd_train(args) -> int:
+def cmd_train(args):
     config = load_config(args.config)
-    seed = args.seed if args.seed is not None else config["seeds"][0]
+    seed = command_seeds(config, args.seed)[0]
     h = hyperparams_from(config, seed)
     arch = congruity.check_widths((congruity.N_FEATURES, *config["hidden_widths"], 1))
     if (args.personal is None) != (args.general is None):
@@ -239,34 +245,20 @@ def cmd_train(args) -> int:
     else:
         spec = from_config(congruity.DatasetSpec, config)
         dp, dg = congruity.synthesize_dataset(spec, seed)
-    result = congruity.train(dp, dg, h, arch)
-    os.makedirs(args.out, exist_ok=True)
-    model_path = os.path.join(args.out, "model.txt")
-    loss_path = os.path.join(args.out, "loss.csv")
-    loss_csv = "epoch,loss\n" + "\n".join(
-        f"{i},{loss!r}" for i, loss in enumerate(result.loss_history)
-    ) + "\n"
-    _write_atomic(
-        (model_path, congruity.model_to_text(result.theta_star, h)),
-        (loss_path, loss_csv),
-    )
-    print(
-        f"wrote {model_path} and {loss_path} "
-        f"(E {result.e_initial!r} -> {result.e_star!r}, pruned {result.pruned_count})"
-    )
-    return 0
+    r = congruity.train(dp, dg, h, arch)
+    files = {
+        "model.txt": congruity.model_to_text(r.theta_star, h),
+        "loss.csv": "epoch,loss\n" + "".join(f"{i},{x!r}\n" for i, x in enumerate(r.loss_history)),
+    }
+    return files, f"wrote {{}} (E {r.e_initial!r} -> {r.e_star!r}, pruned {r.pruned_count})"
 
 
-def cmd_run(args) -> int:
+def cmd_run(args):
     config = load_config(args.config)
-    seeds = [args.seed] if args.seed is not None else list(config["seeds"])
-    params = scenario_params_from(config, seeds[0])
-    reports = evaluation.run_sweep(params, seeds)
-    os.makedirs(args.out, exist_ok=True)
-    out_path = os.path.join(args.out, "report.csv")
-    _write_atomic((out_path, evaluation.reports_to_csv(reports)))
-    print(f"wrote {out_path} ({len(reports)} sweep points)")
-    return 0
+    seeds = command_seeds(config, args.seed)
+    reports = evaluation.run_sweep(scenario_params_from(config, seeds[0]), seeds)
+    text = evaluation.reports_to_csv(reports)
+    return {"report.csv": text}, f"wrote {{}} ({len(reports)} sweep points)"
 
 
 def _report_problem(r) -> str:
@@ -329,22 +321,14 @@ def _reports_from_csv(path, seen: dict) -> list:
     return reports
 
 
-def cmd_report(args) -> int:
+def cmd_report(args):
     reports, seen = [], {}
     for path in args.reports:
         reports.extend(_reports_from_csv(path, seen))
     summary = evaluation.sweep_report(reports)
-    os.makedirs(args.out, exist_ok=True)
-    summary_path = os.path.join(args.out, "summary.csv")
-    plot_path = os.path.join(args.out, "plotdata.csv")
-    plot_lines = ["scenario,sweep_value,mean_ito"]
-    for ln in summary.splitlines()[1:]:
-        parts = ln.split(",")
-        plot_lines.append(f"{parts[0]},{parts[2]},{parts[4]}")
-    _write_atomic((summary_path, summary), (plot_path, "\n".join(plot_lines) + "\n"))
-    print(summary, end="")
-    print(f"wrote {summary_path} and {plot_path}")
-    return 0
+    rows = [ln.split(",") for ln in summary.splitlines()[1:]]
+    plot = "scenario,sweep_value,mean_ito\n" + "".join(f"{r[0]},{r[2]},{r[4]}\n" for r in rows)
+    return {"summary.csv": summary, "plotdata.csv": plot}, summary + "wrote {}"
 
 
 # -- entry point --------------------------------------------------------------------
@@ -406,18 +390,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def outputs(argv) -> tuple:
+    """Run the command `argv` names without writing anything: its output
+    directory, its files as {name: text}, and the message to print once
+    they are written, in which `{}` stands for their paths."""
+    args = build_parser().parse_args(argv)
+    files, message = args.func(args)
+    return args.out, files, message
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run the command `argv` names and write its files: the only writer."""
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        out, files, message = outputs(argv)
+        paths = {os.path.join(out, name): text for name, text in files.items()}
+        os.makedirs(out, exist_ok=True)
+        _write_atomic(paths)
+        print(message.format(" and ".join(paths)))
+        return 0
     except _VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except SimError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (SimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -153,6 +153,9 @@ def sweep_points(params: ScenarioParams) -> list:
     params.validate()
     var = SWEEP_VARS[params.scenario]
     values = tuple(params.sweep_values) or DEFAULT_SWEEPS[params.scenario]
+    repeated = [v for i, v in enumerate(values) if v in values[:i]]
+    if repeated:
+        raise InvalidParams(f"sweep_values repeats {repeated[0]!r}")
     points = [
         replace(params, **{var: value, "sweep_values": values}).validate()
         for value in values

@@ -345,7 +345,8 @@ def prefetch_plan(nc: dict, fp: dict, budget: int, seed: int) -> PrefetchPlan:
 def apply_prefetch(net: NetState, plan: PrefetchPlan) -> list:
     """Execute a plan: insert each object into the target's media store and
     register the explicit copy with the resolver (until the locator cap).
-    Returns (object id, node) per placed copy."""
+    A placement at the object's own publisher is skipped, since evicting it
+    would deregister the publisher. Returns (object id, node) per placed copy."""
     placed = []
     for oid, node, _p in plan.placements:
         obj = net.objects.get(oid)
@@ -353,7 +354,7 @@ def apply_prefetch(net: NetState, plan: PrefetchPlan) -> list:
             raise NotFound(f"object {oid.hex[:12]}.. is not in the catalog")
         if not 0 <= node < net.graph.n:
             raise InvalidParams(f"placement node {node} is outside the graph")
-        if not net.cache_of(node).insert(obj.id, obj.volume):
+        if node == obj.publisher or not net.cache_of(node).insert(obj.id, obj.volume):
             continue
         try:
             update_binding(net.resolver, oid, "add", address_of(node))

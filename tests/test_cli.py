@@ -1,5 +1,4 @@
 import glob
-import hashlib
 import os
 import re
 import shlex
@@ -25,6 +24,7 @@ from icnsim.containment import (
 from icnsim.errors import ConfigError
 from icnsim.evaluation import ScenarioParams
 from icnsim.topology import graph_to_text, load_graph
+from regen_goldens import GOLDENS
 
 BASE_CONFIG = """
 # tiny but complete experiment
@@ -131,15 +131,18 @@ def readme_config() -> str:
         return re.search(r"cat > \S+ <<EOF\n(.*?\n)EOF\n", fh.read(), re.S).group(1)
 
 
+def golden_config(name: str) -> str:
+    """A config file of the golden manifest (tests/goldens)."""
+    with open(os.path.join(GOLDENS, name), encoding="utf-8") as fh:
+        return fh.read()
+
+
 # README's example, an mMTC point of about a thousand devices, and the
 # benchmark's learner workload
 POINT_ZERO_CONFIGS = {
     "readme": readme_config(),
-    "mmtc": "scenario = mmtc\nsweep_values = 2\nseeds = 3\narea_km2 = 0.5\n",
-    "learner": (
-        "scenario = embb\nsweep_values = 8\nseeds = 1\nn_devices = 512\n"
-        "request_count = 256\nuse_learner = true\n"
-    ),
+    "mmtc": golden_config("mmtc-1k.cfg"),
+    "learner": golden_config("learner.cfg"),
 }
 
 
@@ -195,23 +198,6 @@ class TestGenTopo:
         ]) == 0
         assert (out / "hierarchy.txt").read_text() == hierarchy_to_text(hierarchy)
 
-    # Every node line carries its resources, so these pin the resources of
-    # every node kind as well as the generated shape and weights.
-    @pytest.mark.parametrize("config,digest", [
-        ("scenario = embb\nsweep_values = 8\nseeds = 5\nn_devices = 512\n",
-         "97ccb6de345acd3dd35b11db9cc459c9f9c15153f01c629deb5fa0a27bc082ca"),
-        ("scenario = urllc\nsweep_values = 4\nseeds = 2\nn_devices = 300\n",
-         "83c65aed15de80b614758da5db563bbd1dd5f609765ce88e09a634a2fd150b29"),
-        ("scenario = mmtc\nsweep_values = 2\nseeds = 3\narea_km2 = 0.5\n",
-         "e71fe66930d3d4eb7a11b1d398181d18812c8a032037d357b5b111ba25933e39"),
-    ], ids=["embb", "urllc", "mmtc"])
-    def test_golden_topology(self, config, digest, tmp_path):
-        cfg = tmp_path / "golden.cfg"
-        cfg.write_text(config)
-        out = tmp_path / "out"
-        assert main(["gen-topo", "--config", str(cfg), "--out", str(out)]) == 0
-        assert hashlib.sha256((out / "topology.txt").read_bytes()).hexdigest() == digest
-
     def test_missing_config_exits_one(self, tmp_path, capsys):
         assert main(["gen-topo", "--config", str(tmp_path / "nope.cfg")]) == 1
         assert "error:" in capsys.readouterr().err
@@ -248,32 +234,6 @@ class TestContainerizeCmd:
             for ln in (out / "hierarchy.txt").read_text().splitlines()
         }
         assert levels == {1}
-
-    @pytest.mark.parametrize("config,digest", [
-        # A 557-node eMBB topology: 45, 11 and 1 containers per level.
-        (
-            "scenario = embb\nsweep_values = 8\nseeds = 5\nn_devices = 512\n",
-            "9c06d552c402e957c5fb4c2728bb1671caefbeafea9e25c4549fcd12f60f79ad",
-        ),
-        # An 851-node URLLC topology at 1 ms access latency, where 132 edges
-        # weigh exactly the first target: exact_hit gives 207, 81 and 1
-        # containers per level, additive 339, 81 and 1.
-        (
-            "scenario = urllc\nsweep_values = 1\nseeds = 5\nn_devices = 512\n"
-            "target_mode = exact_hit\n",
-            "7177648348bf58da2c0ba1a62923847415ba6cb2033da62a56e2e18257429c02",
-        ),
-    ], ids=["embb", "urllc-exact-hit"])
-    def test_golden_dump(self, config, digest, tmp_path):
-        cfg = tmp_path / "golden.cfg"
-        cfg.write_text(config)
-        out = tmp_path / "out"
-        assert main(["gen-topo", "--config", str(cfg), "--out", str(out)]) == 0
-        assert main([
-            "containerize", "--config", str(cfg),
-            "--topo", str(out / "topology.txt"), "--out", str(out),
-        ]) == 0
-        assert hashlib.sha256((out / "hierarchy.txt").read_bytes()).hexdigest() == digest
 
     def test_bottleneck_target_on_latency_topology_exits_one(self, tmp_path, capsys):
         cfg = tmp_path / "bottleneck.cfg"
@@ -505,6 +465,14 @@ class TestRunCmd:
         assert err.startswith("error: ") and "target_mode" in err, err
         assert not out.exists()
 
+    def test_seed_flag_runs_a_config_that_names_no_seed(self, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(BASE_CONFIG + "seeds =\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--seed", "3", "--out", str(out)]) == 0
+        rows = (out / "report.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[3] for row in rows] == ["3", "3"]
+
     def test_lone_mmtc_device_exits_one(self, tmp_path):
         # one device is both the only publisher and the only requester
         cfg = tmp_path / "lone.cfg"
@@ -514,108 +482,32 @@ class TestRunCmd:
         assert "requester" in proc.stderr
         assert not (tmp_path / "o").exists()
 
-    # Two rates, two seeds, a cache of a fifth of the catalog: every
-    # prefetched copy (48 placements) gets evicted and deregistered.
-    GOLDEN_CONFIG = (
-        "scenario = embb\nsweep_values = 8, 12\nseeds = 3, 4\nn_devices = 256\n"
-        "request_count = 400\ncatalog_size = 24\ncache_fraction = 0.2\n"
-        "prefetch_budget = 12\n"
-    )
-    GOLDEN_SHA256 = "c293fbd9d479be826aa12c5f965223856a79daa0c0ec38c88f62bb33b349d1a9"
-
-    def test_golden_report(self, tmp_path, monkeypatch):
-        actions = []
-        binding = userplane.update_binding
-
-        def counted(ilm, gid, action, na):
-            actions.append(action)
-            return binding(ilm, gid, action, na)
-
-        monkeypatch.setattr(userplane, "update_binding", counted)
-        cfg = tmp_path / "golden.cfg"
-        cfg.write_text(self.GOLDEN_CONFIG)
-        out = tmp_path / "out"
-        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-        digest = hashlib.sha256((out / "report.csv").read_bytes()).hexdigest()
-        assert digest == self.GOLDEN_SHA256
-        assert actions.count("add") > 0 and actions.count("remove") > 0
-
-    # Indirect (data id -> device id) registrations for every object, and a
-    # cache of a fifth of the catalog: 47 of the 48 prefetched copies are
-    # evicted and deregistered.
-    GOLDEN_MMTC_CONFIG = (
-        "scenario = mmtc\nsweep_values = 1, 2\nseeds = 3, 4\narea_km2 = 0.5\n"
-        "request_count = 400\ncatalog_size = 24\ncache_fraction = 0.2\n"
-        "prefetch_budget = 12\n"
-    )
-    GOLDEN_MMTC_SHA256 = "85b242a79ed44dba7d4e0cd1bc00be33c79d0f84d3eb7d0e37766b111fc79a94"
-
-    def test_golden_mmtc_report(self, tmp_path, monkeypatch):
-        actions = []
-        binding = userplane.update_binding
-        indirect = []
-        register_indirect = ilm.register_indirect
+    # the prefetch counts of three manifest configs (tests/goldens), whose
+    # reports the manifest pins
+    @pytest.mark.parametrize("config,adds,removes,indirect", [
+        ("embb-evictions.cfg", 48, 48, 0),
+        ("mmtc-evictions.cfg", 48, 47, 4 * 24),
+        ("urllc-evictions.cfg", 48, 46, 0),
+    ])
+    def test_prefetched_copies_bind_and_evicted_ones_unbind(
+        self, config, adds, removes, indirect, monkeypatch
+    ):
+        actions, names = [], []
+        binding, register_indirect = userplane.update_binding, ilm.register_indirect
 
         def counted(ilm_node, gid, action, na):
             actions.append(action)
             return binding(ilm_node, gid, action, na)
 
         def counted_indirect(*args, **kwargs):
-            indirect.append(args[1])
+            names.append(args[1])
             return register_indirect(*args, **kwargs)
 
         monkeypatch.setattr(userplane, "update_binding", counted)
         monkeypatch.setattr(ilm, "register_indirect", counted_indirect)
-        cfg = tmp_path / "golden_mmtc.cfg"
-        cfg.write_text(self.GOLDEN_MMTC_CONFIG)
-        out = tmp_path / "out"
-        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-        digest = hashlib.sha256((out / "report.csv").read_bytes()).hexdigest()
-        assert digest == self.GOLDEN_MMTC_SHA256
-        assert len(indirect) == 4 * 24
-        assert actions.count("add") == 48 and actions.count("remove") == 47
-
-    # Two latency bounds, two seeds, a cache of a fifth of the catalog: 46
-    # of the 48 prefetched copies are evicted and deregistered.
-    GOLDEN_URLLC_CONFIG = (
-        "scenario = urllc\nsweep_values = 1, 16\nseeds = 3, 4\nn_devices = 256\n"
-        "request_count = 400\ncatalog_size = 24\ncache_fraction = 0.2\n"
-        "prefetch_budget = 12\n"
-    )
-    GOLDEN_URLLC_SHA256 = "44fac0fa3df1d1c0a3251ab08ce84e9cc1f8282343b953dc38dc720098623f34"
-
-    def test_golden_urllc_report(self, tmp_path, monkeypatch):
-        actions = []
-        binding = userplane.update_binding
-
-        def counted(ilm_node, gid, action, na):
-            actions.append(action)
-            return binding(ilm_node, gid, action, na)
-
-        monkeypatch.setattr(userplane, "update_binding", counted)
-        cfg = tmp_path / "golden_urllc.cfg"
-        cfg.write_text(self.GOLDEN_URLLC_CONFIG)
-        out = tmp_path / "out"
-        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-        digest = hashlib.sha256((out / "report.csv").read_bytes()).hexdigest()
-        assert digest == self.GOLDEN_URLLC_SHA256
-        assert actions.count("add") == 48 and actions.count("remove") == 46
-
-    # The embb-replay benchmark point at seed 1: 4,096 devices and 32,768
-    # requests through the default prefetch and cache settings.
-    GOLDEN_REPLAY_CONFIG = (
-        "scenario = embb\nsweep_values = 8\nseeds = 1\nn_devices = 4096\n"
-        "request_count = 32768\n"
-    )
-    GOLDEN_REPLAY_SHA256 = "79f3a05f03a76853623e680ae07cebdcd9e73137a2d8f4ab3c57cbac0c49f96f"
-
-    def test_golden_replay_report(self, tmp_path):
-        cfg = tmp_path / "golden_replay.cfg"
-        cfg.write_text(self.GOLDEN_REPLAY_CONFIG)
-        out = tmp_path / "out"
-        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-        digest = hashlib.sha256((out / "report.csv").read_bytes()).hexdigest()
-        assert digest == self.GOLDEN_REPLAY_SHA256
+        cli.outputs(["run", "--config", os.path.join(GOLDENS, config)])
+        assert (actions.count("add"), actions.count("remove")) == (adds, removes)
+        assert len(names) == indirect
 
 
 class TestReportCmd:
@@ -735,6 +627,15 @@ MALFORMED_VALUES = {
     "negative-seed-flag-run": ("run", "", ["--seed", "-1"], "--seed"),
     "negative-seed-flag-gen-topo": ("gen-topo", "", ["--seed", "-1"], "--seed"),
     "negative-seed-flag-train": ("train", "", ["--seed", "-1"], "--seed"),
+    "empty-seeds-run": ("run", "seeds =", [], "seeds names no seed"),
+    "empty-seeds-gen-topo": ("gen-topo", "seeds =", [], "seeds names no seed"),
+    "empty-seeds-train": ("train", "seeds =", [], "seeds names no seed"),
+    # a report with a repeated (point, seed) is one `report` rejects
+    "repeated-seed-run": ("run", "seeds = 2, 1, 2", [], "seeds repeats seed 2"),
+    "repeated-seed-gen-topo": ("gen-topo", "seeds = 1, 1", [], "seeds repeats seed 1"),
+    "repeated-seed-train": ("train", "seeds = 1, 1", [], "seeds repeats seed 1"),
+    "repeated-sweep-value-run": ("run", "sweep_values = 8, 32, 8.0", [], "sweep_values repeats 8.0"),
+    "repeated-sweep-value-gen-topo": ("gen-topo", "sweep_values = 8, 8", [], "sweep_values repeats 8.0"),
     "infinite-cache-fraction": ("run", "cache_fraction = inf", [], "cache_fraction"),
     "infinite-area": ("run", "scenario = mmtc\narea_km2 = inf", [], "area_km2"),
     "infinite-sweep-value": ("run", "sweep_values = 8, inf", [], "sweep_values"),
@@ -847,7 +748,8 @@ HASH_SEED_CONFIG = (
 
 def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
     """`run` (with the learner) and `train` write the same bytes under two
-    string-hash seeds, so no output follows set or dict order of strings."""
+    string-hash seeds, so no output follows set or dict order of strings,
+    and `outputs` returns those bytes twice in this process."""
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(HASH_SEED_CONFIG)
     outputs = {}
@@ -863,10 +765,14 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
             assert proc.returncode == 0, proc.stderr
             outputs.setdefault(command, []).append(
                 {p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    for command in ("run", "train"):
+        for _ in range(2):
+            files = cli.outputs([command, "--config", str(cfg)])[1]
+            outputs[command].append({name: files[name].encode() for name in sorted(files)})
     assert set(outputs["run"][0]) >= {"report.csv"}
     assert set(outputs["train"][0]) == {"model.txt", "loss.csv"}
-    for command, (first, second) in outputs.items():
-        assert first == second, command
+    for command, (first, *others) in outputs.items():
+        assert len(others) == 3 and all(other == first for other in others), command
 
 
 def test_importing_the_cli_loads_no_scipy():

@@ -1,11 +1,12 @@
-import hashlib
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import icnsim.congruity as congruity
+from icnsim import cli
 from icnsim.cli import main
 from icnsim.congruity import (
     Dataset,
@@ -40,6 +41,7 @@ from icnsim.errors import (
 )
 
 from oracles import central_difference, dense_reconstruction
+from regen_goldens import GOLDENS
 
 
 def zero_net(widths, d_max=None):
@@ -497,25 +499,8 @@ class TestTrain:
 
 class TestLoopInvariantWork:
     """Training computes the labels and top-k filters once per dataset and
-    reuses known errors; none of that may change a single output bit."""
-
-    GOLDEN_CONFIG = (
-        "seeds = 3\nmax_epochs = 15\nn_personal = 40\nn_general = 60\n"
-        "lambda_q = 0.3\nlambda_k = 0.7\n"
-    )
-    # produced by the implementation that recomputed everything on every call
-    GOLDEN_SHA256 = {
-        "model.txt": "d8fe69ad50ddbd34e18c8a5406ccf585277ac782603a93055f08062f0e754c40",
-        "loss.csv": "a348a7ee4e46523a6f39ac3532449173a5a8a60c9e3f8c7d81b89e95edc68294",
-    }
-
-    def test_train_outputs_match_golden_hashes(self, tmp_path):
-        cfg = tmp_path / "golden.cfg"
-        cfg.write_text(self.GOLDEN_CONFIG)
-        out = tmp_path / "out"
-        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
-        for name, digest in self.GOLDEN_SHA256.items():
-            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+    reuses known errors; none of that may change a single output bit (the
+    train-recon lines of tests/goldens/manifest.txt pin them)."""
 
     @pytest.mark.parametrize("max_epochs", [1, 8])
     def test_filter_runs_twice_per_personal_sample(self, monkeypatch, max_epochs):
@@ -554,58 +539,8 @@ class TestLoopInvariantWork:
 
 class TestZeroWeightTerms:
     """A reconstruction term whose weight is zero is not computed; skipping
-    it must give what the full formula gives."""
-
-    # the default lambda_q = lambda_k = 0; recorded with the full formula
-    GOLDEN_CONFIG = "seeds = 3\nmax_epochs = 15\nn_personal = 40\nn_general = 60\n"
-    GOLDEN_SHA256 = {
-        "model.txt": "cc9fe7545f3265a8be6904979afe9512f97074f3ab8e9027cf6e708c1bb059f2",
-        "loss.csv": "262ada416bc7720ef70c45c07ce983f256790106e9b73054fa23cfefba2f782c",
-    }
-
-    def test_default_lambda_train_matches_golden_hashes(self, tmp_path):
-        cfg = tmp_path / "golden.cfg"
-        cfg.write_text(self.GOLDEN_CONFIG)
-        out = tmp_path / "out"
-        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
-        for name, digest in self.GOLDEN_SHA256.items():
-            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
-
-    # The embb report does not depend on the learned weights, so the trained
-    # model and its loss history are pinned as well.
-    RUN_CONFIG = (
-        "scenario = embb\nsweep_values = 8\nseeds = 2\nn_devices = 128\n"
-        "request_count = 128\nuse_learner = true\nmax_epochs = 20\n"
-    )
-    RUN_SHA256 = {
-        "report.csv": "30f733cde5d614446a955ccd253fcbdb56d553c03b147d3baa639ea2a0cc8e49",
-        "model": "6cedb16b0254c2a2591a56a4c5452a7b99bd649c872cfbf304da65cffd7b6949",
-        "loss_history": "9645202d492ecdc8a6ef2720c77c9024fd9afe423f6b19573d433ac6ed67fc1f",
-    }
-
-    def test_learner_run_matches_golden_hashes(self, tmp_path, monkeypatch):
-        trained = []
-        original = congruity.train
-
-        def recording(dp, dg, h, arch, *args, **kwargs):
-            result = original(dp, dg, h, arch, *args, **kwargs)
-            trained.append((result, h))
-            return result
-
-        monkeypatch.setattr(congruity, "train", recording)
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(self.RUN_CONFIG)
-        out = tmp_path / "out"
-        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-        [(result, h)] = trained
-        digests = {
-            "report.csv": hashlib.sha256((out / "report.csv").read_bytes()).hexdigest(),
-            "model": hashlib.sha256(
-                congruity.model_to_text(result.theta_star, h).encode()
-            ).hexdigest(),
-            "loss_history": hashlib.sha256(repr(result.loss_history).encode()).hexdigest(),
-        }
-        assert digests == self.RUN_SHA256
+    it must give what the full formula gives (the train-default and
+    learner-128 lines of tests/goldens/manifest.txt pin the outputs)."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -714,125 +649,17 @@ def pruned_net(rng, hidden, frozen_share, dead_share):
 class TestTrainingPassesOnce:
     """Training reuses each prune step's forward pass, skips prune steps that
     cannot move a parameter, and skips the masks that mask nothing; none of
-    that may change a single output bit."""
+    that may change a single output bit (the train-lambda-*, train-prune-*,
+    train-single-*, train-two-*, learner and learner-smallest lines of
+    tests/goldens/manifest.txt pin them)."""
 
-    TRAIN_CONFIG = "seeds = {seed}\nmax_epochs = {epochs}\nn_personal = {np}\nn_general = {ng}\n"
-    # (config, model.txt SHA-256, loss.csv SHA-256), recorded with the
-    # implementation that ran every prune step and every mask
-    GOLDEN = {
-        "lambda_k only": (
-            TRAIN_CONFIG.format(seed=3, epochs=15, np=40, ng=60) + "lambda_k = 0.7\n",
-            "92483c4c58cc132bbbe8a9467e9841f318f8924814377cfb13925e1cf53e8dff",
-            "7a057b971af4609d446f5ad0a89598efef5580509a4aaeb6326979f250819b36",
-        ),
-        "lambda_q only": (
-            TRAIN_CONFIG.format(seed=3, epochs=15, np=40, ng=60) + "lambda_q = 0.3\n",
-            "32854e2fb560d6f69dd10cb29c1a5aabcc96d058b82d43237331aec6d7789645",
-            "d3c992421d8aea2c863e7dfa76252c174cf8eb17e8c13f3ecbad4a9202919b54",
-        ),
-        # ends with one hidden neuron dead, so descent keeps masks
-        "prune everything": (
-            TRAIN_CONFIG.format(seed=3, epochs=10, np=40, ng=60)
-            + "prune_probability = 1.0\nalpha = 1.0\nbatch_size = 16\nhidden_widths = 4\n",
-            "1ca79eff6f3cb45d287fc668e11132383ccbd0d78bac12f863cec8a3d9211e6d",
-            "3f5db7771c09beb1e2ba9e0695690bee2a1de8a5dfc9a381325972564a80b657",
-        ),
-        "single batch": (
-            TRAIN_CONFIG.format(seed=4, epochs=15, np=20, ng=30) + "batch_size = 64\n",
-            "1666c02ae3e5375fb6367b51cd6610b01c6a483db1924fff1085e883b1edd630",
-            "723ba921fb64812b7b346e883086aa4539be105530d2098652789b530dde45bb",
-        ),
-        "two hidden layers": (
-            TRAIN_CONFIG.format(seed=5, epochs=10, np=40, ng=60) + "hidden_widths = 8, 4\n",
-            "6c17fd106e4690fc913cbc01dd7fc75e24d75eefeef6d27f623ba842c58d6b5c",
-            "8e6fc7e8161ab009556ded774be8f8ecc883c34d3dae90942dfaecb134fe3f65",
-        ),
-    }
-
-    @pytest.mark.parametrize("name", sorted(GOLDEN))
-    def test_train_outputs_match_golden_hashes(self, name, tmp_path):
-        text, model_sha, loss_sha = self.GOLDEN[name]
-        cfg = tmp_path / "golden.cfg"
-        cfg.write_text(text)
-        out = tmp_path / "out"
-        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
-        model = (out / "model.txt").read_bytes()
-        assert hashlib.sha256(model).hexdigest() == model_sha
-        assert hashlib.sha256((out / "loss.csv").read_bytes()).hexdigest() == loss_sha
-        if name == "prune everything":
-            alive = [line.split()[3] for line in model.decode().splitlines()
-                     if line.startswith("w 1 ")]
-            assert alive.count("0") == 1
-
-    # the learner benchmark workload's config; its report does not read the
-    # learned weights, so the model and the loss history are pinned
-    LEARNER_CONFIG = (
-        "scenario = embb\nsweep_values = 8\nseeds = {seed}\nn_devices = 512\n"
-        "request_count = 256\nuse_learner = true\n"
-    )
-    LEARNER_SHA256 = {  # seed: (model_to_text, repr(loss_history))
-        1: ("a6abb35e502250b7794bbec0c65a5b7363257252f1c8dee476ec95098a44a099",
-            "6e5449347572483ed0d475805a6f84a81a8df2a7708669de8d83c9c75ebe0009"),
-        2: ("86b0753d761812ad3535e5f081f26a23a7c3005ecc97c97a861731e98b17b0b8",
-            "71292313b83a1ff60e3d8e06f823d31136e9d7f3ed56ff1794d80e55b8966ec2"),
-        3: ("08fd5c0af87558e94b06b843c97a7122b9aa12071f5a08476bd39e31a3b2a4db",
-            "eabb7f2a2a391dcf9d60b01e315be37406113192b4674aa6401d79e69f4b53d9"),
-        4: ("2d71a70c4209c5a158f1afeb674fc172601f340309577c184c9df3d78d51381d",
-            "6f2c64d7b7f25c79cd89fb23687c117c42f8d51322b9c12540e4307093a83b25"),
-    }
-
-    @pytest.mark.parametrize("seed", sorted(LEARNER_SHA256))
-    def test_learner_workload_matches_golden_hashes(self, seed, tmp_path, monkeypatch):
-        trained = []
-        original = congruity.train
-
-        def recording(dp, dg, h, arch, *args, **kwargs):
-            result = original(dp, dg, h, arch, *args, **kwargs)
-            trained.append((result, h))
-            return result
-
-        monkeypatch.setattr(congruity, "train", recording)
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(self.LEARNER_CONFIG.format(seed=seed))
-        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
-        [(result, h)] = trained
-        assert (
-            hashlib.sha256(model_to_text(result.theta_star, h).encode()).hexdigest(),
-            hashlib.sha256(repr(result.loss_history).encode()).hexdigest(),
-        ) == self.LEARNER_SHA256[seed]
-
-    # one device behind one server: the smallest generated topology, 6 nodes
-    # and 5 edges, with every edge weight replaced by a prediction
-    SMALLEST_CONFIG = (
-        "scenario = embb\nsweep_values = 8\nseeds = 1\nn_devices = 1\nn_servers = 1\n"
-        "request_count = 32\nuse_learner = true\nlearned_fraction = 1.0\n"
-    )
-    SMALLEST_SHA256 = {
-        "report.csv": "0fb28f5d1275f2c3c13495c9a526e9e945705614163da933803728cc4f41ea84",
-        "model": "3a3bc6fb82fdb5b80578234a86c5f32d5b661bdfca308302de47c8401afe6430",
-        "loss_history": "7a0efe792285f71390dac9b928d49765dee252ac9f4f69bc9c16e58909ca0618",
-    }
-
-    def test_smallest_learner_topology_matches_golden_hashes(self, tmp_path, monkeypatch):
-        trained = []
-        original = congruity.train
-
-        def recording(dp, dg, h, arch, *args, **kwargs):
-            result = original(dp, dg, h, arch, *args, **kwargs)
-            trained.append((result, h))
-            return result
-
-        monkeypatch.setattr(congruity, "train", recording)
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(self.SMALLEST_CONFIG)
-        out = tmp_path / "out"
-        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-        [(result, h)] = trained
-        assert {
-            "report.csv": hashlib.sha256((out / "report.csv").read_bytes()).hexdigest(),
-            "model": hashlib.sha256(model_to_text(result.theta_star, h).encode()).hexdigest(),
-            "loss_history": hashlib.sha256(repr(result.loss_history).encode()).hexdigest(),
-        } == self.SMALLEST_SHA256
+    def test_pruning_everything_leaves_one_hidden_neuron_dead(self):
+        """The manifest's "prune everything" training (tests/goldens) ends
+        with one hidden neuron dead, so descent keeps masks."""
+        config = os.path.join(GOLDENS, "train-prune-everything.cfg")
+        model = cli.outputs(["train", "--config", config])[1]["model.txt"]
+        alive = [line.split()[3] for line in model.splitlines() if line.startswith("w 1 ")]
+        assert alive.count("0") == 1
 
     @settings(max_examples=60, deadline=None)
     @given(

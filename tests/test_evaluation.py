@@ -1,4 +1,6 @@
+import os
 import signal
+import tempfile
 import tracemalloc
 from contextlib import contextmanager
 from types import SimpleNamespace
@@ -368,7 +370,7 @@ def replay_configs(draw):
     }[scenario]
     return ScenarioParams(
         scenario=scenario,
-        sweep_values=(draw(sweep), draw(sweep)),
+        sweep_values=tuple(draw(st.lists(sweep, min_size=2, max_size=2, unique=True))),
         seed=draw(st.integers(0, 50)),
         n_devices=draw(st.integers(2, 120)),
         devices_per_ap=draw(st.integers(1, 8)),
@@ -611,6 +613,47 @@ def test_small_configs_finish_or_raise_sim_error(params):
     assert reports[0].ito <= 1.0 and 0.0 <= reports[0].cache_hit_rate <= 1.0
 
 
+# the fields small_scenarios draws that a config key sets, but the zipf
+# exponent, whose two large draws make most configs exit 1
+SMALL_SCENARIO_KEYS = (
+    "scenario", "n_devices", "devices_per_ap", "devices_per_gateway", "area_km2",
+    "catalog_size", "request_count", "cache_fraction", "prefetch_budget",
+    "prefetch_candidates",
+)
+
+
+@st.composite
+def small_run_configs(draw):
+    """(config text, whether it repeats a seed or a sweep value): a small
+    scenario with one to three seeds and sweep values."""
+    params = draw(small_scenarios())
+    value = params.sweep_values[0]
+    values = draw(st.lists(st.sampled_from([value, 2 * value]), min_size=1, max_size=3))
+    seeds = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    text = "".join(f"{key} = {getattr(params, key)}\n" for key in SMALL_SCENARIO_KEYS)
+    text += f"sweep_values = {', '.join(map(repr, values))}\nseeds = {', '.join(map(str, seeds))}\n"
+    return text, len(set(values)) < len(values) or len(set(seeds)) < len(seeds)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_run_configs())
+def test_report_accepts_every_report_run_gives(case):
+    text, repeats = case
+    with tempfile.TemporaryDirectory() as tmp:
+        config, report = os.path.join(tmp, "exp.cfg"), os.path.join(tmp, "report.csv")
+        with open(config, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        try:
+            with time_limit(FUZZ_SECONDS):
+                files = cli.outputs(["run", "--config", config])[1]
+        except SimError:
+            return
+        assert not repeats
+        with open(report, "w", encoding="utf-8") as fh:
+            fh.write(files["report.csv"])
+        assert cli.main(["report", report, "--out", tmp]) == 0
+
+
 @st.composite
 def small_train_configs(draw):
     return (
@@ -631,9 +674,10 @@ def small_train_configs(draw):
 @given(small_train_configs())
 def test_small_train_configs_finish_or_raise_sim_error(text):
     config = cli.parse_config(text)
-    h = cli.hyperparams_from(config, config["seeds"][0])
+    seed = cli.command_seeds(config, None)[0]
+    h = cli.hyperparams_from(config, seed)
     spec = cli.from_config(congruity.DatasetSpec, config)
-    dp, dg = congruity.synthesize_dataset(spec, config["seeds"][0])
+    dp, dg = congruity.synthesize_dataset(spec, seed)
     arch = (congruity.N_FEATURES, *config["hidden_widths"], 1)
     with time_limit(FUZZ_SECONDS):
         try:

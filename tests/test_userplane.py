@@ -813,6 +813,19 @@ class TestApplyPrefetch:
         net.cache_of(3).insert(other.id, other.volume)  # evicts obj
         assert address_of(3) not in resolve(res, obj.id)
 
+    def test_placement_at_the_publisher_is_skipped(self):
+        # a copy there, once evicted, would deregister the publisher itself
+        g, net, res = make_net(capacity=1000)
+        obj = publish(net, res, volume=1000)
+        other = publish(net, res, hrn="urn:other", volume=1000)
+        plan = prefetch_plan({1: 1.0}, {obj.id: 1.0}, budget=1, seed=0)
+        assert apply_prefetch(net, plan) == []
+        assert net.caches == {} and net.explicit == set()
+        net.cache_of(1).insert(other.id, other.volume)
+        assert resolve(res, obj.id) == frozenset({address_of(1)})
+        trace = request(net, obj, origin=5)
+        assert trace.serving_node == 1 and not trace.cache_hit
+
 
 class TestTraceCsv:
     def test_columns_and_rows(self):
