@@ -50,9 +50,11 @@ def parse_line(raw: str):
     return Golden(*fields)
 
 
-def read_manifest(path: str = MANIFEST) -> list:
-    with open(path, encoding="utf-8") as fh:
-        return [g for g in map(parse_line, fh.read().splitlines()) if g is not None]
+def read_manifest() -> tuple:
+    """The manifest's lines, and the (line index, Golden) of each golden line."""
+    with open(MANIFEST, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    return lines, [(i, g) for i, g in enumerate(map(parse_line, lines)) if g is not None]
 
 
 @functools.lru_cache(maxsize=None)
@@ -89,9 +91,9 @@ def artifacts(command: str, config: str, seed: str) -> dict:
     return got
 
 
-def digest(golden: Golden, goldens_dir: str = GOLDENS) -> str:
+def digest(golden: Golden) -> str:
     """The SHA-256 the line's artifact has now, or "missing"."""
-    got = artifacts(golden.command, os.path.join(goldens_dir, golden.config), golden.seed)
+    got = artifacts(golden.command, os.path.join(GOLDENS, golden.config), golden.seed)
     data = got.get(golden.artifact)
     return "missing" if data is None else hashlib.sha256(data).hexdigest()
 
@@ -100,16 +102,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--check", action="store_true",
                         help="write nothing and exit 1 if any hash differs")
-    parser.add_argument("--manifest", default=MANIFEST,
-                        help="manifest file; its configs are read from its directory")
     args = parser.parse_args(argv)
-    with open(args.manifest, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    goldens = [(i, parse_line(raw)) for i, raw in enumerate(lines)]
-    goldens = [(i, g) for i, g in goldens if g is not None]
+    lines, goldens = read_manifest()
     changed = missing = 0
     for i, g in goldens:
-        new = digest(g, os.path.dirname(os.path.abspath(args.manifest)))
+        new = digest(g)
         if new != g.sha256:
             print(f"{' '.join(g[:4])} [host flag: {g.host}]: {g.sha256} -> {new}")
             changed += 1
@@ -118,7 +115,7 @@ def main(argv=None) -> int:
     verb = "differ" if args.check else "changed"
     print(f"{changed} of {len(goldens)} manifest lines {verb}")
     if changed and not (args.check or missing):
-        with open(args.manifest, "w", encoding="utf-8") as fh:
+        with open(MANIFEST, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
     return 1 if missing or (changed and args.check) else 0
 

@@ -9,7 +9,7 @@ import pytest
 import regen_goldens
 from regen_goldens import GOLDENS, digest, read_manifest
 
-GOLDEN_LINES = read_manifest()
+GOLDEN_LINES = [g for _, g in read_manifest()[1]]
 
 
 def test_the_manifest_pins_37_artifacts():
@@ -29,16 +29,18 @@ SELF_TEST_CONFIGS = ("embb-512.cfg", "mmtc-1k.cfg")
 
 
 @pytest.fixture
-def manifest_copy(tmp_path):
-    """A manifest of the SELF_TEST_CONFIGS lines, with those configs beside it."""
-    with open(regen_goldens.MANIFEST, encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines()
-                 if (g := regen_goldens.parse_line(ln)) and g.config in SELF_TEST_CONFIGS]
-    assert len(lines) == 3
+def manifest_copy(tmp_path, monkeypatch):
+    """A manifest of the SELF_TEST_CONFIGS lines, with those configs beside it,
+    that regen_goldens reads and writes in place of the real one."""
+    lines, goldens = read_manifest()
+    kept = [lines[i] for i, g in goldens if g.config in SELF_TEST_CONFIGS]
+    assert len(kept) == 3
     for name in SELF_TEST_CONFIGS:
         shutil.copy(os.path.join(GOLDENS, name), tmp_path / name)
     path = tmp_path / "manifest.txt"
-    path.write_text("# a copy\n" + "\n".join(lines) + "\n")
+    path.write_text("# a copy\n" + "\n".join(kept) + "\n")
+    monkeypatch.setattr(regen_goldens, "GOLDENS", str(tmp_path))
+    monkeypatch.setattr(regen_goldens, "MANIFEST", str(path))
     return path
 
 
@@ -52,20 +54,19 @@ def test_one_changed_byte_fails_exactly_its_line(manifest_copy, monkeypatch, cap
             got["hierarchy.txt"] = text[:40] + bytes([text[40] ^ 1]) + text[41:]
         return got
 
-    argv = ["--manifest", str(manifest_copy)]
-    assert regen_goldens.main(["--check", *argv]) == 0
+    assert regen_goldens.main(["--check"]) == 0
     before = manifest_copy.read_text()
     monkeypatch.setattr(regen_goldens, "artifacts", one_byte_off)
     capsys.readouterr()
-    assert regen_goldens.main(["--check", *argv]) == 1
+    assert regen_goldens.main(["--check"]) == 1
     printed = capsys.readouterr().out.splitlines()
     assert len(printed) == 2 and printed[-1] == "1 of 3 manifest lines differ"
     assert printed[0].startswith("containerize embb-512.cfg - hierarchy.txt [host flag: -]: ")
     assert manifest_copy.read_text() == before
 
     # re-recording rewrites that one hash, which then checks clean
-    assert regen_goldens.main(argv) == 0
+    assert regen_goldens.main([]) == 0
     old, new = capsys.readouterr().out.splitlines()[0].rsplit(": ", 1)[1].split(" -> ")
     after = manifest_copy.read_text()
     assert after == before.replace(old, new) and old != new
-    assert regen_goldens.main(["--check", *argv]) == 0
+    assert regen_goldens.main(["--check"]) == 0
