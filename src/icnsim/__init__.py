@@ -28,6 +28,7 @@ from .congruity import (
 )
 from .evaluation import (
     ItoReport,
+    RequestLog,
     RequestRecord,
     ScenarioParams,
     baseline_hops,

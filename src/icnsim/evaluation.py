@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
@@ -46,8 +47,8 @@ DEFAULT_SWEEPS = {
 
 _URLLC_VOLUME = 2_000  # bytes per tactile update
 
-# Workload caps. One replayed request keeps its draw and record, about
-# 0.2 KiB, and one catalog object its entry, resolver listing and name,
+# Workload caps. One replayed request keeps its draws and log entries, about
+# 60 B, and one catalog object its entry, resolver listing and name,
 # about 0.9 KiB (tracemalloc over small eMBB and mMTC points), so either cap
 # alone keeps a point under about 1 GiB and a minute (0.01-0.03 ms each).
 MAX_REQUESTS = 1_000_000
@@ -70,6 +71,24 @@ class RequestRecord:
             raise InvalidParams("baseline hop count must be >= 1")
         if self.volume <= 0:
             raise InvalidParams("object volume must be positive")
+
+
+class RequestLog:
+    """A point's request log as integer columns, one path per request: hop
+    count, object volume and baseline hop count. It holds no object per
+    request; reading an entry (by index or iteration) builds its record."""
+
+    __slots__ = ("hops", "volumes", "baseline_hops")
+
+    def __init__(self):
+        self.hops, self.volumes, self.baseline_hops = [], [], []
+
+    def __len__(self) -> int:
+        return len(self.hops)
+
+    def __getitem__(self, i) -> RequestRecord:
+        i = range(len(self.hops))[i]  # raises IndexError past either end
+        return RequestRecord(i + 1, [self.hops[i]], self.volumes[i], self.baseline_hops[i])
 
 
 @dataclass
@@ -186,19 +205,24 @@ def baseline_hops(g: WeightedGraph, requester: int, publisher: int) -> int:
 
 
 def compute_ito(records) -> float:
-    """Exact evaluation of the offloading ratio over a request log."""
-    records = list(records)
-    if not records:
+    """Exact evaluation of the offloading ratio over a request log: a
+    RequestLog, read by its columns after one check of each, or any
+    iterable of records."""
+    if isinstance(records, RequestLog):
+        spent, cost, vols = records.hops, records.baseline_hops, records.volumes
+        if spent and (min(spent) < 0 or min(cost) < 1 or min(vols) <= 0):
+            raise InvalidParams("a logged request breaks a RequestRecord invariant")
+    else:
+        records = list(records)
+        spent = [sum(r.paths) for r in records]  # hops over the request's paths
+        cost = [len(r.paths) * r.baseline_hops for r in records]
+        vols = [r.volume for r in records]
+    if not vols:
         raise EmptyLog("no request records")
-    num = 0
-    den = 0
-    for r in records:
-        jn = len(r.paths)
-        num += (jn * r.baseline_hops - sum(r.paths)) * r.volume
-        den += jn * r.baseline_hops * r.volume
+    den = sum(map(mul, cost, vols))
     if den == 0:
         raise ZeroDenominator("baseline traffic volume is zero")
-    return float(Fraction(num, den))
+    return float(Fraction(den - sum(map(mul, spent, vols)), den))
 
 
 # -- one sweep point --------------------------------------------------------------
@@ -307,7 +331,7 @@ def point_targets(params: ScenarioParams) -> list:
 
 def _run_point(params: ScenarioParams, point_index: int, with_details: bool = False):
     """One sweep point; `params` is an entry of `sweep_points`. Returns
-    (report, records, traces); traces is None unless `with_details`."""
+    (report, RequestLog, traces); traces is None unless `with_details`."""
     var = SWEEP_VARS[params.scenario]
     _, catalog_seed, workload_seed, prefetch_seed = point_seeds(params.seed, point_index)
     g = point_graph(params, point_index)
@@ -378,28 +402,33 @@ def _run_point(params: ScenarioParams, point_index: int, with_details: bool = Fa
     wrng = np.random.default_rng(np.random.SeedSequence([workload_seed, 0x3E0]))
     obj_draws = wrng.choice(params.catalog_size, size=params.request_count, p=fp)
     requesters = _requesters(pool, wrng, params.request_count)
-    records = []
+    log = RequestLog()
+    log_hops, log_volume, log_baseline = (
+        log.hops.append, log.volumes.append, log.baseline_hops.append)
     traces = [] if with_details else None
-    # Integer totals below 2**53 are exact in float64, so dividing them by
-    # the request count gives the same IEEE result as np.mean over the traces.
-    hops_total = hits = 0
+    hits = 0
     # read after a tracer has patched them, so its wrappers see every call
     hops, handle, deliver = baseline_hops, userplane.handle_request, userplane.deliver_data
-    for n, k in enumerate(obj_draws.tolist(), start=1):
+    request = userplane.RequestMsg
+    for k in obj_draws.tolist():
         obj = catalog[k]
+        publisher = obj.publisher
         requester = next(requesters)
-        while requester == obj.publisher:
+        while requester == publisher:
             requester = next(requesters)
-        hc = hops(g, requester, obj.publisher)
-        trace = handle(net, userplane.RequestMsg(obj.id, requester))
+        hc = hops(g, requester, publisher)
+        trace = handle(net, request(obj.id, requester))
         deliver(net, trace)
-        records.append(RequestRecord(n, [trace.hops], obj.volume, hc))
-        hops_total += trace.hops
+        log_hops(trace.hops)
+        log_volume(obj.volume)
+        log_baseline(hc)
         hits += trace.cache_hit
         if with_details:
             traces.append(trace)
 
-    ito = compute_ito(records)
+    ito = compute_ito(log)
+    # Integer totals below 2**53 are exact in float64, so dividing them by
+    # the request count gives the same IEEE result as np.mean over the traces.
     report = ItoReport(
         scenario=params.scenario,
         sweep_variable=var,
@@ -407,15 +436,15 @@ def _run_point(params: ScenarioParams, point_index: int, with_details: bool = Fa
         seed=int(params.seed),
         request_count=params.request_count,
         ito=ito,
-        mean_hops=hops_total / params.request_count,
+        mean_hops=sum(log.hops) / params.request_count,
         cache_hit_rate=hits / params.request_count,
     )
-    return report, records, traces
+    return report, log, traces
 
 
 def run_scenario(params: ScenarioParams, with_details: bool = False):
-    """One ItoReport per sweep point, plus (records, traces) per point when
-    `with_details`; only then are the per-request traces kept."""
+    """One ItoReport per sweep point, plus (RequestLog, traces) per point
+    when `with_details`; only then are the per-request traces kept."""
     if params.target_mode == TargetMode.BOTTLENECK:
         raise UnitMismatch("target_mode = bottleneck, but every generated topology is latency_us")
     reports = []

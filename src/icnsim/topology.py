@@ -425,10 +425,23 @@ def node_centrality(g: WeightedGraph, v: int) -> float:
 
 def hop_distance(g: WeightedGraph, a: int, b: int) -> int:
     """Fewest-edges distance, ignoring weights; ids outside [0, n) raise
-    InvalidParams."""
-    is_tree, parents, depths = g._tree_info()
+    InvalidParams. On a tree, both ends climb to their lowest common
+    ancestor."""
+    is_tree, parents, depths = g._tree or g._tree_info()
     if is_tree and 0 <= a < len(depths) and 0 <= b < len(depths):
-        return _tree_hops(parents, depths, a, b)
+        da, db = depths[a], depths[b]
+        hops = abs(da - db)
+        while da > db:
+            a = parents[a]
+            da -= 1
+        while db > da:
+            b = parents[b]
+            db -= 1
+        while a != b:
+            a = parents[a]
+            b = parents[b]
+            hops += 2
+        return hops
     n = g.n
     if not (0 <= a < n and 0 <= b < n):
         raise InvalidParams(f"nodes ({a},{b}) outside graph")
@@ -437,22 +450,6 @@ def hop_distance(g: WeightedGraph, a: int, b: int) -> int:
     hops = int(_dists_to(g, b)[a])
     if hops < 0:
         raise Unreachable(f"no path {a} -> {b}")
-    return hops
-
-
-def _tree_hops(parents, depths, a, b):
-    da, db = depths[a], depths[b]
-    hops = abs(da - db)
-    while da > db:
-        a = parents[a]
-        da -= 1
-    while db > da:
-        b = parents[b]
-        db -= 1
-    while a != b:
-        a = parents[a]
-        b = parents[b]
-        hops += 2
     return hops
 
 

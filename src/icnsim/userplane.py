@@ -72,9 +72,6 @@ class CacheStore:
     def __contains__(self, oid) -> bool:
         return oid in self.entries
 
-    def touch(self, oid) -> None:
-        self.entries.move_to_end(oid)
-
     def insert(self, oid, size: int) -> bool:
         """Insert with LRU eviction; oversized objects are simply skipped."""
         if size > self.media_capacity:
@@ -203,51 +200,54 @@ def build_network(graph: WeightedGraph, hierarchy, resolver: Resolver,
 
 
 def handle_request(net: NetState, req: RequestMsg) -> DeliveryTrace:
-    """Walk the request hop by hop until a copy is found.
-
-    Every element on the way checks its own store. The listing is read once,
-    at the first element that misses (see NetState.listing). On a tree, an
-    element whose subtree holds no listed host reaches every host through
-    its parent, so the request climbs there. From the first element that is
-    not climbed past, it heads for the listed copy whose host is the fewest
-    forwarding hops away (ties broken by the lowest address). Along a
-    fewest-hops path every step brings that host one hop closer and no other
-    host more than one, so it stays the closest all the way and is picked
-    once. A listed host found without the object is dropped for the rest of
-    the request, which from there heads for the closest remaining host (each
-    path ends at a listed host, so no later step climbs).
+    """Walk the request hop by hop until a copy is found: a climb, then a
+    descent. Every element on the way checks its own store; the listing is
+    read at the first that misses (see NetState.listing). The climb: on a
+    tree, an element whose subtree holds no listed host reaches every host
+    through its parent, so the request climbs there. The descent: from the
+    first element not climbed past, it heads for the listed copy whose host
+    is the fewest forwarding hops away (ties broken by the lowest address).
+    Along a fewest-hops path every step brings that host one hop closer and
+    no other host more than one, so it stays the closest all the way and is
+    picked once. A listed host found without the object is dropped for the
+    rest of the request, which from there heads for the closest remaining
+    host (each path ends at a listed host, so no later step climbs).
     """
     oid = req.requested
     obj = net.objects.get(oid)
     publisher = obj.publisher if obj is not None else None
     caches, parents = net.caches, net.parents
-    if not 0 <= req.origin_node < net.graph.n:
-        raise InvalidParams(f"origin {req.origin_node} is outside the graph")
-    path = []
-    leg = (req.origin_node,)
-    hosts = above = None  # the listing, once resolved
-    while True:
+    current = req.origin_node
+    if not 0 <= current < net.graph.n:
+        raise InvalidParams(f"origin {current} is outside the graph")
+    path = [current]
+    store = caches.get(current)
+    found = current == publisher or (store is not None and oid in store.entries)
+    if not found:
+        kept = net._hosts.get(oid) if net._hosts_at == net.resolver.mutations else None
+        hosts, above = kept or net.listing(oid)
+        while above is not None and current not in above:  # the climb
+            current = parents[current]
+            path.append(current)
+            store = caches.get(current)
+            if current == publisher or (store is not None and oid in store.entries):
+                found = True
+                break
+    while not found:  # the descent, one leg per closest listed host
+        if current in hosts:  # it was checked above: the listing is stale
+            hosts = [host for host in hosts if host != current]
+        leg = closest_path(net.graph, current, hosts)
+        if leg is None:
+            raise NoRoute(f"no reachable host for {oid.hex[:12]}..")
         for current in leg:
             path.append(current)
             store = caches.get(current)
             if current == publisher or (store is not None and oid in store.entries):
+                found = True
                 break
-        else:  # no copy on the leg: climb, or head for the closest listed host
-            if hosts is None:
-                hosts, above = net.listing(oid)
-            if current in hosts:  # it was checked above: the listing is stale
-                hosts = [host for host in hosts if host != current]
-            if above is not None and current not in above:
-                leg = (parents[current],)
-                continue
-            leg = closest_path(net.graph, current, hosts)
-            if leg is None:
-                raise NoRoute(f"no reachable host for {oid.hex[:12]}..")
-            continue
-        break
     cache_hit = current != publisher
     if cache_hit:
-        caches[current].touch(oid)
+        store.entries.move_to_end(oid)
     return DeliveryTrace(req, path, len(path) - 1, current, cache_hit,
                          obj.volume if obj else 0)
 

@@ -1,3 +1,4 @@
+import gc
 import os
 import signal
 import tempfile
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from icnsim import cli, congruity, containment, evaluation, topology
+from icnsim import cli, congruity, containment, evaluation, topology, userplane
 from icnsim.congruity import Hyperparams
 from icnsim.containment import Target, containerize, validate_hierarchy
 from icnsim.errors import (
@@ -24,6 +25,7 @@ from icnsim.evaluation import (
     MAX_CATALOG_SIZE,
     MAX_REQUESTS,
     ItoReport,
+    RequestLog,
     RequestRecord,
     ScenarioParams,
     _learned_graph,
@@ -37,7 +39,7 @@ from icnsim.evaluation import (
 )
 from icnsim.topology import Edge, Node, NodeKind, build_graph, generate_topology
 
-from oracles import fraction_ito
+from oracles import bfs_hops, fraction_ito
 
 
 def line_graph(n):
@@ -94,6 +96,8 @@ class TestComputeIto:
     def test_empty_log(self):
         with pytest.raises(EmptyLog):
             compute_ito([])
+        with pytest.raises(EmptyLog):
+            compute_ito(RequestLog())
 
     def test_zero_denominator_guard(self):
         bogus = SimpleNamespace(paths=[0], baseline_hops=1, volume=0)
@@ -109,6 +113,40 @@ class TestComputeIto:
             RequestRecord(1, [-1], volume=1, baseline_hops=1)
         with pytest.raises(InvalidParams):
             RequestRecord(1, [1], volume=0, baseline_hops=1)
+
+
+def request_log(rows):
+    """A RequestLog holding one (hops, volume, baseline hops) row per request."""
+    log = RequestLog()
+    for h, v, b in rows:
+        log.hops.append(h)
+        log.volumes.append(v)
+        log.baseline_hops.append(b)
+    return log
+
+
+class TestRequestLog:
+    def test_entries_are_records_built_when_read(self):
+        log = request_log([(1, 2, 4), (3, 1, 6)])
+        want = [RequestRecord(1, [1], 2, 4), RequestRecord(2, [3], 1, 6)]
+        assert len(log) == 2
+        assert list(log) == want
+        assert [log[0], log[1]] == want and log[-1] == want[1]
+        assert log[0] is not log[0]
+        with pytest.raises(IndexError):
+            log[2]
+        assert compute_ito(log) == compute_ito(want) == float(9) / 14
+
+    @pytest.mark.parametrize("column,value", [
+        ("hops", -1), ("baseline_hops", 0), ("volumes", 0), ("volumes", -5),
+    ])
+    def test_a_bad_column_value_raises(self, column, value):
+        log = request_log([(1, 2, 4), (0, 3, 1), (2, 1, 5)])
+        getattr(log, column)[1] = value
+        with pytest.raises(InvalidParams):
+            compute_ito(log)
+        with pytest.raises(InvalidParams):
+            log[1]
 
 
 def small_params(**overrides):
@@ -397,6 +435,60 @@ class TestDetailsOnRequest:
             assert report.mean_hops.hex() == hops.hex()
             assert report.cache_hit_rate.hex() == hit_rate.hex()
 
+    @settings(max_examples=30, deadline=None)
+    @given(replay_configs())
+    def test_the_log_equals_the_records_its_traces_give(self, params):
+        nets = []
+        build = userplane.build_network
+
+        def kept(*args):
+            nets.append(build(*args))
+            return nets[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(userplane, "build_network", kept)
+            _, details = run_scenario(params, with_details=True)
+        assert len(nets) == len(details) == 2
+        for net, (log, traces) in zip(nets, details):
+            g = net.graph
+            edges = list(zip(g.ea.tolist(), g.eb.tolist(), g.ew.tolist()))
+            baseline, records = {}, []
+            for n, t in enumerate(traces, start=1):
+                ends = (t.request.origin_node, net.objects[t.request.requested].publisher)
+                if ends not in baseline:
+                    baseline[ends] = bfs_hops(g.n, edges, *ends)
+                records.append(RequestRecord(n, [t.hops], t.volume, baseline[ends]))
+            rows = [(r.paths, r.baseline_hops, r.volume) for r in records]
+            assert list(log) == records
+            assert [log[i] for i in range(len(log))] == records
+            assert compute_ito(log) == compute_ito(list(log)) == float(fraction_ito(rows))
+
+    def test_the_log_holds_no_object_per_request(self):
+        # The memory a point's result keeps, from tracemalloc after the run
+        # at N and 4N requests: three list slots, about 26 B, per request.
+        # One record per request with its path list took about 165 B.
+        def retained(count):
+            (point,) = sweep_points(ScenarioParams(
+                scenario="embb", sweep_values=(8,), n_devices=256,
+                request_count=count, seed=1))
+            gc.collect()
+            tracemalloc.start()
+            try:
+                _, log, _ = evaluation._run_point(point, 0)
+                gc.collect()
+                held = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            columns = (log.hops, log.volumes, log.baseline_hops)
+            tracked = sum(gc.is_tracked(x) for c in columns for x in (c, *c))
+            return held, tracked
+
+        n = 5_000
+        retained(n)  # the first run fills caches that outlive it
+        (small, tracked_small), (large, tracked_large) = retained(n), retained(4 * n)
+        assert (large - small) / (3 * n) < 64
+        assert tracked_small == tracked_large == 3  # the three columns
+
     def test_a_point_keeps_no_traces_unless_asked(self):
         (point,) = sweep_points(small_params(sweep_values=(8,)))
         assert evaluation._run_point(point, 0)[2] is None
@@ -422,9 +514,10 @@ class TestDetailsOnRequest:
         assert g.mems is vars(g)["mems"]  # a read fills a column the check would see
 
     def test_a_replayed_request_holds_under_0_3_kib(self):
-        # What a request holds until its point ends (its draws and record),
-        # from the tracemalloc peaks of runs at two request counts; a kept
-        # trace with its request and path list would take about as much again.
+        # What a request holds until its point ends (its draws and log
+        # entries, about 60 B), from the tracemalloc peaks of runs at two
+        # request counts; a kept trace with its request and path list would
+        # take more than twice as much.
         def peak(count):
             params = ScenarioParams(scenario="embb", sweep_values=(8,), n_devices=256,
                                     request_count=count, seed=1)
@@ -593,12 +686,22 @@ def small_scenarios(draw):
         area_km2=draw(st.sampled_from([0.001, 0.002, 0.005, 1e12, 1e300])),
         catalog_size=draw(st.integers(1, 12)),
         request_count=draw(st.integers(1, 30)),
-        zipf_exponent=draw(st.sampled_from([0.8, 400.0, 1e300])),
+        zipf_exponent=draw(st.sampled_from([0.6, 0.8, 1.2])),
         cache_fraction=draw(st.sampled_from([0.0, 0.05, 0.5, 2.0])),
         prefetch_budget=draw(st.integers(0, 8)),
         prefetch_candidates=draw(st.integers(1, 8)),
         preplace_everywhere=draw(st.booleans()),
     )
+
+
+@pytest.mark.parametrize("exponent", [400.0, 1e300])
+def test_exponents_whose_weights_vanish_raise_before_any_replay(exponent, monkeypatch):
+    # every power (rank + shift) ** s overflows, so no request can be drawn
+    handled = []
+    monkeypatch.setattr(userplane, "handle_request", lambda *a: handled.append(a))
+    with pytest.raises(InvalidParams, match="popularity weights"):
+        run_scenario(small_params(sweep_values=(8,), zipf_exponent=exponent))
+    assert handled == []
 
 
 @settings(max_examples=40, deadline=None)
@@ -613,12 +716,11 @@ def test_small_configs_finish_or_raise_sim_error(params):
     assert reports[0].ito <= 1.0 and 0.0 <= reports[0].cache_hit_rate <= 1.0
 
 
-# the fields small_scenarios draws that a config key sets, but the zipf
-# exponent, whose two large draws make most configs exit 1
+# the fields small_scenarios draws that a config key sets
 SMALL_SCENARIO_KEYS = (
     "scenario", "n_devices", "devices_per_ap", "devices_per_gateway", "area_km2",
-    "catalog_size", "request_count", "cache_fraction", "prefetch_budget",
-    "prefetch_candidates",
+    "catalog_size", "request_count", "zipf_exponent", "cache_fraction",
+    "prefetch_budget", "prefetch_candidates",
 )
 
 

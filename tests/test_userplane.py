@@ -91,7 +91,7 @@ class TestCacheStore:
                 assert store.insert(key, size) == ref.insert(key, size)
             else:
                 if key in store:
-                    store.touch(key)
+                    store.entries.move_to_end(key)
                 ref.lookup(key)
             assert list(store.entries) == ref.contents()
 
@@ -107,7 +107,7 @@ class TestCacheStore:
         for key, size, is_touch in ops:
             if is_touch:
                 if key in store:
-                    store.touch(key)
+                    store.entries.move_to_end(key)
                 ref.lookup(key)
             else:
                 store.insert(key, size)
@@ -319,7 +319,7 @@ def reranking_reference(net, oid, origin):
         publisher = net.objects[oid].publisher
         if current == publisher or oid in net.caches.get(current, ()):
             if current != publisher:
-                net.cache_of(current).touch(oid)
+                net.cache_of(current).entries.move_to_end(oid)
             return path, current, current != publisher
         if hosts is None:
             try:
