@@ -1,9 +1,9 @@
 # Walk the identifier-locator mapping control plane: naming, registration,
-# resolution, mobility updates, indirect bindings, and the 8-bit local short
-# names of a constrained domain.
+# resolution, mobility updates and indirect bindings. The paper's 8-bit local
+# short names appear in runs as the generator's cap on mMTC devices per
+# gateway (`icnsim.topology.LOCAL_DOMAIN_SIZE`).
 from icnsim import (
-    Gateway, NamingService, NetworkAddress, Resolver,
-    register, register_indirect, resolve, update_binding,
+    NetworkAddress, Resolver, register, register_indirect, resolve, update_binding,
 )
 from icnsim.ilm import dump_table
 
@@ -27,13 +27,6 @@ print("after the move:", [str(a) for a in resolve(res, cam)])
 dev = register(res, "urn:device:sensor-4", NetworkAddress.parse("10.0.1.4"))
 reading = register_indirect(res, "urn:data:sensor-4:temp", dev)
 print("indirect chase:", [str(a) for a in resolve(res, reading)])
-
-# A machine-type local domain keeps 8-bit short names behind its gateway.
-# Runs do not model gateways; this is the library model on its own.
-gw = Gateway(NamingService())
-lid = gw.register_local("urn:device:sensor-4")
-print("local short name:", lid, "->", gw.translate(lid).hex[:12], "..")
-print("round trip:", gw.translate_back(gw.translate(lid)) == lid)
 
 print("\nrecord table dump:")
 print(dump_table(res))

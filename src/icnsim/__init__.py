@@ -38,7 +38,6 @@ from .evaluation import (
     sweep_report,
 )
 from .ilm import (
-    Gateway,
     GlobalId,
     NameRecord,
     NamingService,

@@ -851,13 +851,12 @@ def synthesize_dataset(spec: DatasetSpec, seed: int):
 # -- model and dataset files ---------------------------------------------------------
 
 
-# The hyperparameters a model file records, and which of them are integers.
-_HYPER_NAMES = (
-    "alpha", "lambda_g", "lambda_q", "lambda_p", "lambda_k",
-    "q", "k", "learning_rate", "prune_probability",
-    "batch_size", "max_epochs", "tolerance",
-)
-_INT_HYPERS = {"q", "k", "batch_size", "max_epochs"}
+# The hyperparameters a model file records, in field order, each with the
+# type that reads it back; rng_seed has a line of its own.
+_HYPER_TYPES = {
+    f.name: int if f.type == "int" else float
+    for f in fields(Hyperparams) if f.name != "rng_seed"
+}
 
 
 def model_to_text(ps: ParameterSet, h: Hyperparams) -> str:
@@ -868,7 +867,7 @@ def model_to_text(ps: ParameterSet, h: Hyperparams) -> str:
         "hyper "
         + " ".join(
             f"{name}={getattr(h, name)!r}"
-            for name in _HYPER_NAMES
+            for name in _HYPER_TYPES
         ),
     ]
     for l in range(ps.L):
@@ -923,11 +922,11 @@ def load_model(path):
             elif parts[0] == "hyper":
                 for kv in parts[1:]:
                     key, val = kv.split("=", 1)
-                    if key not in _HYPER_NAMES:
+                    if key not in _HYPER_TYPES:
                         raise ValueError(f"unknown hyperparameter {key!r}")
                     if key in hyper:
                         raise ValueError(f"hyperparameter {key!r} given twice")
-                    hyper[key] = int(val) if key in _INT_HYPERS else float(val)
+                    hyper[key] = _HYPER_TYPES[key](val)
                     if not math.isfinite(hyper[key]):
                         raise ValueError(f"hyperparameter {key!r} must be finite")
                 Hyperparams(**hyper).validate()

@@ -66,10 +66,6 @@ class IndirectLoop(SimError):
     pass
 
 
-class NamespaceExhausted(SimError):
-    pass
-
-
 class Unresolvable(SimError):
     pass
 

@@ -5,13 +5,11 @@ run's only record table (identifier -> name record), so a record registered
 for any node answers for every node. Records may bind an identifier
 indirectly to another identifier (data id -> device id); resolution chases
 such bindings with loop detection.
-Constrained local domains run an 8-bit short-name space behind a gateway.
 """
 
 from __future__ import annotations
 
 import hashlib
-import heapq
 import ipaddress
 import operator
 from dataclasses import dataclass, field
@@ -22,13 +20,11 @@ from .errors import (
     IndirectLoop,
     InvalidParams,
     LocatorLimitExceeded,
-    NamespaceExhausted,
     NotFound,
 )
 
 GLOBAL_ID_BITS = 160
 LOCATOR_LIMIT = 4          # "less than five" network addresses per identifier
-LOCAL_NAMESPACE = 256      # 8-bit short names
 SERVICE_META_BITS = 32
 
 
@@ -198,57 +194,6 @@ def update_binding(res: Resolver, gid: GlobalId, action: str, na: NetworkAddress
         raise InvalidParams(f"unknown binding action {action!r}")
     res.mutations += 1
     return frozenset(rec.locators)
-
-
-# -- constrained local domains -------------------------------------------------
-
-
-class Gateway:
-    """One mMTC local domain: an 8-bit short-name space mapped to global ids."""
-
-    def __init__(self, naming: NamingService):
-        self.naming = naming
-        self._lid_to_gid = {}
-        self._gid_to_lid = {}
-        self._freed = []
-        self._next = 0
-
-    def register_local(self, hrn: str) -> int:
-        gid = self.naming.assign_id(hrn)
-        existing = self._gid_to_lid.get(gid)
-        if existing is not None:
-            return existing
-        if self._freed:
-            lid = heapq.heappop(self._freed)
-        elif self._next < LOCAL_NAMESPACE:
-            lid = self._next
-            self._next += 1
-        else:
-            raise NamespaceExhausted(
-                f"local domain is full ({LOCAL_NAMESPACE} short names)"
-            )
-        self._lid_to_gid[lid] = gid
-        self._gid_to_lid[gid] = lid
-        return lid
-
-    def deregister_local(self, lid: int) -> None:
-        gid = self._lid_to_gid.pop(lid, None)
-        if gid is None:
-            raise NotFound(f"short name {lid} is not allocated")
-        del self._gid_to_lid[gid]
-        heapq.heappush(self._freed, lid)
-
-    def translate(self, lid: int) -> GlobalId:
-        gid = self._lid_to_gid.get(lid)
-        if gid is None:
-            raise NotFound(f"short name {lid} is not allocated")
-        return gid
-
-    def translate_back(self, gid: GlobalId) -> int:
-        lid = self._gid_to_lid.get(gid)
-        if lid is None:
-            raise NotFound(f"identifier {gid.hex[:12]}.. has no short name here")
-        return lid
 
 
 def build_ilm_tree(hierarchy) -> Resolver:

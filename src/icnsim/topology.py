@@ -133,6 +133,9 @@ class WeightedGraph:
         self.__dict__.update(zip(_RESOURCE_COLUMNS, resources))
         self.ea = ea
         self.eb = eb
+        # the arrays are never reassigned, so the counts are plain attributes
+        self.n = len(kinds)
+        self.m = len(ea)
         self.ew = ew
         self.unit = unit
         self._csr = None
@@ -154,14 +157,6 @@ class WeightedGraph:
         )
 
     # -- basic accessors ---------------------------------------------------
-
-    @property
-    def n(self) -> int:
-        return len(self.kinds)
-
-    @property
-    def m(self) -> int:
-        return len(self.ea)
 
     def kind(self, i: int) -> NodeKind:
         return _KIND_ORDER[self.kinds[i]]
@@ -553,6 +548,10 @@ _URLLC_BASE_LATENCY_MS = 8.0
 # largest default sweep point, 174 MiB at 2.1M), so the cap is about 0.3 GiB.
 MAX_DEVICES = 4_000_000
 
+# Most mMTC devices behind one gateway: the 8-bit short names of one local
+# domain of the identifier-locator mapping.
+LOCAL_DOMAIN_SIZE = 256
+
 
 def topology_size(params) -> tuple:
     """(n_devices, devices_per_ap, devices_per_gw) of the topology that
@@ -592,8 +591,10 @@ def topology_size(params) -> tuple:
             )
         n_devices = int(round(expected))
         devices_per_gw = int(params.devices_per_gateway)
-        if not (1 <= devices_per_gw <= 256):
-            raise InvalidParams("devices_per_gateway must be in [1, 256]")
+        if not (1 <= devices_per_gw <= LOCAL_DOMAIN_SIZE):
+            raise InvalidParams(
+                f"devices_per_gateway must be in [1, {LOCAL_DOMAIN_SIZE}]"
+            )
     else:
         n_devices = int(params.n_devices)
         devices_per_gw = 0

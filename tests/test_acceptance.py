@@ -20,7 +20,7 @@ from icnsim.congruity import (
     train,
 )
 from icnsim.containment import Target, TargetMode, containerize, validate_hierarchy
-from icnsim.errors import NamespaceExhausted
+from icnsim.errors import InvalidParams
 from icnsim.evaluation import (
     DEFAULT_SWEEPS,
     RequestRecord,
@@ -32,8 +32,6 @@ from icnsim.evaluation import (
     run_scenario,
 )
 from icnsim.ilm import (
-    Gateway,
-    NamingService,
     NetworkAddress,
     Resolver,
     register,
@@ -41,7 +39,15 @@ from icnsim.ilm import (
     resolve,
     update_binding,
 )
-from icnsim.topology import Edge, Node, NodeKind, build_graph, generate_topology
+from icnsim.topology import (
+    LOCAL_DOMAIN_SIZE,
+    Edge,
+    Node,
+    NodeKind,
+    build_graph,
+    generate_topology,
+    topology_size,
+)
 from icnsim.userplane import (
     ContentObject,
     GlobalId,
@@ -418,8 +424,8 @@ def test_criterion_6_prefetch_distribution():
 
 
 def test_criterion_7_ilm_protocol_suite():
-    """Registration reachability, locator cap, indirection, 8-bit local
-    namespace, and a sustained update workload."""
+    """Registration reachability, locator cap, indirection, the 8-bit local
+    domain, and a sustained update workload."""
     start = time.monotonic()
     params = ScenarioParams(scenario="embb", n_devices=64)
     g = generate_topology(params, 77)
@@ -448,12 +454,15 @@ def test_criterion_7_ilm_protocol_suite():
     data = register_indirect(res, "urn:acc:data", dev)
     assert resolve(res, data) == frozenset({na(50)})
 
-    # the 8-bit local namespace errors exactly at the 257th registration
-    gw = Gateway(NamingService())
-    for i in range(256):
-        assert gw.register_local(f"urn:acc:l{i}") == i
-    with pytest.raises(NamespaceExhausted):
-        gw.register_local("urn:acc:l256")
+    # the 8-bit local domain: 256 devices per gateway, and not 257 or 0
+    def mmtc(per_gateway):
+        return ScenarioParams(scenario="mmtc", area_km2=0.5, devices_per_gateway=per_gateway)
+
+    assert LOCAL_DOMAIN_SIZE == 256
+    assert topology_size(mmtc(256))[2] == 256
+    for bad in (257, 0):
+        with pytest.raises(InvalidParams, match="devices_per_gateway"):
+            topology_size(mmtc(bad))
 
     # 10^3 identifiers x 100 binding updates with coherent reads afterwards
     gids = [register(res, f"urn:acc:w{i}", na(i % 100)) for i in range(1000)]

@@ -10,11 +10,9 @@ from icnsim.errors import (
     IndirectLoop,
     InvalidParams,
     LocatorLimitExceeded,
-    NamespaceExhausted,
     NotFound,
 )
 from icnsim.ilm import (
-    Gateway,
     GlobalId,
     NamingService,
     NetworkAddress,
@@ -198,45 +196,6 @@ class TestUpdateBinding:
         for gid in gids:
             locs = resolve(res, gid)
             assert 1 <= len(locs) <= 4
-
-
-class TestLocalDomain:
-    def test_first_registration_gets_zero(self):
-        gw = Gateway(NamingService())
-        assert gw.register_local("urn:t0") == 0
-
-    def test_namespace_exhausts_at_257(self):
-        gw = Gateway(NamingService())
-        for i in range(256):
-            assert gw.register_local(f"urn:t{i}") == i
-        with pytest.raises(NamespaceExhausted):
-            gw.register_local("urn:t-too-many")
-
-    def test_freed_short_name_is_reused(self):
-        gw = Gateway(NamingService())
-        for i in range(256):
-            gw.register_local(f"urn:r{i}")
-        gw.deregister_local(97)
-        assert gw.register_local("urn:r-new") == 97
-
-    def test_round_trip_bijection(self):
-        gw = Gateway(NamingService())
-        for i in range(40):
-            lid = gw.register_local(f"urn:x{i}")
-            assert gw.translate_back(gw.translate(lid)) == lid
-
-    def test_unallocated_short_name(self):
-        gw = Gateway(NamingService())
-        with pytest.raises(NotFound):
-            gw.translate(9)
-
-    def test_domains_scope_short_names_independently(self):
-        ns = NamingService()
-        gw1, gw2 = Gateway(ns), Gateway(ns)
-        lid1 = gw1.register_local("urn:d1")
-        lid2 = gw2.register_local("urn:d2")
-        assert lid1 == lid2 == 0
-        assert gw1.translate(0) != gw2.translate(0)
 
 
 class TestDump:

@@ -1,16 +1,17 @@
 """Every name that `src/icnsim` defines has a reader in `src/`, or a stated
 reason to stay.
 
-A reader is a word-boundary mention of the name anywhere in `src/icnsim`
-outside the name's own definition and `__init__.py`, whose imports only
-re-export. Tests, demos and `perfbench/` do not count: a name that only they
-read is code that no run and no command needs. Names are the top-level
+A reader is a NAME token equal to the name anywhere in `src/icnsim` outside
+the name's own definition and `__init__.py`, whose imports only re-export.
+Comments and strings hold no NAME token, so a docstring or a comment that
+names a function does not read it. Tests, demos and `perfbench/` do not
+count: a name that only they read is code that no run and no command needs. Names are the top-level
 functions, classes and constants of each module and the methods of each
 class (dunder methods are called implicitly and are not checked).
 """
 
 import ast
-import re
+import tokenize
 from collections import defaultdict
 from pathlib import Path
 
@@ -21,11 +22,10 @@ KEPT = {
     "__version__": "the package's version attribute, read by users and tools",
     "NetState.local_ilm": "perfbench/mesh.py registers through it",
     "next_hop_toward": "the perfbench tracer hooks it",
-    "Gateway": "acceptance criterion 7 names the 8-bit local namespace",
-    "Gateway.register_local": "part of the Gateway of acceptance criterion 7",
-    "Gateway.deregister_local": "part of the Gateway of acceptance criterion 7",
-    "Gateway.translate": "part of the Gateway of acceptance criterion 7",
-    "Gateway.translate_back": "part of the Gateway of acceptance criterion 7",
+    "build_graph": "the public graph constructor that tests and demos build graphs with",
+    "Edge": "the edge row of build_graph, the public graph constructor",
+    "node_centrality": "the public centrality; a run computes the same ratio from degrees_of, "
+                       "so that it holds no degree array per node",
     "dump_table": "two property tests compare resolver state in its format",
     "measure_distance": "ROADMAP item 8 (latency-aware host choice) reads it",
     "traces_to_csv": "ROADMAP item 4 (traces from the CLI) reads it",
@@ -62,16 +62,15 @@ def _definitions():
 
 
 def _mentions():
-    """word -> [(file, line)] over src/icnsim outside __init__.py. A name is
-    all word characters, so a regex word-boundary match of it is exactly a
-    maximal run of word characters equal to it."""
+    """NAME token -> [(file, line)] over src/icnsim outside __init__.py."""
     where = defaultdict(list)
     for path in sorted(SRC.glob("*.py")):
         if path.name == "__init__.py":
             continue
-        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-            for word in re.findall(r"\w+", line):
-                where[word].append((path.name, lineno))
+        with tokenize.open(path) as f:
+            for tok in tokenize.generate_tokens(f.readline):
+                if tok.type == tokenize.NAME:
+                    where[tok.string].append((path.name, tok.start[0]))
     return where
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from icnsim import containment
 from icnsim.errors import (
     DanglingEndpoint,
     DuplicateEdge,
@@ -63,6 +64,24 @@ class TestBuildGraph:
     def test_single_isolated_node(self):
         g = make(1, [])
         assert g.n == 1 and g.m == 0
+
+    def test_counts_match_the_arrays_of_every_construction(self):
+        # n and m are set once in __init__; no builder reassigns the arrays
+        generated = generate_topology(ScenarioParams(scenario="mmtc", area_km2=0.05), 3)
+        zero = np.zeros(3, dtype=np.int64)
+        graphs = [
+            generated,
+            WeightedGraph.from_arrays(
+                [1, 1, 1], zero, zero, zero, zero, zero, [0, 1], [1, 2], [4, 5], "latency_us"
+            ),
+            graph_from_text(graph_to_text(generated)),
+            containment._quotient(
+                generated, np.arange(generated.n) % 7, 7, containment.Target(1, 1_000)
+            ),
+        ]
+        for g in graphs:
+            assert (g.n, g.m) == (len(g.kinds), len(g.ea))
+        assert (graphs[1].n, graphs[1].m, graphs[3].n) == (3, 2, 7)
 
     def test_two_nodes_single_edge(self):
         g = make(2, [(0, 1, 10)])
