@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from icnsim.evaluation import DEFAULT_SWEEPS, ScenarioParams
 from icnsim.topology import (
     FORWARDING_KINDS,
     KIND_RESOURCES,
+    LOCAL_DOMAIN_SIZE,
     MAX_DEVICES,
     Edge,
     Node,
@@ -367,6 +369,7 @@ class TestGenerateTopology:
         dict(scenario="embb", n_devices=16, n_servers=MAX_DEVICES + 1),
         dict(scenario="urllc", n_devices=16, devices_per_ap=10**400),
         dict(scenario="mmtc", aps_per_switch=MAX_DEVICES + 1),
+        dict(scenario="mmtc", devices_per_gateway=LOCAL_DOMAIN_SIZE + 1),
     ])
     def test_sizes_over_the_cap_raise_before_allocating(self, case):
         tracemalloc.start()
@@ -389,6 +392,41 @@ class TestGenerateTopology:
         # the access link weight is clipped just under the 150 ms tier target
         # (its switch has the lower id, so that link is the one ending at it)
         assert g.ew[g.eb == aps[0]].tolist() == [149_999]
+
+
+def mmtc_domains(n_devices, per_gateway):
+    """Devices below each gateway of a 0.5 km^2 mMTC topology with
+    `n_devices` devices, `per_gateway` to a gateway, in gateway id order."""
+    params = ScenarioParams(scenario="mmtc", density_k_per_km2=n_devices / 500,
+                            area_km2=0.5, devices_per_gateway=per_gateway)
+    g = generate_topology(params, 6)
+    domains = Counter(a for a, b in zip(g.ea.tolist(), g.eb.tolist())
+                      if g.kind(b) == NodeKind.MMTC_DEVICE)
+    assert {g.kind(gw) for gw in domains} == {NodeKind.GATEWAY}
+    return [domains[gw] for gw in sorted(domains)]
+
+
+class TestLocalDomain:
+    """The 8-bit short names of one gateway's local domain cap the mMTC
+    devices behind that gateway."""
+
+    def test_the_domain_is_eight_bits(self):
+        assert LOCAL_DOMAIN_SIZE == 1 << 8
+
+    def test_the_default_fits_one_domain(self):
+        assert 1 <= ScenarioParams().devices_per_gateway <= LOCAL_DOMAIN_SIZE
+
+    def test_full_domains_fill_every_gateway(self):
+        assert mmtc_domains(2 * LOCAL_DOMAIN_SIZE, LOCAL_DOMAIN_SIZE) == [256, 256]
+
+    def test_the_last_gateway_takes_the_remainder(self):
+        assert mmtc_domains(600, LOCAL_DOMAIN_SIZE) == [256, 256, 88]
+
+    @pytest.mark.parametrize("per_gateway", [LOCAL_DOMAIN_SIZE + 1, 0, -1])
+    def test_a_domain_outside_eight_bits_is_rejected(self, per_gateway):
+        params = ScenarioParams(scenario="mmtc", area_km2=0.5, devices_per_gateway=per_gateway)
+        with pytest.raises(InvalidParams, match=r"devices_per_gateway must be in \[1, 256\]"):
+            generate_topology(params, 1)
 
 
 class TestGraphFile:
