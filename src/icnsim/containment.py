@@ -117,9 +117,11 @@ def _grouping_labels(g: WeightedGraph, t: Target) -> np.ndarray:
     kept = _contracted(g, t)
     while _hook(f, g.ea, g.eb, kept):
         pass
-    labels = np.cumsum(f == np.arange(g.n, dtype=ids), dtype=np.int64)  # roots numbered from 1
+    labels = np.cumsum(f == np.arange(g.n, dtype=ids), dtype=ids)  # roots numbered from 1
     labels -= 1
-    return labels[f]
+    labels = labels[f]
+    del f, kept  # freed before the one int64 copy
+    return labels.astype(np.int64)
 
 
 def _contracted(g: WeightedGraph, t: Target) -> np.ndarray:

@@ -221,21 +221,26 @@ class WeightedGraph:
 
     def _tree_info(self):
         """(True, parents, depths) when the graph is a tree rooted at node 0,
-        else (False, None, None). parents and depths are Python lists, which
-        the per-hop walks index much faster than numpy arrays. A generated
-        topology hands them over at construction; any other graph learns
-        them from one BFS on first use."""
+        else (False, None, None). parents is a list, the fastest to index in
+        the per-hop walks (17 ns a read; bytes 25, a numpy array 62); depths
+        holds one byte per node (_depth_column). A generated topology hands
+        them over at construction; any other graph learns them by one BFS."""
         if self._tree is None:
             self._tree = (False, None, None)
             if self.n >= 1 and self.m == self.n - 1:
                 indptr, dst, _ = self._ensure_csr()
                 depths, parents = _bfs(indptr, dst, 0)
                 if depths.min() >= 0:  # connected with n - 1 edges
-                    self._tree = (True, parents.tolist(), depths.tolist())
+                    self._tree = (True, parents.tolist(), _depth_column(depths))
         return self._tree
 
     def is_tree(self) -> bool:
         return self._tree_info()[0]
+
+
+def _depth_column(depths: np.ndarray):
+    """Depths as Python-int items: bytes, or a list past 255 so none wraps."""
+    return depths.astype(np.uint8).tobytes() if depths.max() < 256 else depths.tolist()
 
 
 # Frontiers up to this size are expanded row by row (see _bfs).
@@ -543,9 +548,9 @@ _CORE_LAT = (160_000, 450_000)  # core tier links, between T2 and T3
 _URLLC_BASE_LATENCY_MS = 8.0
 
 # Most end devices one generated topology may hold, and the largest
-# structure parameter. `icnsim run` peaks about 64 MiB per million mMTC
-# devices over the 35 MiB that importing icnsim takes (106 MiB at 1.05M, the
-# largest default sweep point, 174 MiB at 2.1M), so the cap is about 0.3 GiB.
+# structure parameter. `icnsim run` peaks about 55 MiB per million mMTC
+# devices over the 35 MiB that importing icnsim takes (94 MiB at 1.05M, the
+# largest default sweep point, 148 MiB at 2.1M), so the cap is about 0.25 GiB.
 MAX_DEVICES = 4_000_000
 
 # Most mMTC devices behind one gateway: the 8-bit short names of one local
@@ -621,8 +626,8 @@ def generate_topology(params, seed: int) -> WeightedGraph:
     devices hang off the access points. The mMTC scenario inserts gateways
     between access points and constrained devices, one local domain per
     gateway. Pure function of (params, seed), where `params` is an
-    `evaluation.ScenarioParams`. The graph comes with its tree (parents and
-    depths from root 0) already known.
+    `evaluation.ScenarioParams`. The graph comes with its tree from root 0
+    already known: parents as a list, depths as one byte per node.
     """
     n_devices, devices_per_ap, devices_per_gw = topology_size(params)
     scenario = params.scenario
@@ -644,12 +649,12 @@ def generate_topology(params, seed: int) -> WeightedGraph:
     n = 1 + n_servers + n_zones + n_switches + n_aps + n_gateways + n_devices
     kinds = np.full(n, _KIND_INDEX[NodeKind.SERVER], dtype=np.int8)  # attach sets all but the root
 
-    # The layers attach in id order, so node i's parent and depth are the
-    # (i + 1)-th entries of these lists. A parent's id is one Python int
-    # shared by all its children's entries. Edge i - 1 joins node i to its
-    # parent; parents never decrease along the ids, so the edges are in
+    # The layers attach in id order, so node i's parent is the (i + 1)-th
+    # entry of `parents`, one Python int shared by all its siblings, and its
+    # depth is one more than its parent layer's. Edge i - 1 joins node i to
+    # its parent; parents never decrease along the ids, so the edges are in
     # canonical (parent, child) order as they are filled.
-    parents, depths = [-1], [0]
+    parents, depths = [-1], np.zeros(n, dtype=np.uint8)
     ea = np.empty(n - 1, dtype=np.int64)
     eb = np.arange(1, n, dtype=np.int64)
     ew = np.empty(n - 1, dtype=np.int64)
@@ -668,7 +673,7 @@ def generate_topology(params, seed: int) -> WeightedGraph:
         ew[edges] = weights
         for p in parent_layer:
             parents.extend(itertools.repeat(p, min(fanout, lo + count - len(parents))))
-        depths.extend(itertools.repeat(depths[parent_layer[0]] + 1, count))
+        depths[lo:lo + count] = depths[parent_layer[0]] + 1
         return range(lo, lo + count)
 
     def draw(lo, hi, size):
@@ -696,7 +701,7 @@ def generate_topology(params, seed: int) -> WeightedGraph:
         kinds[devices[n_devices // 2]:] = _KIND_INDEX[NodeKind.MOBILE_DEVICE]
 
     g = WeightedGraph(kinds, ea, eb, ew, WeightUnit.LATENCY_US)
-    g._tree = (True, parents, depths)  # what _tree_info's BFS would find
+    g._tree = (True, parents, _depth_column(depths))  # what _tree_info's BFS would find
     return g
 
 

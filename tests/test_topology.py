@@ -205,34 +205,44 @@ class TestKindResources:
         for name in RESOURCE_COLUMNS:
             assert getattr(g, name).tolist() == [0, 0, 0]
 
-    def test_generation_allocates_under_90_bytes_per_node(self):
+    def test_generation_allocates_under_45_bytes_per_node(self):
         # about 100k mMTC devices; the five per-node int64 resource columns
-        # the generator used to fill took its peak to 105-112 B per node; it is
-        # 65-72 B without them
-        params = ScenarioParams(scenario="mmtc", density_k_per_km2=100.0)
-        tracemalloc.start()
-        try:
-            g = generate_topology(params, 1)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        # the generator used to fill took its peak to 105-112 B per node; it
+        # is 42.2 B with one byte of depth per node, 49.2 with a depth list
+        g, _, peak = traced_generation()
         assert g.n > 100_000
-        assert peak / g.n < 90
+        assert peak / g.n < 45
+
+    def test_generation_retains_under_36_bytes_per_node(self):
+        # about 100k mMTC devices; the graph and its tree keep 34.2 B per
+        # node: kinds 1, ea/eb/ew 24, the parents list 8 and the depths 1;
+        # depths as a list of ints kept 41.2
+        g, retained, _ = traced_generation()
+        assert g.n > 100_000
+        assert retained / g.n < 36
 
     def test_generation_scratch_under_12_bytes_per_node(self):
         # about 100k mMTC devices; peak less retained is 8.0 B per node (the
         # drawn device weights), 16.0 when every layer held a full-size id
         # array and 23.9 when each attach step gathered its parents through
         # an int64 `arange // fanout` and built its depths as a list first
-        params = ScenarioParams(scenario="mmtc", density_k_per_km2=100.0)
-        tracemalloc.start()
-        try:
-            g = generate_topology(params, 1)
-            retained, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        g, retained, peak = traced_generation()
         assert g.n > 100_000
         assert (peak - retained) / g.n < 12
+
+
+def traced_generation():
+    """(graph, retained bytes, peak bytes) of generating the mMTC point of
+    about 100k devices under tracemalloc, after a small generation has made
+    the allocations of a process's first call."""
+    generate_topology(ScenarioParams(scenario="mmtc", area_km2=0.01), 1)
+    tracemalloc.start()
+    try:
+        g = generate_topology(ScenarioParams(scenario="mmtc", density_k_per_km2=100.0), 1)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return g, retained, peak
 
 
 class TestMeasureDistance:
@@ -839,7 +849,7 @@ def test_tree_info_matches_scipy_and_the_bfs_oracle(case):
     is_tree, parents, depths = g._tree_info()
     assert is_tree
     assert parents == scipy_tree_parents(n, edges)
-    assert depths == [bfs_hops(n, edges, 0, v) for v in range(n)]
+    assert list(depths) == [bfs_hops(n, edges, 0, v) for v in range(n)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -906,6 +916,24 @@ def test_deep_graphs():
     for src in (0, int(order[0]), int(order[n // 2])):
         gap = np.abs(at - at[src])
         assert _dists_to(ring, src).tolist() == np.minimum(gap, n - gap).tolist()
+
+
+def test_a_path_deeper_than_a_byte_keeps_every_depth():
+    """A 300-node path from root 0 over shuffled ids: depths past 255 do not
+    wrap, and the tree walks match the oracle at both ends and the middle."""
+    n = 300
+    order = [0] + (np.random.default_rng(6).permutation(n - 1) + 1).tolist()  # the path
+    path = [(order[k - 1], order[k], 1) for k in range(1, n)]
+    g = make(n, path)
+    is_tree, _, depths = g._tree_info()
+    assert is_tree
+    assert [depths[v] for v in order] == list(range(n))
+    for pa in (0, n // 2, n - 1):
+        for pb in (0, n // 2, n - 1):
+            a, b = order[pa], order[pb]
+            step = 1 if pb >= pa else -1
+            assert hop_distance(g, a, b) == bfs_hops(n, path, a, b) == abs(pb - pa)
+            assert closest_path(g, a, (b,)) == [order[k] for k in range(pa + step, pb + step, step)]
 
 
 def test_off_tree_queries_run_one_bfs_per_distinct_target(monkeypatch):
