@@ -46,10 +46,10 @@ LABEL_KINDS = (
 )
 
 # Learner size caps. At the default 200 + 400 samples (2-vCPU VM, numpy
-# 2.4) the prune phase took 0.045 s for 170 weights and biases, 1.5 s for
-# 2,450 and 13 s for 9,746 (peak about 0.4 KiB each), and an epoch of an
-# unpruned net 0.5, 1.6 and 5.1 ms: so about a quarter of a minute of
-# pruning at MAX_PARAMETERS and under a minute of descent at MAX_EPOCHS.
+# 2.4, one BLAS thread) pruning took 0.05 s for 170 weights and biases,
+# 1.4 s for 2,450 and 14 s for 9,746 (peak 0.4, 0.2 and 0.13 KiB each)
+# and an unpruned epoch 0.5, 1.6 and 5.3 ms: a quarter of a minute of
+# pruning at MAX_PARAMETERS, under one of descent at MAX_EPOCHS.
 MAX_PARAMETERS = 10_000
 MAX_EPOCHS = 10_000
 
@@ -223,16 +223,13 @@ class ParameterSet:
         return len(self.widths)
 
     def views(self, vec):
-        """(weights, biases) of a vector laid out like theta, or of a stack
-        of them along leading axes, as views."""
-        lead = vec.shape[:-1]
+        """(weights, biases) of a vector laid out like theta, as views."""
         weights, biases = [], []
         for l, w in enumerate(self.widths):
             hi = self._starts[l + 1]
             if l >= 1:
-                weights.append(vec[..., self._starts[l]:hi - w]
-                               .reshape(*lead, w, self.widths[l - 1]))
-            biases.append(vec[..., hi - w:hi])
+                weights.append(vec[self._starts[l]:hi - w].reshape(w, self.widths[l - 1]))
+            biases.append(vec[hi - w:hi])
         return weights, biases
 
     def layer_coords(self, layer: int) -> range:
@@ -297,11 +294,12 @@ def init_parameters(widths, d_max=None, rng=None) -> ParameterSet:
 # -- forward passes ------------------------------------------------------------
 
 
-def _sigmoid(z):
-    """Logistic function of a fresh pre-activation array, computed in place,
-    bit for bit 1 / (1 + exp(-clip(z, -500, 500))). The upper clip is left
-    out: for z >= 500, exp(-z) <= exp(-500) < 1e-217, so 1 + exp(-z) is 1.0
-    either way."""
+def _sigmoid(z, b):
+    """Logistic function of z + b, computed in place in the fresh array z,
+    bit for bit 1 / (1 + exp(-clip(z + b, -500, 500))). The upper clip is
+    left out: for x >= 500, exp(-x) <= exp(-500) < 1e-217, so 1 + exp(-x)
+    is 1.0 either way. Adding b in place keeps wide stacks off fresh pages."""
+    z += b
     np.maximum(z, -500.0, out=z)
     np.negative(z, out=z)
     np.exp(z, out=z)
@@ -317,7 +315,7 @@ def _forward_batch(ps: ParameterSet, X: np.ndarray, alive=None):
         alive = ps.alive
     acts = [X if alive[0] is None else X * alive[0]]
     for l in range(1, ps.L):
-        a = _sigmoid(acts[-1] @ ps.weights[l - 1].T + ps.biases[l])
+        a = _sigmoid(acts[-1] @ ps.weights[l - 1].T, ps.biases[l])
         if alive[l] is not None:
             a *= alive[l]
         acts.append(a)
@@ -325,10 +323,9 @@ def _forward_batch(ps: ParameterSet, X: np.ndarray, alive=None):
 
 def _reconstruct_batch(ps: ParameterSet, Y: np.ndarray):
     recs = [None] * ps.L
-    recs[ps.L - 1] = Y * ps.alive[ps.L - 1]
+    recs[-1] = Y * ps.alive[-1]
     for l in range(ps.L - 2, -1, -1):
-        s = recs[l + 1] @ ps.weights[l] + ps.biases[l]
-        recs[l] = _sigmoid(s) * ps.alive[l]
+        recs[l] = _sigmoid(recs[l + 1] @ ps.weights[l], ps.biases[l]) * ps.alive[l]
     return recs
 
 
@@ -339,8 +336,7 @@ def forward_positive(ps: ParameterSet, x):
         raise DimensionMismatch(f"expected {ps.widths[0]} inputs, got {x.shape}")
     if not np.all(np.isfinite(x)):
         raise InvalidParams("inputs must be finite")
-    acts = _forward_batch(ps, x[None, :])
-    acts = [a[0] for a in acts]
+    acts = [a[0] for a in _forward_batch(ps, x[None, :])]
     return acts, acts[-1]
 
 
@@ -402,7 +398,8 @@ def _loss_parts(ps, X, vals, mask, reconstruct=True, acts=None):
     current parameters, if the caller has it."""
     if acts is None:
         acts = _forward_batch(ps, X)
-    pred_sum = (((acts[-1][..., 0] - vals) ** 2) * mask).sum(axis=-1)
+    sq = (acts[-1][..., 0] - vals) ** 2
+    pred_sum = (sq if mask is None else sq * mask).sum(axis=-1)
     if not reconstruct:
         return pred_sum, None
     recs = _reconstruct_batch(ps, acts[-1])
@@ -419,7 +416,8 @@ class _Stack:
     """Batches of the same rows stacked along a leading axis, personal
     before general, for one pass through `_forward_batch`, `_loss_parts`
     and `_backprop`: features (S, rows, N_FEATURES), distance values and
-    masks (S, rows), each side's prediction weight (S, 1), and whether its
+    masks (S, rows; None if all are labeled: x * 1.0 is x), twice each
+    side's prediction weight (S, 1), and whether its
     sides, which all run the same chain, reconstruct: a zero-weighted
     reconstruction term is not computed (see _backprop). Every error and
     gradient is computed on a stack; a stack of one dataset holds views of
@@ -427,12 +425,11 @@ class _Stack:
 
     def __init__(self, batches, h):
         self.batches = batches
-        labels = [b.label_arrays("distance") for b in batches]
         self.X = _stacked([b.features for b in batches])
-        self.vals = _stacked([v for v, _ in labels])
-        self.mask = _stacked([m for _, m in labels])
-        self.pred_w = np.array([[h.lambda_p if b.kind == "personal" else h.lambda_g]
-                                for b in batches])
+        self.vals, mask = (_stacked(a) for a in zip(*(b.label_arrays("distance") for b in batches)))
+        self.mask = None if mask.all() else mask
+        self.two_w = 2.0 * np.array([[h.lambda_p if b.kind == "personal" else h.lambda_g]
+                                     for b in batches])
         self.reconstruct = (h.lambda_k if batches[0].kind == "personal" else h.lambda_q) != 0.0
 
 
@@ -456,10 +453,9 @@ def _stack_errors(ps, st, h, centroid, acts=None):
     errors = []
     for k, b in enumerate(st.batches):
         e = (h.lambda_p if b.kind == "personal" else h.lambda_g) * float(pred_sum[k])
-        if recon_sq is not None and b.kind == "general":
-            e += h.lambda_q * regularizer(ps, h.q) * float(recon_sq[k].sum())
-        elif recon_sq is not None:
-            e += h.lambda_k * float((b.topk_filters(centroid, h.k) * recon_sq[k]).sum())
+        if recon_sq is not None:
+            e += (h.lambda_q * regularizer(ps, h.q) * float(recon_sq[k].sum()) if b.kind == "general"
+                  else h.lambda_k * float((b.topk_filters(centroid, h.k) * recon_sq[k]).sum()))
         errors.append(e)
     return errors
 
@@ -484,42 +480,42 @@ def _blend(h, p, g):
 
 
 def congruity_objective(ps: ParameterSet, dp: Dataset, dg: Dataset, h: Hyperparams,
-                        centroid=None) -> float:
-    return _blend(h, personal_error(ps, dp, h, centroid), general_error(ps, dg, h))
+                        centroid=None, pair=None) -> float:
+    """`pair` is `_pair((dp, dg), h)`, if the caller has it."""
+    if pair is None:
+        return _blend(h, personal_error(ps, dp, h, centroid), general_error(ps, dg, h))
+    return _blend(h, *_pair_errors(ps, pair, h, centroid)[:2])
 
 
 # -- analytic gradients ----------------------------------------------------------
 
 
-def _backprop(ps, X, vals, mask, pred_w, recon_coeff, acts=None, alive=None):
-    """Gradient, laid out like theta, of pred_w * sum_labeled (y - t)^2 +
+def _backprop(ps, X, vals, mask, two_w, recon_coeff, acts=None, alive=None):
+    """Gradient, laid out like theta, of two_w / 2 * sum_labeled (y - t)^2 +
     sum_n c_n * ||x_n - X_n||^2, plus the per-sample squared reconstruction
-    errors ||x_n - X_n||^2.
+    errors ||x_n - X_n||^2; a mask of None labels every sample.
 
     The reconstruction chain reuses the forward connections transposed, so
-    each weight (and each hidden bias) collects gradient from both passes;
-    both chains add into one zeroed vector.
+    each weight and hidden bias is the negative chain's term plus the
+    positive chain's, joined in theta's layout (b0, W0, b1, W1, ...).
 
     `recon_coeff` None means a zero-weighted reconstruction term: the
-    negative chain is skipped and the errors come back as None. The result
-    is the one the chain would give with all-zero coefficients, bit for bit
-    up to the sign of exact zeros. With finite parameters the skipped terms
-    are finite (sigmoid outputs and features lie in [0, 1], filters in
-    [-1, 1]), so 0.0 times each is +-0.0, and adding +-0.0 to a sum can
-    change only the sign of an exact zero. That sign never reaches a
-    parameter: no weight or bias is ever -0.0 (uniform(-0.5, 0.5) cannot
-    return it, pruning writes +0.0, and w - d is -0.0 only when w is), so
-    every loss, parameter and prediction is unchanged. Where a skipped term
-    is not finite, the full formula made 0.0 * inf = nan of it instead.
-
-    Without the chain the input biases keep their zeros, and adding into
-    zeros can turn a -0.0 entry into +0.0, a sign that by the same argument
-    no parameter sees. The output is one neuron wide (the error functions
-    check it). `acts` is X's forward pass if the caller has it; `alive` goes
-    to `_forward_batch` otherwise.
+    negative chain is skipped, the input biases get zeros and the errors
+    come back as None. That is what all-zero coefficients give up to the
+    sign of exact zeros: with finite parameters the skipped terms are finite
+    (sigmoid outputs and features lie in [0, 1], filters in [-1, 1]), so 0.0
+    times each is +-0.0, and leaving out a +-0.0 term, or the 0.0 + of a
+    zeroed sum, changes only the sign of an exact zero. No parameter sees
+    it: none is ever -0.0 (uniform(-0.5, 0.5) cannot return it, pruning and
+    frozen descent steps write +0.0, w - d is -0.0 only when w is, and a
+    prune step skips a zero gradient), so every loss, parameter and
+    prediction is unchanged (TestSignOfZero). A skipped term that is not
+    finite made 0.0 * inf = nan in the full formula. The output is one
+    neuron wide (the error functions check it). `acts` is X's forward pass
+    if the caller has it; `alive` goes to `_forward_batch` otherwise.
 
     X may stack S batches of the same rows along a leading axis, with vals,
-    mask and recon_coeff (S, rows) and pred_w (S, 1); the gradients come back
+    mask and recon_coeff (S, rows) and two_w (S, 1); the gradients come back
     (S, theta.size) and the errors (S, rows). Each slice's bytes are those
     of a pass over its batch alone on one condition: each stacked slice gets
     the same BLAS call and the same elementwise and reduction loops as a
@@ -529,57 +525,56 @@ def _backprop(ps, X, vals, mask, pred_w, recon_coeff, acts=None, alive=None):
     """
     if acts is None:
         acts = _forward_batch(ps, X, alive)
-    L = ps.L
-    grad = np.zeros((*X.shape[:-2], ps.theta.size))
-    gW, gb = ps.views(grad)
-    err = 2.0 * pred_w * (acts[-1][..., 0] - vals) * mask
+    err = two_w * (acts[-1][..., 0] - vals)
+    if mask is not None:
+        err *= mask
+    lead = X.shape[:-2]
 
     if recon_coeff is None:
         recon_sq = None
         ga = err[..., None]
+        neg = [np.zeros((*lead, ps.widths[0]))]
     else:
-        # negative (reconstruction) chain
+        # negative (reconstruction) chain: b0, W0, ... W[L-2]
+        neg = []
         recs = _reconstruct_batch(ps, acts[-1])
         diff = recs[0] - X
         recon_sq = (diff ** 2).sum(axis=-1)
         gr = 2.0 * recon_coeff[..., None] * diff
-        for l in range(L - 1):
+        for l in range(ps.L - 1):
             gs = gr * recs[l] * (1.0 - recs[l])
-            gW[l] += recs[l + 1].swapaxes(-1, -2) @ gs
-            gb[l] += gs.sum(axis=-2)
+            neg += gs.sum(axis=-2), (recs[l + 1].swapaxes(-1, -2) @ gs).reshape(*lead, -1)
             gr = gs @ ps.weights[l].T
-        ga = gr * ps.alive[L - 1]
+        ga = gr * ps.alive[-1]
         ga[..., 0] += err
 
-    # positive chain, seeded by the prediction error plus any reconstruction flow
-    for l in range(L - 1, 0, -1):
+    # positive chain (W0, b1, ... b[L-1]), seeded by the error and any reconstruction flow
+    pos = []
+    for l in range(ps.L - 1, 0, -1):
         gz = ga * acts[l] * (1.0 - acts[l])
-        gW[l - 1] += gz.swapaxes(-1, -2) @ acts[l - 1]
-        gb[l] += np.add.reduce(gz, axis=-2)
+        pos[:0] = (gz.swapaxes(-1, -2) @ acts[l - 1]).reshape(*lead, -1), np.add.reduce(gz, axis=-2)
         if l > 1:
             ga = gz @ ps.weights[l - 1]
-    return grad, recon_sq
+    parts = neg[:1] + list(map(np.add, neg[1:], pos)) + pos[len(neg) - 1:]
+    return np.concatenate(parts, axis=-1), recon_sq
 
 
 def _regularizer_grads(ps, q):
     """Gradient of the q-norm over alive parameters (zero at the origin),
-    laid out like theta, and the norm."""
+    laid out like theta, and the norm (signs of zero as in _backprop)."""
     r = regularizer(ps, q)
-    grad = np.zeros(ps.theta.size)
     if r == 0.0:
-        return grad, r
+        return np.zeros(ps.theta.size), r
     try:
         scale = r ** (1.0 - q)
     except OverflowError:
         raise NonFiniteLoss(f"q-norm gradient overflows: {r!r} ** {1 - q}") from None
+    grad = scale * (np.abs(ps.theta) ** (q - 1)) * np.sign(ps.theta)
     gW, gb = ps.views(grad)
-    for l in range(ps.L):
-        m = ps.alive[l]
-        b = ps.biases[l]
-        gb[l] += scale * (np.abs(b) ** (q - 1)) * np.sign(b) * m
-        if l >= 1:
-            w = ps.weights[l - 1]
-            gW[l - 1] += scale * (np.abs(w) ** (q - 1)) * np.sign(w) * m[:, None]
+    for l, a in enumerate(ps.alive):
+        gb[l] *= a
+        if l:
+            gW[l - 1] *= a[:, None]
     return grad, r
 
 
@@ -597,7 +592,7 @@ def _stack_grads(ps, st, h, centroid, alive=None, acts=None):
             reg = _regularizer_grads(ps, h.q)
         coeff = _stacked([h.lambda_k * b.topk_filters(centroid, h.k) if b.kind == "personal"
                           else np.full(len(b), h.lambda_q * reg[1]) for b in st.batches])
-    grad, recon_sq = _backprop(ps, st.X, st.vals, st.mask, st.pred_w, coeff, acts, alive)
+    grad, recon_sq = _backprop(ps, st.X, st.vals, st.mask, st.two_w, coeff, acts, alive)
     if reg is not None:
         grad[-1] += h.lambda_q * float(recon_sq[-1].sum()) * reg[0]
     return grad
@@ -628,32 +623,29 @@ class TrainResult:
     pruned_count: int
 
 
+def _pair(sides, h):
+    """(personal, general) sides as stacks: one of both where rows match
+    and both or neither reconstruction term is weighted, else two."""
+    if (h.lambda_k != 0.0) == (h.lambda_q != 0.0) and len(sides[0]) == len(sides[1]):
+        return [_Stack(sides, h)]
+    return [_Stack((b,), h) for b in sides]
+
+
 def _batches(dp, dg, h):
-    """Each (personal, general) batch pair as a list of stacks: one stack
-    of both sides when their rows match and both reconstruction terms are
-    weighted or neither is, else one stack per side. The shorter side wraps
-    around and reuses its batch objects, so each batch's memos are filled
-    once."""
+    """Each (personal, general) batch pair as a `_pair`. The shorter side
+    wraps around and reuses its batch objects, so each batch's memos are
+    filled once."""
     size = h.batch_size
-    bps = [dp.slice(lo, lo + size) for lo in range(0, len(dp), size)]
-    bgs = [dg.slice(lo, lo + size) for lo in range(0, len(dg), size)]
-    together = (h.lambda_k != 0.0) == (h.lambda_q != 0.0)
-    pairs = []
-    for i in range(max(len(bps), len(bgs))):
-        sides = bps[i % len(bps)], bgs[i % len(bgs)]
-        if together and len(sides[0]) == len(sides[1]):
-            pairs.append([_Stack(sides, h)])
-        else:
-            pairs.append([_Stack((b,), h) for b in sides])
-    return pairs
+    bps, bgs = ([d.slice(lo, lo + size) for lo in range(0, len(d), size)] for d in (dp, dg))
+    return [_pair((bps[i % len(bps)], bgs[i % len(bgs)]), h)
+            for i in range(max(len(bps), len(bgs)))]
 
 
 def _live_masks(ps):
-    """The alive flags, with None for a layer with no dead neuron (x * 1.0
-    is x), and the frozen mask, or None if nothing is frozen (np.where over
-    all-False is d), bit for bit. Neither changes after the prune phase."""
-    return ([None if (a == 1.0).all() else a for a in ps.alive],
-            ps.frozen if ps.frozen.any() else None)
+    """The alive flags (0.0 or 1.0), with None for a layer with no dead
+    neuron (x * 1.0 is x, bit for bit), and the frozen parameters' indices.
+    Neither changes after the prune phase."""
+    return [None if a.all() else a for a in ps.alive], np.flatnonzero(ps.frozen)
 
 
 def _pair_errors(ps, pair, h, centroid):
@@ -717,9 +709,8 @@ def train(dp: Dataset, dg: Dataset, h: Hyperparams, arch, d_max=None) -> TrainRe
     the blended objective until max_epochs or the relative improvement drops
     under the tolerance. Deterministic for a fixed seed.
 
-    Each batch pair runs as one stack of both sides where their rows and
-    reconstruction chains match, so one forward and one backward pass serve
-    both sides of a prune evaluation or a descent step."""
+    Each batch pair, and the whole sides for the epoch objective, run as a
+    `_pair`, so one pass serves both sides where their shapes allow."""
     h.validate()
     if len(dp) == 0 or len(dg) == 0:
         raise EmptyDataset("training needs non-empty personal and general data")
@@ -732,34 +723,30 @@ def train(dp: Dataset, dg: Dataset, h: Hyperparams, arch, d_max=None) -> TrainRe
     ps = init_parameters(arch, d_max, rng)
     centroid = dp.centroid()
 
-    e_initial = congruity_objective(ps, dp, dg, h, centroid)
+    whole = _pair((dp, dg), h)
+    e_initial = congruity_objective(ps, dp, dg, h, centroid, whole)
     pairs = _batches(dp, dg, h)
     pruned = _prune_phase(ps, pairs, h, centroid, rng)
 
-    e_prev = congruity_objective(ps, dp, dg, h, centroid)
+    e_prev = congruity_objective(ps, dp, dg, h, centroid, whole)
     history = [e_prev]
     alive, frozen = _live_masks(ps)
     for _ in range(h.max_epochs):
         for pair in pairs:
             p, g = (side for st in pair for side in _stack_grads(ps, st, h, centroid, alive))
             step = _blend(h, p, g)
-            ps.theta -= h.learning_rate * (step if frozen is None else np.where(frozen, 0.0, step))
-        e_now = congruity_objective(ps, dp, dg, h, centroid)
+            step[frozen] = 0.0
+            step *= h.learning_rate
+            ps.theta -= step
+        e_now = congruity_objective(ps, dp, dg, h, centroid, whole)
         if not math.isfinite(e_now):
             raise NonFiniteLoss(f"objective diverged to {e_now}")
         history.append(e_now)
         if abs(e_prev - e_now) / max(abs(e_prev), 1e-30) < h.tolerance:
-            e_prev = e_now
             break
         e_prev = e_now
 
-    return TrainResult(
-        theta_star=ps,
-        e_star=history[-1],
-        e_initial=e_initial,
-        loss_history=history,
-        pruned_count=pruned,
-    )
+    return TrainResult(ps, history[-1], e_initial, history, pruned)
 
 
 def predict_distance(ps: ParameterSet, features, scale: float = 1.0) -> float:

@@ -567,8 +567,8 @@ class TestZeroWeightTerms:
 
         full = {}
         for w in (lambda_g, lambda_p):
-            skipped = congruity._backprop(ps, X, vals, mask, w, None)
-            full[w] = congruity._backprop(ps, X, vals, mask, w, np.zeros(n))[0]
+            skipped = congruity._backprop(ps, X, vals, mask, 2.0 * w, None)
+            full[w] = congruity._backprop(ps, X, vals, mask, 2.0 * w, np.zeros(n))[0]
             assert skipped[1] is None
             assert np.array_equal(skipped[0], full[w])
 
@@ -594,16 +594,16 @@ class TestZeroWeightTerms:
             assert np.array_equal(grad_personal(ps, dp, h), full[lambda_p])
 
     @given(st.lists(
-        st.one_of(
+        st.tuples(*[st.one_of(
             st.floats(allow_nan=True, allow_infinity=True),
             st.sampled_from([0.0, -0.0, 500.0, -500.0, 745.2, -745.2, 1e-320]),
-        ),
+        )] * 2),
         min_size=1, max_size=12,
     ))
     def test_in_place_sigmoid_is_the_clipped_formula(self, values):
-        z = np.array(values)
-        want = 1.0 / (1.0 + np.exp(-np.clip(z, -500.0, 500.0)))
-        got = congruity._sigmoid(z.copy())
+        z, b = np.array(values).T
+        want = 1.0 / (1.0 + np.exp(-np.clip(z + b, -500.0, 500.0)))
+        got = congruity._sigmoid(z.copy(), b)
         assert np.array_equal(got, want, equal_nan=True)
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
@@ -758,12 +758,12 @@ class TestStackedPass:
             sides = [(dp.features, *dp.label_arrays("distance")),
                      (dg.features, *dg.label_arrays("distance"))]
             X, vals, mask = (np.stack(parts) for parts in zip(*sides))
-            pred_w = np.array([[1.5], [0.75]])
+            two_w = np.array([[3.0], [1.5]])
             coeff = rng.random((2, rows)) if lambda_k else None
-            grad, recon_sq = congruity._backprop(ps, X, vals, mask, pred_w, coeff, alive=alive)
+            grad, recon_sq = congruity._backprop(ps, X, vals, mask, two_w, coeff, alive=alive)
             pred_sum, recon = congruity._loss_parts(ps, X, vals, mask, lambda_k != 0.0)
             for k, (Xk, vk, mk) in enumerate(sides):
-                one = congruity._backprop(ps, Xk, vk, mk, float(pred_w[k, 0]),
+                one = congruity._backprop(ps, Xk, vk, mk, float(two_w[k, 0]),
                                           None if coeff is None else coeff[k], alive=alive)
                 assert grad[k].tobytes() == one[0].tobytes()
                 parts = congruity._loss_parts(ps, Xk, vk, mk, lambda_k != 0.0)
@@ -778,6 +778,12 @@ class TestStackedPass:
         together = (lambda_k != 0.0) == (lambda_q != 0.0)
         [pair] = congruity._batches(dp, dg, h)
         assert len(pair) == (1 if together and extra == 0 else 2)
+        # the epoch objective over the whole sides, stacked the same way
+        whole = congruity._pair((dp, dg), h)
+        want = [(dp, dg)] if len(pair) == 1 else [(dp,), (dg,)]
+        assert [stack.batches for stack in whole] == want
+        assert (congruity_objective(ps, dp, dg, h, centroid, whole).hex()
+                == congruity_objective(ps, dp, dg, h, centroid).hex())
         p, g = (side for stack in pair
                 for side in congruity._stack_grads(ps, stack, h, centroid, alive))
         for side, d in ((p, dp), (g, dg)):
@@ -823,6 +829,27 @@ class TestStackedPass:
         assert repr(stacked.loss_history) == repr(single.loss_history)
         assert stacked.pruned_count == single.pruned_count
 
+    @pytest.mark.parametrize("config, rows, stacks", [
+        ("learner-smallest.cfg", (2, 3), [1, 1]),  # 5 edges: the general half has the odd one
+        ("learner.cfg", (278, 278), [2]),
+    ])
+    def test_learned_graph_stacks_the_objective_only_for_equal_halves(
+        self, config, rows, stacks, monkeypatch,
+    ):
+        """`_learned_graph` splits the edges into a personal and a general
+        half; train's every objective gets its whole sides as one stack when
+        the edge count is even and as two stacks of one when it is odd."""
+        seen = []
+        real = congruity.congruity_objective
+
+        def recording(ps, dp, dg, h, centroid=None, pair=None):
+            seen.append(((len(dp), len(dg)), [len(stack.batches) for stack in pair]))
+            return real(ps, dp, dg, h, centroid, pair)
+
+        monkeypatch.setattr(congruity, "congruity_objective", recording)
+        cli.outputs(["gen-topo", "--config", os.path.join(GOLDENS, config)])
+        assert len(seen) > 2 and set(map(repr, seen)) == {repr((rows, stacks))}
+
     @pytest.mark.parametrize("alpha, n_general", [(0.2, 48), (0.5, 48), (0.9, 60)])
     def test_descent_steps_down_grad_congruity(self, alpha, n_general, monkeypatch):
         """With the prune phase taken out, each descent step is a step down
@@ -840,6 +867,37 @@ class TestStackedPass:
                 step = grad_congruity(ps, dp.slice(lo, lo + 32), dg.slice(lo, lo + 32), h, centroid)
                 ps.theta -= h.learning_rate * step
         assert ps.theta.tobytes() == trained.theta.tobytes()
+
+
+class TestSignOfZero:
+    """No parameter is ever -0.0, so the gradients may carry either sign of
+    an exact zero (the argument in `_backprop`'s docstring)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        hidden=st.lists(st.integers(1, 4), min_size=1, max_size=2),
+        n_personal=st.sampled_from([8, 12]),
+        n_general=st.sampled_from([8, 12, 16]),
+        seed=st.integers(0, 2**16),
+        alpha=st.sampled_from([0.5, 1.0]),
+        prune_probability=st.sampled_from([0.5, 1.0]),
+        lambda_q=st.sampled_from([0.0, 0.3]),
+        lambda_k=st.sampled_from([0.0, 0.7]),
+    )
+    def test_training_leaves_no_negative_zero(
+        self, hidden, n_personal, n_general, seed, alpha, prune_probability, lambda_q,
+        lambda_k,
+    ):
+        """Small nets, pruned and with dead neurons, with the reconstruction
+        terms on and off; batches of 8 rows make stacked pairs and, against a
+        last batch of 4, pairs of two stacks."""
+        rng = np.random.default_rng(seed)
+        dp, dg = labeled_side("personal", rng, n_personal), labeled_side("general", rng, n_general)
+        h = Hyperparams(alpha=alpha, prune_probability=prune_probability, lambda_q=lambda_q,
+                        lambda_k=lambda_k, batch_size=8, max_epochs=4, rng_seed=seed)
+        ps = train(dp, dg, h, (N_FEATURES, *hidden, 1)).theta_star
+        assert not np.signbit(ps.theta[ps.theta == 0.0]).any()
+        assert "-0.0" not in model_to_text(ps, h).split()
 
 
 class TestPredictDistance:
