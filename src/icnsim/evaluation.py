@@ -53,6 +53,10 @@ _URLLC_VOLUME = 2_000  # bytes per tactile update
 # alone keeps a point under about 1 GiB and a minute (0.01-0.03 ms each).
 MAX_REQUESTS = 1_000_000
 MAX_CATALOG_SIZE = 1_000_000
+# Prefetch cap: each placement renormalizes every (candidate, object) cell,
+# 5-8 ns a cell (20-27 ms a placement at 3.36M cells), so a point whose
+# min(prefetch_budget, cells) x cells stays under this plans in 5-8 s.
+MAX_PREFETCH_WORK = 1_000_000_000
 
 
 @dataclass(slots=True)
@@ -166,9 +170,9 @@ def sweep_points(params: ScenarioParams) -> list:
     """One validated ScenarioParams per sweep point: the sweep variable set to
     each of `sweep_values`, or of the scenario's default sweep when that is
     empty, and `sweep_values` set to the values swept. Each point also passes
-    the topology's own checks and has finite object volumes and cache
-    capacity; the base `params` need not, as no run uses its value of the
-    sweep variable."""
+    the topology's own checks, stays within MAX_PREFETCH_WORK and has finite
+    object volumes and cache capacity; the base `params` need not, as no run
+    uses its value of the sweep variable."""
     params.validate()
     var = SWEEP_VARS[params.scenario]
     values = tuple(params.sweep_values) or DEFAULT_SWEEPS[params.scenario]
@@ -180,7 +184,14 @@ def sweep_points(params: ScenarioParams) -> list:
         for value in values
     ]
     for point in points:
-        topology_size(point)
+        forwarding = sum(topology_size(point)[3:])  # gateways, access points, switches, zones
+        cells = (min(point.prefetch_candidates, forwarding)
+                 * min(point.prefetch_top_j, point.catalog_size))
+        if min(point.prefetch_budget, cells) * cells > MAX_PREFETCH_WORK:
+            raise InvalidParams(
+                f"prefetch_budget = {point.prefetch_budget} placements over {cells} cells "
+                f"(prefetch_candidates x prefetch_top_j) pass {MAX_PREFETCH_WORK} cell updates"
+            )
         largest = 1.5 * _nominal_bytes(point)  # the largest _object_volume draw
         if not math.isfinite(largest):
             raise InvalidParams(

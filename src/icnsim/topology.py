@@ -9,9 +9,9 @@ immutable after construction, so they can be shared across parallel runs.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 import operator
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 
@@ -221,26 +221,30 @@ class WeightedGraph:
 
     def _tree_info(self):
         """(True, parents, depths) when the graph is a tree rooted at node 0,
-        else (False, None, None). parents is a list, the fastest to index in
-        the per-hop walks (17 ns a read; bytes 25, a numpy array 62); depths
-        holds one byte per node (_depth_column). A generated topology hands
-        them over at construction; any other graph learns them by one BFS."""
+        else (False, None, None), as _tree_columns lays them out. A generated
+        topology hands them over at construction; any other graph learns
+        them by one BFS."""
         if self._tree is None:
             self._tree = (False, None, None)
             if self.n >= 1 and self.m == self.n - 1:
                 indptr, dst, _ = self._ensure_csr()
                 depths, parents = _bfs(indptr, dst, 0)
                 if depths.min() >= 0:  # connected with n - 1 edges
-                    self._tree = (True, parents.tolist(), _depth_column(depths))
+                    self._tree = _tree_columns(parents[1:], depths)
         return self._tree
 
     def is_tree(self) -> bool:
         return self._tree_info()[0]
 
 
-def _depth_column(depths: np.ndarray):
-    """Depths as Python-int items: bytes, or a list past 255 so none wraps."""
-    return depths.astype(np.uint8).tobytes() if depths.max() < 256 else depths.tolist()
+def _tree_columns(up: np.ndarray, depths: np.ndarray) -> tuple:
+    """_tree_info's (True, parents, depths) from root 0, `up` the parents of
+    nodes 1..: parents one C int per node (int64 past int32), no object for
+    the GC to walk, a read 38 ns (18 from a list); depths bytes, or a list
+    past 255 so none wraps."""
+    parents = array("i" if len(depths) <= np.iinfo(np.int32).max else "q", [-1]) * len(depths)
+    np.frombuffer(parents, f"i{parents.itemsize}")[1:] = up
+    return True, parents, bytes(depths.astype(np.uint8)) if depths.max() < 256 else depths.tolist()
 
 
 # Frontiers up to this size are expanded row by row (see _bfs).
@@ -559,13 +563,14 @@ LOCAL_DOMAIN_SIZE = 256
 
 
 def topology_size(params) -> tuple:
-    """(n_devices, devices_per_ap, devices_per_gw) of the topology that
-    `generate_topology` builds for `params`, an `evaluation.ScenarioParams`.
+    """(n_devices, devices_per_ap, devices_per_gw, n_gateways, n_aps,
+    n_switches, n_zones) of the topology that `generate_topology` builds for
+    `params`, an `evaluation.ScenarioParams`.
 
     Every check on the parameters that shape a topology lives here, per
     scenario, so `evaluation.sweep_points` rejects a bad sweep point before
     any point runs. Raises InvalidParams. devices_per_ap is the URLLC one
-    after latency scaling; devices_per_gw is 0 outside mMTC.
+    after latency scaling; devices_per_gw and n_gateways are 0 outside mMTC.
     """
     scenario = params.scenario
     if scenario not in SCENARIOS:
@@ -616,7 +621,15 @@ def topology_size(params) -> tuple:
         # an area beyond every device (or an overflow to inf) serves them all.
         scaled = devices_per_ap * latency_ms / _URLLC_BASE_LATENCY_MS
         devices_per_ap = max(1, int(round(min(scaled, n_devices))))
-    return n_devices, devices_per_ap, devices_per_gw
+    if scenario == "mmtc":
+        n_gateways = -(-n_devices // devices_per_gw)
+        n_aps = -(-n_gateways // devices_per_ap)
+    else:
+        n_gateways = 0
+        n_aps = -(-n_devices // devices_per_ap)
+    n_switches = -(-n_aps // int(params.aps_per_switch))
+    n_zones = -(-n_switches // int(params.switches_per_zone))
+    return n_devices, devices_per_ap, devices_per_gw, n_gateways, n_aps, n_switches, n_zones
 
 
 def generate_topology(params, seed: int) -> WeightedGraph:
@@ -627,34 +640,24 @@ def generate_topology(params, seed: int) -> WeightedGraph:
     between access points and constrained devices, one local domain per
     gateway. Pure function of (params, seed), where `params` is an
     `evaluation.ScenarioParams`. The graph comes with its tree from root 0
-    already known: parents as a list, depths as one byte per node.
+    already known: parents as one C int per node, depths as one byte.
     """
-    n_devices, devices_per_ap, devices_per_gw = topology_size(params)
+    (n_devices, devices_per_ap, devices_per_gw,
+     n_gateways, n_aps, n_switches, n_zones) = topology_size(params)
     scenario = params.scenario
     aps_per_switch = int(params.aps_per_switch)
     switches_per_zone = int(params.switches_per_zone)
     n_servers = int(params.n_servers)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xA11CE]))
 
-    if scenario == "mmtc":
-        n_gateways = -(-n_devices // devices_per_gw)
-        n_aps = -(-n_gateways // devices_per_ap)
-    else:
-        n_gateways = 0
-        n_aps = -(-n_devices // devices_per_ap)
-    n_switches = -(-n_aps // aps_per_switch)
-    n_zones = -(-n_switches // switches_per_zone)
-
     # id layout: root, servers, zones, switches, aps, gateways, devices
     n = 1 + n_servers + n_zones + n_switches + n_aps + n_gateways + n_devices
     kinds = np.full(n, _KIND_INDEX[NodeKind.SERVER], dtype=np.int8)  # attach sets all but the root
 
-    # The layers attach in id order, so node i's parent is the (i + 1)-th
-    # entry of `parents`, one Python int shared by all its siblings, and its
-    # depth is one more than its parent layer's. Edge i - 1 joins node i to
-    # its parent; parents never decrease along the ids, so the edges are in
-    # canonical (parent, child) order as they are filled.
-    parents, depths = [-1], np.zeros(n, dtype=np.uint8)
+    # The layers attach in id order, each one deeper than its parent layer.
+    # Edge i - 1 joins node i to its parent, so `ea` is the parents past the
+    # root, in canonical (parent, child) order since parents never decrease.
+    depths, top = np.zeros(n, dtype=np.uint8), 1  # top: the next id to attach
     ea = np.empty(n - 1, dtype=np.int64)
     eb = np.arange(1, n, dtype=np.int64)
     ew = np.empty(n - 1, dtype=np.int64)
@@ -663,7 +666,8 @@ def generate_topology(params, seed: int) -> WeightedGraph:
         """Take the next `count` ids as `kind` nodes and hang them below
         `parent_layer`, the first `fanout` below its first node, and so on
         (one node, if fanout passes them); return their ids as a range."""
-        lo = len(parents)
+        nonlocal top
+        lo, top = top, top + count
         edges = slice(lo - 1, lo - 1 + count)
         kinds[lo:lo + count] = _KIND_INDEX[kind]
         # child lo + c hangs below parent_layer[c // fanout], computed in place
@@ -671,8 +675,6 @@ def generate_topology(params, seed: int) -> WeightedGraph:
         ea[edges] //= fanout
         ea[edges] += parent_layer[0]
         ew[edges] = weights
-        for p in parent_layer:
-            parents.extend(itertools.repeat(p, min(fanout, lo + count - len(parents))))
         depths[lo:lo + count] = depths[parent_layer[0]] + 1
         return range(lo, lo + count)
 
@@ -701,7 +703,7 @@ def generate_topology(params, seed: int) -> WeightedGraph:
         kinds[devices[n_devices // 2]:] = _KIND_INDEX[NodeKind.MOBILE_DEVICE]
 
     g = WeightedGraph(kinds, ea, eb, ew, WeightUnit.LATENCY_US)
-    g._tree = (True, parents, _depth_column(depths))  # what _tree_info's BFS would find
+    g._tree = _tree_columns(ea, depths)  # what _tree_info's BFS would find
     return g
 
 

@@ -62,12 +62,12 @@ class CacheStore:
     """Byte-budgeted LRU store over the media partition of one element."""
 
     def __init__(self, owner: int, media_capacity: int, on_evict=None):
-        # on_evict(owner, object id) runs for every evicted entry
         self.owner = owner
         self.media_capacity = int(media_capacity)
         self.entries = OrderedDict()  # id -> size, least recently used first
         self.used = 0
-        self.on_evict = on_evict
+        self.on_evict = on_evict  # on_evict(owner, id) runs on evicting an id in `explicit`
+        self.explicit = set()  # ids of the copies here registered with the resolver
 
     def __contains__(self, oid) -> bool:
         return oid in self.entries
@@ -81,7 +81,8 @@ class CacheStore:
         while self.used + size > self.media_capacity:
             evicted_id, evicted = self.entries.popitem(last=False)
             self.used -= evicted
-            if self.on_evict is not None:
+            if evicted_id in self.explicit:
+                self.explicit.remove(evicted_id)
                 self.on_evict(self.owner, evicted_id)
         self.entries[oid] = size
         self.used += size
@@ -126,7 +127,7 @@ class NetState:
         self.media_capacity = int(media_capacity)
         self.caches = {}
         self.objects = {}
-        self.explicit = set()  # (node, object id) pairs registered with the ILM
+        self.explicit = set()  # (node, object id) pairs registered with the ILM, as stores hold them
         self.forwarding = graph.forwarding_mask()
         self.parents = graph._tree_info()[1]  # None off the tree
         self._hosts = {}  # object id -> (listed hosts, above), as of _hosts_at
@@ -148,12 +149,11 @@ class NetState:
     def _deregister_explicit(self, node: int, oid) -> None:
         """Evicting an explicitly registered copy must inform the resolver,
         or routing would chase a copy that no longer exists."""
-        if (node, oid) in self.explicit:
-            self.explicit.discard((node, oid))
-            try:
-                update_binding(self.resolver, oid, "remove", address_of(node))
-            except NotFound:
-                pass
+        self.explicit.remove((node, oid))
+        try:
+            update_binding(self.resolver, oid, "remove", address_of(node))
+        except NotFound:
+            pass
 
     def listing(self, oid) -> tuple:
         """(listed hosts in address order, above): on a tree, `above` is the
@@ -265,9 +265,7 @@ def deliver_data(net: NetState, trace: DeliveryTrace) -> list:
     for node in reversed(trace.path):
         if node == serving or not forwarding[node]:
             continue
-        store = caches.get(node)
-        if store is None:
-            store = net.cache_of(node)
+        store = caches.get(node) or net.cache_of(node)
         if store.insert(oid, volume):
             stored.append(node)
     return stored
@@ -359,6 +357,7 @@ def apply_prefetch(net: NetState, plan: PrefetchPlan) -> list:
         try:
             update_binding(net.resolver, oid, "add", address_of(node))
             net.explicit.add((node, oid))
+            net.caches[node].explicit.add(oid)
         except LocatorLimitExceeded:
             pass  # cached copy stays useful on-path even when unregistered
         placed.append((oid, node))

@@ -356,6 +356,8 @@ class TestRunScenario:
         (dict(request_count=10**12), "request_count"),
         (dict(catalog_size=MAX_CATALOG_SIZE + 1), "catalog_size"),
         (dict(catalog_size=10**8), "catalog_size"),
+        (dict(catalog_size=10**5, prefetch_top_j=10**5, prefetch_budget=10**4),
+         "prefetch_budget"),
     ])
     def test_workloads_over_the_cap_raise_before_allocating(self, case, key):
         tracemalloc.start()
@@ -369,6 +371,28 @@ class TestRunScenario:
 
     def test_caps_admit_their_own_values(self):
         small_params(request_count=MAX_REQUESTS, catalog_size=MAX_CATALOG_SIZE).validate()
+
+    @pytest.mark.parametrize("at_cap,past_cap", [
+        # 40 candidates x 25,000 objects: 1,000 placements over 1M cells
+        (dict(prefetch_budget=1_000, prefetch_candidates=40, prefetch_top_j=25_000,
+              catalog_size=25_000),
+         dict(prefetch_budget=1_001, prefetch_candidates=40, prefetch_top_j=25_000,
+              catalog_size=25_000)),
+        # candidates past the 42 forwarding nodes, prefetch_top_j past the
+        # catalog and a budget past the cells count as those: every one of
+        # 42 x 752 = 31,584 cells placed is 997.5M, of 42 x 753 1,000.2M
+        (dict(prefetch_budget=10**12, prefetch_candidates=10**9, prefetch_top_j=10**9,
+              catalog_size=752),
+         dict(prefetch_budget=10**12, prefetch_candidates=10**9, prefetch_top_j=10**9,
+              catalog_size=753)),
+    ])
+    def test_prefetch_work_admits_its_cap_and_no_more(self, at_cap, past_cap):
+        # eMBB at 512 devices has 42 forwarding nodes: 32 access points, 8
+        # switches and 2 zone switches; sweep_points only sizes them
+        assert sum(topology.topology_size(small_params(n_devices=512))[3:]) == 42
+        sweep_points(small_params(n_devices=512, **at_cap))
+        with pytest.raises(InvalidParams, match=r"prefetch_budget .* \(prefetch_candidates x"):
+            sweep_points(small_params(n_devices=512, **past_cap))
 
     @pytest.mark.parametrize("case,key", [
         (dict(hidden_widths=(10**9,)), "hidden_widths"),

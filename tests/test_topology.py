@@ -1,5 +1,7 @@
+import gc
 import math
 import tracemalloc
+from array import array
 from collections import Counter
 
 import numpy as np
@@ -205,30 +207,32 @@ class TestKindResources:
         for name in RESOURCE_COLUMNS:
             assert getattr(g, name).tolist() == [0, 0, 0]
 
-    def test_generation_allocates_under_45_bytes_per_node(self):
+    def test_generation_allocates_under_36_bytes_per_node(self):
         # about 100k mMTC devices; the five per-node int64 resource columns
         # the generator used to fill took its peak to 105-112 B per node; it
-        # is 42.2 B with one byte of depth per node, 49.2 with a depth list
+        # is 34.0 B with the parents as one int32 column, 42.2 with a parents
+        # list and 49.2 with a depth list as well
         g, _, peak = traced_generation()
         assert g.n > 100_000
-        assert peak / g.n < 45
+        assert peak / g.n < 36
 
-    def test_generation_retains_under_36_bytes_per_node(self):
-        # about 100k mMTC devices; the graph and its tree keep 34.2 B per
-        # node: kinds 1, ea/eb/ew 24, the parents list 8 and the depths 1;
-        # depths as a list of ints kept 41.2
+    def test_generation_retains_under_32_bytes_per_node(self):
+        # about 100k mMTC devices; the graph and its tree keep 30.0 B per
+        # node: kinds 1, ea/eb/ew 24, the parents column 4 and the depths 1;
+        # a parents list kept 34.2, and depths as a list of ints 41.2
         g, retained, _ = traced_generation()
         assert g.n > 100_000
-        assert retained / g.n < 36
+        assert retained / g.n < 32
 
-    def test_generation_scratch_under_12_bytes_per_node(self):
-        # about 100k mMTC devices; peak less retained is 8.0 B per node (the
-        # drawn device weights), 16.0 when every layer held a full-size id
-        # array and 23.9 when each attach step gathered its parents through
-        # an int64 `arange // fanout` and built its depths as a list first
+    def test_generation_scratch_under_5_bytes_per_node(self):
+        # about 100k mMTC devices; peak less retained is 4.0 B per node, 8.0
+        # while a parents list grew beside the drawn device weights, 16.0
+        # when every layer held a full-size id array and 23.9 when each
+        # attach step gathered its parents through an int64 `arange //
+        # fanout` and built its depths as a list first
         g, retained, peak = traced_generation()
         assert g.n > 100_000
-        assert (peak - retained) / g.n < 12
+        assert (peak - retained) / g.n < 5
 
 
 def traced_generation():
@@ -774,6 +778,23 @@ def test_handed_over_tree_equals_the_bfs_one(case, seed):
     assert handed[0] and len(handed[1]) == len(handed[2]) == g.n
 
 
+@pytest.mark.parametrize("case", HANDOVER_CASES)
+def test_tree_parents_are_one_int32_column(case):
+    """Handed over or found by the BFS, parents is one int32 entry per node,
+    and the GC sees no object per node behind it."""
+    g = generate_topology(ScenarioParams(**case), 3)
+    rebuilt = WeightedGraph.from_arrays(
+        g.kinds, g.mems, g.storages, g.downs, g.ups, g.computes,
+        g.ea, g.eb, g.ew, g.unit,
+    )
+    handed, found = g._tree_info()[1], rebuilt._tree_info()[1]
+    for parents in (handed, found):
+        assert type(parents) is array and parents.itemsize == 4 and len(parents) == g.n
+        assert np.frombuffer(parents, np.int32).tolist() == [-1] + g.ea.tolist()
+        assert all(isinstance(r, type) for r in gc.get_referents(parents))  # no int per node
+    assert handed == found
+
+
 @st.composite
 def generator_shapes(draw):
     """Scenario parameters of every shape, down to one device or one server."""
@@ -848,7 +869,7 @@ def test_tree_info_matches_scipy_and_the_bfs_oracle(case):
     g = make(n, edges)
     is_tree, parents, depths = g._tree_info()
     assert is_tree
-    assert parents == scipy_tree_parents(n, edges)
+    assert list(parents) == scipy_tree_parents(n, edges)
     assert list(depths) == [bfs_hops(n, edges, 0, v) for v in range(n)]
 
 
@@ -910,7 +931,7 @@ def test_deep_graphs():
     is_tree, parents, depths = g._tree_info()
     assert is_tree
     assert depths == np.abs(at - at[0]).tolist()
-    assert parents == scipy_tree_parents(n, path)
+    assert list(parents) == scipy_tree_parents(n, path)
     ring = make(n, path + [(int(order[-1]), int(order[0]), 1)])
     assert not ring.is_tree()
     for src in (0, int(order[0]), int(order[n // 2])):

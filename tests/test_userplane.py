@@ -11,7 +11,7 @@ from icnsim.errors import (
     NotFound,
     Unresolvable,
 )
-from icnsim.evaluation import ScenarioParams
+from icnsim.evaluation import ScenarioParams, reports_to_csv, run_scenario
 from icnsim import userplane
 from icnsim.ilm import (
     LOCATOR_LIMIT,
@@ -825,6 +825,98 @@ class TestApplyPrefetch:
         assert resolve(res, obj.id) == frozenset({address_of(1)})
         trace = request(net, obj, origin=5)
         assert trace.serving_node == 1 and not trace.cache_hit
+
+
+
+def insert_calling_back_on_every_eviction(store, oid, size):
+    """CacheStore.insert as it was when every eviction called back, with
+    the network checking each evicted (node, id) against `net.explicit`."""
+    if size > store.media_capacity:
+        return False
+    if oid in store.entries:
+        store.used -= store.entries.pop(oid)
+    net = store.on_evict.__self__
+    while store.used + size > store.media_capacity:
+        evicted_id, evicted = store.entries.popitem(last=False)
+        store.used -= evicted
+        if (store.owner, evicted_id) in net.explicit:
+            net.explicit.discard((store.owner, evicted_id))
+            net.deregistered.append((store.owner, evicted_id))
+            try:
+                update_binding(net.resolver, evicted_id, "remove", address_of(store.owner))
+            except NotFound:
+                pass
+    store.entries[oid] = size
+    store.used += size
+    return True
+
+
+@st.composite
+def evicting_points(draw):
+    """Small points of every scenario with prefetch on and stores of a few
+    objects, so placements and deliveries evict prefetched copies."""
+    scenario = draw(st.sampled_from(["embb", "urllc", "mmtc"]))
+    sweep = {"embb": [8.0, 64.0], "urllc": [1.0, 8.0], "mmtc": [3.0, 20.0]}[scenario]
+    return ScenarioParams(
+        scenario=scenario,
+        sweep_values=(draw(st.sampled_from(sweep)),),
+        seed=draw(st.integers(0, 50)),
+        n_devices=draw(st.integers(2, 80)),
+        devices_per_ap=draw(st.integers(1, 8)),
+        area_km2=0.005,
+        catalog_size=draw(st.integers(2, 16)),
+        request_count=draw(st.integers(1, 200)),
+        cache_fraction=draw(st.sampled_from([0.1, 0.2, 0.4])),
+        prefetch_budget=draw(st.integers(1, 24)),
+        prefetch_top_j=draw(st.integers(1, 16)),
+    )
+
+
+def replayed(params, reference):
+    """(report.csv text, the network) of one point, its deregistrations of
+    evicted explicit copies in `net.deregistered`: through the callback as
+    it runs, or, as `reference`, through a check of every eviction."""
+    nets = []
+    build, deregister = build_network, userplane.NetState._deregister_explicit
+
+    def kept(*args):
+        nets.append(build(*args))
+        nets[-1].deregistered = []
+        return nets[-1]
+
+    def counted(net, node, oid):
+        net.deregistered.append((node, oid))
+        deregister(net, node, oid)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(userplane, "build_network", kept)
+        mp.setattr(userplane.NetState, "_deregister_explicit", counted)
+        if reference:
+            mp.setattr(userplane.CacheStore, "insert", insert_calling_back_on_every_eviction)
+        text = reports_to_csv(run_scenario(params))
+    (net,) = nets
+    return text, net
+
+
+@settings(max_examples=40, deadline=None)
+@given(evicting_points())
+@example(ScenarioParams(scenario="embb", sweep_values=(8.0,), n_devices=40,
+                        catalog_size=12, request_count=120, cache_fraction=0.2,
+                        prefetch_budget=16))
+def test_only_evicted_explicit_copies_call_back(params):
+    """The eviction callback runs once per evicted explicit copy, in the
+    order of the evictions that a check of every evicted entry finds, and
+    the explicit copies, the resolver and the report end as they do then."""
+    text, net = replayed(params, reference=False)
+    ref_text, ref = replayed(params, reference=True)
+    assert net.deregistered == ref.deregistered
+    assert text == ref_text
+    assert net.explicit == ref.explicit
+    assert net.explicit == {(node, oid) for node, store in net.caches.items()
+                            for oid in store.explicit}
+    assert dump_table(net.resolver) == dump_table(ref.resolver)
+    for oid in net.objects:
+        assert net.listing(oid)[0] == ref.listing(oid)[0]
 
 
 class TestTraceCsv:
