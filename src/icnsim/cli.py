@@ -148,11 +148,16 @@ def parse_config(text: str) -> dict:
 
 
 def load_config(path) -> dict:
+    """parse_config on the file at `path`; an error names the file and line."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return parse_config(fh.read())
+            text = fh.read()
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
+    try:
+        return parse_config(text)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}, {exc}") from None
 
 
 def from_config(cls, config: dict, **given):

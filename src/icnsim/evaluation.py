@@ -57,6 +57,10 @@ MAX_CATALOG_SIZE = 1_000_000
 # 5-8 ns a cell (20-27 ms a placement at 3.36M cells), so a point whose
 # min(prefetch_budget, cells) x cells stays under this plans in 5-8 s.
 MAX_PREFETCH_WORK = 1_000_000_000
+# Prefetch memory cap: planning holds 40-48 B per cell (tracemalloc over
+# 100 candidates x 10,000 objects, budget 1 and 10), so 2e7 cells stay under
+# about 1 GiB at 48 B.
+MAX_PREFETCH_CELLS = 20_000_000
 
 
 @dataclass(slots=True)
@@ -170,9 +174,10 @@ def sweep_points(params: ScenarioParams) -> list:
     """One validated ScenarioParams per sweep point: the sweep variable set to
     each of `sweep_values`, or of the scenario's default sweep when that is
     empty, and `sweep_values` set to the values swept. Each point also passes
-    the topology's own checks, stays within MAX_PREFETCH_WORK and has finite
-    object volumes and cache capacity; the base `params` need not, as no run
-    uses its value of the sweep variable."""
+    the topology's own checks, stays within MAX_PREFETCH_WORK (and, when it
+    prefetches, MAX_PREFETCH_CELLS) and has finite object volumes and cache
+    capacity; the base `params` need not, as no run uses its value of the
+    sweep variable."""
     params.validate()
     var = SWEEP_VARS[params.scenario]
     values = tuple(params.sweep_values) or DEFAULT_SWEEPS[params.scenario]
@@ -191,6 +196,11 @@ def sweep_points(params: ScenarioParams) -> list:
             raise InvalidParams(
                 f"prefetch_budget = {point.prefetch_budget} placements over {cells} cells "
                 f"(prefetch_candidates x prefetch_top_j) pass {MAX_PREFETCH_WORK} cell updates"
+            )
+        if point.prefetch_budget >= 1 and cells > MAX_PREFETCH_CELLS:
+            raise InvalidParams(
+                f"prefetch_candidates x prefetch_top_j give {cells} cells, "
+                f"more than {MAX_PREFETCH_CELLS}"
             )
         largest = 1.5 * _nominal_bytes(point)  # the largest _object_volume draw
         if not math.isfinite(largest):

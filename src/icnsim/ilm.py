@@ -84,7 +84,6 @@ class NetworkAddress:
 @dataclass
 class NameRecord:
     hrn: str
-    id: GlobalId
     locators: set = field(default_factory=set)
     indirect_target: GlobalId = None
     service_meta: int = 0
@@ -122,27 +121,25 @@ class Resolver:
     mutations: int = 0
 
 
-def register(res: Resolver, hrn: str, na: NetworkAddress, service_meta: int = 0) -> GlobalId:
-    """Create or extend a name record."""
+def _record(res: Resolver, hrn: str, service_meta: int) -> tuple:
+    """(identifier, name record) of `hrn`, the record created if it has none."""
     gid = res.naming.assign_id(hrn)
     rec = res.table.get(gid)
     if rec is None:
-        rec = res.table[gid] = NameRecord(hrn=hrn, id=gid, service_meta=service_meta)
-    elif na not in rec.locators and len(rec.locators) >= LOCATOR_LIMIT:
-        raise LocatorLimitExceeded(
-            f"{hrn!r} already binds {LOCATOR_LIMIT} addresses"
-        )
-    rec.locators.add(na)
-    res.mutations += 1
+        rec = res.table[gid] = NameRecord(hrn=hrn, service_meta=service_meta)
+    return gid, rec
+
+
+def register(res: Resolver, hrn: str, na: NetworkAddress, service_meta: int = 0) -> GlobalId:
+    """Create or extend a name record."""
+    gid, _ = _record(res, hrn, service_meta)
+    update_binding(res, gid, "add", na)
     return gid
 
 
 def register_indirect(res: Resolver, hrn: str, target: GlobalId, service_meta: int = 0) -> GlobalId:
     """Bind an identifier to another identifier (data id -> device id)."""
-    gid = res.naming.assign_id(hrn)
-    rec = res.table.get(gid)
-    if rec is None:
-        rec = res.table[gid] = NameRecord(hrn=hrn, id=gid, service_meta=service_meta)
+    gid, rec = _record(res, hrn, service_meta)
     rec.indirect_target = target
     res.mutations += 1
     return gid

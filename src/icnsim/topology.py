@@ -186,9 +186,6 @@ class WeightedGraph:
         lo, hi = indptr[i], indptr[i + 1]
         return dst[lo:hi], wts[lo:hi]
 
-    def degree(self, i: int) -> int:
-        return int(self.degrees()[i])
-
     def degrees(self) -> np.ndarray:
         """Degree of every node, as a read-only int64 array indexed by node
         id. Counted from the edge list, so it builds no adjacency."""
@@ -360,58 +357,35 @@ def measure_distance(g: WeightedGraph, a: int, b: int, mode: str = "additive"):
     """
     if not (0 <= a < g.n) or not (0 <= b < g.n):
         raise InvalidParams(f"nodes ({a},{b}) outside graph")
-    if mode == "additive":
-        if a == b:
-            return 0
-        dist = _dijkstra_single(g, a, b)
-        if dist is None:
-            raise Unreachable(f"no path {a} -> {b}")
-        return dist
-    if mode == "bottleneck":
-        if a == b:
-            return math.inf
-        width = _widest_single(g, a, b)
-        if width is None:
-            raise Unreachable(f"no path {a} -> {b}")
-        return width
-    raise InvalidParams(f"unknown distance mode {mode!r}")
+    if mode not in ("additive", "bottleneck"):
+        raise InvalidParams(f"unknown distance mode {mode!r}")
+    key = _best_first(g, a, b, mode == "bottleneck")
+    if key is None:
+        raise Unreachable(f"no path {a} -> {b}")
+    return -key if mode == "bottleneck" else key
 
 
-def _dijkstra_single(g, src, dst):
-    dist = {src: 0}
-    heap = [(0, src)]
+def _best_first(g, src, dst, bottleneck):
+    """dst's key from src by Dijkstra's search, where a smaller key is
+    better, or None when dst cannot be reached. Additive: 0 at src, and an
+    edge of weight w extends key k to k + w. Bottleneck: -inf at src and
+    max(k, -w), the negated width of the widest path (the maximum-capacity
+    path problem, Pollack 1960)."""
+    start = -math.inf if bottleneck else 0
+    best = {src: start}
+    heap = [(start, src)]
     while heap:
-        d, u = heapq.heappop(heap)
+        k, u = heapq.heappop(heap)
         if u == dst:
-            return d
-        if d > dist.get(u, math.inf):
+            return k
+        if k > best[u]:
             continue
         nbrs, wts = g.neighbors(u)
         for v, w in zip(nbrs.tolist(), wts.tolist()):
-            nd = d + w
-            if nd < dist.get(v, math.inf):
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-    return None
-
-
-def _widest_single(g, src, dst):
-    width = {src: math.inf}
-    heap = [(-math.inf, src)]
-    done = set()
-    while heap:
-        negw, u = heapq.heappop(heap)
-        if u in done:
-            continue
-        done.add(u)
-        if u == dst:
-            return -negw
-        nbrs, wts = g.neighbors(u)
-        for v, w in zip(nbrs.tolist(), wts.tolist()):
-            cand = min(-negw, w)
-            if cand > width.get(v, -math.inf):
-                width[v] = cand
-                heapq.heappush(heap, (-cand, v))
+            nk = max(k, -w) if bottleneck else k + w
+            if nk < best.get(v, math.inf):
+                best[v] = nk
+                heapq.heappush(heap, (nk, v))
     return None
 
 
@@ -421,7 +395,7 @@ def node_centrality(g: WeightedGraph, v: int) -> float:
         raise InvalidParams(f"node {v} outside graph")
     if g.n == 1:
         return 1.0
-    return g.degree(v) / (g.n - 1)
+    return int(g.degrees()[v]) / (g.n - 1)
 
 
 # -- hop routing helpers -----------------------------------------------------
@@ -467,25 +441,19 @@ def _dists_to(g, t):
 def next_hop_toward(g: WeightedGraph, u: int, target: int) -> int:
     """First node after u on a fewest-hops path to target (ties: lowest id),
     u itself when u == target; ids outside [0, n) raise InvalidParams."""
-    path = hop_path(g, u, target)
-    return path[0] if path else u
-
-
-def hop_path(g: WeightedGraph, u: int, target: int) -> list:
-    """The nodes after u on the fewest-hops path to target, ending at target;
-    each is the lowest-id neighbour one hop closer to target than the node
-    before it, and there are hop_distance(g, u, target) of them. ids outside
-    [0, n) raise InvalidParams."""
     path = closest_path(g, u, (target,))
     if path is None:
         raise Unreachable(f"no route {u} -> {target}")
-    return path
+    return path[0] if path else u
 
 
 def closest_path(g: WeightedGraph, u: int, targets) -> list:
-    """hop_path to the first of `targets` with the fewest hops from u, or
-    None when none is reachable; ids outside [0, n) raise InvalidParams.
-    Off the tree this is one _dists_to per distinct target."""
+    """The nodes after u on a fewest-hops path to the first of `targets`
+    with the fewest hops from u, ending at that target: each is the lowest-id
+    neighbour one hop closer to it than the node before it, so there are
+    hop_distance of them. None when no target is reachable; ids outside
+    [0, n) raise InvalidParams. Off the tree this is one _dists_to per
+    distinct target."""
     n = g.n
     if not 0 <= u < n or targets and not 0 <= min(targets) <= max(targets) < n:
         raise InvalidParams(f"node {u} or one of {list(targets)} is outside the graph")

@@ -117,9 +117,8 @@ class PrefetchPlan:
 
 
 class NetState:
-    """Everything one simulation run owns: topology, resolver, caches, the
-    catalog (each object names its publisher) and the explicitly registered
-    copies."""
+    """Everything one simulation run owns: topology, resolver, caches and
+    the catalog (each object names its publisher)."""
 
     def __init__(self, graph: WeightedGraph, resolver: Resolver, media_capacity: int):
         self.graph = graph
@@ -127,7 +126,6 @@ class NetState:
         self.media_capacity = int(media_capacity)
         self.caches = {}
         self.objects = {}
-        self.explicit = set()  # (node, object id) pairs registered with the ILM, as stores hold them
         self.forwarding = graph.forwarding_mask()
         self.parents = graph._tree_info()[1]  # None off the tree
         self._hosts = {}  # object id -> (listed hosts, above), as of _hosts_at
@@ -149,7 +147,6 @@ class NetState:
     def _deregister_explicit(self, node: int, oid) -> None:
         """Evicting an explicitly registered copy must inform the resolver,
         or routing would chase a copy that no longer exists."""
-        self.explicit.remove((node, oid))
         try:
             update_binding(self.resolver, oid, "remove", address_of(node))
         except NotFound:
@@ -356,7 +353,6 @@ def apply_prefetch(net: NetState, plan: PrefetchPlan) -> list:
             continue
         try:
             update_binding(net.resolver, oid, "add", address_of(node))
-            net.explicit.add((node, oid))
             net.caches[node].explicit.add(oid)
         except LocatorLimitExceeded:
             pass  # cached copy stays useful on-path even when unregistered

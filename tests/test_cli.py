@@ -202,6 +202,25 @@ class TestGenTopo:
         assert main(["gen-topo", "--config", str(tmp_path / "nope.cfg")]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_unknown_key_names_the_config_file_and_line(self, tmp_path, capsys):
+        cfg = tmp_path / "bogus.cfg"
+        cfg.write_text("scenario = embb\nbogus = 1\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}, line 2: unknown key 'bogus'\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_prefetch_cells_past_the_cap_exit_one_before_any_point(self, tmp_path, capsys):
+        # 20,000 candidates x 1,001 objects over 4M eMBB devices pass
+        # MAX_PREFETCH_CELLS by 20,000 cells; one placement keeps the work cap off
+        cfg = tmp_path / "cells.cfg"
+        cfg.write_text("scenario = embb\nsweep_values = 8\nseeds = 1\nn_devices = 4000000\n"
+                       "catalog_size = 1001\nprefetch_budget = 1\n"
+                       "prefetch_candidates = 20000\nprefetch_top_j = 1001\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "prefetch_candidates x prefetch_top_j give 20020000 cells" in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestContainerizeCmd:
     def test_three_level_dump(self, config_path, tmp_path):

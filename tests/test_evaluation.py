@@ -358,6 +358,8 @@ class TestRunScenario:
         (dict(catalog_size=10**8), "catalog_size"),
         (dict(catalog_size=10**5, prefetch_top_j=10**5, prefetch_budget=10**4),
          "prefetch_budget"),
+        (dict(n_devices=4_000_000, catalog_size=1_001, prefetch_top_j=1_001,
+              prefetch_candidates=20_000, prefetch_budget=1), "prefetch_top_j"),
     ])
     def test_workloads_over_the_cap_raise_before_allocating(self, case, key):
         tracemalloc.start()
@@ -393,6 +395,19 @@ class TestRunScenario:
         sweep_points(small_params(n_devices=512, **at_cap))
         with pytest.raises(InvalidParams, match=r"prefetch_budget .* \(prefetch_candidates x"):
             sweep_points(small_params(n_devices=512, **past_cap))
+
+    def test_prefetch_cells_admit_their_cap_and_no_more(self):
+        # eMBB at 4M devices has 328,125 forwarding nodes, so 20,000
+        # candidates count in full; one placement keeps MAX_PREFETCH_WORK off
+        assert 20_000 * 1_000 == evaluation.MAX_PREFETCH_CELLS
+        point = dict(n_devices=4_000_000, prefetch_candidates=20_000, prefetch_budget=1)
+        assert sum(topology.topology_size(small_params(**point))[3:]) == 328_125
+        sweep_points(small_params(**point, prefetch_top_j=1_000, catalog_size=1_000))
+        past = dict(point, prefetch_top_j=1_001, catalog_size=1_001)
+        with pytest.raises(InvalidParams, match=r"prefetch_candidates x prefetch_top_j give 20020000"):
+            sweep_points(small_params(**past))
+        # a point that plans nothing holds no cells
+        sweep_points(small_params(**dict(past, prefetch_budget=0)))
 
     @pytest.mark.parametrize("case,key", [
         (dict(hidden_widths=(10**9,)), "hidden_widths"),

@@ -32,7 +32,6 @@ from icnsim.topology import (
     graph_from_text,
     graph_to_text,
     hop_distance,
-    hop_path,
     measure_distance,
     next_hop_toward,
     node_centrality,
@@ -295,6 +294,40 @@ class TestMeasureDistance:
                 dba = measure_distance(g, b, a)
                 assert dab == dba
                 assert measure_distance(g, a, c) <= dab + measure_distance(g, b, c)
+
+
+@st.composite
+def weighted_graphs(draw):
+    """A simple graph of up to seven nodes, often disconnected, with weights
+    from 0, so zero-weight edges and unreachable pairs both get drawn."""
+    n = draw(st.integers(1, 7))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=12))
+    edges, seen = [], set()
+    for a, b in pairs:
+        if a != b and frozenset((a, b)) not in seen:
+            seen.add(frozenset((a, b)))
+            edges.append((a, b, draw(st.integers(0, 20))))
+    return n, edges
+
+
+@settings(max_examples=80, deadline=None)
+@given(weighted_graphs())
+def test_both_distance_modes_match_brute_force_on_every_pair(case):
+    """Every ordered pair, a == b included: the value and its type equal the
+    oracle's (0 and +inf to itself), and where the oracle finds no path the
+    search raises Unreachable."""
+    n, edges = case
+    g = make(n, edges)
+    for a in range(n):
+        for b in range(n):
+            for mode, oracle in (("additive", brute_additive), ("bottleneck", brute_bottleneck)):
+                want = oracle(n, edges, a, b)
+                if want is None:
+                    with pytest.raises(Unreachable):
+                        measure_distance(g, a, b, mode)
+                    continue
+                got = measure_distance(g, a, b, mode)
+                assert got == want and type(got) is type(want)
 
 
 class TestCentrality:
@@ -617,9 +650,13 @@ class TestHopDistance:
         for g in (tree, ring):
             # a negative id would otherwise index from the end of the arrays
             for a, b in [(-1, 2), (2, -1), (-1, -1), (0, g.n), (g.n + 3, 0), (g.n, g.n)]:
-                for query in (hop_distance, next_hop_toward, hop_path, closest_to):
+                for query in (hop_distance, next_hop_toward, closest_one, closest_to):
                     with pytest.raises(InvalidParams):
                         query(g, a, b)
+
+
+def closest_one(g, u, target):
+    return closest_path(g, u, (target,))
 
 
 def closest_to(g, u, target):
@@ -646,7 +683,7 @@ def connected_graphs(draw):
 
 
 def check_hop_paths(n, edges):
-    """hop_path against a brute-force walk: from each node, the lowest-id
+    """closest_path against a brute-force walk: from each node, the lowest-id
     neighbour one BFS hop closer to the target."""
     g = make(n, edges)
     nbrs = {i: set() for i in range(n)}
@@ -654,10 +691,12 @@ def check_hop_paths(n, edges):
         nbrs[a].add(b)
         nbrs[b].add(a)
     hops = [[bfs_hops(n, edges, a, b) for b in range(n)] for a in range(n)]
+    walks = [[None] * n for _ in range(n)]  # the brute-force walk from u to t
     for u in range(n):
         for t in range(n):
             if hops[u][t] is None:
-                for query in (hop_path, hop_distance, next_hop_toward):
+                assert closest_path(g, u, (t,)) is None
+                for query in (hop_distance, next_hop_toward):
                     with pytest.raises(Unreachable):
                         query(g, u, t)
                 continue
@@ -665,16 +704,17 @@ def check_hop_paths(n, edges):
             while v != t:
                 v = min(w for w in nbrs[v] if hops[w][t] == hops[v][t] - 1)
                 want.append(v)
-            assert hop_path(g, u, t) == want
+            walks[u][t] = want
+            assert closest_path(g, u, (t,)) == want
             assert len(want) == hop_distance(g, u, t)
             assert next_hop_toward(g, u, t) == (want[0] if want else u)
-    # closest_path: the hop_path to the fewest-hops target, ties to the
+    # several targets: the walk to the fewest-hops target, ties to the
     # earliest; on a tree this is _tree_path's walk
     for u in range(n):
         some = [t for t in range(n) if (t + u) % 3]
         for targets in (list(range(n - 1, -1, -1)), some, [], [u], [*some, *some, u]):
             reach = [(hops[u][t], i) for i, t in enumerate(targets) if hops[u][t] is not None]
-            want = hop_path(g, u, targets[min(reach)[1]]) if reach else None
+            want = walks[u][targets[min(reach)[1]]] if reach else None
             assert closest_path(g, u, targets) == want
 
 
@@ -716,7 +756,7 @@ def test_csr_rows_match_the_edge_list(case):
         want = sorted(adj[i])
         nbrs, wts = g.neighbors(i)
         assert list(zip(nbrs.tolist(), wts.tolist())) == want
-        assert g.degree(i) == len(want)
+        assert g.degrees()[i] == len(want)
         lo, hi = indptr[i], indptr[i + 1]
         assert list(zip(dst[lo:hi].tolist(), wts_all[lo:hi].tolist())) == want
     assert indptr.tolist() == np.cumsum([0] + [len(adj[i]) for i in range(n)]).tolist()
@@ -736,7 +776,6 @@ def test_degrees_match_the_edge_list(case):
     assert g._csr is None  # counted from the edge list alone
     assert degs.dtype == np.int64 and not degs.flags.writeable
     assert np.array_equal(degs, np.diff(g._ensure_csr()[0]))
-    assert [g.degree(i) for i in range(n)] == want
 
 
 @settings(max_examples=80, deadline=None)
@@ -875,7 +914,7 @@ def test_tree_info_matches_scipy_and_the_bfs_oracle(case):
 
 @settings(max_examples=60, deadline=None)
 @given(relabelled_trees())
-def test_hop_path_on_trees(case):
+def test_hop_routes_on_trees(case):
     n, edges = case
     assert make(n, edges).is_tree()
     check_hop_paths(n, edges)
@@ -883,7 +922,7 @@ def test_hop_path_on_trees(case):
 
 @settings(max_examples=60, deadline=None)
 @given(sparse_graphs())
-def test_hop_path_on_sparse_graphs(case):
+def test_hop_routes_on_sparse_graphs(case):
     # isolated nodes and several components: unreachable pairs raise
     check_hop_paths(*case)
 
@@ -959,8 +998,8 @@ def test_a_path_deeper_than_a_byte_keeps_every_depth():
 
 def test_off_tree_queries_run_one_bfs_per_distinct_target(monkeypatch):
     """Off the tree each query reads one distance array per far end, so
-    closest_path runs k BFS over k distinct targets (repeats included) and
-    hop_path runs one."""
+    closest_path runs k BFS over k distinct targets (repeats included), so
+    one for a single target."""
     import icnsim.topology as topology
 
     n = 12
@@ -980,7 +1019,7 @@ def test_off_tree_queries_run_one_bfs_per_distinct_target(monkeypatch):
         assert sorted(calls) == sorted(set(targets))
         assert path[-1] in targets
     calls.clear()
-    assert hop_path(ring, 1, 9) == [0, 11, 10, 9]
+    assert closest_path(ring, 1, (9,)) == [0, 11, 10, 9]
     assert calls == [9]
     calls.clear()
     assert hop_distance(ring, 1, 9) == 4

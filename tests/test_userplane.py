@@ -439,6 +439,12 @@ def generated_tree_scripts(draw):
     return g, publishers, placements, requests
 
 
+def explicit_copies(net):
+    """The (node, object id) pairs of the copies that the stores hold as
+    registered with the resolver."""
+    return {(node, oid) for node, store in net.caches.items() for oid in store.explicit}
+
+
 def generated_net(g, publishers, placements):
     """Stores hold two of the three objects, so placements and deliveries
     evict, and evicting a placed copy deregisters it."""
@@ -465,7 +471,7 @@ def test_climb_on_generated_trees_matches_per_hop_reranking(case):
         path, serving, hit = want
         deliver_data(ref, DeliveryTrace(trace.request, path, len(path) - 1, serving,
                                         hit, 100))
-        assert net.explicit == ref.explicit
+        assert explicit_copies(net) == explicit_copies(ref)
 
 
 class TestClimb:
@@ -734,7 +740,7 @@ def test_kept_host_lists_match_a_fresh_resolve_per_request(case):
         path, serving, hit = want
         deliver_data(ref, DeliveryTrace(trace.request, path, len(path) - 1, serving,
                                         hit, 100))
-        assert net.explicit == ref.explicit
+        assert explicit_copies(net) == explicit_copies(ref)
 
 
 class TestDeliverData:
@@ -801,7 +807,7 @@ class TestApplyPrefetch:
         with pytest.raises(InvalidParams):
             apply_prefetch(net, plan)
         assert resolve(res, obj.id) == frozenset({address_of(1)})
-        assert net.caches == {} and net.explicit == set()
+        assert net.caches == {}
 
     def test_eviction_deregisters_explicit_copy(self):
         g, net, res = make_net(capacity=1000)
@@ -820,7 +826,7 @@ class TestApplyPrefetch:
         other = publish(net, res, hrn="urn:other", volume=1000)
         plan = prefetch_plan({1: 1.0}, {obj.id: 1.0}, budget=1, seed=0)
         assert apply_prefetch(net, plan) == []
-        assert net.caches == {} and net.explicit == set()
+        assert net.caches == {}
         net.cache_of(1).insert(other.id, other.volume)
         assert resolve(res, obj.id) == frozenset({address_of(1)})
         trace = request(net, obj, origin=5)
@@ -830,7 +836,8 @@ class TestApplyPrefetch:
 
 def insert_calling_back_on_every_eviction(store, oid, size):
     """CacheStore.insert as it was when every eviction called back, with
-    the network checking each evicted (node, id) against `net.explicit`."""
+    the network checking each evicted (node, id) against its own record of
+    the registered copies, `net.registered`."""
     if size > store.media_capacity:
         return False
     if oid in store.entries:
@@ -839,8 +846,8 @@ def insert_calling_back_on_every_eviction(store, oid, size):
     while store.used + size > store.media_capacity:
         evicted_id, evicted = store.entries.popitem(last=False)
         store.used -= evicted
-        if (store.owner, evicted_id) in net.explicit:
-            net.explicit.discard((store.owner, evicted_id))
+        if (store.owner, evicted_id) in net.registered:
+            net.registered.discard((store.owner, evicted_id))
             net.deregistered.append((store.owner, evicted_id))
             try:
                 update_binding(net.resolver, evicted_id, "remove", address_of(store.owner))
@@ -875,23 +882,33 @@ def evicting_points(draw):
 def replayed(params, reference):
     """(report.csv text, the network) of one point, its deregistrations of
     evicted explicit copies in `net.deregistered`: through the callback as
-    it runs, or, as `reference`, through a check of every eviction."""
+    it runs, or, as `reference`, through a check of every eviction against
+    `net.registered`, the copies each registration by apply_prefetch adds."""
     nets = []
     build, deregister = build_network, userplane.NetState._deregister_explicit
+    bind = userplane.update_binding
 
     def kept(*args):
         nets.append(build(*args))
         nets[-1].deregistered = []
+        nets[-1].registered = set()
         return nets[-1]
 
     def counted(net, node, oid):
         net.deregistered.append((node, oid))
         deregister(net, node, oid)
 
+    def recorded(res, oid, action, na):
+        locators = bind(res, oid, action, na)
+        if action == "add":  # a registration that passed the locator cap
+            nets[-1].registered.add((node_of_address(na), oid))
+        return locators
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(userplane, "build_network", kept)
         mp.setattr(userplane.NetState, "_deregister_explicit", counted)
         if reference:
+            mp.setattr(userplane, "update_binding", recorded)
             mp.setattr(userplane.CacheStore, "insert", insert_calling_back_on_every_eviction)
         text = reports_to_csv(run_scenario(params))
     (net,) = nets
@@ -911,12 +928,26 @@ def test_only_evicted_explicit_copies_call_back(params):
     ref_text, ref = replayed(params, reference=True)
     assert net.deregistered == ref.deregistered
     assert text == ref_text
-    assert net.explicit == ref.explicit
-    assert net.explicit == {(node, oid) for node, store in net.caches.items()
-                            for oid in store.explicit}
+    assert explicit_copies(net) == ref.registered
     assert dump_table(net.resolver) == dump_table(ref.resolver)
     for oid in net.objects:
         assert net.listing(oid)[0] == ref.listing(oid)[0]
+
+
+@settings(max_examples=30, deadline=None)
+@given(evicting_points())
+@example(ScenarioParams(scenario="embb", sweep_values=(8.0,), n_devices=40,
+                        catalog_size=12, request_count=120, cache_fraction=0.2,
+                        prefetch_budget=16))
+def test_stores_registered_copies_are_what_the_resolver_lists(params):
+    """After a replay, the copies the stores hold as registered are, for
+    each catalog object, the locators of its own record less its
+    publisher's address."""
+    _, net = replayed(params, reference=False)
+    listed = {(node_of_address(na), oid) for oid, obj in net.objects.items()
+              for na in net.resolver.table[oid].locators
+              if node_of_address(na) != obj.publisher}
+    assert explicit_copies(net) == listed
 
 
 class TestTraceCsv:
